@@ -46,6 +46,10 @@ def _generate_tour(leaper: Leaper, symmetric: bool, seed: Optional[int]) -> spli
 
 def cmd_generate(args: argparse.Namespace) -> int:
     leaper = _make_leaper(args.p, args.q)
+    if args.tile_k < 1 or args.tile_l < 1:
+        raise SystemExit2(
+            f"need --tile-k and --tile-l >= 1, got {args.tile_k} and {args.tile_l}"
+        )
     tour = _generate_tour(leaper, args.symmetric, args.seed)
     width = height = leaper.side
     if (args.tile_k, args.tile_l) != (1, 1):

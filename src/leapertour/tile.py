@@ -4,13 +4,16 @@ Copies of the base tour are placed in a checkerboard of translated and
 90-degree-rotated orientations.  Side-adjacent copies always admit a
 "switch": a pair of tour edges ab and cd (one per copy) such that bc and
 da are also legal moves.  Flipping the switches along a spanning tree of
-the subboard grid splices all copies into one Hamiltonian tour.
+the subboard grid splices all copies into one Hamiltonian tour.  Since
+every copy is the base tour or its rotation, the tree has only four seam
+types; each type's switches are found once, by an endpoint index, and
+translated to every seam of that type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator, Optional
 
 from .geom import Cell, Edge, Leaper, edge
 from .keygraph import ConstructionError, cycle_partition
@@ -54,36 +57,47 @@ def translate_edges(edges: Iterable[Edge], dx: int, dy: int) -> frozenset[Edge]:
 def switch_candidates(
     edges_a: frozenset[Edge], edges_b: frozenset[Edge], leaper: Leaper
 ) -> Iterator[Switch]:
-    """All switches between two placed copies, in a canonical scan order.
+    """All switches between two placed copies, in a canonical scan order:
+    by edge ab of copy A, then edge cd of copy B, then the orientations of
+    ab and cd.
 
-    Only edges within one move's reach of each other can pair up, so both
-    edge sets are pre-filtered by bounding-box distance.
+    Copy B's edges are indexed by endpoint, so each end b of an edge of A
+    only looks at the B edges with an end one move away from it.
     """
     moves = leaper.directions()
-    q = leaper.q
-
-    def near(e1: Edge, e2: Edge) -> bool:
-        xs1 = (e1[0][0], e1[1][0])
-        xs2 = (e2[0][0], e2[1][0])
-        ys1 = (e1[0][1], e1[1][1])
-        ys2 = (e2[0][1], e2[1][1])
-        return (
-            min(xs2) - max(xs1) <= q
-            and min(xs1) - max(xs2) <= q
-            and min(ys2) - max(ys1) <= q
-            and min(ys1) - max(ys2) <= q
-        )
+    at: dict[Cell, list[Edge]] = {}
+    for eb in edges_b:
+        at.setdefault(eb[0], []).append(eb)
+        at.setdefault(eb[1], []).append(eb)
 
     for ea in sorted(edges_a):
-        for eb in sorted(edges_b):
-            if not near(ea, eb):
-                continue
-            for a, b in (ea, (ea[1], ea[0])):
-                for c, d in (eb, (eb[1], eb[0])):
-                    bc = (c[0] - b[0], c[1] - b[1])
-                    da = (a[0] - d[0], a[1] - d[1])
-                    if bc in moves and da in moves:
-                        yield Switch(a, b, c, d)
+        hits = []
+        for oa, (a, b) in enumerate((ea, (ea[1], ea[0]))):
+            for mx, my in moves:
+                c = (b[0] + mx, b[1] + my)
+                for eb in at.get(c, ()):
+                    ob = 0 if eb[0] == c else 1
+                    d = eb[1 - ob]
+                    if (a[0] - d[0], a[1] - d[1]) in moves:
+                        hits.append(((eb, oa, ob), Switch(a, b, c, d)))
+        hits.sort(key=lambda hit: hit[0])
+        for _, sw in hits:
+            yield sw
+
+
+def _first_avoiding(candidates: Iterable[Switch], avoid: AbstractSet[Edge]) -> Optional[Switch]:
+    for sw in candidates:
+        if not any(e in avoid for e in sw.old_edges() + sw.new_edges()):
+            return sw
+    return None
+
+
+def _shift(sw: Switch, dx: int, dy: int) -> Switch:
+    return Switch(*((x + dx, y + dy) for x, y in (sw.a, sw.b, sw.c, sw.d)))
+
+
+def _name(leaper: Leaper) -> str:
+    return f"({leaper.p},{leaper.q})-leaper"
 
 
 def find_switch(
@@ -93,11 +107,12 @@ def find_switch(
     avoid: frozenset[Edge] = frozenset(),
 ) -> Switch:
     """First canonical switch whose four edges avoid the given edge set."""
-    for sw in switch_candidates(edges_a, edges_b, leaper):
-        touched = set(sw.old_edges()) | set(sw.new_edges())
-        if not touched & avoid:
-            return sw
-    raise ConstructionError("no switch found between adjacent copies")
+    sw = _first_avoiding(switch_candidates(edges_a, edges_b, leaper), avoid)
+    if sw is None:
+        raise ConstructionError(
+            f"no switch found between adjacent copies of the {_name(leaper)} tour"
+        )
+    return sw
 
 
 def tile(leaper: Leaper, k: int, l: int, base: Tour) -> Tour:
@@ -112,17 +127,12 @@ def tile(leaper: Leaper, k: int, l: int, base: Tour) -> Tour:
         return base
 
     base_edges = base.edge_set()
-    rotated = rotate_edges_ccw(base_edges, side)
-
-    placed: dict[tuple[int, int], frozenset[Edge]] = {}
-    for i in range(k):
-        for j in range(l):
-            source = base_edges if (i + j) % 2 == 0 else rotated
-            placed[(i, j)] = translate_edges(source, i * side, j * side)
+    copies = (base_edges, rotate_edges_ccw(base_edges, side))
 
     all_edges: set[Edge] = set()
-    for e in placed.values():
-        all_edges |= e
+    for i in range(k):
+        for j in range(l):
+            all_edges |= translate_edges(copies[(i + j) % 2], i * side, j * side)
 
     # Comb spanning tree: every row left to right, rows joined in column 0.
     tree = [((i, j), (i + 1, j)) for j in range(l) for i in range(k - 1)]
@@ -133,12 +143,23 @@ def tile(leaper: Leaper, k: int, l: int, base: Tour) -> Tour:
     for a, b in all_edges:
         tracker.union(a, b)
 
+    # Seam templates: (di, dj, parity of the lower copy) -> its switches with
+    # the lower copy at the origin.  Translating them keeps their order.
+    seams: dict[tuple[int, int, int], list[Switch]] = {}
     used: set[Edge] = set()
-    for sub_a, sub_b in tree:
-        sw = find_switch(placed[sub_a], placed[sub_b], leaper, avoid=frozenset(used))
+    for (i, j), (i2, j2) in tree:
+        di, dj, parity = i2 - i, j2 - j, (i + j) % 2
+        kind = (di, dj, parity)
+        if kind not in seams:
+            upper = translate_edges(copies[1 - parity], di * side, dj * side)
+            seams[kind] = list(switch_candidates(copies[parity], upper, leaper))
+        place = f"copies ({i}, {j}) and ({i2}, {j2}) of the {_name(leaper)} tour"
+        sw = _first_avoiding((_shift(s, i * side, j * side) for s in seams[kind]), used)
+        if sw is None:
+            raise ConstructionError(f"no switch found between {place}")
         old1, old2 = sw.old_edges()
         if tracker.find(old1[0]) == tracker.find(old2[0]):
-            raise ConstructionError(f"switch {sw} does not merge two cycles")
+            raise ConstructionError(f"switch {sw} between {place} does not merge two cycles")
         all_edges.difference_update(sw.old_edges())
         all_edges.update(sw.new_edges())
         used.update(sw.old_edges())
@@ -148,5 +169,7 @@ def tile(leaper: Leaper, k: int, l: int, base: Tour) -> Tour:
 
     cycles = cycle_partition(all_edges)
     if len(cycles) != 1 or len(cycles[0]) != width * height:
-        raise ConstructionError(f"tiling left {len(cycles)} cycles")
+        raise ConstructionError(
+            f"{k}x{l} tiling of the {_name(leaper)} tour left {len(cycles)} cycles"
+        )
     return Tour(cells=cycles[0])

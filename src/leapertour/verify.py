@@ -80,7 +80,8 @@ def verify_tour(cells: Sequence[Cell], p: int, q: int, width: int, height: int) 
                 report.first_failure = f"illegal move {a} -> {b} at index {i}"
             break
 
-    if n > 1:
+    # a single cell closes with the null move, which is never a leaper move
+    if n > 0:
         a, b = cells[-1], cells[0]
         if (b[0] - a[0], b[1] - a[1]) not in moves:
             report.closed = False

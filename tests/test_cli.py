@@ -1,3 +1,5 @@
+import pytest
+
 from leapertour.cli import main
 from leapertour.render import parse_structured
 
@@ -58,6 +60,17 @@ def test_generate_tiled(tmp_path, capsys):
     assert len(cells) == 216
     code, _, _ = run(capsys, "verify", str(path))
     assert code == 0
+
+
+@pytest.mark.parametrize("k,l", [("0", "1"), ("2", "-1")])
+def test_tile_grid_below_1x1_is_usage_error(capsys, k, l):
+    code, out, err = run(
+        capsys, "generate", "--p", "1", "--q", "2", "--tile-k", k, "--tile-l", l
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "--tile-k" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_non_free_leaper_is_usage_error(capsys):

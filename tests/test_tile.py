@@ -1,9 +1,15 @@
-import pytest
+from functools import lru_cache
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from leapertour.cli import free_leapers
 from leapertour.geom import Leaper, edge
-from leapertour.keygraph import build_key
-from leapertour.splice import splice
+from leapertour.keygraph import ConstructionError, build_key, cycle_partition
+from leapertour.splice import CycleTracker, Tour, random_bits, splice
 from leapertour.tile import (
+    Switch,
     find_switch,
     rotate_edges_ccw,
     switch_candidates,
@@ -96,3 +102,131 @@ def test_tile_rejects_bad_grid():
     leaper = Leaper(1, 2)
     with pytest.raises(ValueError):
         tile(leaper, 0, 2, base_tour(1, 2))
+
+
+def test_tile_failure_names_leaper_and_copies(monkeypatch):
+    # with no candidate switches at all, the first comb-tree seam fails
+    monkeypatch.setattr("leapertour.tile.switch_candidates", lambda a, b, leaper: iter(()))
+    with pytest.raises(ConstructionError, match=r"copies \(0, 0\) and \(1, 0\) of the \(1,2\)-leaper"):
+        tile(Leaper(1, 2), 2, 1, base_tour(1, 2))
+
+
+# --- differential oracle: the quadratic pairwise scan --------------------
+
+
+def pairwise_switches(edges_a, edges_b, leaper):
+    """Every edge of A against every edge of B, pre-filtered by bounding-box
+    distance, both orientations of each."""
+    moves = leaper.directions()
+    q = leaper.q
+
+    def near(e1, e2):
+        xs1, xs2 = (e1[0][0], e1[1][0]), (e2[0][0], e2[1][0])
+        ys1, ys2 = (e1[0][1], e1[1][1]), (e2[0][1], e2[1][1])
+        return (
+            min(xs2) - max(xs1) <= q
+            and min(xs1) - max(xs2) <= q
+            and min(ys2) - max(ys1) <= q
+            and min(ys1) - max(ys2) <= q
+        )
+
+    out = []
+    sorted_b = sorted(edges_b)
+    for ea in sorted(edges_a):
+        for eb in sorted_b:
+            if not near(ea, eb):
+                continue
+            for a, b in (ea, (ea[1], ea[0])):
+                for c, d in (eb, (eb[1], eb[0])):
+                    bc = (c[0] - b[0], c[1] - b[1])
+                    da = (a[0] - d[0], a[1] - d[1])
+                    if bc in moves and da in moves:
+                        out.append(Switch(a, b, c, d))
+    return out
+
+
+def reference_tile(leaper, k, l, base):
+    """Tiling by the pairwise scan on the placed copies, seam by seam."""
+    side = leaper.side
+    copies = (base.edge_set(), rotate_edges_ccw(base.edge_set(), side))
+    placed = {
+        (i, j): translate_edges(copies[(i + j) % 2], i * side, j * side)
+        for i in range(k)
+        for j in range(l)
+    }
+    all_edges = set().union(*placed.values())
+    tracker = CycleTracker((x, y) for x in range(k * side) for y in range(l * side))
+    for a, b in all_edges:
+        tracker.union(a, b)
+    tree = [((i, j), (i + 1, j)) for j in range(l) for i in range(k - 1)]
+    tree += [((0, j), (0, j + 1)) for j in range(l - 1)]
+    used = set()
+    for sub_a, sub_b in tree:
+        sw = next(
+            sw
+            for sw in pairwise_switches(placed[sub_a], placed[sub_b], leaper)
+            if not (set(sw.old_edges()) | set(sw.new_edges())) & used
+        )
+        (a1, _), (c1, _) = sw.old_edges()
+        assert tracker.find(a1) != tracker.find(c1)
+        all_edges.difference_update(sw.old_edges())
+        all_edges.update(sw.new_edges())
+        used.update(sw.old_edges() + sw.new_edges())
+        for a, b in sw.new_edges():
+            tracker.union(a, b)
+    (cells,) = cycle_partition(all_edges)
+    return Tour(cells=cells)
+
+
+@pytest.mark.parametrize("p,q", [(1, 2), (2, 3), (2, 5), (4, 9)])
+@pytest.mark.parametrize(
+    "lower,shift",
+    [(0, (1, 0)), (1, (1, 0)), (0, (0, 1)), (1, (0, 1))],
+    ids=["h-trans|rot", "h-rot|trans", "v-trans|rot", "v-rot|trans"],
+)
+def test_switch_candidates_match_pairwise_oracle(p, q, lower, shift):
+    leaper = Leaper(p, q)
+    side = leaper.side
+    base = base_tour(p, q).edge_set()
+    copies = (base, rotate_edges_ccw(base, side))
+    a = copies[lower]
+    b = translate_edges(copies[1 - lower], shift[0] * side, shift[1] * side)
+    expected = pairwise_switches(a, b, leaper)
+    assert expected
+    assert list(switch_candidates(a, b, leaper)) == expected
+
+
+@pytest.mark.parametrize(
+    "p,q,k,l", [(1, 2, 3, 2), (1, 2, 2, 4), (2, 3, 3, 3), (2, 5, 3, 4), (2, 5, 4, 1)]
+)
+def test_tile_matches_pairwise_reference(p, q, k, l):
+    leaper = Leaper(p, q)
+    key = build_key(leaper)
+    base = splice(key, random_bits(len(key.rhombi), 7))
+    assert tile(leaper, k, l, base) == reference_tile(leaper, k, l, base)
+
+
+# --- property: random leapers, seeds and grids ----------------------------
+
+FREE_UP_TO_9 = free_leapers(9)
+
+
+@lru_cache(maxsize=None)
+def cached_key(p, q):
+    return build_key(Leaper(p, q))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(FREE_UP_TO_9),
+    st.integers(0, 2**16),
+    st.integers(1, 8),
+    st.integers(1, 8),
+)
+def test_random_tilings_verify(pq, seed, k, l):
+    p, q = pq
+    leaper = Leaper(p, q)
+    key = cached_key(p, q)
+    tour = tile(leaper, k, l, splice(key, random_bits(len(key.rhombi), seed)))
+    report = verify_tour(tour.cells, p, q, k * leaper.side, l * leaper.side)
+    assert report.valid, report.first_failure

@@ -32,6 +32,14 @@ def test_swapping_two_cells_breaks_legality():
     assert report.first_failure is not None
 
 
+def test_single_cell_is_not_a_closed_tour():
+    report = verify_tour([(0, 0)], 1, 2, 1, 1)
+    assert report.cell_count_ok and report.all_moves_legal and report.all_cells_once
+    assert not report.closed
+    assert not report.valid
+    assert report.first_failure == "closing move (0, 0) -> (0, 0) is illegal"
+
+
 def test_repeated_cell_detected():
     cells = list(knight_tour_6x6().cells)
     cells[5] = cells[0]
