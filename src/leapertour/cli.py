@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import Optional, Sequence
 
@@ -19,15 +18,10 @@ EXIT_USAGE = 2
 
 
 def _make_leaper(p: int, q: int) -> Leaper:
-    if p < 1 or q < 1 or p >= q:
-        raise SystemExit2(f"need 1 <= p < q, got p={p}, q={q}")
-    if not verify.is_free(p, q):
-        g = math.gcd(q - p, q + p)
-        raise SystemExit2(
-            f"p - q and p + q are not relatively prime (common factor {g}); "
-            f"the ({p},{q})-leaper admits no tour"
-        )
-    return Leaper(p, q)
+    try:
+        return Leaper(p, q)
+    except ValueError as exc:
+        raise SystemExit2(str(exc))
 
 
 class SystemExit2(Exception):
@@ -72,8 +66,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
         text = render.format_structured(tour.cells, args.p, args.q, width, height)
 
     if args.output:
-        with open(args.output, "w") as f:
-            f.write(text)
+        try:
+            with open(args.output, "w") as f:
+                f.write(text)
+        except OSError as exc:
+            raise SystemExit2(f"cannot write output: {exc}")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -91,7 +88,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     width = args.width if args.width is not None else width
     height = args.height if args.height is not None else height
 
-    report = verify.verify_tour(cells, p, q, width, height)
+    try:
+        report = verify.verify_tour(cells, p, q, width, height)
+    except ValueError as exc:
+        raise SystemExit2(str(exc))
     print(f"cell_count_ok={report.cell_count_ok}")
     print(f"all_moves_legal={report.all_moves_legal}")
     print(f"all_cells_once={report.all_cells_once}")

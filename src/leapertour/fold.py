@@ -12,12 +12,18 @@ per instance by direct computation.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
 from .geom import Cell, Leaper
-from .keygraph import ConstructionError, Cores, KeyGraph, build_key
+from .keygraph import (
+    ConstructionError,
+    Cores,
+    KeyGraph,
+    adjacency,
+    build_key,
+    is_connected_edges,
+)
 
 # A vertex of a two-floor graph: (x, y, floor) with floor 1 or 2.
 FoldVertex = tuple[int, int, int]
@@ -29,23 +35,20 @@ def _fedge(u: FoldVertex, v: FoldVertex) -> FoldEdge:
 
 
 @dataclass(frozen=True)
-class FoldingGraph:
-    s: int  # grid half-width: q - p = 2s + 1
+class TwoFloorGraph:
+    """A graph on the (2t+1)^2 x 2 vertex grid: a folding or crisscross graph."""
+
+    t: int  # grid half-width
     edges: frozenset[FoldEdge]
 
     def vertices(self) -> list[FoldVertex]:
-        return _grid_vertices(self.s)
-
-
-@dataclass(frozen=True)
-class CrisscrossGraph:
-    m: int
-    n: int
-    t: int  # m + n = 2t + 1
-    edges: frozenset[FoldEdge]
-
-    def vertices(self) -> list[FoldVertex]:
-        return _grid_vertices(self.t)
+        t = self.t
+        return [
+            (x, y, f)
+            for x in range(-t, t + 1)
+            for y in range(-t, t + 1)
+            for f in (1, 2)
+        ]
 
 
 @dataclass(frozen=True)
@@ -69,15 +72,6 @@ class FoldReport:
     outer_acyclic: bool
     matches: bool
     folding_connected: bool
-
-
-def _grid_vertices(t: int) -> list[FoldVertex]:
-    return [
-        (x, y, f)
-        for x in range(-t, t + 1)
-        for y in range(-t, t + 1)
-        for f in (1, 2)
-    ]
 
 
 def project(cell: Cell, cores: Cores) -> tuple[FoldVertex, ...]:
@@ -104,11 +98,7 @@ def outer_paths(key: KeyGraph) -> list[tuple[Cell, Cell]]:
     Raises ConstructionError if the outer graph contains a cycle; isolated
     cells (core intersections) are not included.
     """
-    adj: dict[Cell, list[Cell]] = defaultdict(list)
-    for a, b in key.outer_edges:
-        adj[a].append(b)
-        adj[b].append(a)
-
+    adj = adjacency(key.outer_edges)
     paths = []
     seen: set[Cell] = set()
     endpoints = sorted(c for c, nbrs in adj.items() if len(nbrs) == 1)
@@ -138,14 +128,13 @@ def outer_is_acyclic(key: KeyGraph) -> bool:
     return True
 
 
-def build_folding(key: KeyGraph) -> FoldingGraph:
+def build_folding(key: KeyGraph) -> TwoFloorGraph:
     """Contract each outer path to an edge between its endpoint projections.
 
     Core-intersection cells count as zero-length paths and contribute the
     between-floor edges.  Coinciding contributions dedup to simple edges.
     """
-    r = key.leaper.q - key.leaper.p
-    s = (r - 1) // 2
+    t = (key.leaper.q - key.leaper.p - 1) // 2  # q - p = 2t + 1
     edges: set[FoldEdge] = set()
     for a, b in outer_paths(key):
         pa, pb = project(a, key.cores), project(b, key.cores)
@@ -158,10 +147,10 @@ def build_folding(key: KeyGraph) -> FoldingGraph:
         if e == 2:
             p1, p2 = project(cell, key.cores)
             edges.add(_fedge(p1, p2))
-    return FoldingGraph(s=s, edges=frozenset(edges))
+    return TwoFloorGraph(t=t, edges=frozenset(edges))
 
 
-def build_crisscross(m: int, n: int) -> CrisscrossGraph:
+def build_crisscross(m: int, n: int) -> TwoFloorGraph:
     """The two-floor graph R(m, n) on the (2t+1)^2 x 2 grid, m + n = 2t + 1.
 
     First-floor edges have types +-(m, n) and +-(-n, m); second-floor edges
@@ -193,7 +182,7 @@ def build_crisscross(m: int, n: int) -> CrisscrossGraph:
                     edges.add(_fedge((x, y, 1), (x + vx, y + vy, 2)))
                 if in_grid(x - vx, y - vy):
                     edges.add(_fedge((x, y, 1), (x - vx, y - vy, 2)))
-    return CrisscrossGraph(m=m, n=n, t=t, edges=frozenset(edges))
+    return TwoFloorGraph(t=t, edges=frozenset(edges))
 
 
 def fold_params(leaper: Leaper) -> FoldParams:
@@ -250,21 +239,6 @@ def crisscross_reduce(m: int, n: int) -> tuple[int, int]:
     return reduced
 
 
-def is_connected(graph: FoldingGraph | CrisscrossGraph) -> bool:
-    """Breadth-first reachability over the whole two-floor vertex grid."""
-    vertices = graph.vertices()
-    adj: dict[FoldVertex, list[FoldVertex]] = defaultdict(list)
-    for a, b in graph.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {vertices[0]}
-    frontier = [vertices[0]]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return len(seen) == len(vertices)
+def is_connected(graph: TwoFloorGraph) -> bool:
+    """True iff the edges connect the whole two-floor vertex grid."""
+    return is_connected_edges(graph.vertices(), graph.edges)

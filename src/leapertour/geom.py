@@ -45,8 +45,8 @@ class Leaper:
         g = math.gcd(self.q - self.p, self.q + self.p)
         if g != 1:
             raise ValueError(
-                f"({self.p},{self.q})-leaper is not free: "
-                f"q - p and q + p share the factor {g}"
+                f"q - p and q + p are not relatively prime (common factor {g}); "
+                f"the ({self.p},{self.q})-leaper is not free and admits no tour"
             )
 
     @property
@@ -86,13 +86,6 @@ class Subboard:
         for x in range(self.x1, self.x2):
             for y in range(self.y1, self.y2):
                 yield (x, y)
-
-    @property
-    def area(self) -> int:
-        return (self.x2 - self.x1) * (self.y2 - self.y1)
-
-    def translate(self, dx: int, dy: int) -> "Subboard":
-        return Subboard(self.x1 + dx, self.x2 + dx, self.y1 + dy, self.y2 + dy)
 
     def intersect(self, other: "Subboard") -> Union["Subboard", None]:
         x1, x2 = max(self.x1, other.x1), min(self.x2, other.x2)

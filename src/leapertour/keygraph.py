@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence, TypeVar
 
 from .geom import (
     Cell,
@@ -27,6 +27,8 @@ from .geom import (
     path_edges,
     reflect,
 )
+
+V = TypeVar("V", bound=Hashable)
 
 
 class ConstructionError(RuntimeError):
@@ -204,16 +206,22 @@ def build_key(leaper: Leaper) -> KeyGraph:
     )
 
 
+def adjacency(edges: Iterable[tuple[V, V]]) -> dict[V, list[V]]:
+    """Neighbour lists of an undirected edge set; absent vertices read as []."""
+    adj: dict[V, list[V]] = defaultdict(list)
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
 def cycle_partition(edges: Iterable[Edge]) -> tuple[tuple[Cell, ...], ...]:
     """Split a degree-2 edge set into canonical cyclic cell sequences.
 
     Each cycle starts at its lexicographically smallest cell and runs toward
     the lexicographically smaller of that cell's two neighbours.
     """
-    adj: dict[Cell, list[Cell]] = defaultdict(list)
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
+    adj = adjacency(edges)
     for cell, nbrs in adj.items():
         if len(nbrs) != 2:
             raise ConstructionError(f"cell {cell} has degree {len(nbrs)}, expected 2")
@@ -235,13 +243,19 @@ def cycle_partition(edges: Iterable[Edge]) -> tuple[tuple[Cell, ...], ...]:
     return tuple(cycles)
 
 
-def halve(key: KeyGraph, bits: Sequence[int]) -> TwoFactor:
-    """Pseudotour from a per-rhombus matching choice (one bit per rhombus)."""
+def halving_edges(key: KeyGraph, bits: Sequence[int]) -> set[Edge]:
+    """The outer edges plus the matching each bit picks for its rhombus."""
     if len(bits) != len(key.rhombi):
         raise ValueError(f"need {len(key.rhombi)} bits, got {len(bits)}")
     edges = set(key.outer_edges)
     for r, bit in zip(key.rhombi, bits):
         edges.update(r.matching(bit))
+    return edges
+
+
+def halve(key: KeyGraph, bits: Sequence[int]) -> TwoFactor:
+    """Pseudotour from a per-rhombus matching choice (one bit per rhombus)."""
+    edges = halving_edges(key, bits)
     cycles = cycle_partition(edges)
     total = sum(len(c) for c in cycles)
     if total != key.leaper.side ** 2:
@@ -249,24 +263,18 @@ def halve(key: KeyGraph, bits: Sequence[int]) -> TwoFactor:
     return TwoFactor(edges=frozenset(edges), cycles=cycles)
 
 
-def is_connected_edges(cells: Iterable[Cell], edges: Iterable[Edge]) -> bool:
-    """Breadth-first reachability over an arbitrary vertex/edge set."""
+def is_connected_edges(cells: Iterable[V], edges: Iterable[tuple[V, V]]) -> bool:
+    """True iff the edges join all the given vertices into one component."""
     cells = set(cells)
     if not cells:
         return True
-    adj: dict[Cell, list[Cell]] = defaultdict(list)
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
+    adj = adjacency(edges)
     start = next(iter(cells))
     seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
+    stack = [start]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
     return seen == cells

@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .geom import Cell, Edge, edge, reflect_cell
+from .geom import Cell, Edge, edge, reflect, reflect_cell
 from .keygraph import (
     ConstructionError,
     KeyGraph,
     Rhombus,
-    TwoFactor,
     cycle_partition,
+    halving_edges,
     is_connected_edges,
 )
 
@@ -78,13 +78,6 @@ def _flip_edges(edges: set[Edge], r: Rhombus) -> None:
     edges.update(r.matching(1 - bit))
 
 
-def flip(twofactor: TwoFactor, r: Rhombus) -> TwoFactor:
-    """Exchange the rhombus's matching for the complementary one."""
-    edges = set(twofactor.edges)
-    _flip_edges(edges, r)
-    return TwoFactor(edges=frozenset(edges), cycles=cycle_partition(edges))
-
-
 def random_bits(count: int, seed: int | None) -> list[int]:
     """Seeded per-rhombus halving bits; all zeros when no seed is given."""
     if seed is None:
@@ -95,14 +88,11 @@ def random_bits(count: int, seed: int | None) -> list[int]:
 
 def splice(key: KeyGraph, bits: Sequence[int]) -> Tour:
     """Single fixed-order pass of cycle-merging flips over all rhombi."""
+    edges = halving_edges(key, bits)
     side = key.leaper.side
     all_cells = [(x, y) for x in range(side) for y in range(side)]
     if not is_connected_edges(all_cells, key.edges):
         raise ConstructionError("key graph is not connected")
-
-    edges = set(key.outer_edges)
-    for r, bit in zip(key.rhombi, bits):
-        edges.update(r.matching(bit))
 
     tracker = CycleTracker(all_cells)
     for a, b in edges:
@@ -126,12 +116,16 @@ def splice(key: KeyGraph, bits: Sequence[int]) -> Tour:
     return Tour(cells=cycles[0])
 
 
-def _central(cell: Cell, side: int) -> Cell:
-    return reflect_cell(cell, side, "center")
+def _central_cells(cells: Iterable[Cell], side: int) -> frozenset[Cell]:
+    """The cells' images under the central reflection of the board."""
+    return frozenset(reflect_cell(c, side, "center") for c in cells)
 
 
-def _reflect_edge(e: Edge, side: int) -> Edge:
-    return edge(_central(e[0], side), _central(e[1], side))
+def _partners(key: KeyGraph) -> list[int]:
+    """Index of each rhombus's central reflection among the key's rhombi."""
+    side = key.leaper.side
+    index = {r.cellset(): i for i, r in enumerate(key.rhombi)}
+    return [index[_central_cells(r.cells, side)] for r in key.rhombi]
 
 
 def symmetric_halving_bits(key: KeyGraph) -> list[int]:
@@ -141,15 +135,12 @@ def symmetric_halving_bits(key: KeyGraph) -> list[int]:
     self-symmetric rhombi have two symmetric matchings each, so bit 0 works.
     """
     side = key.leaper.side
-    index = {r.cellset(): i for i, r in enumerate(key.rhombi)}
     bits: list[int | None] = [None] * len(key.rhombi)
-    for i, r in enumerate(key.rhombi):
+    for i, (r, j) in enumerate(zip(key.rhombi, _partners(key))):
         if bits[i] is not None:
             continue
-        partner_cells = frozenset(_central(c, side) for c in r.cells)
-        j = index[partner_cells]
         bits[i] = 0
-        mirrored = {_reflect_edge(e, side) for e in r.matching(0)}
+        mirrored = {reflect(e, side, "center") for e in r.matching(0)}
         partner = key.rhombi[j]
         if mirrored == set(partner.matching(0)):
             bits[j] = 0
@@ -162,12 +153,10 @@ def symmetric_halving_bits(key: KeyGraph) -> list[int]:
 
 def _find_center_rhombus(key: KeyGraph) -> Rhombus:
     """The unique forward rhombus fixed by the central reflection."""
-    side = key.leaper.side
     fixed = [
         r
-        for r in key.rhombi
-        if r.kind == "forward"
-        and r.cellset() == frozenset(_central(c, side) for c in r.cells)
+        for i, (r, j) in enumerate(zip(key.rhombi, _partners(key)))
+        if r.kind == "forward" and j == i
     ]
     if len(fixed) != 1:
         raise ConstructionError(f"expected one self-symmetric forward rhombus, got {len(fixed)}")
@@ -182,20 +171,13 @@ def symmetric_splice(key: KeyGraph) -> Tour:
     if not is_connected_edges(all_cells, key.edges):
         raise ConstructionError("key graph is not connected")
 
-    bits = symmetric_halving_bits(key)
-    edges = set(key.outer_edges)
-    for r, bit in zip(key.rhombi, bits):
-        edges.update(r.matching(bit))
+    edges = halving_edges(key, symmetric_halving_bits(key))
     for e in edges:
-        if _reflect_edge(e, side) == e:
+        if reflect(e, side, "center") == e:
             raise ConstructionError(f"edge {e} is its own central reflection")
-        if _reflect_edge(e, side) not in edges:
+        if reflect(e, side, "center") not in edges:
             raise ConstructionError("initial halving is not centrally symmetric")
-
-    index = {r.cellset(): r for r in key.rhombi}
-
-    def partner_of(r: Rhombus) -> Rhombus:
-        return index[frozenset(_central(c, side) for c in r.cells)]
+    partners = _partners(key)
 
     def cycle_cells_through(cell: Cell) -> frozenset[Cell]:
         for cyc in cycle_partition(edges):
@@ -211,20 +193,20 @@ def symmetric_splice(key: KeyGraph) -> Tour:
     grown = cycle_cells_through(anchor)
 
     while True:
-        pending = None
-        for r in key.rhombi:
+        straddling = None
+        for i, r in enumerate(key.rhombi):
             m1, m2 = r.matching(current_matching(edges, r))
             if (m1[0] in grown) != (m2[0] in grown):
-                pending = r
+                straddling = i
                 break
-        if pending is None:
+        if straddling is None:
             break
 
-        rstar = partner_of(pending)
+        pending, rstar = key.rhombi[straddling], key.rhombi[partners[straddling]]
         if rstar is pending:
             raise ConstructionError("self-symmetric rhombus straddles the grown cycle")
         out_edge = next(e for e in pending.matching(current_matching(edges, pending)) if e[0] not in grown)
-        out_star = _reflect_edge(out_edge, side)
+        out_star = reflect(out_edge, side, "center")
         if out_star not in rstar.matching(current_matching(edges, rstar)) or out_star[0] in grown:
             raise ConstructionError("partner rhombus does not mirror the pending one")
 
@@ -240,7 +222,7 @@ def symmetric_splice(key: KeyGraph) -> Tour:
         new_grown = cycle_cells_through(anchor)
         if len(new_grown) <= len(grown):
             raise ConstructionError("symmetric splice failed to grow the cycle")
-        if new_grown != frozenset(_central(c, side) for c in new_grown):
+        if new_grown != _central_cells(new_grown, side):
             raise ConstructionError("grown cycle lost central symmetry")
         grown = new_grown
 
@@ -252,8 +234,8 @@ def symmetric_splice(key: KeyGraph) -> Tour:
     if len(cycles) != 1:
         raise ConstructionError(f"symmetric splice left {len(cycles)} cycles")
     tour = Tour(cells=cycles[0])
-    mirrored = {_reflect_edge(e, side) for e in tour.edge_set()}
-    if mirrored != set(tour.edge_set()):
+    tour_edges = tour.edge_set()
+    if reflect(tour_edges, side, "center") != tour_edges:
         raise ConstructionError("result tour is not centrally symmetric")
     return tour
 
@@ -262,7 +244,6 @@ def canonicalize(tour: Tour) -> Tour:
     """Rotate/reverse so the tour starts at its smallest cell and runs
     toward the smaller of that cell's two neighbours."""
     cells = list(tour.cells)
-    n = len(cells)
     i = cells.index(min(cells))
     rotated = cells[i:] + cells[:i]
     if rotated[-1] < rotated[1]:

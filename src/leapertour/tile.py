@@ -138,10 +138,9 @@ def tile(leaper: Leaper, k: int, l: int, base: Tour) -> Tour:
     tree = [((i, j), (i + 1, j)) for j in range(l) for i in range(k - 1)]
     tree += [((0, j), (0, j + 1)) for j in range(l - 1)]
 
-    width, height = k * side, l * side
-    tracker = CycleTracker((x, y) for x in range(width) for y in range(height))
-    for a, b in all_edges:
-        tracker.union(a, b)
+    # Every copy starts as one cycle, so cycles are unions of copies and the
+    # merge check can run over copy indices instead of cells.
+    tracker = CycleTracker((i, j) for i in range(k) for j in range(l))
 
     # Seam templates: (di, dj, parity of the lower copy) -> its switches with
     # the lower copy at the origin.  Translating them keeps their order.
@@ -157,18 +156,16 @@ def tile(leaper: Leaper, k: int, l: int, base: Tour) -> Tour:
         sw = _first_avoiding((_shift(s, i * side, j * side) for s in seams[kind]), used)
         if sw is None:
             raise ConstructionError(f"no switch found between {place}")
-        old1, old2 = sw.old_edges()
-        if tracker.find(old1[0]) == tracker.find(old2[0]):
+        copy_a, copy_b = (sw.a[0] // side, sw.a[1] // side), (sw.c[0] // side, sw.c[1] // side)
+        if not tracker.union(copy_a, copy_b):
             raise ConstructionError(f"switch {sw} between {place} does not merge two cycles")
         all_edges.difference_update(sw.old_edges())
         all_edges.update(sw.new_edges())
         used.update(sw.old_edges())
         used.update(sw.new_edges())
-        for a, b in sw.new_edges():
-            tracker.union(a, b)
 
     cycles = cycle_partition(all_edges)
-    if len(cycles) != 1 or len(cycles[0]) != width * height:
+    if len(cycles) != 1 or len(cycles[0]) != k * l * side * side:
         raise ConstructionError(
             f"{k}x{l} tiling of the {_name(leaper)} tour left {len(cycles)} cycles"
         )

@@ -49,7 +49,10 @@ def is_free(p: int, q: int) -> bool:
 
 
 def verify_tour(cells: Sequence[Cell], p: int, q: int, width: int, height: int) -> TourReport:
-    """Check a cyclic cell sequence for being a closed Hamiltonian tour."""
+    """Check a cyclic cell sequence for being a closed Hamiltonian tour;
+    p, q, width and height must be at least 1."""
+    if min(p, q, width, height) < 1:
+        raise ValueError(f"need p, q, width, height >= 1, got {p}, {q}, {width}, {height}")
     moves = _move_vectors(p, q)
     n = len(cells)
     report = TourReport(

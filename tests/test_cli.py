@@ -95,6 +95,33 @@ def test_verify_truncated_file(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "text,extra",
+    [
+        ("0 0 1 1\n0 0\n", []),
+        ("0 1 2 1\n0 0\n1 0\n", []),
+        ("1 2 -6 6\n0 0\n", []),
+        ("1 2 6 6\n0 0\n", ["--width", "0"]),
+        ("1 2 6 6\n0 0\n", ["--p", "-1"]),
+    ],
+)
+def test_verify_degenerate_header_is_usage_error(tmp_path, capsys, text, extra):
+    path = tmp_path / "degenerate.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", str(path), *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "t.txt"
+    code, out, err = run(capsys, "generate", "--p", "1", "--q", "2", "--output", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write output") and len(err.strip().splitlines()) == 1
+
+
 def test_fold_report(capsys):
     code, out, _ = run(capsys, "fold", "--p", "2", "--q", "5")
     assert code == 0

@@ -161,9 +161,10 @@ def test_connectivity_implication_for_key_graph():
 
 
 def test_single_vertex_graph_connected():
-    from leapertour.fold import FoldingGraph
+    from leapertour.fold import TwoFloorGraph
 
-    # degenerate container: one floor pair with no edges is NOT connected,
-    # but a single-component reachability run over one vertex trivially is
-    g = FoldingGraph(s=0, edges=frozenset({((0, 0, 1), (0, 0, 2))}))
+    # the t = 0 grid is one cell on two floors: connected only by the
+    # between-floor edge
+    g = TwoFloorGraph(t=0, edges=frozenset({((0, 0, 1), (0, 0, 2))}))
     assert is_connected(g)
+    assert not is_connected(TwoFloorGraph(t=0, edges=frozenset()))

@@ -1,12 +1,12 @@
 import pytest
 
 from leapertour.geom import Leaper, reflect_cell
-from leapertour.keygraph import ConstructionError, build_key, halve
+from leapertour.keygraph import ConstructionError, build_key, cycle_partition, halve
 from leapertour.splice import (
     Tour,
+    _flip_edges,
     canonicalize,
     current_matching,
-    flip,
     random_bits,
     splice,
     symmetric_halving_bits,
@@ -23,15 +23,20 @@ def key25():
 def test_flip_is_involution(key25):
     two = halve(key25, [0] * len(key25.rhombi))
     r = key25.rhombi[0]
-    assert flip(flip(two, r), r).edges == two.edges
+    edges = set(two.edges)
+    _flip_edges(edges, r)
+    assert edges != two.edges
+    _flip_edges(edges, r)
+    assert edges == two.edges
 
 
 def test_flip_changes_exactly_four_edges(key25):
     two = halve(key25, [0] * len(key25.rhombi))
     r = key25.rhombi[5]
-    flipped = flip(two, r)
-    assert len(two.edges ^ flipped.edges) == 4
-    assert len(flipped.edges) == len(two.edges)
+    flipped = set(two.edges)
+    _flip_edges(flipped, r)
+    assert len(two.edges ^ flipped) == 4
+    assert len(flipped) == len(two.edges)
 
 
 def test_flip_merges_cycles_when_edges_on_different_cycles(key25):
@@ -43,8 +48,9 @@ def test_flip_merges_cycles_when_edges_on_different_cycles(key25):
     for r in key25.rhombi:
         e1, e2 = r.matching(current_matching(two.edges, r))
         if cycle_of[e1[0]] != cycle_of[e2[0]]:
-            flipped = flip(two, r)
-            assert len(flipped.cycles) == len(two.cycles) - 1
+            flipped = set(two.edges)
+            _flip_edges(flipped, r)
+            assert len(cycle_partition(flipped)) == len(two.cycles) - 1
             break
     else:
         pytest.skip("all-zero halving produced a single cycle")
@@ -71,6 +77,12 @@ def test_splice_2_5_random_halvings(key25):
         tour = splice(key25, bits)
         assert verify_tour(tour.cells, 2, 5, 14, 14).valid
         assert key25.outer_edges <= tour.edge_set()
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_splice_rejects_wrong_bit_count(key25, extra):
+    with pytest.raises(ValueError, match="bits"):
+        splice(key25, [0] * (len(key25.rhombi) + extra))
 
 
 def test_splice_preserves_outer_edges(key25):

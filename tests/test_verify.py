@@ -40,6 +40,16 @@ def test_single_cell_is_not_a_closed_tour():
     assert report.first_failure == "closing move (0, 0) -> (0, 0) is illegal"
 
 
+@pytest.mark.parametrize(
+    "p,q,width,height",
+    [(0, 0, 1, 1), (0, 1, 2, 1), (1, 0, 6, 6), (1, 2, -6, 6), (1, 2, 6, 0)],
+)
+def test_degenerate_move_or_board_is_rejected(p, q, width, height):
+    # (0, 0) would make the null move legal and accept a one-cell "tour"
+    with pytest.raises(ValueError, match="need p, q, width, height >= 1"):
+        verify_tour([(0, 0), (1, 0)], p, q, width, height)
+
+
 def test_repeated_cell_detected():
     cells = list(knight_tour_6x6().cells)
     cells[5] = cells[0]
