@@ -44,6 +44,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
         raise SystemExit2(
             f"need --tile-k and --tile-l >= 1, got {args.tile_k} and {args.tile_l}"
         )
+    if args.symmetric and (args.tile_k, args.tile_l) != (1, 1):
+        raise SystemExit2(
+            f"--symmetric needs a 1x1 tiling, got {args.tile_k}x{args.tile_l}: "
+            "a tiled tour is not centrally symmetric"
+        )
     tour = _generate_tour(leaper, args.symmetric, args.seed)
     width = height = leaper.side
     if (args.tile_k, args.tile_l) != (1, 1):
@@ -115,14 +120,14 @@ def cmd_fold(args: argparse.Namespace) -> int:
         f"O {'acyclic' if report.outer_acyclic else 'CYCLIC'}, "
         f"F {'connected' if report.folding_connected else 'DISCONNECTED'}"
     )
-    if args.dump:
-        key = keygraph.build_key(leaper)
-        print("folding graph edges:")
-        for a, b in sorted(fold.build_folding(key).edges):
-            print(f"  {a[0]} {a[1]} {a[2]} - {b[0]} {b[1]} {b[2]}")
-        print(f"crisscross R({em},{en}) edges:")
-        for a, b in sorted(fold.build_crisscross(em, en).edges):
-            print(f"  {a[0]} {a[1]} {a[2]} - {b[0]} {b[1]} {b[2]}")
+    if args.dump and report.folding is not None:
+        for title, graph in (
+            ("folding graph", report.folding),
+            (f"crisscross R({em},{en})", report.crisscross),
+        ):
+            print(f"{title} edges:")
+            for a, b in sorted(graph.edges):
+                print(f"  {a[0]} {a[1]} {a[2]} - {b[0]} {b[1]} {b[2]}")
     ok = report.matches and report.outer_acyclic and report.folding_connected
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -150,8 +155,7 @@ def _sweep_one(p: int, q: int, seed: int) -> tuple[bool, str]:
     report = fold.check_fold(leaper)
     if not (report.matches and report.outer_acyclic and report.folding_connected):
         return False, "fold check failed"
-    em, en = report.params.expected
-    if not fold.is_connected(fold.build_crisscross(em, en)):
+    if not fold.is_connected(report.crisscross):
         return False, "crisscross graph disconnected"
 
     tour = splice.splice(key, bits)

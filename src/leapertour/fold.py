@@ -72,6 +72,8 @@ class FoldReport:
     outer_acyclic: bool
     matches: bool
     folding_connected: bool
+    folding: TwoFloorGraph | None  # None when the outer graph has a cycle
+    crisscross: TwoFloorGraph | None  # the expected R(m, n); None likewise
 
 
 def project(cell: Cell, cores: Cores) -> tuple[FoldVertex, ...]:
@@ -202,19 +204,20 @@ def check_fold(leaper: Leaper) -> FoldReport:
     """Directly compare the folding graph with its expected crisscross graph."""
     key = build_key(leaper)
     params = fold_params(leaper)
-    acyclic = outer_is_acyclic(key)
-    matches = False
-    connected = False
-    if acyclic:
-        folding = build_folding(key)
-        expected = build_crisscross(*params.expected)
-        matches = folding.edges == expected.edges
-        connected = is_connected(folding)
+    if not outer_is_acyclic(key):
+        return FoldReport(
+            params, outer_acyclic=False, matches=False, folding_connected=False,
+            folding=None, crisscross=None,
+        )
+    folding = build_folding(key)
+    expected = build_crisscross(*params.expected)
     return FoldReport(
         params=params,
-        outer_acyclic=acyclic,
-        matches=matches,
-        folding_connected=connected,
+        outer_acyclic=True,
+        matches=folding.edges == expected.edges,
+        folding_connected=is_connected(folding),
+        folding=folding,
+        crisscross=expected,
     )
 
 

@@ -1,18 +1,18 @@
 """Turning pseudotours into Hamiltonian tours by rhombus flips.
 
-A flip exchanges the chosen matching of a rhombus for the complementary
-one.  When the two current matching edges lie on different cycles of the
-two-factor, the flip splices those cycles into one; a single pass over all
-rhombi therefore yields a single Hamiltonian cycle whenever the key graph
-is connected.  A paired variant keeps the two-factor centrally symmetric
-throughout and produces a centrally symmetric tour.
+A flip exchanges a rhombus's matching for the complementary one; when the
+two current matching edges lie on different cycles, it merges them.  Both
+splices share one engine: a CycleTracker labels the halving's cycles once,
+each merge flip records its merge there, and one cycle partition at the
+end checks for a single tour.  The plain splice makes one pass of merge
+flips over all rhombi; the symmetric one grows a cycle by mirrored pairs.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .geom import Cell, Edge, edge, reflect, reflect_cell
 from .keygraph import (
@@ -86,46 +86,53 @@ def random_bits(count: int, seed: int | None) -> list[int]:
     return [rng.getrandbits(1) for _ in range(count)]
 
 
-def splice(key: KeyGraph, bits: Sequence[int]) -> Tour:
-    """Single fixed-order pass of cycle-merging flips over all rhombi."""
-    edges = halving_edges(key, bits)
+def _tracked_halving(key: KeyGraph, bits: Sequence[int]) -> tuple[set[Edge], CycleTracker]:
+    """The halving's edge set and a tracker of its cycles."""
     side = key.leaper.side
     all_cells = [(x, y) for x in range(side) for y in range(side)]
     if not is_connected_edges(all_cells, key.edges):
         raise ConstructionError("key graph is not connected")
-
+    edges = halving_edges(key, bits)
     tracker = CycleTracker(all_cells)
     for a, b in edges:
         tracker.union(a, b)
+    return edges, tracker
 
-    for r in key.rhombi:
-        bit = current_matching(edges, r)
-        e1, e2 = r.matching(bit)
-        if tracker.find(e1[0]) != tracker.find(e2[0]):
-            edges.difference_update((e1, e2))
-            new1, new2 = r.matching(1 - bit)
-            edges.update((new1, new2))
-            tracker.union(*new1)
-            tracker.union(*new2)
 
+def _merge_flip(edges: set[Edge], tracker: CycleTracker, r: Rhombus) -> bool:
+    """Flip the rhombus iff its matching edges lie on different cycles,
+    recording the merge of those cycles; True iff it flipped."""
+    e1, e2 = r.matching(current_matching(edges, r))
+    merged = tracker.union(e1[0], e2[0])
+    if merged:
+        _flip_edges(edges, r)
+    return merged
+
+
+def _single_tour(key: KeyGraph, edges: set[Edge], what: str) -> Tour:
+    """The tour the edges form, checked to be one cycle over the whole
+    board that keeps every outer edge."""
     cycles = cycle_partition(edges)
-    if len(cycles) != 1 or len(cycles[0]) != side * side:
-        raise ConstructionError(f"splice left {len(cycles)} cycles")
+    if len(cycles) != 1 or len(cycles[0]) != key.leaper.side ** 2:
+        raise ConstructionError(f"{what} left {len(cycles)} cycles")
     if not key.outer_edges <= edges:
-        raise ConstructionError("splice dropped an outer edge")
+        raise ConstructionError(f"{what} dropped an outer edge")
     return Tour(cells=cycles[0])
 
 
-def _central_cells(cells: Iterable[Cell], side: int) -> frozenset[Cell]:
-    """The cells' images under the central reflection of the board."""
-    return frozenset(reflect_cell(c, side, "center") for c in cells)
+def splice(key: KeyGraph, bits: Sequence[int]) -> Tour:
+    """Single fixed-order pass of cycle-merging flips over all rhombi."""
+    edges, tracker = _tracked_halving(key, bits)
+    for r in key.rhombi:
+        _merge_flip(edges, tracker, r)
+    return _single_tour(key, edges, "splice")
 
 
 def _partners(key: KeyGraph) -> list[int]:
     """Index of each rhombus's central reflection among the key's rhombi."""
     side = key.leaper.side
     index = {r.cellset(): i for i, r in enumerate(key.rhombi)}
-    return [index[_central_cells(r.cells, side)] for r in key.rhombi]
+    return [index[frozenset(reflect_cell(c, side, "center") for c in r.cells)] for r in key.rhombi]
 
 
 def symmetric_halving_bits(key: KeyGraph) -> list[int]:
@@ -167,11 +174,7 @@ def symmetric_splice(key: KeyGraph) -> Tour:
     """Grow a centrally symmetric cycle by paired rhombus flips until it
     spans the board."""
     side = key.leaper.side
-    all_cells = [(x, y) for x in range(side) for y in range(side)]
-    if not is_connected_edges(all_cells, key.edges):
-        raise ConstructionError("key graph is not connected")
-
-    edges = halving_edges(key, symmetric_halving_bits(key))
+    edges, tracker = _tracked_halving(key, symmetric_halving_bits(key))
     for e in edges:
         if reflect(e, side, "center") == e:
             raise ConstructionError(f"edge {e} is its own central reflection")
@@ -179,63 +182,46 @@ def symmetric_splice(key: KeyGraph) -> Tour:
             raise ConstructionError("initial halving is not centrally symmetric")
     partners = _partners(key)
 
-    def cycle_cells_through(cell: Cell) -> frozenset[Cell]:
-        for cyc in cycle_partition(edges):
-            if cell in cyc:
-                return frozenset(cyc)
-        raise ConstructionError(f"cell {cell} not on any cycle")
-
+    # the grown cycle holds all of r1, so it holds the anchor's mirror image,
+    # and it stays centrally symmetric as long as the edge set does
     r1 = _find_center_rhombus(key)
     anchor = r1.cells[0]
-    e1, e2 = r1.matching(current_matching(edges, r1))
-    if e2[0] not in cycle_cells_through(e1[0]):
-        _flip_edges(edges, r1)
-    grown = cycle_cells_through(anchor)
+    _merge_flip(edges, tracker, r1)
 
     while True:
-        straddling = None
-        for i, r in enumerate(key.rhombi):
-            m1, m2 = r.matching(current_matching(edges, r))
-            if (m1[0] in grown) != (m2[0] in grown):
-                straddling = i
+        grown = tracker.find(anchor)
+        for i, pending in enumerate(key.rhombi):
+            m1, m2 = pending.matching(current_matching(edges, pending))
+            if (tracker.find(m1[0]) == grown) != (tracker.find(m2[0]) == grown):
                 break
-        if straddling is None:
+        else:
             break
 
-        pending, rstar = key.rhombi[straddling], key.rhombi[partners[straddling]]
+        rstar = key.rhombi[partners[i]]
         if rstar is pending:
             raise ConstructionError("self-symmetric rhombus straddles the grown cycle")
-        out_edge = next(e for e in pending.matching(current_matching(edges, pending)) if e[0] not in grown)
+        out_edge = m2 if tracker.find(m1[0]) == grown else m1
         out_star = reflect(out_edge, side, "center")
-        if out_star not in rstar.matching(current_matching(edges, rstar)) or out_star[0] in grown:
+        absorbed, star_cycle = tracker.find(out_edge[0]), tracker.find(out_star[0])
+        if out_star not in rstar.matching(current_matching(edges, rstar)) or star_cycle == grown:
             raise ConstructionError("partner rhombus does not mirror the pending one")
 
-        if out_star[0] in cycle_cells_through(out_edge[0]):
+        if star_cycle == absorbed:
             # both loose edges on one cycle: a triple flip merges it in
-            _flip_edges(edges, r1)
-            _flip_edges(edges, pending)
-            _flip_edges(edges, rstar)
-        else:
-            _flip_edges(edges, pending)
-            _flip_edges(edges, rstar)
-
-        new_grown = cycle_cells_through(anchor)
-        if len(new_grown) <= len(grown):
+            for r in (r1, pending, rstar):
+                _flip_edges(edges, r)
+            merged = {c for c in tracker.parent if tracker.find(c) in (grown, absorbed)}
+            if set(next(c for c in cycle_partition(edges) if anchor in c)) != merged:
+                raise ConstructionError("symmetric splice failed to grow the cycle")
+            tracker.union(anchor, out_edge[0])
+        elif not (_merge_flip(edges, tracker, pending) and _merge_flip(edges, tracker, rstar)):
             raise ConstructionError("symmetric splice failed to grow the cycle")
-        if new_grown != _central_cells(new_grown, side):
+        mirrored = reflect(set(pending.matching(current_matching(edges, pending))), side, "center")
+        if mirrored != set(rstar.matching(current_matching(edges, rstar))):
             raise ConstructionError("grown cycle lost central symmetry")
-        grown = new_grown
 
-    if len(grown) != side * side:
-        raise ConstructionError(
-            f"symmetric splice stalled with {len(grown)} of {side * side} cells"
-        )
-    cycles = cycle_partition(edges)
-    if len(cycles) != 1:
-        raise ConstructionError(f"symmetric splice left {len(cycles)} cycles")
-    tour = Tour(cells=cycles[0])
-    tour_edges = tour.edge_set()
-    if reflect(tour_edges, side, "center") != tour_edges:
+    tour = _single_tour(key, edges, "symmetric splice")
+    if reflect(edges, side, "center") != edges:  # the tour's edge set
         raise ConstructionError("result tour is not centrally symmetric")
     return tour
 

@@ -1,6 +1,7 @@
 import pytest
 
 from leapertour.cli import main
+from leapertour.geom import Leaper
 from leapertour.render import parse_structured
 
 
@@ -73,6 +74,21 @@ def test_tile_grid_below_1x1_is_usage_error(capsys, k, l):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("k,l", [("2", "2"), ("1", "2"), ("3", "1")])
+def test_symmetric_tiling_is_usage_error(capsys, monkeypatch, k, l):
+    def no_construction(leaper):
+        raise AssertionError("key graph built for an unsatisfiable request")
+
+    monkeypatch.setattr("leapertour.keygraph.build_key", no_construction)
+    code, out, err = run(
+        capsys, "generate", "--p", "2", "--q", "5", "--symmetric", "--tile-k", k, "--tile-l", l
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "--symmetric" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_non_free_leaper_is_usage_error(capsys):
     code, _, err = run(capsys, "generate", "--p", "1", "--q", "3")
     assert code == 2
@@ -139,6 +155,27 @@ def test_fold_dump_lists_edges(capsys):
     assert code == 0
     assert "folding graph edges:" in out
     assert "crisscross R(" in out
+
+
+def test_fold_dump_prints_the_checked_graphs(capsys, monkeypatch):
+    import leapertour.fold as fold
+
+    calls = []
+    for name in ("build_key", "build_folding", "build_crisscross"):
+        real = getattr(fold, name)
+        monkeypatch.setattr(fold, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    code, out, _ = run(capsys, "fold", "--p", "2", "--q", "5", "--dump")
+    assert code == 0
+    assert sorted(calls) == ["build_crisscross", "build_folding", "build_key"]
+    report = fold.check_fold(Leaper(2, 5))
+    assert out.count("\n  ") == len(report.folding.edges) + len(report.crisscross.edges)
+
+
+def test_fold_dump_with_cyclic_outer_prints_report_only(capsys, monkeypatch):
+    monkeypatch.setattr("leapertour.fold.outer_is_acyclic", lambda key: False)
+    code, out, _ = run(capsys, "fold", "--p", "2", "--q", "5", "--dump")
+    assert code == 1
+    assert "O CYCLIC" in out and "edges:" not in out
 
 
 def test_sweep_covers_only_knight_at_sum_3(capsys):

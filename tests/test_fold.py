@@ -100,6 +100,21 @@ def test_check_fold_matches(p, q):
     assert report.folding_connected
 
 
+@pytest.mark.parametrize("p,q", [(1, 2), (2, 5), (5, 8)])
+def test_check_fold_report_carries_its_graphs(p, q):
+    leaper = Leaper(p, q)
+    report = check_fold(leaper)
+    assert report.folding == build_folding(build_key(leaper))
+    assert report.crisscross == build_crisscross(*report.params.expected)
+
+
+def test_check_fold_report_has_no_graphs_for_cyclic_outer(monkeypatch):
+    monkeypatch.setattr("leapertour.fold.outer_is_acyclic", lambda key: False)
+    report = check_fold(Leaper(2, 5))
+    assert not (report.outer_acyclic or report.matches or report.folding_connected)
+    assert report.folding is None and report.crisscross is None
+
+
 def test_outer_acyclic_directly():
     assert outer_is_acyclic(build_key(Leaper(2, 5)))
 

@@ -1,10 +1,20 @@
 import pytest
 
-from leapertour.geom import Leaper, reflect_cell
-from leapertour.keygraph import ConstructionError, build_key, cycle_partition, halve
+import leapertour.splice as splice_module
+from leapertour.cli import free_leapers
+from leapertour.geom import Leaper, reflect, reflect_cell
+from leapertour.keygraph import (
+    ConstructionError,
+    build_key,
+    cycle_partition,
+    halve,
+    halving_edges,
+)
 from leapertour.splice import (
     Tour,
+    _find_center_rhombus,
     _flip_edges,
+    _partners,
     canonicalize,
     current_matching,
     random_bits,
@@ -121,8 +131,6 @@ def test_symmetric_splice(p, q):
 
 
 def test_center_rhombus_base_closed_form():
-    from leapertour.splice import _find_center_rhombus
-
     for p, q in [(1, 2), (2, 5), (3, 4), (2, 7)]:
         key = build_key(Leaper(p, q))
         r1 = _find_center_rhombus(key)
@@ -146,3 +154,89 @@ def test_determinism_same_seed(key25):
     a = canonicalize(splice(key25, bits))
     b = canonicalize(splice(key25, random_bits(len(key25.rhombi), 42)))
     assert a == b
+
+
+def _oracle_symmetric_splice(key):
+    """The symmetric growth loop as it was before the shared merge-flip
+    engine: it re-partitions the whole board into cycles at every step."""
+    side = key.leaper.side
+    edges = halving_edges(key, symmetric_halving_bits(key))
+    partners = _partners(key)
+
+    def cycle_cells_through(cell):
+        return next(frozenset(cyc) for cyc in cycle_partition(edges) if cell in cyc)
+
+    r1 = _find_center_rhombus(key)
+    anchor = r1.cells[0]
+    e1, e2 = r1.matching(current_matching(edges, r1))
+    if e2[0] not in cycle_cells_through(e1[0]):
+        _flip_edges(edges, r1)
+    grown = cycle_cells_through(anchor)
+    while True:
+        straddling = None
+        for i, r in enumerate(key.rhombi):
+            m1, m2 = r.matching(current_matching(edges, r))
+            if (m1[0] in grown) != (m2[0] in grown):
+                straddling = i
+                break
+        if straddling is None:
+            break
+        pending, rstar = key.rhombi[straddling], key.rhombi[partners[straddling]]
+        out_edge = next(
+            e for e in pending.matching(current_matching(edges, pending)) if e[0] not in grown
+        )
+        if reflect(out_edge, side, "center")[0] in cycle_cells_through(out_edge[0]):
+            _flip_edges(edges, r1)
+        _flip_edges(edges, pending)
+        _flip_edges(edges, rstar)
+        new_grown = cycle_cells_through(anchor)
+        assert len(new_grown) > len(grown)
+        grown = new_grown
+    cycles = cycle_partition(edges)
+    assert len(cycles) == 1 and len(cycles[0]) == side * side
+    return Tour(cells=cycles[0])
+
+
+def _oracle_splice(key, bits):
+    """The plain splice as it was before the shared engine: the tracker
+    unions the two new edges of every flip."""
+    edges = halving_edges(key, bits)
+    tracker = splice_module.CycleTracker({c for e in edges for c in e})
+    for a, b in edges:
+        tracker.union(a, b)
+    for r in key.rhombi:
+        e1, e2 = r.matching(current_matching(edges, r))
+        if tracker.find(e1[0]) != tracker.find(e2[0]):
+            _flip_edges(edges, r)
+            for a, b in r.matching(current_matching(edges, r)):
+                tracker.union(a, b)
+    (cycle,) = cycle_partition(edges)
+    return Tour(cells=cycle)
+
+
+ORACLE_LEAPERS = [
+    pytest.param(p, q, id=f"{p}-{q}", marks=[pytest.mark.slow] if p + q > 15 else [])
+    for p, q in free_leapers(41)
+]
+
+
+@pytest.mark.parametrize("p,q", ORACLE_LEAPERS)
+def test_splices_match_pre_engine_oracle(p, q):
+    key = build_key(Leaper(p, q))
+    assert symmetric_splice(key) == _oracle_symmetric_splice(key)
+    bits = random_bits(len(key.rhombi), 7)
+    assert splice(key, bits) == _oracle_splice(key, bits)
+
+
+@pytest.mark.parametrize("p,q", [(2, 5), (6, 13), (12, 25)])
+def test_symmetric_splice_partitions_the_board_once(monkeypatch, p, q):
+    key = build_key(Leaper(p, q))
+    calls = []
+
+    def counting_partition(edges):
+        calls.append(len(edges))
+        return cycle_partition(edges)
+
+    monkeypatch.setattr(splice_module, "cycle_partition", counting_partition)
+    symmetric_splice(key)
+    assert calls == [key.leaper.side ** 2]
