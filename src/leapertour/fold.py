@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .geom import Cell, Leaper
+from .geom import Cell, Leaper, edge
 from .keygraph import (
     ConstructionError,
     Cores,
@@ -28,10 +28,6 @@ from .keygraph import (
 # A vertex of a two-floor graph: (x, y, floor) with floor 1 or 2.
 FoldVertex = tuple[int, int, int]
 FoldEdge = tuple[FoldVertex, FoldVertex]
-
-
-def _fedge(u: FoldVertex, v: FoldVertex) -> FoldEdge:
-    return (u, v) if u <= v else (v, u)
 
 
 @dataclass(frozen=True)
@@ -94,10 +90,14 @@ def project(cell: Cell, cores: Cores) -> tuple[FoldVertex, ...]:
     return tuple(out)
 
 
+class OuterCycleError(ConstructionError):
+    """The outer graph contains a cycle, so it does not fold."""
+
+
 def outer_paths(key: KeyGraph) -> list[tuple[Cell, Cell]]:
     """Endpoint pairs of the maximal paths of the outer graph.
 
-    Raises ConstructionError if the outer graph contains a cycle; isolated
+    Raises OuterCycleError if the outer graph contains a cycle; isolated
     cells (core intersections) are not included.
     """
     adj = adjacency(key.outer_edges)
@@ -118,16 +118,8 @@ def outer_paths(key: KeyGraph) -> list[tuple[Cell, Cell]]:
             prev, cur = cur, nxt
         paths.append((start, cur))
     if len(seen) != len(adj):
-        raise ConstructionError("outer graph contains a cycle")
+        raise OuterCycleError("outer graph contains a cycle")
     return paths
-
-
-def outer_is_acyclic(key: KeyGraph) -> bool:
-    try:
-        outer_paths(key)
-    except ConstructionError:
-        return False
-    return True
 
 
 def build_folding(key: KeyGraph) -> TwoFloorGraph:
@@ -144,11 +136,11 @@ def build_folding(key: KeyGraph) -> TwoFloorGraph:
             raise ConstructionError(f"outer path endpoint {a if len(pa) != 1 else b} in two cores")
         if pa[0] == pb[0]:
             raise ConstructionError(f"outer path {a}-{b} folds to a self-loop")
-        edges.add(_fedge(pa[0], pb[0]))
+        edges.add(edge(pa[0], pb[0]))
     for cell, e in key.core_membership.items():
         if e == 2:
             p1, p2 = project(cell, key.cores)
-            edges.add(_fedge(p1, p2))
+            edges.add(edge(p1, p2))
     return TwoFloorGraph(t=t, edges=frozenset(edges))
 
 
@@ -175,15 +167,15 @@ def build_crisscross(m: int, n: int) -> TwoFloorGraph:
         for y in range(-t, t + 1):
             for vx, vy in floor1:
                 if in_grid(x + vx, y + vy):
-                    edges.add(_fedge((x, y, 1), (x + vx, y + vy, 1)))
+                    edges.add(edge((x, y, 1), (x + vx, y + vy, 1)))
             for vx, vy in floor2:
                 if in_grid(x + vx, y + vy):
-                    edges.add(_fedge((x, y, 2), (x + vx, y + vy, 2)))
+                    edges.add(edge((x, y, 2), (x + vx, y + vy, 2)))
             for vx, vy in between:
                 if in_grid(x + vx, y + vy):
-                    edges.add(_fedge((x, y, 1), (x + vx, y + vy, 2)))
+                    edges.add(edge((x, y, 1), (x + vx, y + vy, 2)))
                 if in_grid(x - vx, y - vy):
-                    edges.add(_fedge((x, y, 1), (x - vx, y - vy, 2)))
+                    edges.add(edge((x, y, 1), (x - vx, y - vy, 2)))
     return TwoFloorGraph(t=t, edges=frozenset(edges))
 
 
@@ -196,7 +188,7 @@ def fold_params(leaper: Leaper) -> FoldParams:
 def toggle_floors(edges: Iterable[FoldEdge]) -> frozenset[FoldEdge]:
     """Swap the two floors of every vertex (maps R(m, n) onto R(n, m))."""
     return frozenset(
-        _fedge((a[0], a[1], 3 - a[2]), (b[0], b[1], 3 - b[2])) for a, b in edges
+        edge((a[0], a[1], 3 - a[2]), (b[0], b[1], 3 - b[2])) for a, b in edges
     )
 
 
@@ -204,12 +196,13 @@ def check_fold(leaper: Leaper) -> FoldReport:
     """Directly compare the folding graph with its expected crisscross graph."""
     key = build_key(leaper)
     params = fold_params(leaper)
-    if not outer_is_acyclic(key):
+    try:
+        folding = build_folding(key)
+    except OuterCycleError:
         return FoldReport(
             params, outer_acyclic=False, matches=False, folding_connected=False,
             folding=None, crisscross=None,
         )
-    folding = build_folding(key)
     expected = build_crisscross(*params.expected)
     return FoldReport(
         params=params,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 Cell = tuple[int, int]
 Direction = tuple[int, int]
@@ -87,13 +87,6 @@ class Subboard:
             for y in range(self.y1, self.y2):
                 yield (x, y)
 
-    def intersect(self, other: "Subboard") -> Union["Subboard", None]:
-        x1, x2 = max(self.x1, other.x1), min(self.x2, other.x2)
-        y1, y2 = max(self.y1, other.y1), min(self.y2, other.y2)
-        if x1 < x2 and y1 < y2:
-            return Subboard(x1, x2, y1, y2)
-        return None
-
 
 @dataclass(frozen=True)
 class PencilSpec:
@@ -130,19 +123,11 @@ def reflect_cell(cell: Cell, side: int, which: str) -> Cell:
 
 
 def reflect(obj, side: int, which: str):
-    """Reflect a Subboard, an Edge, or a set of Edges within a square board.
+    """Reflect an Edge or a set of Edges within a square board.
 
     The four reflections are the identity, reflection in the vertical axis
     x = side/2, the board center, and the horizontal axis y = side/2.
     """
-    if isinstance(obj, Subboard):
-        corners = [
-            reflect_cell((obj.x1, obj.y1), side + 1, which),
-            reflect_cell((obj.x2, obj.y2), side + 1, which),
-        ]
-        xs = sorted(c[0] for c in corners)
-        ys = sorted(c[1] for c in corners)
-        return Subboard(xs[0], xs[1], ys[0], ys[1])
     if isinstance(obj, (set, frozenset)):
         return {reflect(e, side, which) for e in obj}
     # an Edge: a pair of cells

@@ -1,11 +1,13 @@
 """Turning pseudotours into Hamiltonian tours by rhombus flips.
 
-A flip exchanges a rhombus's matching for the complementary one; when the
-two current matching edges lie on different cycles, it merges them.  Both
-splices share one engine: a CycleTracker labels the halving's cycles once,
-each merge flip records its merge there, and one cycle partition at the
-end checks for a single tour.  The plain splice makes one pass of merge
-flips over all rhombi; the symmetric one grows a cycle by mirrored pairs.
+A pseudotour is one matching bit per rhombus, and a flip toggles a
+rhombus's bit; when the two current matching edges lie on different
+cycles, the flip merges them.  Both splices share one engine over a list of
+bits: a CycleTracker labels the halving's cycles once, each merge flip
+records its merge there, and at the end the edge set the bits pick is built
+once and one cycle partition checks for a single tour.  The plain splice
+makes one pass of merge flips over all rhombi; the symmetric one grows a
+cycle by mirrored pairs.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .geom import Cell, Edge, edge, reflect, reflect_cell
 from .keygraph import (
     ConstructionError,
     KeyGraph,
-    Rhombus,
     cycle_partition,
     halving_edges,
     is_connected_edges,
@@ -61,23 +62,6 @@ class CycleTracker:
         return True
 
 
-def current_matching(edges: set[Edge] | frozenset[Edge], r: Rhombus) -> int:
-    """Which of the rhombus's two matchings the edge set contains."""
-    in0 = [e in edges for e in r.matching(0)]
-    in1 = [e in edges for e in r.matching(1)]
-    if all(in0) and not any(in1):
-        return 0
-    if all(in1) and not any(in0):
-        return 1
-    raise ConstructionError(f"edge set holds a non-matching subset of rhombus {r.cells}")
-
-
-def _flip_edges(edges: set[Edge], r: Rhombus) -> None:
-    bit = current_matching(edges, r)
-    edges.difference_update(r.matching(bit))
-    edges.update(r.matching(1 - bit))
-
-
 def random_bits(count: int, seed: int | None) -> list[int]:
     """Seeded per-rhombus halving bits; all zeros when no seed is given."""
     if seed is None:
@@ -86,32 +70,32 @@ def random_bits(count: int, seed: int | None) -> list[int]:
     return [rng.getrandbits(1) for _ in range(count)]
 
 
-def _tracked_halving(key: KeyGraph, bits: Sequence[int]) -> tuple[set[Edge], CycleTracker]:
-    """The halving's edge set and a tracker of its cycles."""
+def _tracked_halving(key: KeyGraph, bits: Sequence[int]) -> tuple[list[int], CycleTracker]:
+    """A copy of the bits and a tracker of the cycles of the halving they pick."""
     side = key.leaper.side
     all_cells = [(x, y) for x in range(side) for y in range(side)]
     if not is_connected_edges(all_cells, key.edges):
         raise ConstructionError("key graph is not connected")
-    edges = halving_edges(key, bits)
     tracker = CycleTracker(all_cells)
-    for a, b in edges:
+    for a, b in halving_edges(key, bits):
         tracker.union(a, b)
-    return edges, tracker
+    return list(bits), tracker
 
 
-def _merge_flip(edges: set[Edge], tracker: CycleTracker, r: Rhombus) -> bool:
-    """Flip the rhombus iff its matching edges lie on different cycles,
+def _merge_flip(key: KeyGraph, bits: list[int], tracker: CycleTracker, i: int) -> bool:
+    """Flip rhombus i iff its matching edges lie on different cycles,
     recording the merge of those cycles; True iff it flipped."""
-    e1, e2 = r.matching(current_matching(edges, r))
+    e1, e2 = key.rhombi[i].matching(bits[i])
     merged = tracker.union(e1[0], e2[0])
     if merged:
-        _flip_edges(edges, r)
+        bits[i] ^= 1
     return merged
 
 
-def _single_tour(key: KeyGraph, edges: set[Edge], what: str) -> Tour:
-    """The tour the edges form, checked to be one cycle over the whole
-    board that keeps every outer edge."""
+def _single_tour(key: KeyGraph, bits: Sequence[int], what: str) -> Tour:
+    """The tour the bits' halving forms, checked to be one cycle over the
+    whole board that keeps every outer edge."""
+    edges = halving_edges(key, bits)
     cycles = cycle_partition(edges)
     if len(cycles) != 1 or len(cycles[0]) != key.leaper.side ** 2:
         raise ConstructionError(f"{what} left {len(cycles)} cycles")
@@ -122,10 +106,10 @@ def _single_tour(key: KeyGraph, edges: set[Edge], what: str) -> Tour:
 
 def splice(key: KeyGraph, bits: Sequence[int]) -> Tour:
     """Single fixed-order pass of cycle-merging flips over all rhombi."""
-    edges, tracker = _tracked_halving(key, bits)
-    for r in key.rhombi:
-        _merge_flip(edges, tracker, r)
-    return _single_tour(key, edges, "splice")
+    bits, tracker = _tracked_halving(key, bits)
+    for i in range(len(key.rhombi)):
+        _merge_flip(key, bits, tracker, i)
+    return _single_tour(key, bits, "splice")
 
 
 def _partners(key: KeyGraph) -> list[int]:
@@ -136,35 +120,31 @@ def _partners(key: KeyGraph) -> list[int]:
 
 
 def symmetric_halving_bits(key: KeyGraph) -> list[int]:
-    """Matching bits that make the halved two-factor centrally symmetric.
+    """Matching bits that make the halved two-factor centrally symmetric:
+    all zeros, checked by reflecting each edge of that halving once.
 
-    Each rhombus and its central reflection receive mirrored matchings; the
-    self-symmetric rhombi have two symmetric matchings each, so bit 0 works.
+    The central reflection negates every move, and each rhombus pencil's
+    move sequence, negated, is the same sequence shifted by two.  So the
+    reflection of a rhombus a, b, c, d is its partner with cells in pencil
+    order c*, d*, a*, b*, and matching 0 ({ab, cd}) maps onto the partner's
+    matching 0.  The outer graph is a union of reflections, so it is
+    symmetric too.
     """
     side = key.leaper.side
-    bits: list[int | None] = [None] * len(key.rhombi)
-    for i, (r, j) in enumerate(zip(key.rhombi, _partners(key))):
-        if bits[i] is not None:
-            continue
-        bits[i] = 0
-        mirrored = {reflect(e, side, "center") for e in r.matching(0)}
-        partner = key.rhombi[j]
-        if mirrored == set(partner.matching(0)):
-            bits[j] = 0
-        elif mirrored == set(partner.matching(1)):
-            bits[j] = 1
-        else:
-            raise ConstructionError(f"reflection of rhombus {r.cells} is not a matching")
-    return bits  # type: ignore[return-value]
+    bits = [0] * len(key.rhombi)
+    edges = halving_edges(key, bits)
+    for e in edges:
+        mirrored = reflect(e, side, "center")
+        if mirrored == e:
+            raise ConstructionError(f"edge {e} is its own central reflection")
+        if mirrored not in edges:
+            raise ConstructionError("initial halving is not centrally symmetric")
+    return bits
 
 
-def _find_center_rhombus(key: KeyGraph) -> Rhombus:
-    """The unique forward rhombus fixed by the central reflection."""
-    fixed = [
-        r
-        for i, (r, j) in enumerate(zip(key.rhombi, _partners(key)))
-        if r.kind == "forward" and j == i
-    ]
+def _find_center_rhombus(key: KeyGraph, partners: Sequence[int]) -> int:
+    """Index of the unique forward rhombus fixed by the central reflection."""
+    fixed = [i for i, j in enumerate(partners) if j == i and key.rhombi[i].kind == "forward"]
     if len(fixed) != 1:
         raise ConstructionError(f"expected one self-symmetric forward rhombus, got {len(fixed)}")
     return fixed[0]
@@ -174,54 +154,50 @@ def symmetric_splice(key: KeyGraph) -> Tour:
     """Grow a centrally symmetric cycle by paired rhombus flips until it
     spans the board."""
     side = key.leaper.side
-    edges, tracker = _tracked_halving(key, symmetric_halving_bits(key))
-    for e in edges:
-        if reflect(e, side, "center") == e:
-            raise ConstructionError(f"edge {e} is its own central reflection")
-        if reflect(e, side, "center") not in edges:
-            raise ConstructionError("initial halving is not centrally symmetric")
     partners = _partners(key)
+    bits, tracker = _tracked_halving(key, symmetric_halving_bits(key))
 
     # the grown cycle holds all of r1, so it holds the anchor's mirror image,
-    # and it stays centrally symmetric as long as the edge set does
-    r1 = _find_center_rhombus(key)
-    anchor = r1.cells[0]
-    _merge_flip(edges, tracker, r1)
+    # and it stays centrally symmetric as long as the halving does
+    i1 = _find_center_rhombus(key, partners)
+    anchor = key.rhombi[i1].cells[0]
+    _merge_flip(key, bits, tracker, i1)
 
     while True:
         grown = tracker.find(anchor)
         for i, pending in enumerate(key.rhombi):
-            m1, m2 = pending.matching(current_matching(edges, pending))
+            m1, m2 = pending.matching(bits[i])
             if (tracker.find(m1[0]) == grown) != (tracker.find(m2[0]) == grown):
                 break
         else:
             break
 
-        rstar = key.rhombi[partners[i]]
-        if rstar is pending:
+        j = partners[i]
+        if j == i:
             raise ConstructionError("self-symmetric rhombus straddles the grown cycle")
         out_edge = m2 if tracker.find(m1[0]) == grown else m1
         out_star = reflect(out_edge, side, "center")
         absorbed, star_cycle = tracker.find(out_edge[0]), tracker.find(out_star[0])
-        if out_star not in rstar.matching(current_matching(edges, rstar)) or star_cycle == grown:
+        if out_star not in key.rhombi[j].matching(bits[j]) or star_cycle == grown:
             raise ConstructionError("partner rhombus does not mirror the pending one")
 
         if star_cycle == absorbed:
             # both loose edges on one cycle: a triple flip merges it in
-            for r in (r1, pending, rstar):
-                _flip_edges(edges, r)
+            for k in (i1, i, j):
+                bits[k] ^= 1
             merged = {c for c in tracker.parent if tracker.find(c) in (grown, absorbed)}
-            if set(next(c for c in cycle_partition(edges) if anchor in c)) != merged:
+            cycles = cycle_partition(halving_edges(key, bits))
+            if set(next(c for c in cycles if anchor in c)) != merged:
                 raise ConstructionError("symmetric splice failed to grow the cycle")
             tracker.union(anchor, out_edge[0])
-        elif not (_merge_flip(edges, tracker, pending) and _merge_flip(edges, tracker, rstar)):
+        elif not (_merge_flip(key, bits, tracker, i) and _merge_flip(key, bits, tracker, j)):
             raise ConstructionError("symmetric splice failed to grow the cycle")
-        mirrored = reflect(set(pending.matching(current_matching(edges, pending))), side, "center")
-        if mirrored != set(rstar.matching(current_matching(edges, rstar))):
+        if bits[i] != bits[j]:
             raise ConstructionError("grown cycle lost central symmetry")
 
-    tour = _single_tour(key, edges, "symmetric splice")
-    if reflect(edges, side, "center") != edges:  # the tour's edge set
+    tour = _single_tour(key, bits, "symmetric splice")
+    edges = tour.edge_set()
+    if reflect(edges, side, "center") != edges:
         raise ConstructionError("result tour is not centrally symmetric")
     return tour
 

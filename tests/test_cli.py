@@ -172,7 +172,12 @@ def test_fold_dump_prints_the_checked_graphs(capsys, monkeypatch):
 
 
 def test_fold_dump_with_cyclic_outer_prints_report_only(capsys, monkeypatch):
-    monkeypatch.setattr("leapertour.fold.outer_is_acyclic", lambda key: False)
+    import leapertour.fold as fold
+
+    def cyclic(key):
+        raise fold.OuterCycleError("outer graph contains a cycle")
+
+    monkeypatch.setattr(fold, "outer_paths", cyclic)
     code, out, _ = run(capsys, "fold", "--p", "2", "--q", "5", "--dump")
     assert code == 1
     assert "O CYCLIC" in out and "edges:" not in out

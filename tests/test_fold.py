@@ -1,15 +1,18 @@
+import dataclasses
 import math
 
 import pytest
 
+import leapertour.fold as fold_module
 from leapertour.fold import (
     build_crisscross,
     build_folding,
     check_fold,
     crisscross_reduce,
     fold_params,
+    OuterCycleError,
     is_connected,
-    outer_is_acyclic,
+    outer_paths,
     project,
     toggle_floors,
 )
@@ -53,10 +56,8 @@ def test_between_floor_edges_iff_cores_overlap():
     assert any(a[2] != b[2] for a, b in build_folding(key).edges)
     # 2p >= q: no intersection cells; between-floor edges come only from
     # outer paths crossing floors, which still exist, so test intersections
-    cores = build_cores(Leaper(3, 4))
-    assert all(
-        f.intersect(b) is None for f in cores.forward for b in cores.backward
-    )
+    key = build_key(Leaper(3, 4))
+    assert max(key.core_membership.values()) == 1
 
 
 def test_crisscross_0_1_is_a_single_edge():
@@ -108,15 +109,41 @@ def test_check_fold_report_carries_its_graphs(p, q):
     assert report.crisscross == build_crisscross(*report.params.expected)
 
 
+def _cyclic_outer_paths(key):
+    raise OuterCycleError("outer graph contains a cycle")
+
+
 def test_check_fold_report_has_no_graphs_for_cyclic_outer(monkeypatch):
-    monkeypatch.setattr("leapertour.fold.outer_is_acyclic", lambda key: False)
+    monkeypatch.setattr(fold_module, "outer_paths", _cyclic_outer_paths)
     report = check_fold(Leaper(2, 5))
     assert not (report.outer_acyclic or report.matches or report.folding_connected)
     assert report.folding is None and report.crisscross is None
 
 
 def test_outer_acyclic_directly():
-    assert outer_is_acyclic(build_key(Leaper(2, 5)))
+    key = build_key(Leaper(2, 5))
+    # in an acyclic outer graph every cell of outer degree 1 ends one path
+    ends = sum(1 for m in key.core_membership.values() if m == 1)
+    assert 2 * len(outer_paths(key)) == ends
+
+
+def test_outer_paths_raises_on_a_cycle():
+    key = build_key(Leaper(2, 5))
+    triangle = {((20, 20), (20, 21)), ((20, 20), (21, 20)), ((20, 21), (21, 20))}
+    with pytest.raises(OuterCycleError, match="cycle"):
+        outer_paths(dataclasses.replace(key, outer_edges=key.outer_edges | triangle))
+
+
+def test_check_fold_walks_the_outer_graph_once(monkeypatch):
+    calls = []
+
+    def counting_outer_paths(key):
+        calls.append(key.leaper)
+        return outer_paths(key)
+
+    monkeypatch.setattr(fold_module, "outer_paths", counting_outer_paths)
+    report = check_fold(Leaper(2, 5))
+    assert report.matches and calls == [Leaper(2, 5)]
 
 
 def test_floor_toggle_swaps_crisscross_graphs():
@@ -169,7 +196,8 @@ def test_connectivity_implication_for_key_graph():
     # connected folding + acyclic outer graph must imply a connected key graph
     for p, q in [(1, 2), (2, 5), (3, 4), (5, 8)]:
         key = build_key(Leaper(p, q))
-        if outer_is_acyclic(key) and is_connected(build_folding(key)):
+        report = check_fold(Leaper(p, q))
+        if report.outer_acyclic and report.folding_connected:
             side = key.leaper.side
             cells = [(x, y) for x in range(side) for y in range(side)]
             assert is_connected_edges(cells, key.edges)

@@ -47,13 +47,17 @@ def test_reflect_subboard_center_maps_core_1_to_core_3():
     side = 2 * (p + q)
     c1 = Subboard(p, q, p, q)
     c3 = Subboard(2 * p + q, p + 2 * q, 2 * p + q, p + 2 * q)
-    assert reflect(c1, side, "center") == c3
+    assert {reflect_cell(c, side, "center") for c in c1.cells()} == set(c3.cells())
 
 
 def test_center_reflection_is_involution():
     side = 14
-    sb = Subboard(1, 4, 2, 9)
-    assert reflect(reflect(sb, side, "center"), side, "center") == sb
+    cells = set(Subboard(1, 4, 2, 9).cells())
+    mirrored = {reflect_cell(c, side, "center") for c in cells}
+    assert mirrored != cells
+    assert {reflect_cell(c, side, "center") for c in mirrored} == cells
+    edges = {((1, 2), (3, 7)), ((0, 13), (5, 11))}
+    assert reflect(reflect(edges, side, "center"), side, "center") == edges
 
 
 def test_klein_four_composition():

@@ -28,16 +28,16 @@ def test_cores_3_4_all_disjoint():
     boards = cores.all()
     for i, a in enumerate(boards):
         for b in boards[i + 1:]:
-            assert a.intersect(b) is None
+            assert set(a.cells()).isdisjoint(b.cells())
 
 
 def test_cores_2_5_overlap_pattern():
     cores = build_cores(Leaper(2, 5))
-    assert cores.forward[0].intersect(cores.backward[0]) == Subboard(4, 5, 4, 5)
+    assert set(cores.forward[0].cells()) & set(cores.backward[0].cells()) == {(4, 4)}
     # only the like-index forward/backward pairs overlap when 2p < q
     for i, a in enumerate(cores.forward):
         for j, b in enumerate(cores.backward):
-            assert (a.intersect(b) is not None) == (i == j)
+            assert (not set(a.cells()).isdisjoint(b.cells())) == (i == j)
 
 
 @pytest.mark.parametrize("p,q", FREE_SMALL)

@@ -1,3 +1,6 @@
+import random
+import sys
+
 import pytest
 
 import leapertour.splice as splice_module
@@ -13,10 +16,10 @@ from leapertour.keygraph import (
 from leapertour.splice import (
     Tour,
     _find_center_rhombus,
-    _flip_edges,
+    _merge_flip,
     _partners,
+    _tracked_halving,
     canonicalize,
-    current_matching,
     random_bits,
     splice,
     symmetric_halving_bits,
@@ -30,49 +33,55 @@ def key25():
     return build_key(Leaper(2, 5))
 
 
+# Edge-set helpers of the splices before they flipped bits; the oracles
+# below and the check of a finished tour's edge set use them.
+def current_matching(edges, r):
+    """Which of the rhombus's two matchings the edge set contains."""
+    in0 = [e in edges for e in r.matching(0)]
+    in1 = [e in edges for e in r.matching(1)]
+    if all(in0) and not any(in1):
+        return 0
+    if all(in1) and not any(in0):
+        return 1
+    raise ConstructionError(f"edge set holds a non-matching subset of rhombus {r.cells}")
+
+
+def _flip_edges(edges, r):
+    bit = current_matching(edges, r)
+    edges.difference_update(r.matching(bit))
+    edges.update(r.matching(1 - bit))
+
+
 def test_flip_is_involution(key25):
-    two = halve(key25, [0] * len(key25.rhombi))
-    r = key25.rhombi[0]
-    edges = set(two.edges)
-    _flip_edges(edges, r)
-    assert edges != two.edges
-    _flip_edges(edges, r)
-    assert edges == two.edges
+    zeros = [0] * len(key25.rhombi)
+    once = zeros.copy()
+    once[0] ^= 1
+    twice = once.copy()
+    twice[0] ^= 1
+    assert halving_edges(key25, once) != halving_edges(key25, zeros)
+    assert halving_edges(key25, twice) == halving_edges(key25, zeros)
 
 
 def test_flip_changes_exactly_four_edges(key25):
-    two = halve(key25, [0] * len(key25.rhombi))
-    r = key25.rhombi[5]
-    flipped = set(two.edges)
-    _flip_edges(flipped, r)
-    assert len(two.edges ^ flipped) == 4
-    assert len(flipped) == len(two.edges)
+    zeros = [0] * len(key25.rhombi)
+    flipped = zeros.copy()
+    flipped[5] ^= 1
+    changed = halving_edges(key25, zeros) ^ halving_edges(key25, flipped)
+    assert changed == set(key25.rhombi[5].edges())
 
 
 def test_flip_merges_cycles_when_edges_on_different_cycles(key25):
-    two = halve(key25, [0] * len(key25.rhombi))
-    cycle_of = {}
-    for i, cyc in enumerate(two.cycles):
-        for cell in cyc:
-            cycle_of[cell] = i
-    for r in key25.rhombi:
-        e1, e2 = r.matching(current_matching(two.edges, r))
-        if cycle_of[e1[0]] != cycle_of[e2[0]]:
-            flipped = set(two.edges)
-            _flip_edges(flipped, r)
-            assert len(cycle_partition(flipped)) == len(two.cycles) - 1
+    zeros = [0] * len(key25.rhombi)
+    before = len(cycle_partition(halving_edges(key25, zeros)))
+    for i in range(len(key25.rhombi)):
+        bits, tracker = _tracked_halving(key25, zeros)
+        if _merge_flip(key25, bits, tracker, i):
+            assert len(cycle_partition(halving_edges(key25, bits))) == before - 1
+            # both matching edges now lie on one cycle, so it stays put
+            assert not _merge_flip(key25, bits, tracker, i) and bits[i] == 1
             break
     else:
         pytest.skip("all-zero halving produced a single cycle")
-
-
-def test_flip_rejects_non_matching_subset(key25):
-    two = halve(key25, [0] * len(key25.rhombi))
-    r = key25.rhombi[0]
-    broken = set(two.edges)
-    broken.discard(r.matching(0)[0])
-    with pytest.raises(ConstructionError):
-        current_matching(broken, r)
 
 
 def test_splice_knight_all_zero():
@@ -108,10 +117,17 @@ def test_splice_stabilization_property(key25):
         current_matching(edges, r)  # raises unless exactly one matching present
 
 
-def test_symmetric_halving_is_symmetric(key25):
-    side = key25.leaper.side
-    bits = symmetric_halving_bits(key25)
-    two = halve(key25, bits)
+@pytest.mark.parametrize(
+    "p,q",
+    [
+        pytest.param(p, q, id=f"{p}-{q}", marks=[pytest.mark.slow] if p + q > 15 else [])
+        for p, q in free_leapers(41)
+    ],
+)
+def test_symmetric_halving_is_symmetric(p, q):
+    key = build_key(Leaper(p, q))
+    side = key.leaper.side
+    two = halve(key, symmetric_halving_bits(key))
     mirrored = {
         tuple(sorted((reflect_cell(a, side, "center"), reflect_cell(b, side, "center"))))
         for a, b in two.edges
@@ -133,7 +149,7 @@ def test_symmetric_splice(p, q):
 def test_center_rhombus_base_closed_form():
     for p, q in [(1, 2), (2, 5), (3, 4), (2, 7)]:
         key = build_key(Leaper(p, q))
-        r1 = _find_center_rhombus(key)
+        r1 = key.rhombi[_find_center_rhombus(key, _partners(key))]
         assert r1.cells[0] == ((p + q - 1) // 2, (p + q - 1) // 2)
 
 
@@ -166,7 +182,7 @@ def _oracle_symmetric_splice(key):
     def cycle_cells_through(cell):
         return next(frozenset(cyc) for cyc in cycle_partition(edges) if cell in cyc)
 
-    r1 = _find_center_rhombus(key)
+    r1 = key.rhombi[_find_center_rhombus(key, partners)]
     anchor = r1.cells[0]
     e1, e2 = r1.matching(current_matching(edges, r1))
     if e2[0] not in cycle_cells_through(e1[0]):
@@ -228,6 +244,50 @@ def test_splices_match_pre_engine_oracle(p, q):
     assert splice(key, bits) == _oracle_splice(key, bits)
 
 
+def _paired_random_bits(key, seed):
+    """Random halving bits that give each rhombus and its central partner
+    the same bit, so the halving is centrally symmetric."""
+    rng = random.Random(seed)
+    bits = [None] * len(key.rhombi)
+    for i, j in enumerate(_partners(key)):
+        if bits[i] is None:
+            bits[i] = bits[j] = rng.getrandbits(1)
+    return bits
+
+
+@pytest.mark.parametrize(
+    "low,high",
+    [pytest.param(3, 11, id="to-11"), pytest.param(13, 25, id="13-to-25", marks=pytest.mark.slow)],
+)
+def test_symmetric_splice_of_random_symmetric_halvings(monkeypatch, low, high):
+    # the all-zero halving never needs a triple flip; random symmetric ones do
+    partitions = []
+
+    def counting_partition(edges):
+        partitions.append(len(edges))
+        return cycle_partition(edges)
+
+    monkeypatch.setattr(splice_module, "cycle_partition", counting_partition)
+    triple_flips = 0
+    for p, q in free_leapers(high):
+        if p + q < low:
+            continue
+        key = build_key(Leaper(p, q))
+        side = key.leaper.side
+        for seed in range(5):
+            bits = _paired_random_bits(key, seed)
+            fake = lambda key, bits=bits: list(bits)
+            monkeypatch.setattr(splice_module, "symmetric_halving_bits", fake)
+            monkeypatch.setattr(sys.modules[__name__], "symmetric_halving_bits", fake)
+            partitions.clear()
+            tour = symmetric_splice(key)
+            triple_flips += len(partitions) > 1
+            assert verify_tour(tour.cells, p, q, side, side).valid, (p, q, seed)
+            assert verify_central_symmetry(tour.cells, side, side), (p, q, seed)
+            assert tour == _oracle_symmetric_splice(key), (p, q, seed)
+    assert triple_flips > 0
+
+
 @pytest.mark.parametrize("p,q", [(2, 5), (6, 13), (12, 25)])
 def test_symmetric_splice_partitions_the_board_once(monkeypatch, p, q):
     key = build_key(Leaper(p, q))
@@ -240,3 +300,15 @@ def test_symmetric_splice_partitions_the_board_once(monkeypatch, p, q):
     monkeypatch.setattr(splice_module, "cycle_partition", counting_partition)
     symmetric_splice(key)
     assert calls == [key.leaper.side ** 2]
+
+
+def test_symmetric_splice_finds_partners_once(monkeypatch, key25):
+    calls = []
+
+    def counting_partners(key):
+        calls.append(key)
+        return _partners(key)
+
+    monkeypatch.setattr(splice_module, "_partners", counting_partners)
+    symmetric_splice(key25)
+    assert calls == [key25]
