@@ -152,7 +152,7 @@ def _sweep_one(p: int, q: int, seed: int) -> tuple[bool, str]:
     bits = splice.random_bits(len(key.rhombi), seed)
     keygraph.halve(key, bits)
 
-    report = fold.check_fold(leaper)
+    report = fold.check_fold(key)
     if not (report.matches and report.outer_acyclic and report.folding_connected):
         return False, "fold check failed"
     if not fold.is_connected(report.crisscross):

@@ -192,10 +192,13 @@ def toggle_floors(edges: Iterable[FoldEdge]) -> frozenset[FoldEdge]:
     )
 
 
-def check_fold(leaper: Leaper) -> FoldReport:
-    """Directly compare the folding graph with its expected crisscross graph."""
-    key = build_key(leaper)
-    params = fold_params(leaper)
+def check_fold(source: Leaper | KeyGraph) -> FoldReport:
+    """Directly compare the folding graph with its expected crisscross graph.
+
+    Takes a leaper, whose key graph it builds, or a key graph already built.
+    """
+    key = source if isinstance(source, KeyGraph) else build_key(source)
+    params = fold_params(key.leaper)
     try:
         folding = build_folding(key)
     except OuterCycleError:

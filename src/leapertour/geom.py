@@ -129,7 +129,7 @@ def reflect(obj, side: int, which: str):
     x = side/2, the board center, and the horizontal axis y = side/2.
     """
     if isinstance(obj, (set, frozenset)):
-        return {reflect(e, side, which) for e in obj}
+        return {edge(reflect_cell(a, side, which), reflect_cell(b, side, which)) for a, b in obj}
     # an Edge: a pair of cells
     a, b = obj
     return edge(reflect_cell(a, side, which), reflect_cell(b, side, which))

@@ -7,12 +7,21 @@ is the inner graph.  Six boundary pencils and their reflections form the
 outer graph.  The key graph is the union of the two, and halving every
 rhombus (keeping one of its two perfect matchings) turns it into a
 pseudotour: a spanning subgraph in which every cell has degree two.
+
+The public fields of a KeyGraph hold cells as (x, y) tuples.  For the
+splice engine a KeyGraph also offers an id view, derived once from those
+fields: the cell (x, y) has the id x * side + y, so id order is
+lexicographic cell order, and the central reflection of id i is
+side**2 - 1 - i.  The view holds the outer edges and each rhombus's two
+matchings as pairs of ids; ids turn back into cells with divmod(i, side).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Hashable, Iterable, Sequence, TypeVar
 
 from .geom import (
@@ -29,6 +38,7 @@ from .geom import (
 )
 
 V = TypeVar("V", bound=Hashable)
+IdEdge = tuple[int, int]
 
 
 class ConstructionError(RuntimeError):
@@ -42,10 +52,6 @@ class Cores:
 
     def all(self) -> tuple[Subboard, ...]:
         return self.forward + self.backward
-
-    def membership(self, cell: Cell) -> int:
-        """Number of cores containing the cell (0, 1, or 2)."""
-        return sum(cell in c for c in self.all())
 
 
 @dataclass(frozen=True)
@@ -82,6 +88,29 @@ class KeyGraph:
     @property
     def edges(self) -> frozenset[Edge]:
         return self.inner_edges | self.outer_edges
+
+    # The id view.  cached_property stores its value on the instance, so a
+    # dataclasses.replace copy derives its own from its own fields.
+    @cached_property
+    def outer_ids(self) -> tuple[IdEdge, ...]:
+        """The outer edges as id pairs, smaller id first."""
+        side = self.leaper.side
+        return tuple([(x * side + y, u * side + v) for (x, y), (u, v) in self.outer_edges])
+
+    @cached_property
+    def matching_ids(self) -> tuple[tuple[tuple[IdEdge, IdEdge], tuple[IdEdge, IdEdge]], ...]:
+        """Per rhombus, Rhombus.matching(0) and Rhombus.matching(1) as id
+        pairs, smaller id first."""
+        side = self.leaper.side
+        out = []
+        for r in self.rhombi:
+            a, b, c, d = [x * side + y for x, y in r.cells]
+            out.append(((_id_edge(a, b), _id_edge(c, d)), (_id_edge(b, c), _id_edge(d, a))))
+        return tuple(out)
+
+
+def _id_edge(a: int, b: int) -> IdEdge:
+    return (a, b) if a < b else (b, a)
 
 
 @dataclass(frozen=True)
@@ -175,25 +204,23 @@ def build_key(leaper: Leaper) -> KeyGraph:
     if len(outer) != 16 * p * q:
         raise ConstructionError(f"expected {16 * p * q} outer edges, got {len(outer)}")
 
-    membership = {}
-    for x in range(side):
-        for y in range(side):
-            membership[(x, y)] = cores.membership((x, y))
+    membership = {(x, y): 0 for x in range(side) for y in range(side)}
+    for core in cores.all():
+        for cell in core.cells():
+            membership[cell] += 1
 
     dirs = leaper.directions()
-    deg_inner: dict[Cell, int] = defaultdict(int)
-    deg_outer: dict[Cell, int] = defaultdict(int)
-    for e, counter in [(inner, deg_inner), (outer, deg_outer)]:
-        for a, b in e:
-            if (b[0] - a[0], b[1] - a[1]) not in dirs:
-                raise ConstructionError(f"illegal move {a}-{b}")
-            counter[a] += 1
-            counter[b] += 1
+    for edges in (inner, outer):
+        if not {(b[0] - a[0], b[1] - a[1]) for a, b in edges} <= dirs:
+            a, b = next(e for e in edges if (e[1][0] - e[0][0], e[1][1] - e[0][1]) not in dirs)
+            raise ConstructionError(f"illegal move {a}-{b}")
+    deg_inner = Counter(chain.from_iterable(inner)).get
+    deg_outer = Counter(chain.from_iterable(outer)).get
     for cell, e in membership.items():
-        if deg_inner[cell] != 2 * e or deg_outer[cell] != 2 - e:
+        if deg_inner(cell, 0) != 2 * e or deg_outer(cell, 0) != 2 - e:
             raise ConstructionError(
                 f"degree mismatch at {cell}: membership {e}, "
-                f"inner {deg_inner[cell]}, outer {deg_outer[cell]}"
+                f"inner {deg_inner(cell, 0)}, outer {deg_outer(cell, 0)}"
             )
 
     return KeyGraph(
@@ -215,29 +242,28 @@ def adjacency(edges: Iterable[tuple[V, V]]) -> dict[V, list[V]]:
     return adj
 
 
-def cycle_partition(edges: Iterable[Edge]) -> tuple[tuple[Cell, ...], ...]:
-    """Split a degree-2 edge set into canonical cyclic cell sequences.
+def cycle_partition(edges: Iterable[tuple[V, V]]) -> tuple[tuple[V, ...], ...]:
+    """Split a degree-2 edge set into canonical cyclic vertex sequences.
 
-    Each cycle starts at its lexicographically smallest cell and runs toward
-    the lexicographically smaller of that cell's two neighbours.
+    Each cycle starts at its smallest vertex and runs toward the smaller of
+    that vertex's two neighbours.  On cells that is lexicographic order, and
+    cell ids keep it.  The splice engine checks degrees itself before it
+    partitions ids, so its degree failures still name a cell.
     """
     adj = adjacency(edges)
-    for cell, nbrs in adj.items():
-        if len(nbrs) != 2:
-            raise ConstructionError(f"cell {cell} has degree {len(nbrs)}, expected 2")
+    if set(map(len, adj.values())) - {2}:
+        cell, nbrs = next((c, nbrs) for c, nbrs in adj.items() if len(nbrs) != 2)
+        raise ConstructionError(f"cell {cell} has degree {len(nbrs)}, expected 2")
 
     cycles = []
-    seen: set[Cell] = set()
     for start in sorted(adj):
-        if start in seen:
+        if start not in adj:  # popped with an earlier cycle
             continue
         cycle = [start]
-        seen.add(start)
-        prev, cur = start, min(adj[start])
+        prev, cur = start, min(adj.pop(start))
         while cur != start:
             cycle.append(cur)
-            seen.add(cur)
-            a, b = adj[cur]
+            a, b = adj.pop(cur)
             prev, cur = cur, b if a == prev else a
         cycles.append(tuple(cycle))
     return tuple(cycles)

@@ -3,25 +3,30 @@
 A pseudotour is one matching bit per rhombus, and a flip toggles a
 rhombus's bit; when the two current matching edges lie on different
 cycles, the flip merges them.  Both splices share one engine over a list of
-bits: a CycleTracker labels the halving's cycles once, each merge flip
-records its merge there, and at the end the edge set the bits pick is built
-once and one cycle partition checks for a single tour.  The plain splice
-makes one pass of merge flips over all rhombi; the symmetric one grows a
-cycle by mirrored pairs.
+bits, and it runs on the key graph's id view (see keygraph), in lists
+indexed by cell id.  It labels each cycle of the halving once with the id
+of its first cell; those labels seed a CycleTracker, and each merge flip
+unions two of them.  At the end the id edges the bits pick are built once
+and one cycle partition checks for a single tour.  The plain splice makes
+one pass of merge flips over all rhombi; the symmetric one grows a cycle by
+mirrored pairs.  Ids turn back into cells only in Tour.cells and in error
+messages.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import repeat
+from operator import getitem
 from typing import Sequence
 
-from .geom import Cell, Edge, edge, reflect, reflect_cell
+from .geom import Cell, Edge, edge
 from .keygraph import (
     ConstructionError,
+    IdEdge,
     KeyGraph,
     cycle_partition,
-    halving_edges,
     is_connected_edges,
 )
 
@@ -40,11 +45,20 @@ class Tour:
 
 
 class CycleTracker:
-    """Disjoint sets over cells; two cells share a set iff they currently
-    lie on the same cycle of the two-factor."""
+    """Disjoint sets over cells, cell ids or tile copies; two share a set
+    iff they currently lie on the same cycle."""
 
     def __init__(self, cells):
         self.parent = {c: c for c in cells}
+
+    @classmethod
+    def of_roots(cls, roots: list[int]) -> "CycleTracker":
+        """Disjoint sets over 0 .. len(roots) - 1 that start out as given:
+        roots[i] is the representative of i's set, and roots[r] == r for
+        every representative r."""
+        tracker = cls(())
+        tracker.parent = roots
+        return tracker
 
     def find(self, x):
         root = x
@@ -70,22 +84,55 @@ def random_bits(count: int, seed: int | None) -> list[int]:
     return [rng.getrandbits(1) for _ in range(count)]
 
 
+def _halving_ids(key: KeyGraph, bits: Sequence[int]) -> list[IdEdge]:
+    """The outer id edges plus the matching each bit picks for its rhombus."""
+    if len(bits) != len(key.rhombi):
+        raise ValueError(f"need {len(key.rhombi)} bits, got {len(bits)}")
+    edges = list(key.outer_ids)
+    for pair, bit in zip(key.matching_ids, bits):
+        edges += pair[bit]
+    return edges
+
+
 def _tracked_halving(key: KeyGraph, bits: Sequence[int]) -> tuple[list[int], CycleTracker]:
-    """A copy of the bits and a tracker of the cycles of the halving they pick."""
+    """A copy of the bits and a tracker of the cycles of the halving they
+    pick, over cell ids."""
     side = key.leaper.side
-    all_cells = [(x, y) for x in range(side) for y in range(side)]
-    if not is_connected_edges(all_cells, key.edges):
+    n = side * side
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in _halving_ids(key, bits):
+        adj[a].append(b)
+        adj[b].append(a)
+    # label each component of the halving with the id of its first cell
+    roots = [-1] * n
+    for start in range(n):
+        if roots[start] < 0:
+            roots[start] = start
+            stack = [start]
+            while stack:
+                for w in adj[stack.pop()]:
+                    if roots[w] < 0:
+                        roots[w] = start
+                        stack.append(w)
+
+    # The key graph is the halving plus each rhombus's other matching, and
+    # that matching joins the component of one current matching edge to the
+    # component of the other.  So the key graph is connected iff these
+    # links connect the halving's components.
+    links = [(roots[e1[0]], roots[e2[0]]) for e1, e2 in map(getitem, key.matching_ids, bits)]
+    if not is_connected_edges(set(roots), links):
         raise ConstructionError("key graph is not connected")
-    tracker = CycleTracker(all_cells)
-    for a, b in halving_edges(key, bits):
-        tracker.union(a, b)
-    return list(bits), tracker
+    degrees = list(map(len, adj))
+    if degrees.count(2) != n:
+        c = next(c for c, d in enumerate(degrees) if d != 2)
+        raise ConstructionError(f"cell {divmod(c, side)} has degree {degrees[c]}, expected 2")
+    return list(bits), CycleTracker.of_roots(roots)
 
 
 def _merge_flip(key: KeyGraph, bits: list[int], tracker: CycleTracker, i: int) -> bool:
     """Flip rhombus i iff its matching edges lie on different cycles,
     recording the merge of those cycles; True iff it flipped."""
-    e1, e2 = key.rhombi[i].matching(bits[i])
+    e1, e2 = key.matching_ids[i][bits[i]]
     merged = tracker.union(e1[0], e2[0])
     if merged:
         bits[i] ^= 1
@@ -95,13 +142,16 @@ def _merge_flip(key: KeyGraph, bits: list[int], tracker: CycleTracker, i: int) -
 def _single_tour(key: KeyGraph, bits: Sequence[int], what: str) -> Tour:
     """The tour the bits' halving forms, checked to be one cycle over the
     whole board that keeps every outer edge."""
-    edges = halving_edges(key, bits)
-    cycles = cycle_partition(edges)
-    if len(cycles) != 1 or len(cycles[0]) != key.leaper.side ** 2:
+    side = key.leaper.side
+    n = side * side
+    cycles = cycle_partition(_halving_ids(key, bits))
+    if len(cycles) != 1 or len(cycles[0]) != n:
         raise ConstructionError(f"{what} left {len(cycles)} cycles")
-    if not key.outer_edges <= edges:
+    (cycle,) = cycles
+    after = dict(zip(cycle, cycle[1:] + cycle[:1]))
+    if any(after[a] != b and after[b] != a for a, b in key.outer_ids):
         raise ConstructionError(f"{what} dropped an outer edge")
-    return Tour(cells=cycles[0])
+    return Tour(cells=tuple(map(divmod, cycle, repeat(side))))
 
 
 def splice(key: KeyGraph, bits: Sequence[int]) -> Tour:
@@ -114,9 +164,10 @@ def splice(key: KeyGraph, bits: Sequence[int]) -> Tour:
 
 def _partners(key: KeyGraph) -> list[int]:
     """Index of each rhombus's central reflection among the key's rhombi."""
-    side = key.leaper.side
-    index = {r.cellset(): i for i, r in enumerate(key.rhombi)}
-    return [index[frozenset(reflect_cell(c, side, "center") for c in r.cells)] for r in key.rhombi]
+    last = key.leaper.side ** 2 - 1
+    cellsets = [frozenset(m0[0] + m0[1]) for m0, _ in key.matching_ids]
+    index = {cells: i for i, cells in enumerate(cellsets)}
+    return [index[frozenset(last - c for c in cells)] for cells in cellsets]
 
 
 def symmetric_halving_bits(key: KeyGraph) -> list[int]:
@@ -131,12 +182,14 @@ def symmetric_halving_bits(key: KeyGraph) -> list[int]:
     symmetric too.
     """
     side = key.leaper.side
+    last = side ** 2 - 1
     bits = [0] * len(key.rhombi)
-    edges = halving_edges(key, bits)
-    for e in edges:
-        mirrored = reflect(e, side, "center")
-        if mirrored == e:
-            raise ConstructionError(f"edge {e} is its own central reflection")
+    edges = set(_halving_ids(key, bits))
+    for a, b in edges:
+        mirrored = (last - b, last - a)
+        if mirrored == (a, b):
+            cells = (divmod(a, side), divmod(b, side))
+            raise ConstructionError(f"edge {cells} is its own central reflection")
         if mirrored not in edges:
             raise ConstructionError("initial halving is not centrally symmetric")
     return bits
@@ -150,24 +203,42 @@ def _find_center_rhombus(key: KeyGraph, partners: Sequence[int]) -> int:
     return fixed[0]
 
 
+def _check_mirrored_bits(bits: Sequence[int], partners: Sequence[int]) -> None:
+    """Raise unless the halving the bits pick is centrally symmetric.
+
+    Rhombus edge sets are disjoint from each other and from the outer
+    edges.  symmetric_halving_bits has shown that the outer edges are
+    symmetric and that the reflection maps each rhombus's matching 0 onto
+    its partner's matching 0; as it maps the rhombus onto the partner, it
+    maps matching 1 onto matching 1 too.  So the halving is symmetric iff
+    every rhombus has the same bit as its partner.
+    """
+    if any(bits[i] != bits[j] for i, j in enumerate(partners)):
+        raise ConstructionError("result tour is not centrally symmetric")
+
+
 def symmetric_splice(key: KeyGraph) -> Tour:
     """Grow a centrally symmetric cycle by paired rhombus flips until it
     spans the board."""
     side = key.leaper.side
+    last = side ** 2 - 1
+    matchings = key.matching_ids
     partners = _partners(key)
     bits, tracker = _tracked_halving(key, symmetric_halving_bits(key))
+    find = tracker.find
 
     # the grown cycle holds all of r1, so it holds the anchor's mirror image,
     # and it stays centrally symmetric as long as the halving does
     i1 = _find_center_rhombus(key, partners)
-    anchor = key.rhombi[i1].cells[0]
+    x, y = key.rhombi[i1].cells[0]
+    anchor = x * side + y
     _merge_flip(key, bits, tracker, i1)
 
     while True:
-        grown = tracker.find(anchor)
-        for i, pending in enumerate(key.rhombi):
-            m1, m2 = pending.matching(bits[i])
-            if (tracker.find(m1[0]) == grown) != (tracker.find(m2[0]) == grown):
+        grown = find(anchor)
+        for i, pair in enumerate(matchings):
+            m1, m2 = pair[bits[i]]
+            if (find(m1[0]) == grown) != (find(m2[0]) == grown):
                 break
         else:
             break
@@ -175,18 +246,18 @@ def symmetric_splice(key: KeyGraph) -> Tour:
         j = partners[i]
         if j == i:
             raise ConstructionError("self-symmetric rhombus straddles the grown cycle")
-        out_edge = m2 if tracker.find(m1[0]) == grown else m1
-        out_star = reflect(out_edge, side, "center")
-        absorbed, star_cycle = tracker.find(out_edge[0]), tracker.find(out_star[0])
-        if out_star not in key.rhombi[j].matching(bits[j]) or star_cycle == grown:
+        out_edge = m2 if find(m1[0]) == grown else m1
+        out_star = (last - out_edge[1], last - out_edge[0])
+        absorbed, star_cycle = find(out_edge[0]), find(out_star[0])
+        if out_star not in matchings[j][bits[j]] or star_cycle == grown:
             raise ConstructionError("partner rhombus does not mirror the pending one")
 
         if star_cycle == absorbed:
             # both loose edges on one cycle: a triple flip merges it in
             for k in (i1, i, j):
                 bits[k] ^= 1
-            merged = {c for c in tracker.parent if tracker.find(c) in (grown, absorbed)}
-            cycles = cycle_partition(halving_edges(key, bits))
+            merged = {c for c in range(last + 1) if find(c) in (grown, absorbed)}
+            cycles = cycle_partition(_halving_ids(key, bits))
             if set(next(c for c in cycles if anchor in c)) != merged:
                 raise ConstructionError("symmetric splice failed to grow the cycle")
             tracker.union(anchor, out_edge[0])
@@ -196,9 +267,7 @@ def symmetric_splice(key: KeyGraph) -> Tour:
             raise ConstructionError("grown cycle lost central symmetry")
 
     tour = _single_tour(key, bits, "symmetric splice")
-    edges = tour.edge_set()
-    if reflect(edges, side, "center") != edges:
-        raise ConstructionError("result tour is not centrally symmetric")
+    _check_mirrored_bits(bits, partners)
     return tour
 
 

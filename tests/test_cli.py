@@ -205,6 +205,22 @@ def test_sweep_row_count_matches_free_pairs(capsys):
     assert len(rows) == len(free_leapers(11))
 
 
+def test_sweep_builds_each_key_once(capsys, monkeypatch):
+    import leapertour.fold as fold
+    import leapertour.keygraph as keygraph
+    from leapertour.cli import free_leapers
+
+    built = []
+    for module in (keygraph, fold):
+        real = module.build_key
+        monkeypatch.setattr(
+            module, "build_key", lambda leaper, real=real: built.append(leaper) or real(leaper)
+        )
+    code, out, _ = run(capsys, "sweep", "--max-sum", "9")
+    assert code == 0 and "FAIL" not in out
+    assert sorted((lp.p, lp.q) for lp in built) == sorted(free_leapers(9))
+
+
 def test_determinism_same_seed_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     run(capsys, "generate", "--p", "2", "--q", "5", "--seed", "7", "--output", str(a))

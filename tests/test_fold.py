@@ -109,6 +109,15 @@ def test_check_fold_report_carries_its_graphs(p, q):
     assert report.crisscross == build_crisscross(*report.params.expected)
 
 
+@pytest.mark.parametrize("p,q", [(1, 2), (2, 5), (5, 8)])
+def test_check_fold_takes_a_ready_key(monkeypatch, p, q):
+    leaper = Leaper(p, q)
+    key = build_key(leaper)
+    expected = check_fold(leaper)
+    monkeypatch.setattr(fold_module, "build_key", None)  # a ready key needs no build
+    assert check_fold(key) == expected
+
+
 def _cyclic_outer_paths(key):
     raise OuterCycleError("outer graph contains a cycle")
 

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import defaultdict
 
 import pytest
@@ -136,3 +137,49 @@ def test_cycle_partition_is_canonical():
     for cyc in two.cycles:
         assert cyc[0] == min(cyc)
         assert cyc[1] < cyc[-1]
+
+
+def test_core_membership_counts_the_cores_holding_each_cell():
+    for p, q in FREE_SMALL + [(6, 13)]:
+        key = build_key(Leaper(p, q))
+        cores = key.cores.all()
+        for cell, e in key.core_membership.items():
+            assert e == sum(cell in core for core in cores), (p, q, cell)
+
+
+def test_build_key_tests_no_cell_against_a_core(monkeypatch):
+    calls = []
+    real = Subboard.__contains__
+
+    def counting_contains(self, cell):
+        calls.append(cell)
+        return real(self, cell)
+
+    monkeypatch.setattr(Subboard, "__contains__", counting_contains)
+    build_key(Leaper(12, 25))
+    assert calls == []
+
+
+@pytest.mark.parametrize("p,q", [(1, 2), (2, 5), (4, 9)])
+def test_id_view_names_the_same_edges(p, q):
+    key = build_key(Leaper(p, q))
+    side = key.leaper.side
+
+    def cells(e):
+        return (divmod(e[0], side), divmod(e[1], side))
+
+    assert all(a < b for a, b in key.outer_ids)
+    assert {cells(e) for e in key.outer_ids} == key.outer_edges
+    assert len(key.matching_ids) == len(key.rhombi)
+    for r, pair in zip(key.rhombi, key.matching_ids):
+        for bit in (0, 1):
+            assert all(a < b for a, b in pair[bit])
+            assert tuple(map(cells, pair[bit])) == r.matching(bit)
+
+
+def test_id_view_follows_a_replaced_key():
+    key = build_key(Leaper(2, 5))
+    assert key.outer_ids and key.matching_ids  # derive the originals first
+    bare = dataclasses.replace(key, rhombi=key.rhombi[:3], outer_edges=frozenset())
+    assert bare.outer_ids == ()
+    assert bare.matching_ids == key.matching_ids[:3]

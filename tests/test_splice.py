@@ -1,7 +1,11 @@
+import dataclasses
 import random
 import sys
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import leapertour.splice as splice_module
 from leapertour.cli import free_leapers
@@ -15,6 +19,7 @@ from leapertour.keygraph import (
 )
 from leapertour.splice import (
     Tour,
+    _check_mirrored_bits,
     _find_center_rhombus,
     _merge_flip,
     _partners,
@@ -312,3 +317,111 @@ def test_symmetric_splice_finds_partners_once(monkeypatch, key25):
     monkeypatch.setattr(splice_module, "_partners", counting_partners)
     symmetric_splice(key25)
     assert calls == [key25]
+
+
+def test_mirrored_bits_check_rejects_unpaired_bits(key25):
+    partners = _partners(key25)
+    bits = _paired_random_bits(key25, 0)
+    _check_mirrored_bits(bits, partners)
+    i = next(i for i, j in enumerate(partners) if j != i)
+    bits[i] ^= 1
+    with pytest.raises(ConstructionError, match="result tour is not centrally symmetric"):
+        _check_mirrored_bits(bits, partners)
+
+
+@pytest.mark.parametrize("p,q", [(1, 2), (2, 5), (3, 4)])
+def test_mirrored_bits_iff_symmetric_halving(p, q):
+    key = build_key(Leaper(p, q))
+    side, partners = key.leaper.side, _partners(key)
+    for seed in range(8):
+        paired = _paired_random_bits(key, seed)
+        for bits in (paired, random_bits(len(key.rhombi), seed)):
+            edges = halving_edges(key, bits)
+            symmetric = reflect(edges, side, "center") == edges
+            try:
+                _check_mirrored_bits(bits, partners)
+                passed = True
+            except ConstructionError:
+                passed = False
+            assert passed == symmetric, (seed, bits)
+
+
+def _split_keys(key):
+    """Key graphs split in two ways: without the outer graph, and with only
+    the all-zero halving's cycles (every cell keeps degree 2)."""
+    zeros = [0] * len(key.rhombi)
+    assert len(cycle_partition(halving_edges(key, zeros))) > 1
+    return [
+        (dataclasses.replace(key, outer_edges=frozenset()), zeros),
+        (
+            dataclasses.replace(
+                key, rhombi=(), inner_edges=frozenset(), outer_edges=frozenset(halving_edges(key, zeros))
+            ),
+            [],
+        ),
+    ]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["no-outer", "halving-only"])
+def test_disconnected_key_graph_fails_loudly(key25, case):
+    key, bits = _split_keys(key25)[case]
+    with pytest.raises(ConstructionError, match="^key graph is not connected$"):
+        splice(key, bits)
+    with pytest.raises(ConstructionError, match="^key graph is not connected$"):
+        symmetric_splice(key)
+
+
+def test_degree_error_names_a_cell(key25):
+    key = dataclasses.replace(key25, rhombi=key25.rhombi[1:])
+    with pytest.raises(ConstructionError, match=r"^cell \(\d+, \d+\) has degree 1, expected 2$"):
+        splice(key, [0] * len(key.rhombi))
+
+
+def test_self_mirrored_edge_error_names_its_cells(key25):
+    key = dataclasses.replace(key25, outer_edges=key25.outer_edges | {((6, 6), (7, 7))})
+    with pytest.raises(ConstructionError, match=r"^edge \(\(6, 6\), \(7, 7\)\) is its own"):
+        symmetric_halving_bits(key)
+
+
+def test_plain_splice_checks_connectivity_and_partitions_once(monkeypatch, key25):
+    calls = []
+    for name in ("is_connected_edges", "cycle_partition"):
+        real = getattr(splice_module, name)
+        monkeypatch.setattr(
+            splice_module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+        )
+    splice(key25, random_bits(len(key25.rhombi), 3))
+    assert sorted(calls) == ["cycle_partition", "is_connected_edges"]
+
+
+@lru_cache(maxsize=None)
+def _key(p, q):
+    return build_key(Leaper(p, q))
+
+
+LEAPERS_TO_21 = free_leapers(21)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(LEAPERS_TO_21), st.integers(0, 2**32 - 1))
+def test_splice_matches_oracle_on_random_halvings(pq, seed):
+    key = _key(*pq)
+    bits = random_bits(len(key.rhombi), seed)
+    assert splice(key, bits) == _oracle_splice(key, bits)
+
+
+@pytest.fixture(scope="module")
+def nx():
+    return pytest.importorskip("networkx")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(LEAPERS_TO_21), st.integers(0, 2**32 - 1))
+def test_halving_cycles_are_its_components(nx, pq, seed):
+    key = _key(*pq)
+    bits = random_bits(len(key.rhombi), seed)
+    graph = nx.Graph(halving_edges(key, bits))
+    components = nx.number_connected_components(graph)
+    assert len(halve(key, bits).cycles) == components
+    _, tracker = _tracked_halving(key, bits)
+    assert len({tracker.find(c) for c in range(key.leaper.side ** 2)}) == components
