@@ -31,11 +31,8 @@ class SystemExit2(Exception):
 def _generate_tour(leaper: Leaper, symmetric: bool, seed: Optional[int]) -> splice.Tour:
     key = keygraph.build_key(leaper)
     if symmetric:
-        tour = splice.symmetric_splice(key)
-    else:
-        bits = splice.random_bits(len(key.rhombi), seed)
-        tour = splice.splice(key, bits)
-    return splice.canonicalize(tour)
+        return splice.symmetric_splice(key)
+    return splice.splice(key, splice.random_bits(len(key.rhombi), seed))
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -52,7 +49,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     tour = _generate_tour(leaper, args.symmetric, args.seed)
     width = height = leaper.side
     if (args.tile_k, args.tile_l) != (1, 1):
-        tour = splice.canonicalize(tile.tile(leaper, args.tile_k, args.tile_l, tour))
+        tour = tile.tile(leaper, args.tile_k, args.tile_l, tour)
         width, height = leaper.side * args.tile_k, leaper.side * args.tile_l
 
     report = verify.verify_tour(tour.cells, args.p, args.q, width, height)
@@ -149,16 +146,12 @@ def _sweep_one(p: int, q: int, seed: int) -> tuple[bool, str]:
     side = leaper.side
     key = keygraph.build_key(leaper)  # validates all degree/count invariants
 
-    bits = splice.random_bits(len(key.rhombi), seed)
-    keygraph.halve(key, bits)
-
+    # a folding graph that matches R(m, n) answers for R(m, n)'s connectivity
     report = fold.check_fold(key)
     if not (report.matches and report.outer_acyclic and report.folding_connected):
         return False, "fold check failed"
-    if not fold.is_connected(report.crisscross):
-        return False, "crisscross graph disconnected"
 
-    tour = splice.splice(key, bits)
+    tour = splice.splice(key, splice.random_bits(len(key.rhombi), seed))
     if not verify.verify_tour(tour.cells, p, q, side, side).valid:
         return False, "plain tour invalid"
     stour = splice.symmetric_splice(key)

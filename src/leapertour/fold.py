@@ -155,27 +155,17 @@ def build_crisscross(m: int, n: int) -> TwoFloorGraph:
         raise ValueError(f"invalid crisscross parameters ({m}, {n})")
     t = (m + n - 1) // 2
 
-    def in_grid(x: int, y: int) -> bool:
-        return -t <= x <= t and -t <= y <= t
-
-    floor1 = [(m, n), (-n, m)]
-    floor2 = [(n, m), (-m, n)]
-    between = [(m, m), (-m, m), (n, n), (-n, n)]
+    # (from floor, to floor, move); each between-floor move and its negation
+    # start on floor 1
+    moves = [(1, 1, (m, n)), (1, 1, (-n, m)), (2, 2, (n, m)), (2, 2, (-m, n))]
+    moves += [(1, 2, (s * vx, s * vy)) for vx, vy in ((m, m), (-m, m), (n, n), (-n, n)) for s in (1, -1)]
 
     edges: set[FoldEdge] = set()
     for x in range(-t, t + 1):
         for y in range(-t, t + 1):
-            for vx, vy in floor1:
-                if in_grid(x + vx, y + vy):
-                    edges.add(edge((x, y, 1), (x + vx, y + vy, 1)))
-            for vx, vy in floor2:
-                if in_grid(x + vx, y + vy):
-                    edges.add(edge((x, y, 2), (x + vx, y + vy, 2)))
-            for vx, vy in between:
-                if in_grid(x + vx, y + vy):
-                    edges.add(edge((x, y, 1), (x + vx, y + vy, 2)))
-                if in_grid(x - vx, y - vy):
-                    edges.add(edge((x, y, 1), (x - vx, y - vy, 2)))
+            for f, g, (vx, vy) in moves:
+                if -t <= x + vx <= t and -t <= y + vy <= t:
+                    edges.add(edge((x, y, f), (x + vx, y + vy, g)))
     return TwoFloorGraph(t=t, edges=frozenset(edges))
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Cell = tuple[int, int]
 Direction = tuple[int, int]
@@ -122,17 +122,13 @@ def reflect_cell(cell: Cell, side: int, which: str) -> Cell:
     raise ValueError(f"unknown reflection {which!r}")
 
 
-def reflect(obj, side: int, which: str):
-    """Reflect an Edge or a set of Edges within a square board.
+def reflect(edges: Iterable[Edge], side: int, which: str) -> set[Edge]:
+    """Reflect a set of Edges within a square board.
 
     The four reflections are the identity, reflection in the vertical axis
     x = side/2, the board center, and the horizontal axis y = side/2.
     """
-    if isinstance(obj, (set, frozenset)):
-        return {edge(reflect_cell(a, side, which), reflect_cell(b, side, which)) for a, b in obj}
-    # an Edge: a pair of cells
-    a, b = obj
-    return edge(reflect_cell(a, side, which), reflect_cell(b, side, which))
+    return {edge(reflect_cell(a, side, which), reflect_cell(b, side, which)) for a, b in edges}
 
 
 def expand_pencil(spec: PencilSpec, side: int) -> list[tuple[Cell, ...]]:

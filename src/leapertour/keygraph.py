@@ -72,9 +72,6 @@ class Rhombus:
             return (edge(a, b), edge(c, d))
         return (edge(b, c), edge(d, a))
 
-    def cellset(self) -> frozenset[Cell]:
-        return frozenset(self.cells)
-
 
 @dataclass(frozen=True)
 class KeyGraph:

@@ -45,20 +45,13 @@ class Tour:
 
 
 class CycleTracker:
-    """Disjoint sets over cells, cell ids or tile copies; two share a set
-    iff they currently lie on the same cycle."""
+    """Disjoint sets over cell ids, cells or tile copies; two share a set
+    iff they currently lie on the same cycle.  The tracker works in place on
+    the parent table it is given, a list over ids or copy numbers or a dict
+    over cells: parent[x] leads toward x's representative r, parent[r] == r."""
 
-    def __init__(self, cells):
-        self.parent = {c: c for c in cells}
-
-    @classmethod
-    def of_roots(cls, roots: list[int]) -> "CycleTracker":
-        """Disjoint sets over 0 .. len(roots) - 1 that start out as given:
-        roots[i] is the representative of i's set, and roots[r] == r for
-        every representative r."""
-        tracker = cls(())
-        tracker.parent = roots
-        return tracker
+    def __init__(self, parent):
+        self.parent = parent
 
     def find(self, x):
         root = x
@@ -126,7 +119,7 @@ def _tracked_halving(key: KeyGraph, bits: Sequence[int]) -> tuple[list[int], Cyc
     if degrees.count(2) != n:
         c = next(c for c, d in enumerate(degrees) if d != 2)
         raise ConstructionError(f"cell {divmod(c, side)} has degree {degrees[c]}, expected 2")
-    return list(bits), CycleTracker.of_roots(roots)
+    return list(bits), CycleTracker(roots)
 
 
 def _merge_flip(key: KeyGraph, bits: list[int], tracker: CycleTracker, i: int) -> bool:
@@ -141,17 +134,15 @@ def _merge_flip(key: KeyGraph, bits: list[int], tracker: CycleTracker, i: int) -
 
 def _single_tour(key: KeyGraph, bits: Sequence[int], what: str) -> Tour:
     """The tour the bits' halving forms, checked to be one cycle over the
-    whole board that keeps every outer edge."""
+    whole board.  It keeps every outer edge: cycle_partition has shown that
+    each listed cell has degree 2, one cycle of side**2 cells has side**2
+    edges, and side**2 is the length of the list, which holds the outer
+    edges; so every listed edge is a tour step."""
     side = key.leaper.side
-    n = side * side
     cycles = cycle_partition(_halving_ids(key, bits))
-    if len(cycles) != 1 or len(cycles[0]) != n:
+    if len(cycles) != 1 or len(cycles[0]) != side * side:
         raise ConstructionError(f"{what} left {len(cycles)} cycles")
-    (cycle,) = cycles
-    after = dict(zip(cycle, cycle[1:] + cycle[:1]))
-    if any(after[a] != b and after[b] != a for a, b in key.outer_ids):
-        raise ConstructionError(f"{what} dropped an outer edge")
-    return Tour(cells=tuple(map(divmod, cycle, repeat(side))))
+    return Tour(cells=tuple(map(divmod, cycles[0], repeat(side))))
 
 
 def splice(key: KeyGraph, bits: Sequence[int]) -> Tour:
@@ -273,7 +264,8 @@ def symmetric_splice(key: KeyGraph) -> Tour:
 
 def canonicalize(tour: Tour) -> Tour:
     """Rotate/reverse so the tour starts at its smallest cell and runs
-    toward the smaller of that cell's two neighbours."""
+    toward the smaller of that cell's two neighbours: cycle_partition's
+    order, in which splice, symmetric_splice and tile already return tours."""
     cells = list(tour.cells)
     i = cells.index(min(cells))
     rotated = cells[i:] + cells[:i]

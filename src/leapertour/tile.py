@@ -117,7 +117,8 @@ def find_switch(
 
 def tile(leaper: Leaper, k: int, l: int, base: Tour) -> Tour:
     """Hamiltonian tour on the 2(p+q)k x 2(p+q)l board built from k*l
-    checkerboarded copies of the base tour spliced along a comb tree."""
+    checkerboarded copies of the base tour spliced along a comb tree, in
+    cycle_partition's canonical order (a 1x1 tiling returns the base)."""
     if k < 1 or l < 1:
         raise ValueError(f"tile grid must be at least 1x1, got {k}x{l}")
     side = leaper.side
@@ -139,8 +140,8 @@ def tile(leaper: Leaper, k: int, l: int, base: Tour) -> Tour:
     tree += [((0, j), (0, j + 1)) for j in range(l - 1)]
 
     # Every copy starts as one cycle, so cycles are unions of copies and the
-    # merge check can run over copy indices instead of cells.
-    tracker = CycleTracker((i, j) for i in range(k) for j in range(l))
+    # merge check can run over copies instead of cells: copy (i, j) is i*l + j.
+    tracker = CycleTracker(list(range(k * l)))
 
     # Seam templates: (di, dj, parity of the lower copy) -> its switches with
     # the lower copy at the origin.  Translating them keeps their order.
@@ -156,7 +157,7 @@ def tile(leaper: Leaper, k: int, l: int, base: Tour) -> Tour:
         sw = _first_avoiding((_shift(s, i * side, j * side) for s in seams[kind]), used)
         if sw is None:
             raise ConstructionError(f"no switch found between {place}")
-        copy_a, copy_b = (sw.a[0] // side, sw.a[1] // side), (sw.c[0] // side, sw.c[1] // side)
+        copy_a, copy_b = (x // side * l + y // side for x, y in (sw.a, sw.c))
         if not tracker.union(copy_a, copy_b):
             raise ConstructionError(f"switch {sw} between {place} does not merge two cycles")
         all_edges.difference_update(sw.old_edges())

@@ -30,6 +30,7 @@ from leapertour.splice import (
     symmetric_halving_bits,
     symmetric_splice,
 )
+from leapertour.tile import tile
 from leapertour.verify import verify_central_symmetry, verify_tour
 
 
@@ -206,7 +207,8 @@ def _oracle_symmetric_splice(key):
         out_edge = next(
             e for e in pending.matching(current_matching(edges, pending)) if e[0] not in grown
         )
-        if reflect(out_edge, side, "center")[0] in cycle_cells_through(out_edge[0]):
+        # the mirrored edge's smaller end: the reflection reverses cell order
+        if reflect_cell(out_edge[1], side, "center") in cycle_cells_through(out_edge[0]):
             _flip_edges(edges, r1)
         _flip_edges(edges, pending)
         _flip_edges(edges, rstar)
@@ -222,7 +224,7 @@ def _oracle_splice(key, bits):
     """The plain splice as it was before the shared engine: the tracker
     unions the two new edges of every flip."""
     edges = halving_edges(key, bits)
-    tracker = splice_module.CycleTracker({c for e in edges for c in e})
+    tracker = splice_module.CycleTracker({c: c for e in edges for c in e})
     for a, b in edges:
         tracker.union(a, b)
     for r in key.rhombi:
@@ -408,6 +410,21 @@ def test_splice_matches_oracle_on_random_halvings(pq, seed):
     key = _key(*pq)
     bits = random_bits(len(key.rhombi), seed)
     assert splice(key, bits) == _oracle_splice(key, bits)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(LEAPERS_TO_21),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.integers(1, 3),
+)
+def test_tours_come_out_canonical(pq, seed, k, l):
+    # the CLI prints these tours as they are, without canonicalize
+    key = _key(*pq)
+    plain = splice(key, random_bits(len(key.rhombi), seed))
+    for tour in (plain, symmetric_splice(key), tile(key.leaper, k, l, plain)):
+        assert canonicalize(tour) == tour
 
 
 @pytest.fixture(scope="module")

@@ -155,7 +155,7 @@ def reference_tile(leaper, k, l, base):
         for j in range(l)
     }
     all_edges = set().union(*placed.values())
-    tracker = CycleTracker((x, y) for x in range(k * side) for y in range(l * side))
+    tracker = CycleTracker({(x, y): (x, y) for x in range(k * side) for y in range(l * side)})
     for a, b in all_edges:
         tracker.union(a, b)
     tree = [((i, j), (i + 1, j)) for j in range(l) for i in range(k - 1)]

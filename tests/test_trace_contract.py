@@ -21,7 +21,7 @@ OPS = {
         ["generate", "--p", "2", "--q", "5", "--seed", "3"],
         {"cli.main", "keygraph.build_key", "geom.expand_pencil", "geom.reflect",
          "keygraph.is_connected_edges", "splice.splice", "keygraph.cycle_partition",
-         "splice.canonicalize", "verify.verify_tour", "render.format_structured"},
+         "verify.verify_tour", "render.format_structured"},
     ),
     "symmetric": (
         ["generate", "--p", "2", "--q", "5", "--symmetric", "--format", "svg"],
