@@ -32,7 +32,7 @@ def _generate_tour(leaper: Leaper, symmetric: bool, seed: Optional[int]) -> spli
     key = keygraph.build_key(leaper)
     if symmetric:
         return splice.symmetric_splice(key)
-    return splice.splice(key, splice.random_bits(len(key.rhombi), seed))
+    return splice.splice(key, splice.random_bits(len(key.rhombus_ids), seed))
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -151,14 +151,14 @@ def _sweep_one(p: int, q: int, seed: int) -> tuple[bool, str]:
     if not (report.matches and report.outer_acyclic and report.folding_connected):
         return False, "fold check failed"
 
-    tour = splice.splice(key, splice.random_bits(len(key.rhombi), seed))
+    tour = splice.splice(key, splice.random_bits(len(key.rhombus_ids), seed))
     if not verify.verify_tour(tour.cells, p, q, side, side).valid:
         return False, "plain tour invalid"
     stour = splice.symmetric_splice(key)
     sreport = verify.verify_tour(stour.cells, p, q, side, side)
     if not (sreport.valid and sreport.centrally_symmetric):
         return False, "symmetric tour invalid"
-    return True, f"side={side} rhombi={len(key.rhombi)}"
+    return True, f"side={side} rhombi={len(key.rhombus_ids)}"
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -98,11 +98,12 @@ def outer_paths(key: KeyGraph) -> list[tuple[Cell, Cell]]:
     """Endpoint pairs of the maximal paths of the outer graph.
 
     Raises OuterCycleError if the outer graph contains a cycle; isolated
-    cells (core intersections) are not included.
+    cells (core intersections) are not included.  The walk runs on the
+    key's cell ids, and only the endpoints turn into cells.
     """
-    adj = adjacency(key.outer_edges)
+    adj = adjacency(key.outer_ids)
     paths = []
-    seen: set[Cell] = set()
+    seen: set[int] = set()
     endpoints = sorted(c for c, nbrs in adj.items() if len(nbrs) == 1)
     for start in endpoints:
         if start in seen:
@@ -116,7 +117,7 @@ def outer_paths(key: KeyGraph) -> list[tuple[Cell, Cell]]:
                 break
             nxt = nbrs[1] if nbrs[0] == prev else nbrs[0]
             prev, cur = cur, nxt
-        paths.append((start, cur))
+        paths.append((divmod(start, key.leaper.side), divmod(cur, key.leaper.side)))
     if len(seen) != len(adj):
         raise OuterCycleError("outer graph contains a cycle")
     return paths
@@ -137,9 +138,9 @@ def build_folding(key: KeyGraph) -> TwoFloorGraph:
         if pa[0] == pb[0]:
             raise ConstructionError(f"outer path {a}-{b} folds to a self-loop")
         edges.add(edge(pa[0], pb[0]))
-    for cell, e in key.core_membership.items():
+    for i, e in enumerate(key.membership):
         if e == 2:
-            p1, p2 = project(cell, key.cores)
+            p1, p2 = project(divmod(i, key.leaper.side), key.cores)
             edges.add(edge(p1, p2))
     return TwoFloorGraph(t=t, edges=frozenset(edges))
 

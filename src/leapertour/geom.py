@@ -2,14 +2,17 @@
 
 Coordinates follow the lower-left-corner convention: the cell (x, y) is the
 one whose lower left corner sits at the point (x, y), so a square board of
-side n holds the cells (0, 0) through (n - 1, n - 1).
+side n holds the cells (0, 0) through (n - 1, n - 1).  Pencils and
+reflections work on cell ids x * n + y, which divmod(i, n) turns back into
+cells.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from itertools import accumulate
+from typing import Iterable, Iterator
 
 Cell = tuple[int, int]
 Direction = tuple[int, int]
@@ -101,54 +104,42 @@ def edge(a: Cell, b: Cell) -> Edge:
     return (a, b) if a <= b else (b, a)
 
 
-def add(a: Cell, d: Direction) -> Cell:
-    return (a[0] + d[0], a[1] + d[1])
+def reflect(ids: Iterable[int], side: int, which: str) -> list[int]:
+    """Reflect cell ids within a square board.
 
-
-def on_board(cell: Cell, side: int) -> bool:
-    return 0 <= cell[0] < side and 0 <= cell[1] < side
-
-
-def reflect_cell(cell: Cell, side: int, which: str) -> Cell:
-    x, y = cell
+    The four reflections are the identity, reflection in the vertical axis
+    x = side/2, which takes the cell (x, y) to (side-1-x, y), the board
+    center, which takes the id i to side**2 - 1 - i, and the horizontal axis
+    y = side/2, which takes (x, y) to (x, side-1-y).
+    """
+    top = side * side - side  # the id of the cell (side - 1, 0)
     if which == "identity":
-        return cell
-    if which == "vertical":
-        return (side - 1 - x, y)
+        return list(ids)
+    if which == "vertical":  # (side-1-x) * side + y = top - i + 2y
+        return [top - i + 2 * (i % side) for i in ids]
     if which == "center":
-        return (side - 1 - x, side - 1 - y)
-    if which == "horizontal":
-        return (x, side - 1 - y)
+        return [top + side - 1 - i for i in ids]
+    if which == "horizontal":  # x * side + side-1-y = i + side-1 - 2y
+        return [i + side - 1 - 2 * (i % side) for i in ids]
     raise ValueError(f"unknown reflection {which!r}")
 
 
-def reflect(edges: Iterable[Edge], side: int, which: str) -> set[Edge]:
-    """Reflect a set of Edges within a square board.
+def expand_pencil(spec: PencilSpec, side: int) -> list[tuple[int, ...]]:
+    """One path per base cell, in cell order; the vertices are the base cell
+    plus the prefix sums of the moves, as cell ids x * side + y.
 
-    The four reflections are the identity, reflection in the vertical axis
-    x = side/2, the board center, and the horizontal axis y = side/2.
+    Every path shifts its base cell by the same prefix sums, so the pencil
+    stays on the board iff each shift keeps the whole base rectangle on it.
+    Raises PencilError naming the first vertex that falls off, walking the
+    paths in order.
     """
-    return {edge(reflect_cell(a, side, which), reflect_cell(b, side, which)) for a, b in edges}
-
-
-def expand_pencil(spec: PencilSpec, side: int) -> list[tuple[Cell, ...]]:
-    """One path per base cell; vertices are the prefix sums of the moves.
-
-    Raises PencilError if any generated vertex falls off the board.
-    """
-    paths = []
-    for a in spec.base.cells():
-        if not on_board(a, side):
-            raise PencilError(a, side)
-        path = [a]
-        for d in spec.dirs:
-            nxt = add(path[-1], d)
-            if not on_board(nxt, side):
-                raise PencilError(nxt, side)
-            path.append(nxt)
-        paths.append(tuple(path))
-    return paths
-
-
-def path_edges(path: Sequence[Cell]) -> list[Edge]:
-    return [edge(path[i], path[i + 1]) for i in range(len(path) - 1)]
+    rect = spec.base
+    shifts = list(accumulate(spec.dirs, lambda s, d: (s[0] + d[0], s[1] + d[1]), initial=(0, 0)))
+    for sx, sy in shifts:
+        if not (-rect.x1 <= sx <= side - rect.x2 and -rect.y1 <= sy <= side - rect.y2):
+            for x, y in rect.cells():
+                for dx, dy in shifts:
+                    if not (0 <= x + dx < side and 0 <= y + dy < side):
+                        raise PencilError((x + dx, y + dy), side)
+    starts = [x * side + y for x in range(rect.x1, rect.x2) for y in range(rect.y1, rect.y2)]
+    return list(zip(*[[i + sx * side + sy for i in starts] for sx, sy in shifts]))

@@ -8,12 +8,13 @@ outer graph.  The key graph is the union of the two, and halving every
 rhombus (keeping one of its two perfect matchings) turns it into a
 pseudotour: a spanning subgraph in which every cell has degree two.
 
-The public fields of a KeyGraph hold cells as (x, y) tuples.  For the
-splice engine a KeyGraph also offers an id view, derived once from those
-fields: the cell (x, y) has the id x * side + y, so id order is
-lexicographic cell order, and the central reflection of id i is
-side**2 - 1 - i.  The view holds the outer edges and each rhombus's two
-matchings as pairs of ids; ids turn back into cells with divmod(i, side).
+build_key builds the key graph on cell ids, and a KeyGraph stores them:
+the cell (x, y) has the id x * side + y, so id order is lexicographic cell
+order, the central reflection of id i is side**2 - 1 - i, and
+divmod(i, side) turns an id back into its cell.  The splice engine and the
+fold read the ids.  The fields that hold cells as (x, y) tuples (rhombi,
+inner_edges, outer_edges, edges and core_membership) are views, derived
+from the ids on first read; error messages name cells too.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from typing import Hashable, Iterable, Sequence, TypeVar
 
 from .geom import (
@@ -33,12 +34,11 @@ from .geom import (
     REFLECTIONS,
     edge,
     expand_pencil,
-    path_edges,
     reflect,
 )
 
 V = TypeVar("V", bound=Hashable)
-IdEdge = tuple[int, int]
+IdEdge = tuple[int, int]  # cell ids, the smaller first
 
 
 class ConstructionError(RuntimeError):
@@ -77,33 +77,56 @@ class Rhombus:
 class KeyGraph:
     leaper: Leaper
     cores: Cores
-    rhombi: tuple[Rhombus, ...]
-    inner_edges: frozenset[Edge]
-    outer_edges: frozenset[Edge]
-    core_membership: dict  # Cell -> 0 | 1 | 2
+    # each rhombus's cells in cyclic order, the forward pencil first
+    rhombus_ids: tuple[tuple[int, int, int, int], ...]
+    outer_ids: tuple[IdEdge, ...]  # smaller id first
+    membership: list[int]  # per id: how many cores hold the cell, 0, 1 or 2
 
-    @property
-    def edges(self) -> frozenset[Edge]:
-        return self.inner_edges | self.outer_edges
+    def kind(self, i: int) -> str:
+        """The pencil of rhombus i, told by its first move: (q, p) is forward."""
+        a, b = self.rhombus_ids[i][:2]
+        return "forward" if b - a == self.leaper.q * self.leaper.side + self.leaper.p else "backward"
 
-    # The id view.  cached_property stores its value on the instance, so a
-    # dataclasses.replace copy derives its own from its own fields.
+    # The derived views.  cached_property stores its value on the instance,
+    # so a dataclasses.replace copy derives its own from its own fields.
     @cached_property
-    def outer_ids(self) -> tuple[IdEdge, ...]:
-        """The outer edges as id pairs, smaller id first."""
-        side = self.leaper.side
-        return tuple([(x * side + y, u * side + v) for (x, y), (u, v) in self.outer_edges])
+    def cells(self) -> list[Cell]:
+        """The cell of each id: cells[x * side + y] == (x, y)."""
+        return list(map(divmod, range(self.leaper.side ** 2), repeat(self.leaper.side)))
 
     @cached_property
     def matching_ids(self) -> tuple[tuple[tuple[IdEdge, IdEdge], tuple[IdEdge, IdEdge]], ...]:
         """Per rhombus, Rhombus.matching(0) and Rhombus.matching(1) as id
         pairs, smaller id first."""
-        side = self.leaper.side
-        out = []
-        for r in self.rhombi:
-            a, b, c, d = [x * side + y for x, y in r.cells]
-            out.append(((_id_edge(a, b), _id_edge(c, d)), (_id_edge(b, c), _id_edge(d, a))))
-        return tuple(out)
+        return tuple(
+            ((_id_edge(a, b), _id_edge(c, d)), (_id_edge(b, c), _id_edge(d, a)))
+            for a, b, c, d in self.rhombus_ids
+        )
+
+    @cached_property
+    def rhombi(self) -> tuple[Rhombus, ...]:
+        cell = self.cells
+        return tuple(
+            Rhombus(tuple(map(cell.__getitem__, r)), self.kind(i))
+            for i, r in enumerate(self.rhombus_ids)
+        )
+
+    @cached_property
+    def inner_edges(self) -> frozenset[Edge]:
+        return frozenset(e for r in self.rhombi for e in r.edges())
+
+    @cached_property
+    def outer_edges(self) -> frozenset[Edge]:
+        cell = self.cells
+        return frozenset((cell[a], cell[b]) for a, b in self.outer_ids)
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        return self.inner_edges | self.outer_edges
+
+    @cached_property
+    def core_membership(self) -> dict[Cell, int]:
+        return dict(zip(self.cells, self.membership))
 
 
 def _id_edge(a: int, b: int) -> IdEdge:
@@ -135,24 +158,27 @@ def build_cores(leaper: Leaper) -> Cores:
     return Cores(forward, backward)
 
 
-def build_inner(leaper: Leaper) -> tuple[list[Rhombus], set[Edge]]:
-    """All rhombi (as two pencils of closed 4-cycles) and their edge union."""
+def build_inner(leaper: Leaper) -> tuple[list[tuple[int, ...]], set[IdEdge]]:
+    """All rhombi (as two pencils of closed 4-cycles of cell ids, forward
+    first) and their edge union."""
     p, q = leaper.p, leaper.q
+    side = leaper.side
     cores = build_cores(leaper)
-    rhombi: list[Rhombus] = []
-    for base, dirs, kind in (
-        (cores.forward[0], ((q, p), (p, q), (-q, -p), (-p, -q)), "forward"),
-        (cores.backward[0], ((q, -p), (-p, q), (-q, p), (p, -q)), "backward"),
+    rhombi: list[tuple[int, ...]] = []
+    for base, dirs in (
+        (cores.forward[0], ((q, p), (p, q), (-q, -p), (-p, -q))),
+        (cores.backward[0], ((q, -p), (-p, q), (-q, p), (p, -q))),
     ):
-        for path in expand_pencil(PencilSpec(base, dirs), leaper.side):
+        for path in expand_pencil(PencilSpec(base, dirs), side):
             if path[4] != path[0]:
-                raise ConstructionError(f"rhombus pencil not closed at {path[0]}")
-            rhombi.append(Rhombus(path[:4], kind))
-    edges: set[Edge] = set()
-    for r in rhombi:
-        for e in r.edges():
+                raise ConstructionError(f"rhombus pencil not closed at {divmod(path[0], side)}")
+            rhombi.append(path[:4])
+    edges: set[IdEdge] = set()
+    for a, b, c, d in rhombi:
+        for e in (_id_edge(a, b), _id_edge(b, c), _id_edge(c, d), _id_edge(d, a)):
             if e in edges:
-                raise ConstructionError(f"two rhombi share the edge {e}")
+                cells = (divmod(e[0], side), divmod(e[1], side))
+                raise ConstructionError(f"two rhombi share the edge {cells}")
             edges.add(e)
     return rhombi, edges
 
@@ -169,17 +195,19 @@ def _outer_pencils(leaper: Leaper) -> list[PencilSpec]:
     ]
 
 
-def build_outer(leaper: Leaper) -> set[Edge]:
-    """Union of the six boundary pencils and all their reflections.
-
-    Reflected pencils may coincide, so the union is set-deduplicated.
-    """
+def build_outer(leaper: Leaper) -> set[IdEdge]:
+    """Union of the six boundary pencils and all their reflections, as id
+    edges.  Reflected pencils may coincide, so the union is deduplicated."""
     side = leaper.side
-    edges: set[Edge] = set()
+    edges: set[IdEdge] = set()
     for spec in _outer_pencils(leaper):
-        base_edges = {e for path in expand_pencil(spec, side) for e in path_edges(path)}
+        columns = list(zip(*expand_pencil(spec, side)))  # vertex k of every path
         for which in REFLECTIONS:
-            edges |= reflect(base_edges, side, which)
+            mirrored = [reflect(column, side, which) for column in columns]
+            for a, b in zip(mirrored, mirrored[1:]):
+                # one step moves every path by the same vector, so all its
+                # edges point the same way in id order
+                edges.update(zip(a, b) if a[0] < b[0] else zip(b, a))
     return edges
 
 
@@ -201,33 +229,31 @@ def build_key(leaper: Leaper) -> KeyGraph:
     if len(outer) != 16 * p * q:
         raise ConstructionError(f"expected {16 * p * q} outer edges, got {len(outer)}")
 
-    membership = {(x, y): 0 for x in range(side) for y in range(side)}
+    membership = [0] * (side * side)
     for core in cores.all():
-        for cell in core.cells():
-            membership[cell] += 1
+        for x in range(core.x1, core.x2):
+            for i in range(x * side + core.y1, x * side + core.y2):
+                membership[i] += 1
 
-    dirs = leaper.directions()
-    for edges in (inner, outer):
-        if not {(b[0] - a[0], b[1] - a[1]) for a, b in edges} <= dirs:
-            a, b = next(e for e in edges if (e[1][0] - e[0][0], e[1][1] - e[0][1]) not in dirs)
-            raise ConstructionError(f"illegal move {a}-{b}")
-    deg_inner = Counter(chain.from_iterable(inner)).get
-    deg_outer = Counter(chain.from_iterable(outer)).get
-    for cell, e in membership.items():
-        if deg_inner(cell, 0) != 2 * e or deg_outer(cell, 0) != 2 - e:
+    # An id difference alone would accept a move that wraps round the board:
+    # (dx + 1, dy - side) has the id difference of (dx, dy).  So each edge's
+    # y difference must be the one its id difference names.
+    dy_of = {dx * side + dy: dy for dx, dy in leaper.directions()}
+    deg_inner, deg_outer = [0] * (side * side), [0] * (side * side)
+    for edges, degrees in ((inner, deg_inner), (outer, deg_outer)):
+        for a, b in edges:
+            if dy_of.get(b - a) != b % side - a % side:
+                raise ConstructionError(f"illegal move {divmod(a, side)}-{divmod(b, side)}")
+            degrees[a] += 1
+            degrees[b] += 1
+    for i, e in enumerate(membership):
+        if deg_inner[i] != 2 * e or deg_outer[i] != 2 - e:
             raise ConstructionError(
-                f"degree mismatch at {cell}: membership {e}, "
-                f"inner {deg_inner(cell, 0)}, outer {deg_outer(cell, 0)}"
+                f"degree mismatch at {divmod(i, side)}: membership {e}, "
+                f"inner {deg_inner[i]}, outer {deg_outer[i]}"
             )
 
-    return KeyGraph(
-        leaper=leaper,
-        cores=cores,
-        rhombi=tuple(rhombi),
-        inner_edges=frozenset(inner),
-        outer_edges=frozenset(outer),
-        core_membership=membership,
-    )
+    return KeyGraph(leaper, cores, tuple(rhombi), tuple(outer), membership)
 
 
 def adjacency(edges: Iterable[tuple[V, V]]) -> dict[V, list[V]]:
@@ -244,8 +270,8 @@ def cycle_partition(edges: Iterable[tuple[V, V]]) -> tuple[tuple[V, ...], ...]:
 
     Each cycle starts at its smallest vertex and runs toward the smaller of
     that vertex's two neighbours.  On cells that is lexicographic order, and
-    cell ids keep it.  The splice engine checks degrees itself before it
-    partitions ids, so its degree failures still name a cell.
+    cell ids keep it.  Callers that partition ids check degrees first with
+    check_two_factor, so that degree failures name a cell.
     """
     adj = adjacency(edges)
     if set(map(len, adj.values())) - {2}:
@@ -266,24 +292,36 @@ def cycle_partition(edges: Iterable[tuple[V, V]]) -> tuple[tuple[V, ...], ...]:
     return tuple(cycles)
 
 
-def halving_edges(key: KeyGraph, bits: Sequence[int]) -> set[Edge]:
-    """The outer edges plus the matching each bit picks for its rhombus."""
-    if len(bits) != len(key.rhombi):
-        raise ValueError(f"need {len(key.rhombi)} bits, got {len(bits)}")
-    edges = set(key.outer_edges)
-    for r, bit in zip(key.rhombi, bits):
-        edges.update(r.matching(bit))
+def halving_ids(key: KeyGraph, bits: Sequence[int]) -> list[IdEdge]:
+    """The outer id edges plus the matching each bit picks for its rhombus."""
+    if len(bits) != len(key.rhombus_ids):
+        raise ValueError(f"need {len(key.rhombus_ids)} bits, got {len(bits)}")
+    edges = list(key.outer_ids)
+    for pair, bit in zip(key.matching_ids, bits):
+        edges += pair[bit]
     return edges
 
 
+def check_two_factor(degrees: Sequence[int], side: int) -> None:
+    """Raise, naming the first such cell, unless every cell id has degree 2."""
+    if degrees.count(2) != len(degrees):
+        c = next(c for c, d in enumerate(degrees) if d != 2)
+        raise ConstructionError(f"cell {divmod(c, side)} has degree {degrees[c]}, expected 2")
+
+
 def halve(key: KeyGraph, bits: Sequence[int]) -> TwoFactor:
-    """Pseudotour from a per-rhombus matching choice (one bit per rhombus)."""
-    edges = halving_edges(key, bits)
+    """Pseudotour from a per-rhombus matching choice (one bit per rhombus),
+    partitioned on cell ids and turned into cells at the end."""
+    side = key.leaper.side
+    edges = halving_ids(key, bits)
+    degrees = Counter(chain.from_iterable(edges))
+    check_two_factor([degrees[i] for i in range(side * side)], side)
     cycles = cycle_partition(edges)
-    total = sum(len(c) for c in cycles)
-    if total != key.leaper.side ** 2:
-        raise ConstructionError(f"two-factor covers {total} cells")
-    return TwoFactor(edges=frozenset(edges), cycles=cycles)
+    cell = key.cells
+    return TwoFactor(
+        edges=frozenset([(cell[a], cell[b]) for a, b in edges]),
+        cycles=tuple(tuple(map(cell.__getitem__, c)) for c in cycles),
+    )
 
 
 def is_connected_edges(cells: Iterable[V], edges: Iterable[tuple[V, V]]) -> bool:

@@ -17,16 +17,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import repeat
 from operator import getitem
 from typing import Sequence
 
 from .geom import Cell, Edge, edge
 from .keygraph import (
     ConstructionError,
-    IdEdge,
     KeyGraph,
+    check_two_factor,
     cycle_partition,
+    halving_ids,
     is_connected_edges,
 )
 
@@ -77,23 +77,13 @@ def random_bits(count: int, seed: int | None) -> list[int]:
     return [rng.getrandbits(1) for _ in range(count)]
 
 
-def _halving_ids(key: KeyGraph, bits: Sequence[int]) -> list[IdEdge]:
-    """The outer id edges plus the matching each bit picks for its rhombus."""
-    if len(bits) != len(key.rhombi):
-        raise ValueError(f"need {len(key.rhombi)} bits, got {len(bits)}")
-    edges = list(key.outer_ids)
-    for pair, bit in zip(key.matching_ids, bits):
-        edges += pair[bit]
-    return edges
-
-
 def _tracked_halving(key: KeyGraph, bits: Sequence[int]) -> tuple[list[int], CycleTracker]:
     """A copy of the bits and a tracker of the cycles of the halving they
     pick, over cell ids."""
     side = key.leaper.side
     n = side * side
     adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in _halving_ids(key, bits):
+    for a, b in halving_ids(key, bits):
         adj[a].append(b)
         adj[b].append(a)
     # label each component of the halving with the id of its first cell
@@ -115,10 +105,7 @@ def _tracked_halving(key: KeyGraph, bits: Sequence[int]) -> tuple[list[int], Cyc
     links = [(roots[e1[0]], roots[e2[0]]) for e1, e2 in map(getitem, key.matching_ids, bits)]
     if not is_connected_edges(set(roots), links):
         raise ConstructionError("key graph is not connected")
-    degrees = list(map(len, adj))
-    if degrees.count(2) != n:
-        c = next(c for c, d in enumerate(degrees) if d != 2)
-        raise ConstructionError(f"cell {divmod(c, side)} has degree {degrees[c]}, expected 2")
+    check_two_factor(list(map(len, adj)), side)
     return list(bits), CycleTracker(roots)
 
 
@@ -138,17 +125,16 @@ def _single_tour(key: KeyGraph, bits: Sequence[int], what: str) -> Tour:
     each listed cell has degree 2, one cycle of side**2 cells has side**2
     edges, and side**2 is the length of the list, which holds the outer
     edges; so every listed edge is a tour step."""
-    side = key.leaper.side
-    cycles = cycle_partition(_halving_ids(key, bits))
-    if len(cycles) != 1 or len(cycles[0]) != side * side:
+    cycles = cycle_partition(halving_ids(key, bits))
+    if len(cycles) != 1 or len(cycles[0]) != key.leaper.side ** 2:
         raise ConstructionError(f"{what} left {len(cycles)} cycles")
-    return Tour(cells=tuple(map(divmod, cycles[0], repeat(side))))
+    return Tour(cells=tuple(map(key.cells.__getitem__, cycles[0])))
 
 
 def splice(key: KeyGraph, bits: Sequence[int]) -> Tour:
     """Single fixed-order pass of cycle-merging flips over all rhombi."""
     bits, tracker = _tracked_halving(key, bits)
-    for i in range(len(key.rhombi)):
+    for i in range(len(key.rhombus_ids)):
         _merge_flip(key, bits, tracker, i)
     return _single_tour(key, bits, "splice")
 
@@ -156,7 +142,7 @@ def splice(key: KeyGraph, bits: Sequence[int]) -> Tour:
 def _partners(key: KeyGraph) -> list[int]:
     """Index of each rhombus's central reflection among the key's rhombi."""
     last = key.leaper.side ** 2 - 1
-    cellsets = [frozenset(m0[0] + m0[1]) for m0, _ in key.matching_ids]
+    cellsets = [frozenset(r) for r in key.rhombus_ids]
     index = {cells: i for i, cells in enumerate(cellsets)}
     return [index[frozenset(last - c for c in cells)] for cells in cellsets]
 
@@ -172,14 +158,13 @@ def symmetric_halving_bits(key: KeyGraph) -> list[int]:
     matching 0.  The outer graph is a union of reflections, so it is
     symmetric too.
     """
-    side = key.leaper.side
-    last = side ** 2 - 1
-    bits = [0] * len(key.rhombi)
-    edges = set(_halving_ids(key, bits))
+    last = key.leaper.side ** 2 - 1
+    bits = [0] * len(key.rhombus_ids)
+    edges = set(halving_ids(key, bits))
     for a, b in edges:
         mirrored = (last - b, last - a)
         if mirrored == (a, b):
-            cells = (divmod(a, side), divmod(b, side))
+            cells = (key.cells[a], key.cells[b])
             raise ConstructionError(f"edge {cells} is its own central reflection")
         if mirrored not in edges:
             raise ConstructionError("initial halving is not centrally symmetric")
@@ -188,7 +173,7 @@ def symmetric_halving_bits(key: KeyGraph) -> list[int]:
 
 def _find_center_rhombus(key: KeyGraph, partners: Sequence[int]) -> int:
     """Index of the unique forward rhombus fixed by the central reflection."""
-    fixed = [i for i, j in enumerate(partners) if j == i and key.rhombi[i].kind == "forward"]
+    fixed = [i for i, j in enumerate(partners) if j == i and key.kind(i) == "forward"]
     if len(fixed) != 1:
         raise ConstructionError(f"expected one self-symmetric forward rhombus, got {len(fixed)}")
     return fixed[0]
@@ -211,8 +196,7 @@ def _check_mirrored_bits(bits: Sequence[int], partners: Sequence[int]) -> None:
 def symmetric_splice(key: KeyGraph) -> Tour:
     """Grow a centrally symmetric cycle by paired rhombus flips until it
     spans the board."""
-    side = key.leaper.side
-    last = side ** 2 - 1
+    last = key.leaper.side ** 2 - 1
     matchings = key.matching_ids
     partners = _partners(key)
     bits, tracker = _tracked_halving(key, symmetric_halving_bits(key))
@@ -221,8 +205,7 @@ def symmetric_splice(key: KeyGraph) -> Tour:
     # the grown cycle holds all of r1, so it holds the anchor's mirror image,
     # and it stays centrally symmetric as long as the halving does
     i1 = _find_center_rhombus(key, partners)
-    x, y = key.rhombi[i1].cells[0]
-    anchor = x * side + y
+    anchor = key.rhombus_ids[i1][0]
     _merge_flip(key, bits, tracker, i1)
 
     while True:
@@ -248,7 +231,7 @@ def symmetric_splice(key: KeyGraph) -> Tour:
             for k in (i1, i, j):
                 bits[k] ^= 1
             merged = {c for c in range(last + 1) if find(c) in (grown, absorbed)}
-            cycles = cycle_partition(_halving_ids(key, bits))
+            cycles = cycle_partition(halving_ids(key, bits))
             if set(next(c for c in cycles if anchor in c)) != merged:
                 raise ConstructionError("symmetric splice failed to grow the cycle")
             tracker.union(anchor, out_edge[0])

@@ -138,9 +138,11 @@ def test_outer_acyclic_directly():
 
 def test_outer_paths_raises_on_a_cycle():
     key = build_key(Leaper(2, 5))
-    triangle = {((20, 20), (20, 21)), ((20, 20), (21, 20)), ((20, 21), (21, 20))}
+    # ids past the 14 x 14 board's last, so the triangle touches no outer path
+    a, b, c = 20 * 14 + 20, 20 * 14 + 21, 21 * 14 + 20
+    triangle = ((a, b), (a, c), (b, c))
     with pytest.raises(OuterCycleError, match="cycle"):
-        outer_paths(dataclasses.replace(key, outer_edges=key.outer_edges | triangle))
+        outer_paths(dataclasses.replace(key, outer_ids=key.outer_ids + triangle))
 
 
 def test_check_fold_walks_the_outer_graph_once(monkeypatch):

@@ -1,5 +1,8 @@
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from leapertour.geom import (
     Leaper,
     PencilError,
@@ -7,7 +10,6 @@ from leapertour.geom import (
     Subboard,
     expand_pencil,
     reflect,
-    reflect_cell,
 )
 
 
@@ -36,10 +38,24 @@ def test_invalid_leapers_rejected(p, q):
 
 def test_reflect_cell_formulas():
     side = 14  # (2,5) board
-    assert reflect_cell((0, 0), side, "identity") == (0, 0)
-    assert reflect_cell((0, 0), side, "vertical") == (13, 0)
-    assert reflect_cell((0, 0), side, "center") == (13, 13)
-    assert reflect_cell((0, 0), side, "horizontal") == (0, 13)
+    formulas = {
+        "identity": lambda x, y: (x, y),
+        "vertical": lambda x, y: (side - 1 - x, y),
+        "center": lambda x, y: (side - 1 - x, side - 1 - y),
+        "horizontal": lambda x, y: (x, side - 1 - y),
+    }
+    ids = range(side * side)
+    for which, formula in formulas.items():
+        mirrored = [divmod(i, side) for i in reflect(ids, side, which)]
+        assert mirrored == [formula(*divmod(i, side)) for i in ids], which
+    assert divmod(reflect([0], side, "vertical")[0], side) == (13, 0)
+    assert reflect([0], side, "center") == [side * side - 1]
+    with pytest.raises(ValueError, match="unknown reflection"):
+        reflect([0], side, "diagonal")
+
+
+def _ids(cells, side):
+    return [x * side + y for x, y in cells]
 
 
 def test_reflect_subboard_center_maps_core_1_to_core_3():
@@ -47,28 +63,24 @@ def test_reflect_subboard_center_maps_core_1_to_core_3():
     side = 2 * (p + q)
     c1 = Subboard(p, q, p, q)
     c3 = Subboard(2 * p + q, p + 2 * q, 2 * p + q, p + 2 * q)
-    assert {reflect_cell(c, side, "center") for c in c1.cells()} == set(c3.cells())
+    mirrored = reflect(_ids(c1.cells(), side), side, "center")
+    assert {divmod(i, side) for i in mirrored} == set(c3.cells())
 
 
 def test_center_reflection_is_involution():
     side = 14
-    cells = set(Subboard(1, 4, 2, 9).cells())
-    mirrored = {reflect_cell(c, side, "center") for c in cells}
-    assert mirrored != cells
-    assert {reflect_cell(c, side, "center") for c in mirrored} == cells
-    edges = {((1, 2), (3, 7)), ((0, 13), (5, 11))}
-    assert reflect(reflect(edges, side, "center"), side, "center") == edges
+    ids = _ids(Subboard(1, 4, 2, 9).cells(), side)
+    mirrored = reflect(ids, side, "center")
+    assert set(mirrored) != set(ids)
+    assert reflect(mirrored, side, "center") == ids
 
 
 def test_klein_four_composition():
     # vertical then horizontal equals center, on every cell of a small board
     side = 6
-    for x in range(side):
-        for y in range(side):
-            v = reflect_cell((x, y), side, "vertical")
-            assert reflect_cell(v, side, "horizontal") == reflect_cell(
-                (x, y), side, "center"
-            )
+    ids = range(side * side)
+    vertical = reflect(ids, side, "vertical")
+    assert reflect(vertical, side, "horizontal") == reflect(ids, side, "center")
 
 
 def test_forward_rhombus_pencil_yields_closed_cycles():
@@ -82,6 +94,8 @@ def test_forward_rhombus_pencil_yields_closed_cycles():
     for path in paths:
         assert path[0] == path[4]
         assert len(set(path[:4])) == 4
+    first = [divmod(i, side) for i in paths[0]]
+    assert first == [(p, p), (p + q, 2 * p), (2 * p + q, 2 * p + q), (2 * p, p + q), (p, p)]
 
 
 def test_empty_dirs_pencil_gives_zero_length_paths():
@@ -112,3 +126,36 @@ def test_pencil_translates_disjoint_implies_paths_disjoint():
     paths = expand_pencil(spec, 2 * (p + q))
     cells = [c for path in paths for c in path]
     assert len(cells) == len(set(cells))
+
+
+def _walk_pencil(spec, side):
+    """expand_pencil on (x, y) cells, one vertex at a time."""
+    paths = []
+    for x, y in spec.base.cells():
+        path = [(x, y)]
+        for dx, dy in spec.dirs:
+            path.append((path[-1][0] + dx, path[-1][1] + dy))
+        for cell in path:
+            if not (0 <= cell[0] < side and 0 <= cell[1] < side):
+                raise PencilError(cell, side)
+        paths.append(tuple(path))
+    return paths
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 7), st.integers(1, 4), st.integers(0, 7), st.integers(1, 4),
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=4),
+)
+def test_pencil_ids_match_a_cell_walk(x1, w, y1, h, dirs):
+    side = 8
+    spec = PencilSpec(Subboard(x1, x1 + w, y1, y1 + h), tuple(dirs))
+    try:
+        expected = _walk_pencil(spec, side)
+    except PencilError as exc:
+        with pytest.raises(PencilError) as got:
+            expand_pencil(spec, side)
+        assert got.value.cell == exc.cell
+    else:
+        paths = expand_pencil(spec, side)
+        assert [tuple(divmod(i, side) for i in path) for path in paths] == expected

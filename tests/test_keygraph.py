@@ -1,12 +1,17 @@
 import dataclasses
-from collections import defaultdict
+import re
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leapertour.geom import Leaper, Subboard, reflect
+import leapertour.keygraph as keygraph
+from leapertour.cli import free_leapers, main
+from leapertour.geom import Leaper, PencilError, PencilSpec, Subboard, edge, reflect
 from leapertour.keygraph import (
+    ConstructionError,
+    Rhombus,
     build_cores,
     build_inner,
     build_key,
@@ -14,6 +19,7 @@ from leapertour.keygraph import (
     halve,
     is_connected_edges,
 )
+from leapertour.splice import random_bits, splice, symmetric_splice
 
 FREE_SMALL = [(1, 2), (2, 3), (1, 4), (3, 4), (2, 5), (4, 5), (1, 6), (5, 6), (2, 7), (4, 7)]
 
@@ -56,9 +62,11 @@ def test_inner_2_5_counts():
 
 def test_forward_rhombus_at_pp():
     p, q = 2, 5
+    side = 2 * (p + q)
     rhombi, _ = build_inner(Leaper(p, q))
-    (r,) = [r for r in rhombi if r.cells[0] == (p, p)]
-    assert r.cells == ((p, p), (p + q, 2 * p), (2 * p + q, 2 * p + q), (2 * p, p + q))
+    (r,) = [r for r in rhombi if r[0] == p * side + p]
+    cells = tuple(divmod(i, side) for i in r)
+    assert cells == ((p, p), (p + q, 2 * p), (2 * p + q, 2 * p + q), (2 * p, p + q))
 
 
 @pytest.mark.parametrize("p,q", FREE_SMALL)
@@ -66,8 +74,11 @@ def test_outer_size_and_reflection_invariance(p, q):
     leaper = Leaper(p, q)
     outer = build_outer(leaper)
     assert len(outer) == 16 * p * q
+    assert all(a < b for a, b in outer)
+    ends = list(zip(*outer))
     for which in ("vertical", "center", "horizontal"):
-        assert reflect(outer, leaper.side, which) == outer
+        a, b = (reflect(column, leaper.side, which) for column in ends)
+        assert set(map(tuple, map(sorted, zip(a, b)))) == outer
 
 
 def test_outer_degree_examples_2_5():
@@ -177,9 +188,202 @@ def test_id_view_names_the_same_edges(p, q):
             assert tuple(map(cells, pair[bit])) == r.matching(bit)
 
 
-def test_id_view_follows_a_replaced_key():
+def test_tuple_view_follows_replaced_ids():
     key = build_key(Leaper(2, 5))
-    assert key.outer_ids and key.matching_ids  # derive the originals first
-    bare = dataclasses.replace(key, rhombi=key.rhombi[:3], outer_edges=frozenset())
-    assert bare.outer_ids == ()
+    assert key.rhombi and key.outer_edges and key.matching_ids  # derive the originals first
+    bare = dataclasses.replace(key, rhombus_ids=key.rhombus_ids[:3], outer_ids=())
+    assert bare.outer_edges == frozenset()
+    assert bare.rhombi == key.rhombi[:3]
+    assert bare.inner_edges == frozenset(e for r in key.rhombi[:3] for e in r.edges())
     assert bare.matching_ids == key.matching_ids[:3]
+
+
+# Guards for build_key's invariants.  Each patches the table of outer
+# pencils, or the rhombus pencils expand_pencil returns, so that exactly one
+# check fires, and asserts that check's message.
+
+
+def _patch_outer(monkeypatch, change):
+    real = keygraph._outer_pencils
+
+    def patched(leaper):
+        specs = real(leaper)
+        change(specs, leaper.p, leaper.q, leaper.side)
+        return specs
+
+    monkeypatch.setattr(keygraph, "_outer_pencils", patched)
+
+
+def _patch_rhombus_pencils(monkeypatch, change):
+    real = keygraph.expand_pencil
+
+    def patched(spec, side):
+        paths = real(spec, side)
+        return change(paths) if len(spec.dirs) == 4 else paths
+
+    monkeypatch.setattr(keygraph, "expand_pencil", patched)
+
+
+def test_pencil_off_the_board_names_the_cell(monkeypatch):
+    def push_off(specs, p, q, side):
+        # pencil A's base moved right until its move (q, p) leaves the board
+        specs[0] = PencilSpec(Subboard(side - q, side - q + p, 0, q), ((q, p),))
+
+    _patch_outer(monkeypatch, push_off)
+    with pytest.raises(PencilError) as exc:
+        build_key(Leaper(2, 5))
+    assert exc.value.cell == (14, 2)
+    assert str(exc.value) == "pencil path leaves the 14x14 board at (14, 2)"
+
+
+@pytest.mark.parametrize("wrap", [False, True], ids=["plain", "wrap-around"])
+def test_non_leaper_move_names_the_edge(monkeypatch, wrap):
+    def bend(specs, p, q, side):
+        if wrap:
+            # (p + 1, q - side) has the id difference of the move (p, q)
+            specs[2] = PencilSpec(Subboard(0, p, side - p, side), ((p + 1, q - side),))
+        else:
+            specs[0] = PencilSpec(Subboard(0, p, 0, q), ((q, p + 1),))
+
+    _patch_outer(monkeypatch, bend)
+    with pytest.raises(ConstructionError, match=r"^illegal move ") as exc:
+        build_key(Leaper(2, 5))
+    named = re.fullmatch(r"illegal move \((\d+), (\d+)\)-\((\d+), (\d+)\)", str(exc.value))
+    x, y, u, v = map(int, named.groups())
+    assert (u - x, v - y) not in Leaper(2, 5).directions()
+    assert (x, y) < (u, v)
+
+
+def test_pencil_repeating_a_rhombus_edge_overlaps(monkeypatch):
+    def repeat_rhombus_edge(specs, p, q, side):
+        specs.append(PencilSpec(Subboard(p, p + 1, p, p + 1), ((q, p),)))
+
+    _patch_outer(monkeypatch, repeat_rhombus_edge)
+    with pytest.raises(ConstructionError, match="^inner and outer graphs share edges$"):
+        build_key(Leaper(2, 5))
+
+
+def test_dropped_pencil_fails_the_outer_count(monkeypatch):
+    _patch_outer(monkeypatch, lambda specs, p, q, side: specs.pop(0))
+    with pytest.raises(ConstructionError, match="^expected 160 outer edges, got 120$"):
+        build_key(Leaper(2, 5))
+
+
+def test_shifted_pencil_fails_the_degree_check(monkeypatch):
+    def shift(specs, p, q, side):
+        specs[0] = PencilSpec(Subboard(0, p, 1, q + 1), ((q, p),))
+
+    _patch_outer(monkeypatch, shift)
+    with pytest.raises(
+        ConstructionError,
+        match=r"^degree mismatch at \(0, 0\): membership 0, inner 0, outer 1$",
+    ):
+        build_key(Leaper(2, 5))
+
+
+def test_open_rhombus_pencil_names_its_first_cell(monkeypatch):
+    _patch_rhombus_pencils(monkeypatch, lambda paths: [path[:4] + path[3:4] for path in paths])
+    with pytest.raises(ConstructionError, match=r"^rhombus pencil not closed at \(2, 2\)$"):
+        build_key(Leaper(2, 5))
+
+
+def test_repeated_rhombus_names_the_shared_edge(monkeypatch):
+    _patch_rhombus_pencils(monkeypatch, lambda paths: paths + paths[:1])
+    with pytest.raises(
+        ConstructionError, match=r"^two rhombi share the edge \(\(2, 2\), \(7, 4\)\)$"
+    ):
+        build_key(Leaper(2, 5))
+
+
+def test_missing_rhombus_fails_the_rhombus_count(monkeypatch):
+    _patch_rhombus_pencils(monkeypatch, lambda paths: paths[1:])
+    with pytest.raises(ConstructionError, match="^expected 18 rhombi, got 16$"):
+        build_key(Leaper(2, 5))
+
+
+def _oracle_key(leaper):
+    """build_key as it was on (x, y) cells, before it built on cell ids,
+    without its checks: (rhombi, inner edges, outer edges, core membership)."""
+    p, q, side = leaper.p, leaper.q, leaper.side
+    cores = build_cores(leaper)
+
+    def pencil(base, dirs):
+        for a in base.cells():
+            path = [a]
+            for dx, dy in dirs:
+                path.append((path[-1][0] + dx, path[-1][1] + dy))
+            assert all(0 <= x < side and 0 <= y < side for x, y in path)
+            yield tuple(path)
+
+    rhombi = []
+    for base, dirs, kind in (
+        (cores.forward[0], ((q, p), (p, q), (-q, -p), (-p, -q)), "forward"),
+        (cores.backward[0], ((q, -p), (-p, q), (-q, p), (p, -q)), "backward"),
+    ):
+        rhombi += [Rhombus(path[:4], kind) for path in pencil(base, dirs)]
+    inner = {e for r in rhombi for e in r.edges()}
+
+    mirrors = (
+        lambda x, y: (x, y),
+        lambda x, y: (side - 1 - x, y),
+        lambda x, y: (side - 1 - x, side - 1 - y),
+        lambda x, y: (x, side - 1 - y),
+    )
+    outer = set()
+    for spec in keygraph._outer_pencils(leaper):
+        for path in pencil(spec.base, spec.dirs):
+            for a, b in zip(path, path[1:]):
+                outer.update(edge(m(*a), m(*b)) for m in mirrors)
+
+    counts = Counter(c for core in cores.all() for c in core.cells())
+    membership = {(x, y): counts[x, y] for x in range(side) for y in range(side)}
+    return tuple(rhombi), inner, outer, membership
+
+
+@pytest.mark.parametrize(
+    "p,q",
+    [
+        pytest.param(p, q, id=f"{p}-{q}", marks=[pytest.mark.slow] if p + q > 25 else [])
+        for p, q in free_leapers(61)
+    ],
+)
+def test_key_equals_the_cell_oracle(p, q):
+    leaper = Leaper(p, q)
+    key = build_key(leaper)
+    rhombi, inner, outer, membership = _oracle_key(leaper)
+    side = leaper.side
+
+    def cells(e):
+        return (divmod(e[0], side), divmod(e[1], side))
+
+    assert key.cores == build_cores(leaper)
+    assert key.rhombi == rhombi
+    assert key.inner_edges == inner
+    assert key.outer_edges == outer
+    assert list(key.core_membership.items()) == list(membership.items())
+    assert len(key.outer_ids) == len(outer)
+    assert {cells(e) for e in key.outer_ids} == outer
+    for r, pair in zip(rhombi, key.matching_ids, strict=True):
+        assert tuple(map(cells, pair[0])) == r.matching(0)
+        assert tuple(map(cells, pair[1])) == r.matching(1)
+
+
+VIEWS = {"rhombi", "inner_edges", "outer_edges", "edges", "core_membership"}
+
+
+def test_splices_derive_no_tuple_view():
+    key = build_key(Leaper(12, 25))
+    splice(key, random_bits(len(key.rhombus_ids), 1))
+    symmetric_splice(key)
+    assert not VIEWS & set(vars(key))
+
+
+@pytest.mark.parametrize("extra", [[], ["--symmetric"]], ids=["plain", "symmetric"])
+def test_generate_derives_no_tuple_view(monkeypatch, capsys, extra):
+    keys = []
+    real = keygraph.build_key
+    monkeypatch.setattr(keygraph, "build_key", lambda leaper: keys.append(real(leaper)) or keys[-1])
+    assert main(["generate", "--p", "2", "--q", "5", "--seed", "3", *extra]) == 0
+    capsys.readouterr()
+    (key,) = keys
+    assert not VIEWS & set(vars(key))

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 import leapertour.splice as splice_module
 from leapertour.cli import free_leapers
-from leapertour.geom import Leaper, reflect, reflect_cell
+from leapertour.geom import Leaper, edge
 from leapertour.keygraph import (
     ConstructionError,
     build_key,
     cycle_partition,
     halve,
-    halving_edges,
+    halving_ids,
 )
 from leapertour.splice import (
     Tour,
@@ -37,6 +37,17 @@ from leapertour.verify import verify_central_symmetry, verify_tour
 @pytest.fixture(scope="module")
 def key25():
     return build_key(Leaper(2, 5))
+
+
+def halving_edges(key, bits):
+    """The halving's edges as cells."""
+    side = key.leaper.side
+    return {(divmod(a, side), divmod(b, side)) for a, b in halving_ids(key, bits)}
+
+
+def mirror(cell, side):
+    """The central reflection of a cell."""
+    return (side - 1 - cell[0], side - 1 - cell[1])
 
 
 # Edge-set helpers of the splices before they flipped bits; the oracles
@@ -134,10 +145,7 @@ def test_symmetric_halving_is_symmetric(p, q):
     key = build_key(Leaper(p, q))
     side = key.leaper.side
     two = halve(key, symmetric_halving_bits(key))
-    mirrored = {
-        tuple(sorted((reflect_cell(a, side, "center"), reflect_cell(b, side, "center"))))
-        for a, b in two.edges
-    }
+    mirrored = {tuple(sorted((mirror(a, side), mirror(b, side)))) for a, b in two.edges}
     assert mirrored == {tuple(e) for e in two.edges}
 
 
@@ -208,7 +216,7 @@ def _oracle_symmetric_splice(key):
             e for e in pending.matching(current_matching(edges, pending)) if e[0] not in grown
         )
         # the mirrored edge's smaller end: the reflection reverses cell order
-        if reflect_cell(out_edge[1], side, "center") in cycle_cells_through(out_edge[0]):
+        if mirror(out_edge[1], side) in cycle_cells_through(out_edge[0]):
             _flip_edges(edges, r1)
         _flip_edges(edges, pending)
         _flip_edges(edges, rstar)
@@ -339,7 +347,7 @@ def test_mirrored_bits_iff_symmetric_halving(p, q):
         paired = _paired_random_bits(key, seed)
         for bits in (paired, random_bits(len(key.rhombi), seed)):
             edges = halving_edges(key, bits)
-            symmetric = reflect(edges, side, "center") == edges
+            symmetric = {edge(mirror(a, side), mirror(b, side)) for a, b in edges} == edges
             try:
                 _check_mirrored_bits(bits, partners)
                 passed = True
@@ -354,13 +362,8 @@ def _split_keys(key):
     zeros = [0] * len(key.rhombi)
     assert len(cycle_partition(halving_edges(key, zeros))) > 1
     return [
-        (dataclasses.replace(key, outer_edges=frozenset()), zeros),
-        (
-            dataclasses.replace(
-                key, rhombi=(), inner_edges=frozenset(), outer_edges=frozenset(halving_edges(key, zeros))
-            ),
-            [],
-        ),
+        (dataclasses.replace(key, outer_ids=()), zeros),
+        (dataclasses.replace(key, rhombus_ids=(), outer_ids=tuple(halving_ids(key, zeros))), []),
     ]
 
 
@@ -374,13 +377,14 @@ def test_disconnected_key_graph_fails_loudly(key25, case):
 
 
 def test_degree_error_names_a_cell(key25):
-    key = dataclasses.replace(key25, rhombi=key25.rhombi[1:])
+    key = dataclasses.replace(key25, rhombus_ids=key25.rhombus_ids[1:])
     with pytest.raises(ConstructionError, match=r"^cell \(\d+, \d+\) has degree 1, expected 2$"):
-        splice(key, [0] * len(key.rhombi))
+        splice(key, [0] * len(key.rhombus_ids))
 
 
 def test_self_mirrored_edge_error_names_its_cells(key25):
-    key = dataclasses.replace(key25, outer_edges=key25.outer_edges | {((6, 6), (7, 7))})
+    # the cells (6, 6) and (7, 7) of the 14 x 14 board
+    key = dataclasses.replace(key25, outer_ids=key25.outer_ids + ((6 * 14 + 6, 7 * 14 + 7),))
     with pytest.raises(ConstructionError, match=r"^edge \(\(6, 6\), \(7, 7\)\) is its own"):
         symmetric_halving_bits(key)
 

@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 
 from leapertour.geom import Leaper
@@ -117,3 +119,34 @@ def test_oracle_rejects_5x5_by_parity():
 def test_oracle_board_size_cap():
     with pytest.raises(ValueError):
         oracle_tour_search(1, 2, 10, 10)
+
+
+def _leaper_graph_is_connected(p, q, side):
+    """Plain breadth-first search over every (p, q)-leaper move of the
+    side x side board, with the moves built from p and q alone."""
+    moves = [(sx * a, sy * b) for a, b in ((p, q), (q, p)) for sx in (1, -1) for sy in (1, -1)]
+    seen = {(0, 0)}
+    queue = deque([(0, 0)])
+    while queue:
+        x, y = queue.popleft()
+        for dx, dy in moves:
+            cell = (x + dx, y + dy)
+            if 0 <= cell[0] < side and 0 <= cell[1] < side and cell not in seen:
+                seen.add(cell)
+                queue.append(cell)
+    return len(seen) == side * side
+
+
+@pytest.mark.parametrize(
+    "q", [pytest.param(q, marks=[pytest.mark.slow] if q > 12 else []) for q in range(2, 31)]
+)
+def test_move_model_connected_iff_free(q):
+    """The (p, q)-leaper graph of a board at least (p + q) x 2q is connected
+    iff gcd(p, q) = 1 and p + q is odd (D. Knuth, "Leaper graphs",
+    Math. Gazette 78 (1994)); the 2(p + q) board is that large, and is_free
+    must say the same."""
+    wrong = [
+        p for p in range(1, q)
+        if _leaper_graph_is_connected(p, q, 2 * (p + q)) != is_free(p, q)
+    ]
+    assert wrong == []
