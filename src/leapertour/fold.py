@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from .geom import Cell, Leaper, edge
 from .keygraph import (
     ConstructionError,
     Cores,
     KeyGraph,
-    adjacency,
     build_key,
+    id_adjacency,
     is_connected_edges,
 )
 
@@ -101,11 +100,10 @@ def outer_paths(key: KeyGraph) -> list[tuple[Cell, Cell]]:
     cells (core intersections) are not included.  The walk runs on the
     key's cell ids, and only the endpoints turn into cells.
     """
-    adj = adjacency(key.outer_ids)
+    adj = id_adjacency(key.outer_ids, key.leaper.side ** 2)
     paths = []
     seen: set[int] = set()
-    endpoints = sorted(c for c, nbrs in adj.items() if len(nbrs) == 1)
-    for start in endpoints:
+    for start in (c for c, nbrs in enumerate(adj) if len(nbrs) == 1):
         if start in seen:
             continue
         seen.add(start)
@@ -118,7 +116,7 @@ def outer_paths(key: KeyGraph) -> list[tuple[Cell, Cell]]:
             nxt = nbrs[1] if nbrs[0] == prev else nbrs[0]
             prev, cur = cur, nxt
         paths.append((divmod(start, key.leaper.side), divmod(cur, key.leaper.side)))
-    if len(seen) != len(adj):
+    if len(seen) != len(adj) - adj.count([]):
         raise OuterCycleError("outer graph contains a cycle")
     return paths
 
@@ -174,13 +172,6 @@ def fold_params(leaper: Leaper) -> FoldParams:
     r = leaper.q - leaper.p
     m = leaper.p % r
     return FoldParams(r=r, m=m, n=r - m, h=leaper.p // r)
-
-
-def toggle_floors(edges: Iterable[FoldEdge]) -> frozenset[FoldEdge]:
-    """Swap the two floors of every vertex (maps R(m, n) onto R(n, m))."""
-    return frozenset(
-        edge((a[0], a[1], 3 - a[2]), (b[0], b[1], 3 - b[2])) for a, b in edges
-    )
 
 
 def check_fold(source: Leaper | KeyGraph) -> FoldReport:

@@ -14,15 +14,16 @@ order, the central reflection of id i is side**2 - 1 - i, and
 divmod(i, side) turns an id back into its cell.  The splice engine and the
 fold read the ids.  The fields that hold cells as (x, y) tuples (rhombi,
 inner_edges, outer_edges, edges and core_membership) are views, derived
-from the ids on first read; error messages name cells too.
+from the ids on first read; error messages name cells too.  One depth-first
+search over id neighbour lists, components, serves cycle_partition (for
+halve, both splices and tile) and is_connected_edges.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Hashable, Iterable, Sequence, TypeVar
 
 from .geom import (
@@ -256,40 +257,55 @@ def build_key(leaper: Leaper) -> KeyGraph:
     return KeyGraph(leaper, cores, tuple(rhombi), tuple(outer), membership)
 
 
-def adjacency(edges: Iterable[tuple[V, V]]) -> dict[V, list[V]]:
-    """Neighbour lists of an undirected edge set; absent vertices read as []."""
-    adj: dict[V, list[V]] = defaultdict(list)
+def id_adjacency(edges: Iterable[IdEdge], n: int) -> list[list[int]]:
+    """Neighbour lists of an undirected edge set on the ids 0 .. n - 1."""
+    adj: list[list[int]] = [[] for _ in range(n)]
     for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
     return adj
 
 
-def cycle_partition(edges: Iterable[tuple[V, V]]) -> tuple[tuple[V, ...], ...]:
-    """Split a degree-2 edge set into canonical cyclic vertex sequences.
+def components(adj: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The components of the graph on ids with these neighbour lists, each
+    in depth-first order.
 
-    Each cycle starts at its smallest vertex and runs toward the smaller of
-    that vertex's two neighbours.  On cells that is lexicographic order, and
-    cell ids keep it.  Callers that partition ids check degrees first with
-    check_two_factor, so that degree failures name a cell.
+    Start ids are taken in increasing order, and each start visits its
+    smaller neighbour first.  So each component starts at its smallest id,
+    and on a degree-2 graph each comes out as its cycle in canonical order:
+    from that id toward the smaller of its two neighbours.
     """
-    adj = adjacency(edges)
-    if set(map(len, adj.values())) - {2}:
-        cell, nbrs = next((c, nbrs) for c, nbrs in adj.items() if len(nbrs) != 2)
-        raise ConstructionError(f"cell {cell} has degree {len(nbrs)}, expected 2")
-
-    cycles = []
-    for start in sorted(adj):
-        if start not in adj:  # popped with an earlier cycle
+    seen = [False] * len(adj)
+    out = []
+    for start in range(len(adj)):
+        if seen[start]:
             continue
-        cycle = [start]
-        prev, cur = start, min(adj.pop(start))
-        while cur != start:
-            cycle.append(cur)
-            a, b = adj.pop(cur)
-            prev, cur = cur, b if a == prev else a
-        cycles.append(tuple(cycle))
-    return tuple(cycles)
+        seen[start] = True
+        component = [start]
+        stack = sorted(adj[start], reverse=True)
+        while stack:
+            v = stack.pop()
+            if not seen[v]:
+                seen[v] = True
+                component.append(v)
+                stack += adj[v]
+        out.append(component)
+    return out
+
+
+def cycle_partition(edges: Iterable[IdEdge], n: int, height: int) -> list[list[int]]:
+    """Split a degree-2 edge set on the ids 0 .. n - 1 into canonical cyclic
+    id sequences (see components).
+
+    The id of the cell (x, y) is x * height + y, so id order is lexicographic
+    cell order, and a degree failure names the first such cell.
+    """
+    adj = id_adjacency(edges, n)
+    degrees = list(map(len, adj))
+    if degrees.count(2) != n:
+        c = next(c for c, d in enumerate(degrees) if d != 2)
+        raise ConstructionError(f"cell {divmod(c, height)} has degree {degrees[c]}, expected 2")
+    return components(adj)
 
 
 def halving_ids(key: KeyGraph, bits: Sequence[int]) -> list[IdEdge]:
@@ -302,21 +318,13 @@ def halving_ids(key: KeyGraph, bits: Sequence[int]) -> list[IdEdge]:
     return edges
 
 
-def check_two_factor(degrees: Sequence[int], side: int) -> None:
-    """Raise, naming the first such cell, unless every cell id has degree 2."""
-    if degrees.count(2) != len(degrees):
-        c = next(c for c, d in enumerate(degrees) if d != 2)
-        raise ConstructionError(f"cell {divmod(c, side)} has degree {degrees[c]}, expected 2")
-
-
 def halve(key: KeyGraph, bits: Sequence[int]) -> TwoFactor:
     """Pseudotour from a per-rhombus matching choice (one bit per rhombus),
-    partitioned on cell ids and turned into cells at the end."""
+    partitioned on cell ids and turned into cells at the end.  It needs no
+    degree pass of its own: cycle_partition proves every degree is 2."""
     side = key.leaper.side
     edges = halving_ids(key, bits)
-    degrees = Counter(chain.from_iterable(edges))
-    check_two_factor([degrees[i] for i in range(side * side)], side)
-    cycles = cycle_partition(edges)
+    cycles = cycle_partition(edges, side * side, side)
     cell = key.cells
     return TwoFactor(
         edges=frozenset([(cell[a], cell[b]) for a, b in edges]),
@@ -325,17 +333,8 @@ def halve(key: KeyGraph, bits: Sequence[int]) -> TwoFactor:
 
 
 def is_connected_edges(cells: Iterable[V], edges: Iterable[tuple[V, V]]) -> bool:
-    """True iff the edges join all the given vertices into one component."""
-    cells = set(cells)
-    if not cells:
-        return True
-    adj = adjacency(edges)
-    start = next(iter(cells))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == cells
+    """True iff the edges join all the given vertices into one component;
+    both ends of every edge must be among them."""
+    index = {v: i for i, v in enumerate(set(cells))}
+    ids = [(index[a], index[b]) for a, b in edges]
+    return len(components(id_adjacency(ids, len(index)))) <= 1

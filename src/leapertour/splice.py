@@ -1,16 +1,16 @@
 """Turning pseudotours into Hamiltonian tours by rhombus flips.
 
 A pseudotour is one matching bit per rhombus, and a flip toggles a
-rhombus's bit; when the two current matching edges lie on different
-cycles, the flip merges them.  Both splices share one engine over a list of
-bits, and it runs on the key graph's id view (see keygraph), in lists
-indexed by cell id.  It labels each cycle of the halving once with the id
-of its first cell; those labels seed a CycleTracker, and each merge flip
-unions two of them.  At the end the id edges the bits pick are built once
-and one cycle partition checks for a single tour.  The plain splice makes
-one pass of merge flips over all rhombi; the symmetric one grows a cycle by
-mirrored pairs.  Ids turn back into cells only in Tour.cells and in error
-messages.
+rhombus's bit; when the two current matching edges lie on different cycles,
+the flip merges them.  Both splices share one engine over a list of bits,
+and it runs on the key graph's id view (see keygraph), in lists indexed by
+cell id.  It labels each cycle of the halving once, by the shared
+components search, with the id of its first cell; those labels seed a
+CycleTracker, and each merge flip unions two of them.  At the end the id
+edges the bits pick are built once and one cycle partition checks degrees
+and a single tour.  The plain splice makes one pass of merge flips over all
+rhombi; the symmetric one grows a cycle by mirrored pairs.  Ids turn back
+into cells only in Tour.cells and in error messages.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ from .geom import Cell, Edge, edge
 from .keygraph import (
     ConstructionError,
     KeyGraph,
-    check_two_factor,
+    components,
     cycle_partition,
     halving_ids,
+    id_adjacency,
     is_connected_edges,
 )
 
@@ -45,10 +46,10 @@ class Tour:
 
 
 class CycleTracker:
-    """Disjoint sets over cell ids, cells or tile copies; two share a set
-    iff they currently lie on the same cycle.  The tracker works in place on
-    the parent table it is given, a list over ids or copy numbers or a dict
-    over cells: parent[x] leads toward x's representative r, parent[r] == r."""
+    """Disjoint sets over cell ids or tile copies; two share a set iff they
+    currently lie on the same cycle.  The tracker works in place on the
+    parent list it is given, over ids or copy numbers: parent[x] leads
+    toward x's representative r, and parent[r] == r."""
 
     def __init__(self, parent):
         self.parent = parent
@@ -78,25 +79,19 @@ def random_bits(count: int, seed: int | None) -> list[int]:
 
 
 def _tracked_halving(key: KeyGraph, bits: Sequence[int]) -> tuple[list[int], CycleTracker]:
-    """A copy of the bits and a tracker of the cycles of the halving they
-    pick, over cell ids."""
-    side = key.leaper.side
-    n = side * side
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in halving_ids(key, bits):
-        adj[a].append(b)
-        adj[b].append(a)
-    # label each component of the halving with the id of its first cell
-    roots = [-1] * n
-    for start in range(n):
-        if roots[start] < 0:
-            roots[start] = start
-            stack = [start]
-            while stack:
-                for w in adj[stack.pop()]:
-                    if roots[w] < 0:
-                        roots[w] = start
-                        stack.append(w)
+    """A copy of the bits and a tracker of the components of the halving
+    they pick, over cell ids, each labelled with the id of its first cell.
+
+    It checks no degree.  A flip swaps a rhombus's matching for the other,
+    which keeps every cell's degree, and the halving of every tour the
+    splices return and of every triple flip passes through cycle_partition,
+    which proves every degree is 2.  So a halving with a cell of another
+    degree fails there, whatever the flips before it did.
+    """
+    roots = [0] * key.leaper.side ** 2
+    for component in components(id_adjacency(halving_ids(key, bits), len(roots))):
+        for c in component:
+            roots[c] = component[0]
 
     # The key graph is the halving plus each rhombus's other matching, and
     # that matching joins the component of one current matching edge to the
@@ -105,7 +100,6 @@ def _tracked_halving(key: KeyGraph, bits: Sequence[int]) -> tuple[list[int], Cyc
     links = [(roots[e1[0]], roots[e2[0]]) for e1, e2 in map(getitem, key.matching_ids, bits)]
     if not is_connected_edges(set(roots), links):
         raise ConstructionError("key graph is not connected")
-    check_two_factor(list(map(len, adj)), side)
     return list(bits), CycleTracker(roots)
 
 
@@ -121,12 +115,14 @@ def _merge_flip(key: KeyGraph, bits: list[int], tracker: CycleTracker, i: int) -
 
 def _single_tour(key: KeyGraph, bits: Sequence[int], what: str) -> Tour:
     """The tour the bits' halving forms, checked to be one cycle over the
-    whole board.  It keeps every outer edge: cycle_partition has shown that
-    each listed cell has degree 2, one cycle of side**2 cells has side**2
-    edges, and side**2 is the length of the list, which holds the outer
-    edges; so every listed edge is a tour step."""
-    cycles = cycle_partition(halving_ids(key, bits))
-    if len(cycles) != 1 or len(cycles[0]) != key.leaper.side ** 2:
+    whole board.  cycle_partition has shown that each of the side**2 cell
+    ids has degree 2, so one cycle covers them all.  The tour keeps every
+    outer edge: a cycle of side**2 cells has side**2 edges, and side**2 is
+    the length of the list, which holds the outer edges; so every listed
+    edge is a tour step."""
+    side = key.leaper.side
+    cycles = cycle_partition(halving_ids(key, bits), side * side, side)
+    if len(cycles) != 1:
         raise ConstructionError(f"{what} left {len(cycles)} cycles")
     return Tour(cells=tuple(map(key.cells.__getitem__, cycles[0])))
 
@@ -141,10 +137,14 @@ def splice(key: KeyGraph, bits: Sequence[int]) -> Tour:
 
 def _partners(key: KeyGraph) -> list[int]:
     """Index of each rhombus's central reflection among the key's rhombi."""
-    last = key.leaper.side ** 2 - 1
+    side = key.leaper.side
     cellsets = [frozenset(r) for r in key.rhombus_ids]
     index = {cells: i for i, cells in enumerate(cellsets)}
-    return [index[frozenset(last - c for c in cells)] for cells in cellsets]
+    partners = [index.get(frozenset(side * side - 1 - c for c in cells)) for cells in cellsets]
+    if None in partners:
+        cells = tuple(divmod(c, side) for c in key.rhombus_ids[partners.index(None)])
+        raise ConstructionError(f"rhombus {cells} has no central mirror")
+    return partners
 
 
 def symmetric_halving_bits(key: KeyGraph) -> list[int]:
@@ -231,7 +231,7 @@ def symmetric_splice(key: KeyGraph) -> Tour:
             for k in (i1, i, j):
                 bits[k] ^= 1
             merged = {c for c in range(last + 1) if find(c) in (grown, absorbed)}
-            cycles = cycle_partition(halving_ids(key, bits))
+            cycles = cycle_partition(halving_ids(key, bits), last + 1, key.leaper.side)
             if set(next(c for c in cycles if anchor in c)) != merged:
                 raise ConstructionError("symmetric splice failed to grow the cycle")
             tracker.union(anchor, out_edge[0])

@@ -7,16 +7,18 @@ da are also legal moves.  Flipping the switches along a spanning tree of
 the subboard grid splices all copies into one Hamiltonian tour.  Since
 every copy is the base tour or its rotation, the tree has only four seam
 types; each type's switches are found once, by an endpoint index, and
-translated to every seam of that type.
+translated to every seam of that type.  The seam search runs on cells, and
+the board's edges are ids x * height + y for the shared cycle partition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import AbstractSet, Iterable, Iterator, Optional
 
 from .geom import Cell, Edge, Leaper, edge
-from .keygraph import ConstructionError, cycle_partition
+from .keygraph import ConstructionError, IdEdge, cycle_partition
 from .splice import CycleTracker, Tour
 
 
@@ -96,6 +98,12 @@ def _shift(sw: Switch, dx: int, dy: int) -> Switch:
     return Switch(*((x + dx, y + dy) for x, y in (sw.a, sw.b, sw.c, sw.d)))
 
 
+def _ids(edges: Iterable[Edge], height: int) -> list[IdEdge]:
+    """Cell edges as id pairs x * height + y; the order of an edge's ends is
+    kept, and ids keep the order of cells with y < height."""
+    return [(a[0] * height + a[1], b[0] * height + b[1]) for a, b in edges]
+
+
 def _name(leaper: Leaper) -> str:
     return f"({leaper.p},{leaper.q})-leaper"
 
@@ -130,10 +138,14 @@ def tile(leaper: Leaper, k: int, l: int, base: Tour) -> Tour:
     base_edges = base.edge_set()
     copies = (base_edges, rotate_edges_ccw(base_edges, side))
 
-    all_edges: set[Edge] = set()
+    # a copy's ids are those of its orientation at the origin plus an offset
+    height = l * side
+    origin = [_ids(edges, height) for edges in copies]
+    board: set[IdEdge] = set()
     for i in range(k):
         for j in range(l):
-            all_edges |= translate_edges(copies[(i + j) % 2], i * side, j * side)
+            offset = (i * height + j) * side
+            board.update([(a + offset, b + offset) for a, b in origin[(i + j) % 2]])
 
     # Comb spanning tree: every row left to right, rows joined in column 0.
     tree = [((i, j), (i + 1, j)) for j in range(l) for i in range(k - 1)]
@@ -160,14 +172,15 @@ def tile(leaper: Leaper, k: int, l: int, base: Tour) -> Tour:
         copy_a, copy_b = (x // side * l + y // side for x, y in (sw.a, sw.c))
         if not tracker.union(copy_a, copy_b):
             raise ConstructionError(f"switch {sw} between {place} does not merge two cycles")
-        all_edges.difference_update(sw.old_edges())
-        all_edges.update(sw.new_edges())
+        board.difference_update(_ids(sw.old_edges(), height))
+        board.update(_ids(sw.new_edges(), height))
         used.update(sw.old_edges())
         used.update(sw.new_edges())
 
-    cycles = cycle_partition(all_edges)
-    if len(cycles) != 1 or len(cycles[0]) != k * l * side * side:
+    # the partition covers every id, so one cycle is a tour of the board
+    cycles = cycle_partition(board, k * height * side, height)
+    if len(cycles) != 1:
         raise ConstructionError(
             f"{k}x{l} tiling of the {_name(leaper)} tour left {len(cycles)} cycles"
         )
-    return Tour(cells=cycles[0])
+    return Tour(cells=tuple(map(divmod, cycles[0], repeat(height))))

@@ -1,7 +1,10 @@
 import dataclasses
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import leapertour.fold as fold_module
 from leapertour.fold import (
@@ -14,9 +17,10 @@ from leapertour.fold import (
     is_connected,
     outer_paths,
     project,
-    toggle_floors,
+    TwoFloorGraph,
 )
-from leapertour.geom import Leaper
+from leapertour.cli import free_leapers
+from leapertour.geom import Leaper, edge
 from leapertour.keygraph import build_cores, build_key, is_connected_edges
 
 
@@ -138,8 +142,9 @@ def test_outer_acyclic_directly():
 
 def test_outer_paths_raises_on_a_cycle():
     key = build_key(Leaper(2, 5))
-    # ids past the 14 x 14 board's last, so the triangle touches no outer path
-    a, b, c = 20 * 14 + 20, 20 * 14 + 21, 21 * 14 + 20
+    # core-intersection cells of the 14 x 14 board, which no outer edge
+    # touches, so the triangle touches no outer path
+    a, b, c = 4 * 14 + 4, 4 * 14 + 9, 9 * 14 + 4
     triangle = ((a, b), (a, c), (b, c))
     with pytest.raises(OuterCycleError, match="cycle"):
         outer_paths(dataclasses.replace(key, outer_ids=key.outer_ids + triangle))
@@ -155,6 +160,13 @@ def test_check_fold_walks_the_outer_graph_once(monkeypatch):
     monkeypatch.setattr(fold_module, "outer_paths", counting_outer_paths)
     report = check_fold(Leaper(2, 5))
     assert report.matches and calls == [Leaper(2, 5)]
+
+
+def toggle_floors(edges):
+    """Swap the two floors of every vertex (maps R(m, n) onto R(n, m))."""
+    return frozenset(
+        edge((a[0], a[1], 3 - a[2]), (b[0], b[1], 3 - b[2])) for a, b in edges
+    )
 
 
 def test_floor_toggle_swaps_crisscross_graphs():
@@ -222,3 +234,43 @@ def test_single_vertex_graph_connected():
     g = TwoFloorGraph(t=0, edges=frozenset({((0, 0, 1), (0, 0, 2))}))
     assert is_connected(g)
     assert not is_connected(TwoFloorGraph(t=0, edges=frozenset()))
+
+
+# --- networkx cross-checks of the three connectivity answers ---------------
+
+
+def _nx_connected(nx, vertices, edges):
+    graph = nx.Graph()
+    graph.add_nodes_from(vertices)
+    graph.add_edges_from(edges)
+    return nx.is_connected(graph)
+
+
+def _connectivity_cases(p, q, keep):
+    """(package's answer, vertices, edges) for the key, folding and
+    crisscross graphs of the (p, q)-leaper, each edge kept iff keep(edge)."""
+    key = build_key(Leaper(p, q))
+    side = key.leaper.side
+    report = check_fold(key)
+    assert report.outer_acyclic
+    cells = [(x, y) for x in range(side) for y in range(side)]
+    key_edges = [e for e in sorted(key.edges) if keep(e)]
+    cases = [(is_connected_edges(cells, key_edges), cells, key_edges)]
+    for graph in (report.folding, report.crisscross):
+        kept = TwoFloorGraph(graph.t, frozenset(e for e in sorted(graph.edges) if keep(e)))
+        cases.append((is_connected(kept), kept.vertices(), kept.edges))
+    return cases
+
+
+@pytest.mark.parametrize("p,q", free_leapers(21))
+def test_connectivity_agrees_with_networkx(nx, p, q):
+    for answer, vertices, edges in _connectivity_cases(p, q, lambda e: True):
+        assert answer == _nx_connected(nx, vertices, edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(free_leapers(21)), st.sampled_from([0.002, 0.02, 0.2]), st.integers(0, 2**32 - 1))
+def test_connectivity_agrees_with_networkx_after_dropping_edges(nx, pq, drop, seed):
+    rng = random.Random(seed)
+    for answer, vertices, edges in _connectivity_cases(*pq, lambda e: rng.random() >= drop):
+        assert answer == _nx_connected(nx, vertices, edges)

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 from collections import Counter, defaultdict
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -16,10 +17,15 @@ from leapertour.keygraph import (
     build_inner,
     build_key,
     build_outer,
+    components,
+    cycle_partition,
     halve,
+    halving_ids,
+    id_adjacency,
     is_connected_edges,
 )
 from leapertour.splice import random_bits, splice, symmetric_splice
+from oracles import cycle_partition as oracle_partition
 
 FREE_SMALL = [(1, 2), (2, 3), (1, 4), (3, 4), (2, 5), (4, 5), (1, 6), (5, 6), (2, 7), (4, 7)]
 
@@ -148,6 +154,42 @@ def test_cycle_partition_is_canonical():
     for cyc in two.cycles:
         assert cyc[0] == min(cyc)
         assert cyc[1] < cyc[-1]
+
+
+@lru_cache(maxsize=None)
+def _cached_key(p, q):
+    return build_key(Leaper(p, q))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(free_leapers(21)), st.integers(0, 2**32 - 1))
+def test_id_partition_equals_the_tuple_oracle_on_halvings(pq, seed):
+    key = _cached_key(*pq)
+    side = key.leaper.side
+    edges = halving_ids(key, random_bits(len(key.rhombus_ids), seed))
+    cycles = cycle_partition(edges, side * side, side)
+    assert list(map(tuple, cycles)) == list(oracle_partition(edges))
+    cells = [(divmod(a, side), divmod(b, side)) for a, b in edges]
+    assert [tuple(divmod(c, side) for c in cycle) for cycle in cycles] == list(oracle_partition(cells))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 30).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40)
+        )
+    )
+)
+def test_components_are_the_networkx_components(nx, graph_spec):
+    n, edges = graph_spec
+    found = components(id_adjacency(edges, n))
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from(edges)
+    assert sorted(map(sorted, found)) == sorted(map(sorted, nx.connected_components(graph)))
+    # each component starts at its smallest id, and they come in that order
+    assert [c[0] for c in found] == sorted(min(c) for c in found)
 
 
 def test_core_membership_counts_the_cores_holding_each_cell():

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 import sys
 from functools import lru_cache
 
@@ -7,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leapertour.keygraph as keygraph
 import leapertour.splice as splice_module
 from leapertour.cli import free_leapers
 from leapertour.geom import Leaper, edge
 from leapertour.keygraph import (
     ConstructionError,
     build_key,
-    cycle_partition,
     halve,
     halving_ids,
 )
@@ -32,6 +33,7 @@ from leapertour.splice import (
 )
 from leapertour.tile import tile
 from leapertour.verify import verify_central_symmetry, verify_tour
+from oracles import cycle_partition as oracle_partition
 
 
 @pytest.fixture(scope="module")
@@ -89,11 +91,11 @@ def test_flip_changes_exactly_four_edges(key25):
 
 def test_flip_merges_cycles_when_edges_on_different_cycles(key25):
     zeros = [0] * len(key25.rhombi)
-    before = len(cycle_partition(halving_edges(key25, zeros)))
+    before = len(oracle_partition(halving_edges(key25, zeros)))
     for i in range(len(key25.rhombi)):
         bits, tracker = _tracked_halving(key25, zeros)
         if _merge_flip(key25, bits, tracker, i):
-            assert len(cycle_partition(halving_edges(key25, bits))) == before - 1
+            assert len(oracle_partition(halving_edges(key25, bits))) == before - 1
             # both matching edges now lie on one cycle, so it stays put
             assert not _merge_flip(key25, bits, tracker, i) and bits[i] == 1
             break
@@ -194,7 +196,7 @@ def _oracle_symmetric_splice(key):
     partners = _partners(key)
 
     def cycle_cells_through(cell):
-        return next(frozenset(cyc) for cyc in cycle_partition(edges) if cell in cyc)
+        return next(frozenset(cyc) for cyc in oracle_partition(edges) if cell in cyc)
 
     r1 = key.rhombi[_find_center_rhombus(key, partners)]
     anchor = r1.cells[0]
@@ -223,7 +225,7 @@ def _oracle_symmetric_splice(key):
         new_grown = cycle_cells_through(anchor)
         assert len(new_grown) > len(grown)
         grown = new_grown
-    cycles = cycle_partition(edges)
+    cycles = oracle_partition(edges)
     assert len(cycles) == 1 and len(cycles[0]) == side * side
     return Tour(cells=cycles[0])
 
@@ -241,7 +243,7 @@ def _oracle_splice(key, bits):
             _flip_edges(edges, r)
             for a, b in r.matching(current_matching(edges, r)):
                 tracker.union(a, b)
-    (cycle,) = cycle_partition(edges)
+    (cycle,) = oracle_partition(edges)
     return Tour(cells=cycle)
 
 
@@ -278,9 +280,9 @@ def test_symmetric_splice_of_random_symmetric_halvings(monkeypatch, low, high):
     # the all-zero halving never needs a triple flip; random symmetric ones do
     partitions = []
 
-    def counting_partition(edges):
+    def counting_partition(edges, *args):
         partitions.append(len(edges))
-        return cycle_partition(edges)
+        return keygraph.cycle_partition(edges, *args)
 
     monkeypatch.setattr(splice_module, "cycle_partition", counting_partition)
     triple_flips = 0
@@ -308,9 +310,9 @@ def test_symmetric_splice_partitions_the_board_once(monkeypatch, p, q):
     key = build_key(Leaper(p, q))
     calls = []
 
-    def counting_partition(edges):
+    def counting_partition(edges, *args):
         calls.append(len(edges))
-        return cycle_partition(edges)
+        return keygraph.cycle_partition(edges, *args)
 
     monkeypatch.setattr(splice_module, "cycle_partition", counting_partition)
     symmetric_splice(key)
@@ -360,7 +362,7 @@ def _split_keys(key):
     """Key graphs split in two ways: without the outer graph, and with only
     the all-zero halving's cycles (every cell keeps degree 2)."""
     zeros = [0] * len(key.rhombi)
-    assert len(cycle_partition(halving_edges(key, zeros))) > 1
+    assert len(oracle_partition(halving_edges(key, zeros))) > 1
     return [
         (dataclasses.replace(key, outer_ids=()), zeros),
         (dataclasses.replace(key, rhombus_ids=(), outer_ids=tuple(halving_ids(key, zeros))), []),
@@ -380,6 +382,39 @@ def test_degree_error_names_a_cell(key25):
     key = dataclasses.replace(key25, rhombus_ids=key25.rhombus_ids[1:])
     with pytest.raises(ConstructionError, match=r"^cell \(\d+, \d+\) has degree 1, expected 2$"):
         splice(key, [0] * len(key.rhombus_ids))
+
+
+def test_rhombus_without_a_mirror_is_named(key25):
+    # dropping rhombus 0 leaves its central partner without a mirror image
+    side = key25.leaper.side
+    key = dataclasses.replace(key25, rhombus_ids=key25.rhombus_ids[1:])
+    cell = r"\(\d+, \d+\)"
+    with pytest.raises(
+        ConstructionError, match=rf"^rhombus \({cell}(, {cell}){{3}}\) has no central mirror$"
+    ) as error:
+        symmetric_splice(key)
+    named = {(int(x), int(y)) for x, y in re.findall(r"\((\d+), (\d+)\)", str(error.value))}
+    assert named == {divmod(side * side - 1 - c, side) for c in key25.rhombus_ids[0]}
+
+
+def test_extra_mirrored_outer_edges_fail_the_degree_check(key25):
+    # each leaper move outside the key graph, added with its mirror image,
+    # gives four cells degree 3 in every halving; a + b < last picks one
+    # edge of each mirrored pair
+    leaper, side = key25.leaper, key25.leaper.side
+    last = side * side - 1
+    extra = {
+        (a, b)
+        for a in range(last + 1)
+        for dx, dy in leaper.directions()
+        for b in [a + dx * side + dy]
+        if 0 <= a // side + dx < side and 0 <= a % side + dy < side and a < b and a + b < last
+    } - set(key25.outer_ids) - {e for pair in key25.matching_ids for m in pair for e in m}
+    assert len(extra) == 100
+    for a, b in extra:
+        key = dataclasses.replace(key25, outer_ids=key25.outer_ids + ((a, b), (last - b, last - a)))
+        with pytest.raises(ConstructionError, match=r"^cell \(\d+, \d+\) has degree 3, expected 2$"):
+            symmetric_splice(key)
 
 
 def test_self_mirrored_edge_error_names_its_cells(key25):
@@ -429,11 +464,6 @@ def test_tours_come_out_canonical(pq, seed, k, l):
     plain = splice(key, random_bits(len(key.rhombi), seed))
     for tour in (plain, symmetric_splice(key), tile(key.leaper, k, l, plain)):
         assert canonicalize(tour) == tour
-
-
-@pytest.fixture(scope="module")
-def nx():
-    return pytest.importorskip("networkx")
 
 
 @settings(max_examples=40, deadline=None)

@@ -17,6 +17,7 @@ from leapertour.tile import (
     translate_edges,
 )
 from leapertour.verify import verify_tour
+from oracles import cycle_partition as oracle_partition
 
 
 def base_tour(p, q):
@@ -174,7 +175,7 @@ def reference_tile(leaper, k, l, base):
         used.update(sw.old_edges() + sw.new_edges())
         for a, b in sw.new_edges():
             tracker.union(a, b)
-    (cells,) = cycle_partition(all_edges)
+    (cells,) = oracle_partition(all_edges)
     return Tour(cells=cells)
 
 
@@ -230,3 +231,28 @@ def test_random_tilings_verify(pq, seed, k, l):
     tour = tile(leaper, k, l, splice(key, random_bits(len(key.rhombi), seed)))
     report = verify_tour(tour.cells, p, q, k * leaper.side, l * leaper.side)
     assert report.valid, report.first_failure
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(FREE_UP_TO_9),
+    st.integers(0, 2**16),
+    st.integers(1, 3),
+    st.integers(1, 3),
+)
+def test_id_partition_equals_the_tuple_oracle_on_tilings(pq, seed, k, l):
+    leaper = Leaper(*pq)
+    side, height = leaper.side, l * leaper.side
+    key = cached_key(*pq)
+    base = splice(key, random_bits(len(key.rhombi), seed))
+    copies = (base.edge_set(), rotate_edges_ccw(base.edge_set(), side))
+    # the placed copies before any switch: one cycle per copy
+    placed = set().union(
+        *(translate_edges(copies[(i + j) % 2], i * side, j * side) for i in range(k) for j in range(l))
+    )
+    ids = [(a[0] * height + a[1], b[0] * height + b[1]) for a, b in placed]
+    cycles = cycle_partition(ids, k * l * side * side, height)
+    assert [tuple(divmod(c, height) for c in cycle) for cycle in cycles] == list(oracle_partition(placed))
+    # and the switched board, whose one cycle tile returns
+    tour = tile(leaper, k, l, base)
+    assert oracle_partition(tour.edge_set()) == (tour.cells,)

@@ -1,10 +1,13 @@
 from collections import deque
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leapertour.geom import Leaper
 from leapertour.keygraph import build_key
-from leapertour.splice import splice, symmetric_splice
+from leapertour.splice import random_bits, splice, symmetric_splice
 from leapertour.verify import (
     is_free,
     oracle_tour_search,
@@ -150,3 +153,82 @@ def test_move_model_connected_iff_free(q):
         if _leaper_graph_is_connected(p, q, 2 * (p + q)) != is_free(p, q)
     ]
     assert wrong == []
+
+
+# --- mutation testing: one edit to a valid tour ----------------------------
+
+
+def _is_leap(a, b, p, q):
+    return sorted((abs(a[0] - b[0]), abs(a[1] - b[1]))) == [p, q]
+
+
+def _oracle_closed_tour(cells, p, q, side):
+    """A closed tour visits every cell of the board once, each step and the
+    step back to the start a leap."""
+    return (
+        sorted(cells) == [(x, y) for x in range(side) for y in range(side)]
+        and all(_is_leap(cells[i - 1], cells[i], p, q) for i in range(len(cells)))
+    )
+
+
+def _oracle_symmetric(cells, side):
+    """The cyclic sequence's steps map onto themselves under the point
+    reflection of the side x side board."""
+    steps = {frozenset((cells[i - 1], cells[i])) for i in range(len(cells))}
+    mirrored = {frozenset((side - 1 - x, side - 1 - y) for x, y in step) for step in steps}
+    return steps == mirrored
+
+
+@lru_cache(maxsize=None)
+def _valid_tours(p, q):
+    key = build_key(Leaper(p, q))
+    return (symmetric_splice(key).cells, splice(key, random_bits(len(key.rhombi), 5)).cells)
+
+
+@lru_cache(maxsize=None)
+def _leap_reversals(p, q, which):
+    """Every sequence made from a valid tour by reversing cells i .. j so
+    that each step but the closing one stays a leap.  Most are 2-opt moves,
+    which give another closed tour, often without central symmetry; the
+    others are open paths that only the closing step gives away."""
+    cells = _valid_tours(p, q)[which]
+    n = len(cells)
+    return [
+        cells[:i] + cells[j:i - 1 if i else None:-1] + cells[j + 1:]
+        for i in range(n)
+        for j in range(i + 1, n)
+        if (i == 0 or _is_leap(cells[i - 1], cells[j], p, q))
+        and (j == n - 1 or _is_leap(cells[i], cells[j + 1], p, q))
+    ]
+
+
+EDITS = ("swap", "drop", "duplicate", "reverse", "leap", "leap-reverse")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(1, 2), (2, 3), (2, 5)]), st.integers(0, 1), st.sampled_from(EDITS), st.data())
+def test_verify_agrees_with_the_oracle_after_one_edit(pq, which, edit, data):
+    p, q = pq
+    side = 2 * (p + q)
+    cells = list(_valid_tours(p, q)[which])
+    n = len(cells)
+    i, j = sorted(data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    if edit == "swap":
+        cells[i], cells[j] = cells[j], cells[i]
+    elif edit == "drop":
+        del cells[i]
+    elif edit == "duplicate":
+        cells.insert(j, cells[i])
+    elif edit == "reverse":
+        cells[i:j + 1] = cells[i:j + 1][::-1]
+    elif edit == "leap":
+        dx, dy = data.draw(st.sampled_from(sorted(Leaper(p, q).directions())))
+        cells[i] = (cells[i][0] + dx, cells[i][1] + dy)
+    else:
+        cells = list(data.draw(st.sampled_from(_leap_reversals(p, q, which))))
+    closed = _oracle_closed_tour(cells, p, q, side)
+    symmetric = _oracle_symmetric(cells, side)
+    report = verify_tour(cells, p, q, side, side)
+    assert report.valid == closed
+    assert verify_central_symmetry(cells, side, side) == symmetric
+    assert report.centrally_symmetric == (closed and symmetric)
