@@ -85,11 +85,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         raise SystemExit2(f"cannot read tour file: {exc}")
 
-    p = args.p if args.p is not None else p
-    q = args.q if args.q is not None else q
-    width = args.width if args.width is not None else width
-    height = args.height if args.height is not None else height
-
     try:
         report = verify.verify_tour(cells, p, q, width, height)
     except ValueError as exc:
@@ -192,10 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="check a structured tour file")
     v.add_argument("path")
-    v.add_argument("--p", type=int, default=None)
-    v.add_argument("--q", type=int, default=None)
-    v.add_argument("--width", type=int, default=None)
-    v.add_argument("--height", type=int, default=None)
     v.add_argument("--require-symmetry", action="store_true")
     v.set_defaults(func=cmd_verify)
 

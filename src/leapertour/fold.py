@@ -3,10 +3,12 @@
 The key graph folds onto a small two-floor graph: the four forward cores
 stack into the first floor, the four backward cores into the second, and
 every maximal path of the outer graph contracts to a single edge between
-the projections of its endpoints.  The folded graph always coincides with
-an explicitly defined "crisscross" graph R(m, n), which in turn is
-connected for every admissible pair (m, n).  Both facts are checked here
-per instance by direct computation.
+the projections of its end cells.  One table over cell ids, filled by
+walking each core's cells once, holds every cell's projections, and the
+paths come from keygraph.components over the outer graph's ids.  The
+folded graph always coincides with an explicitly defined "crisscross"
+graph R(m, n), which in turn is connected for every admissible pair
+(m, n).  Both facts are checked here per instance by direct computation.
 """
 
 from __future__ import annotations
@@ -14,12 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geom import Cell, Leaper, edge
+from .geom import Leaper, edge
 from .keygraph import (
     ConstructionError,
-    Cores,
     KeyGraph,
     build_key,
+    components,
     id_adjacency,
     is_connected_edges,
 )
@@ -71,75 +73,62 @@ class FoldReport:
     crisscross: TwoFloorGraph | None  # the expected R(m, n); None likewise
 
 
-def project(cell: Cell, cores: Cores) -> tuple[FoldVertex, ...]:
-    """Projections of a core cell: floor 1 for forward, floor 2 for backward.
-
-    A cell at position (x + s, y + s) within a core projects to (x, y);
-    cells in a core intersection have one projection on each floor.
+def projections(key: KeyGraph) -> list[tuple[FoldVertex, ...]]:
+    """The fold vertices of each cell id: floor 1 for a forward core, floor 2
+    for a backward one, and none for a cell outside every core.  A cell at
+    position (x + t, y + t) within a core projects to (x, y).
     """
-    out: list[FoldVertex] = []
-    for floor, group in ((1, cores.forward), (2, cores.backward)):
+    side = key.leaper.side
+    t = (key.leaper.q - key.leaper.p - 1) // 2
+    table: list[tuple[FoldVertex, ...]] = [()] * side ** 2
+    for floor, group in ((1, key.cores.forward), (2, key.cores.backward)):
         for core in group:
-            if cell in core:
-                s = (core.x2 - core.x1 - 1) // 2
-                out.append((cell[0] - core.x1 - s, cell[1] - core.y1 - s, floor))
-                break
-    if not out:
-        raise ValueError(f"cell {cell} lies in no core")
-    return tuple(out)
+            for x in range(core.x1, core.x2):
+                for y in range(core.y1, core.y2):
+                    table[x * side + y] += ((x - core.x1 - t, y - core.y1 - t, floor),)
+    return table
 
 
 class OuterCycleError(ConstructionError):
     """The outer graph contains a cycle, so it does not fold."""
 
 
-def outer_paths(key: KeyGraph) -> list[tuple[Cell, Cell]]:
-    """Endpoint pairs of the maximal paths of the outer graph.
+def outer_paths(key: KeyGraph) -> list[tuple[int, int]]:
+    """The two end ids of each maximal path of the outer graph.
 
     Raises OuterCycleError if the outer graph contains a cycle; isolated
-    cells (core intersections) are not included.  The walk runs on the
-    key's cell ids, and only the endpoints turn into cells.
+    cells (core intersections) are not included.  Every cell has outer
+    degree at most 2 (build_key checks it), so a component with an edge is
+    a path exactly when two of its cells have outer degree 1.
     """
     adj = id_adjacency(key.outer_ids, key.leaper.side ** 2)
-    paths = []
-    seen: set[int] = set()
-    for start in (c for c, nbrs in enumerate(adj) if len(nbrs) == 1):
-        if start in seen:
-            continue
-        seen.add(start)
-        prev, cur = start, adj[start][0]
-        while True:
-            seen.add(cur)
-            nbrs = adj[cur]
-            if len(nbrs) == 1:
-                break
-            nxt = nbrs[1] if nbrs[0] == prev else nbrs[0]
-            prev, cur = cur, nxt
-        paths.append((divmod(start, key.leaper.side), divmod(cur, key.leaper.side)))
-    if len(seen) != len(adj) - adj.count([]):
+    ends = [[c for c in comp if len(adj[c]) == 1] for comp in components(adj) if len(comp) > 1]
+    if any(len(pair) != 2 for pair in ends):
         raise OuterCycleError("outer graph contains a cycle")
-    return paths
+    return [(a, b) for a, b in ends]
 
 
 def build_folding(key: KeyGraph) -> TwoFloorGraph:
-    """Contract each outer path to an edge between its endpoint projections.
+    """Contract each outer path to an edge between its end projections.
 
     Core-intersection cells count as zero-length paths and contribute the
     between-floor edges.  Coinciding contributions dedup to simple edges.
     """
+    side = key.leaper.side
     t = (key.leaper.q - key.leaper.p - 1) // 2  # q - p = 2t + 1
+    table = projections(key)
     edges: set[FoldEdge] = set()
     for a, b in outer_paths(key):
-        pa, pb = project(a, key.cores), project(b, key.cores)
-        if len(pa) != 1 or len(pb) != 1:
-            raise ConstructionError(f"outer path endpoint {a if len(pa) != 1 else b} in two cores")
-        if pa[0] == pb[0]:
-            raise ConstructionError(f"outer path {a}-{b} folds to a self-loop")
-        edges.add(edge(pa[0], pb[0]))
-    for i, e in enumerate(key.membership):
-        if e == 2:
-            p1, p2 = project(divmod(i, key.leaper.side), key.cores)
-            edges.add(edge(p1, p2))
+        if len(table[a]) != 1 or len(table[b]) != 1:
+            c = a if len(table[a]) != 1 else b
+            raise ConstructionError(
+                f"outer path end {divmod(c, side)} has {len(table[c])} core projections, not 1"
+            )
+        (pa,), (pb,) = table[a], table[b]
+        if pa == pb:
+            raise ConstructionError(f"outer path {divmod(a, side)}-{divmod(b, side)} folds to a self-loop")
+        edges.add(edge(pa, pb))
+    edges.update(edge(*pair) for pair in table if len(pair) == 2)
     return TwoFloorGraph(t=t, edges=frozenset(edges))
 
 

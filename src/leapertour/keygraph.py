@@ -16,7 +16,7 @@ fold read the ids.  The fields that hold cells as (x, y) tuples (rhombi,
 inner_edges, outer_edges, edges and core_membership) are views, derived
 from the ids on first read; error messages name cells too.  One depth-first
 search over id neighbour lists, components, serves cycle_partition (for
-halve, both splices and tile) and is_connected_edges.
+halve, both splices and tile), is_connected_edges and fold.outer_paths.
 """
 
 from __future__ import annotations

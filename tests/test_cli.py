@@ -98,7 +98,8 @@ def test_non_free_leaper_is_usage_error(capsys):
 def test_verify_with_wrong_q(tmp_path, capsys):
     path = tmp_path / "tour.txt"
     run(capsys, "generate", "--p", "1", "--q", "2", "--output", str(path))
-    code, out, _ = run(capsys, "verify", str(path), "--q", "4")
+    path.write_text(path.read_text().replace("1 2 6 6\n", "1 4 6 6\n", 1))
+    code, out, _ = run(capsys, "verify", str(path))
     assert code == 1
     assert "all_moves_legal=False" in out
 
@@ -117,8 +118,8 @@ def test_verify_truncated_file(tmp_path, capsys):
         ("0 0 1 1\n0 0\n", []),
         ("0 1 2 1\n0 0\n1 0\n", []),
         ("1 2 -6 6\n0 0\n", []),
-        ("1 2 6 6\n0 0\n", ["--width", "0"]),
-        ("1 2 6 6\n0 0\n", ["--p", "-1"]),
+        ("1 2 6 0\n0 0\n", []),
+        ("-1 2 6 6\n0 0\n", ["--require-symmetry"]),
     ],
 )
 def test_verify_degenerate_header_is_usage_error(tmp_path, capsys, text, extra):

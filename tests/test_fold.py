@@ -16,29 +16,44 @@ from leapertour.fold import (
     OuterCycleError,
     is_connected,
     outer_paths,
-    project,
+    projections,
     TwoFloorGraph,
 )
 from leapertour.cli import free_leapers
 from leapertour.geom import Leaper, edge
-from leapertour.keygraph import build_cores, build_key, is_connected_edges
+from leapertour.keygraph import ConstructionError, build_key, is_connected_edges
+
+# the (2,5)-leaper's 14 x 14 board, with core side 3 and t = 1
+KEY_2_5 = build_key(Leaper(2, 5))
 
 
 def test_project_single_core():
-    cores = build_cores(Leaper(2, 5))  # s = 1
-    assert project((2, 2), cores) == ((-1, -1, 1),)
+    assert projections(KEY_2_5)[2 * 14 + 2] == ((-1, -1, 1),)
 
 
 def test_project_intersection_cell():
-    cores = build_cores(Leaper(2, 5))
     # (4, 4) is position (2, 2) in C'1 = [2,5)^2 and (0, 0) in C''1 = [4,7)^2
-    assert set(project((4, 4), cores)) == {(1, 1, 1), (-1, -1, 2)}
+    assert projections(KEY_2_5)[4 * 14 + 4] == ((1, 1, 1), (-1, -1, 2))
 
 
 def test_project_outside_all_cores():
-    cores = build_cores(Leaper(2, 5))
-    with pytest.raises(ValueError):
-        project((0, 0), cores)
+    assert projections(KEY_2_5)[0] == ()
+
+
+def test_projections_agree_with_membership():
+    for p, q in [(1, 2), (2, 5), (3, 4), (5, 8)]:
+        key = build_key(Leaper(p, q))
+        assert list(map(len, projections(key))) == key.membership
+
+
+def test_outer_path_ending_outside_every_core_names_the_cell():
+    # dropping an outer edge between two cells outside every core makes
+    # both of them path ends with no projection
+    u, v = next((a, b) for a, b in KEY_2_5.outer_ids if KEY_2_5.membership[a] == KEY_2_5.membership[b] == 0)
+    cut = dataclasses.replace(KEY_2_5, outer_ids=tuple(e for e in KEY_2_5.outer_ids if e != (u, v)))
+    with pytest.raises(ConstructionError) as failure:
+        build_folding(cut)
+    assert any(f"outer path end {divmod(c, 14)} " in str(failure.value) for c in (u, v))
 
 
 def test_folding_2_5_equals_crisscross_2_1():

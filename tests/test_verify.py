@@ -162,20 +162,20 @@ def _is_leap(a, b, p, q):
     return sorted((abs(a[0] - b[0]), abs(a[1] - b[1]))) == [p, q]
 
 
-def _oracle_closed_tour(cells, p, q, side):
+def _oracle_closed_tour(cells, p, q, width, height):
     """A closed tour visits every cell of the board once, each step and the
     step back to the start a leap."""
     return (
-        sorted(cells) == [(x, y) for x in range(side) for y in range(side)]
+        sorted(cells) == [(x, y) for x in range(width) for y in range(height)]
         and all(_is_leap(cells[i - 1], cells[i], p, q) for i in range(len(cells)))
     )
 
 
-def _oracle_symmetric(cells, side):
+def _oracle_symmetric(cells, width, height):
     """The cyclic sequence's steps map onto themselves under the point
-    reflection of the side x side board."""
+    reflection of the width x height board."""
     steps = {frozenset((cells[i - 1], cells[i])) for i in range(len(cells))}
-    mirrored = {frozenset((side - 1 - x, side - 1 - y) for x, y in step) for step in steps}
+    mirrored = {frozenset((width - 1 - x, height - 1 - y) for x, y in step) for step in steps}
     return steps == mirrored
 
 
@@ -202,14 +202,31 @@ def _leap_reversals(p, q, which):
     ]
 
 
-EDITS = ("swap", "drop", "duplicate", "reverse", "leap", "leap-reverse")
+@lru_cache(maxsize=None)
+def _leap_substitutions(p, q, which):
+    """Every sequence made from a valid tour by putting in place of cells[i]
+    another of its cells that leaps to both of cells[i]'s neighbours: one
+    cell repeats, another is missing, and every step stays a leap."""
+    cells = _valid_tours(p, q)[which]
+    n = len(cells)
+    return [
+        cells[:i] + (c,) + cells[i + 1:]
+        for i in range(n)
+        for c in cells
+        if c != cells[i] and _is_leap(cells[i - 1], c, p, q) and _is_leap(c, cells[(i + 1) % n], p, q)
+    ]
+
+
+# "wider-board" keeps the tour and checks it against a board one column
+# wider, which only the cell count gives away
+EDITS = ("swap", "drop", "duplicate", "reverse", "leap", "leap-reverse", "substitute", "wider-board")
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([(1, 2), (2, 3), (2, 5)]), st.integers(0, 1), st.sampled_from(EDITS), st.data())
 def test_verify_agrees_with_the_oracle_after_one_edit(pq, which, edit, data):
     p, q = pq
-    side = 2 * (p + q)
+    side = width = 2 * (p + q)
     cells = list(_valid_tours(p, q)[which])
     n = len(cells)
     i, j = sorted(data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
@@ -224,11 +241,15 @@ def test_verify_agrees_with_the_oracle_after_one_edit(pq, which, edit, data):
     elif edit == "leap":
         dx, dy = data.draw(st.sampled_from(sorted(Leaper(p, q).directions())))
         cells[i] = (cells[i][0] + dx, cells[i][1] + dy)
-    else:
+    elif edit == "leap-reverse":
         cells = list(data.draw(st.sampled_from(_leap_reversals(p, q, which))))
-    closed = _oracle_closed_tour(cells, p, q, side)
-    symmetric = _oracle_symmetric(cells, side)
-    report = verify_tour(cells, p, q, side, side)
+    elif edit == "substitute":
+        cells = list(data.draw(st.sampled_from(_leap_substitutions(p, q, which))))
+    else:
+        width = side + 1
+    closed = _oracle_closed_tour(cells, p, q, width, side)
+    symmetric = _oracle_symmetric(cells, width, side)
+    report = verify_tour(cells, p, q, width, side)
     assert report.valid == closed
-    assert verify_central_symmetry(cells, side, side) == symmetric
+    assert verify_central_symmetry(cells, width, side) == symmetric
     assert report.centrally_symmetric == (closed and symmetric)
