@@ -52,7 +52,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
         tour = tile.tile(leaper, args.tile_k, args.tile_l, tour)
         width, height = leaper.side * args.tile_k, leaper.side * args.tile_l
 
-    report = verify.verify_tour(tour.cells, args.p, args.q, width, height)
+    # only --symmetric reads the symmetry check, so only it pays for it
+    report = verify.verify_tour(
+        tour.cells, args.p, args.q, width, height, check_symmetry=args.symmetric
+    )
     if not report.valid:
         print(f"self-verification failed: {report.first_failure}", file=sys.stderr)
         return EXIT_FAIL

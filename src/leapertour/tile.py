@@ -6,15 +6,16 @@ Copies of the base tour are placed in a checkerboard of translated and
 da are also legal moves.  Flipping the switches along a spanning tree of
 the subboard grid splices all copies into one Hamiltonian tour.  Since
 every copy is the base tour or its rotation, the tree has only four seam
-types; each type's switches are found once, by an endpoint index, and
-translated to every seam of that type.  The seam search runs on cells, and
-the board's edges are ids x * height + y for the shared cycle partition.
+types.  Each type's switches are searched for lazily, in the seam band only,
+and cached, so every later seam of that type replays them translated.  The
+seam search runs on cells, and the board's edges are ids x * height + y for
+the shared cycle partition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import AbstractSet, Iterable, Iterator, Optional
 
 from .geom import Cell, Edge, Leaper, edge
@@ -56,23 +57,32 @@ def translate_edges(edges: Iterable[Edge], dx: int, dy: int) -> frozenset[Edge]:
     )
 
 
+def _near(edges: Iterable[Edge], other: Iterable[Edge], reach: int) -> list[Edge]:
+    """The edges with both ends within reach, per axis, of other's bounding box."""
+    xs, ys = (range(min(v) - reach, max(v) + reach + 1) for v in zip(*chain.from_iterable(other)))
+    return [(a, b) for a, b in edges if a[0] in xs and b[0] in xs and a[1] in ys and b[1] in ys]
+
+
 def switch_candidates(
     edges_a: frozenset[Edge], edges_b: frozenset[Edge], leaper: Leaper
 ) -> Iterator[Switch]:
-    """All switches between two placed copies, in a canonical scan order:
-    by edge ab of copy A, then edge cd of copy B, then the orientations of
-    ab and cd.
+    """All switches between two placed copies, lazily, in a canonical scan
+    order: by edge ab of copy A, then edge cd of copy B, then the
+    orientations of ab and cd.
 
-    Copy B's edges are indexed by endpoint, so each end b of an edge of A
-    only looks at the B edges with an end one move away from it.
+    Only the seam band is scanned: the edges of each copy with both ends
+    within q, per axis, of the other copy's bounding box.  As bc and da are
+    moves, every switch lies in the band, and dropping the other edges keeps
+    the order of the rest.  The band's B edges are indexed by endpoint, so
+    each end b of an A edge only looks at the B edges one move away.
     """
     moves = leaper.directions()
     at: dict[Cell, list[Edge]] = {}
-    for eb in edges_b:
+    for eb in _near(edges_b, edges_a, leaper.q):
         at.setdefault(eb[0], []).append(eb)
         at.setdefault(eb[1], []).append(eb)
 
-    for ea in sorted(edges_a):
+    for ea in sorted(_near(edges_a, edges_b, leaper.q)):
         hits = []
         for oa, (a, b) in enumerate((ea, (ea[1], ea[0]))):
             for mx, my in moves:
@@ -92,6 +102,15 @@ def _first_avoiding(candidates: Iterable[Switch], avoid: AbstractSet[Edge]) -> O
         if not any(e in avoid for e in sw.old_edges() + sw.new_edges()):
             return sw
     return None
+
+
+def _replay(cache: list[Switch], source: Iterator[Switch]) -> Iterator[Switch]:
+    """The cached switches, then more from the source, cached as pulled; a for
+    loop, since closing a replay must leave the source open (yield from won't)."""
+    yield from cache
+    for sw in source:
+        cache.append(sw)
+        yield sw
 
 
 def _shift(sw: Switch, dx: int, dy: int) -> Switch:
@@ -155,18 +174,18 @@ def tile(leaper: Leaper, k: int, l: int, base: Tour) -> Tour:
     # merge check can run over copies instead of cells: copy (i, j) is i*l + j.
     tracker = CycleTracker(list(range(k * l)))
 
-    # Seam templates: (di, dj, parity of the lower copy) -> its switches with
-    # the lower copy at the origin.  Translating them keeps their order.
-    seams: dict[tuple[int, int, int], list[Switch]] = {}
+    # Seam templates: (di, dj, parity of the lower copy) -> its switches found
+    # so far at the origin and the search for more; translating keeps order.
+    seams: dict[tuple[int, int, int], tuple[list[Switch], Iterator[Switch]]] = {}
     used: set[Edge] = set()
     for (i, j), (i2, j2) in tree:
         di, dj, parity = i2 - i, j2 - j, (i + j) % 2
         kind = (di, dj, parity)
         if kind not in seams:
             upper = translate_edges(copies[1 - parity], di * side, dj * side)
-            seams[kind] = list(switch_candidates(copies[parity], upper, leaper))
+            seams[kind] = ([], switch_candidates(copies[parity], upper, leaper))
         place = f"copies ({i}, {j}) and ({i2}, {j2}) of the {_name(leaper)} tour"
-        sw = _first_avoiding((_shift(s, i * side, j * side) for s in seams[kind]), used)
+        sw = _first_avoiding((_shift(s, i * side, j * side) for s in _replay(*seams[kind])), used)
         if sw is None:
             raise ConstructionError(f"no switch found between {place}")
         copy_a, copy_b = (x // side * l + y // side for x, y in (sw.a, sw.c))

@@ -19,7 +19,7 @@ class TourReport:
     all_moves_legal: bool
     all_cells_once: bool
     closed: bool
-    centrally_symmetric: bool
+    centrally_symmetric: Optional[bool]  # None when not checked
     first_failure: Optional[str] = None
 
     @property
@@ -48,9 +48,11 @@ def is_free(p: int, q: int) -> bool:
     return math.gcd(q - p, q + p) == 1
 
 
-def verify_tour(cells: Sequence[Cell], p: int, q: int, width: int, height: int) -> TourReport:
-    """Check a cyclic cell sequence for being a closed Hamiltonian tour;
-    p, q, width and height must be at least 1."""
+def verify_tour(
+    cells: Sequence[Cell], p: int, q: int, width: int, height: int, *, check_symmetry: bool = True
+) -> TourReport:
+    """Check a cyclic cell sequence for being a closed Hamiltonian tour and,
+    if check_symmetry, for central symmetry; p, q, width, height must be >= 1."""
     if min(p, q, width, height) < 1:
         raise ValueError(f"need p, q, width, height >= 1, got {p}, {q}, {width}, {height}")
     moves = _move_vectors(p, q)
@@ -60,7 +62,7 @@ def verify_tour(cells: Sequence[Cell], p: int, q: int, width: int, height: int) 
         all_moves_legal=True,
         all_cells_once=True,
         closed=(n > 0),
-        centrally_symmetric=False,
+        centrally_symmetric=False if check_symmetry else None,
     )
     if not report.cell_count_ok and report.first_failure is None:
         report.first_failure = f"{n} cells listed, board has {width * height}"
@@ -91,7 +93,7 @@ def verify_tour(cells: Sequence[Cell], p: int, q: int, width: int, height: int) 
             if report.first_failure is None:
                 report.first_failure = f"closing move {a} -> {b} is illegal"
 
-    if report.valid:
+    if report.valid and check_symmetry:
         report.centrally_symmetric = verify_central_symmetry(cells, width, height)
     return report
 

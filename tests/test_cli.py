@@ -63,6 +63,22 @@ def test_generate_tiled(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "extra,checks",
+    [((), 0), (("--tile-k", "2", "--tile-l", "2"), 0), (("--symmetric",), 1)],
+    ids=["plain", "tiled", "symmetric"],
+)
+def test_generate_checks_symmetry_only_when_asked(capsys, monkeypatch, extra, checks):
+    import leapertour.verify as verify
+
+    calls = []
+    real = verify.verify_central_symmetry
+    monkeypatch.setattr(verify, "verify_central_symmetry", lambda *a: calls.append(a) or real(*a))
+    code, _, _ = run(capsys, "generate", "--p", "2", "--q", "5", *extra)
+    assert code == 0
+    assert len(calls) == checks
+
+
 @pytest.mark.parametrize("k,l", [("0", "1"), ("2", "-1")])
 def test_tile_grid_below_1x1_is_usage_error(capsys, k, l):
     code, out, err = run(

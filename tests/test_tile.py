@@ -1,4 +1,5 @@
 from functools import lru_cache
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,8 @@ from leapertour.keygraph import ConstructionError, build_key, cycle_partition
 from leapertour.splice import CycleTracker, Tour, random_bits, splice
 from leapertour.tile import (
     Switch,
-    find_switch,
+    _first_avoiding,
+    _replay,
     rotate_edges_ccw,
     switch_candidates,
     tile,
@@ -78,11 +80,11 @@ def test_switches_exist_for_all_four_adjacency_orientations():
     base = base_tour(1, 2).edge_set()
     rot = rotate_edges_ccw(base, side)
     # horizontal: translation|rotation and rotation|translation
-    assert find_switch(base, translate_edges(rot, side, 0), leaper)
-    assert find_switch(rot, translate_edges(base, side, 0), leaper)
+    assert next(switch_candidates(base, translate_edges(rot, side, 0), leaper), None) is not None
+    assert next(switch_candidates(rot, translate_edges(base, side, 0), leaper), None) is not None
     # vertical: both stacking orders
-    assert find_switch(base, translate_edges(rot, 0, side), leaper)
-    assert find_switch(rot, translate_edges(base, 0, side), leaper)
+    assert next(switch_candidates(base, translate_edges(rot, 0, side), leaper), None) is not None
+    assert next(switch_candidates(rot, translate_edges(base, 0, side), leaper), None) is not None
 
 
 def test_tile_result_differs_from_copies_only_on_switch_edges():
@@ -121,21 +123,16 @@ def pairwise_switches(edges_a, edges_b, leaper):
     moves = leaper.directions()
     q = leaper.q
 
-    def near(e1, e2):
-        xs1, xs2 = (e1[0][0], e1[1][0]), (e2[0][0], e2[1][0])
-        ys1, ys2 = (e1[0][1], e1[1][1]), (e2[0][1], e2[1][1])
-        return (
-            min(xs2) - max(xs1) <= q
-            and min(xs1) - max(xs2) <= q
-            and min(ys2) - max(ys1) <= q
-            and min(ys1) - max(ys2) <= q
-        )
+    def box(e):
+        (x1, y1), (x2, y2) = e
+        return min(x1, x2), max(x1, x2), min(y1, y2), max(y1, y2)
 
     out = []
-    sorted_b = sorted(edges_b)
+    boxed_b = [(eb, *box(eb)) for eb in sorted(edges_b)]
     for ea in sorted(edges_a):
-        for eb in sorted_b:
-            if not near(ea, eb):
+        ax0, ax1, ay0, ay1 = box(ea)
+        for eb, bx0, bx1, by0, by1 in boxed_b:
+            if bx0 - ax1 > q or ax0 - bx1 > q or by0 - ay1 > q or ay0 - by1 > q:
                 continue
             for a, b in (ea, (ea[1], ea[0])):
                 for c, d in (eb, (eb[1], eb[0])):
@@ -207,6 +204,57 @@ def test_tile_matches_pairwise_reference(p, q, k, l):
     assert tile(leaper, k, l, base) == reference_tile(leaper, k, l, base)
 
 
+def test_replayed_seam_falls_through_a_rejected_cached_switch(monkeypatch):
+    # A 2x4 comb places its rows first, then column 0; the third search, for
+    # seams above a translated copy, serves (0, 0)-(0, 1) and, from its
+    # cache, (0, 2)-(0, 3).  Leading it with the first search's first
+    # switch, which rows 0 and 2 already use, makes both of its seams reject
+    # that switch; every other candidate is the real one.
+    leaper = Leaper(1, 2)
+    base = base_tour(1, 2)
+    expected = tile(leaper, 2, 4, base)
+    real_search = switch_candidates
+    pulled, examined, first = [], [], []
+
+    def search(a, b, leaper):
+        n = len(pulled)
+        pulled.append(0)
+        for sw in chain(first if n == 2 else (), real_search(a, b, leaper)):
+            pulled[n] += 1
+            if not first:
+                first.append(sw)
+            yield sw
+
+    def first_avoiding(candidates, avoid):
+        examined.append(0)
+        for sw in candidates:
+            examined[-1] += 1
+            yield sw
+
+    monkeypatch.setattr("leapertour.tile.switch_candidates", search)
+    monkeypatch.setattr(
+        "leapertour.tile._first_avoiding",
+        lambda candidates, avoid: _first_avoiding(first_avoiding(candidates, avoid), avoid),
+    )
+    tour = tile(leaper, 2, 4, base)
+    assert tour == expected
+    assert verify_tour(tour.cells, 1, 2, 2 * leaper.side, 4 * leaper.side).valid
+    # seams in tree order: rows 0-3, then column 0; the last one is replayed
+    assert examined == [1, 1, 1, 1, 2, 1, 2]
+    # and no search was pulled past what those seams needed
+    assert pulled == [1, 1, 2, 1]
+
+
+def test_closing_a_replay_leaves_its_search_open():
+    # tile abandons a seam's replay once a switch fits; the next seam of that
+    # type must still be able to pull past the cache
+    cache, search = [], (c for c in "abc")
+    replay = _replay(cache, search)
+    assert next(replay) == "a"
+    replay.close()
+    assert list(_replay(cache, search)) == ["a", "b", "c"]
+
+
 # --- property: random leapers, seeds and grids ----------------------------
 
 FREE_UP_TO_9 = free_leapers(9)
@@ -256,3 +304,26 @@ def test_id_partition_equals_the_tuple_oracle_on_tilings(pq, seed, k, l):
     # and the switched board, whose one cycle tile returns
     tour = tile(leaper, k, l, base)
     assert oracle_partition(tour.edge_set()) == (tour.cells,)
+
+
+FREE_UP_TO_11 = free_leapers(11)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(FREE_UP_TO_11),
+    st.integers(0, 2**16),
+    st.integers(1, 4),
+    st.integers(1, 4),
+)
+def test_lazy_band_search_tiles_like_the_eager_pairwise_scan(pq, seed, k, l):
+    leaper = Leaper(*pq)
+    key = cached_key(*pq)
+    base = splice(key, random_bits(len(key.rhombus_ids), seed))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            "leapertour.tile.switch_candidates",
+            lambda a, b, leaper: iter(pairwise_switches(a, b, leaper)),
+        )
+        expected = tile(leaper, k, l, base)
+    assert tile(leaper, k, l, base) == expected

@@ -91,6 +91,13 @@ def test_central_symmetry_handbuilt_four_cycle():
     assert verify_central_symmetry(list(reversed(cells)), 5, 3)
 
 
+def test_skipped_symmetry_check_reports_not_checked():
+    tour = symmetric_splice(build_key(Leaper(1, 2)))
+    report = verify_tour(tour.cells, 1, 2, 6, 6, check_symmetry=False)
+    assert report.valid and report.centrally_symmetric is None
+    assert verify_tour(tour.cells, 1, 2, 6, 6).centrally_symmetric is True
+
+
 def test_generic_asymmetric_input():
     cells = [(0, 0), (1, 2), (2, 0)]
     assert not verify_central_symmetry(cells, 6, 6)
@@ -253,3 +260,5 @@ def test_verify_agrees_with_the_oracle_after_one_edit(pq, which, edit, data):
     assert report.valid == closed
     assert verify_central_symmetry(cells, width, side) == symmetric
     assert report.centrally_symmetric == (closed and symmetric)
+    unchecked = verify_tour(cells, p, q, width, side, check_symmetry=False)
+    assert unchecked.valid == closed and unchecked.centrally_symmetric is None
