@@ -1,6 +1,6 @@
 """Command-line interface: generate, verify, fold, and sweep.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification or construction failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -52,10 +52,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         tour = tile.tile(leaper, args.tile_k, args.tile_l, tour)
         width, height = leaper.side * args.tile_k, leaper.side * args.tile_l
 
-    # only --symmetric reads the symmetry check, so only it pays for it
-    report = verify.verify_tour(
-        tour.cells, args.p, args.q, width, height, check_symmetry=args.symmetric
-    )
+    report = verify.verify_tour(tour.cells, args.p, args.q, width, height)
     if not report.valid:
         print(f"self-verification failed: {report.first_failure}", file=sys.stderr)
         return EXIT_FAIL
@@ -153,8 +150,7 @@ def _sweep_one(p: int, q: int, seed: int) -> tuple[bool, str]:
     if not verify.verify_tour(tour.cells, p, q, side, side).valid:
         return False, "plain tour invalid"
     stour = splice.symmetric_splice(key)
-    sreport = verify.verify_tour(stour.cells, p, q, side, side)
-    if not (sreport.valid and sreport.centrally_symmetric):
+    if not verify.verify_tour(stour.cells, p, q, side, side).centrally_symmetric:
         return False, "symmetric tour invalid"
     return True, f"side={side} rhombi={len(key.rhombus_ids)}"
 
@@ -164,7 +160,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise SystemExit2(f"--max-sum must be at least 3, got {args.max_sum}")
     failures = 0
     for p, q in free_leapers(args.max_sum):
-        ok, detail = _sweep_one(p, q, args.seed)
+        try:
+            ok, detail = _sweep_one(p, q, args.seed)
+        except keygraph.ConstructionError as exc:
+            ok, detail = False, str(exc)
         print(f"({p},{q}): {'pass' if ok else 'FAIL'}  {detail}")
         failures += not ok
     return EXIT_OK if failures == 0 else EXIT_FAIL
@@ -215,6 +214,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except keygraph.ConstructionError as exc:
+        # only generate and fold let one escape: sweep reports its own per leaper
+        print(f"error: ({args.p},{args.q})-leaper: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -81,10 +81,6 @@ class Subboard:
         if not (self.x1 < self.x2 and self.y1 < self.y2):
             raise ValueError(f"degenerate subboard {self}")
 
-    def __contains__(self, cell: Cell) -> bool:
-        x, y = cell
-        return self.x1 <= x < self.x2 and self.y1 <= y < self.y2
-
     def cells(self) -> Iterator[Cell]:
         for x in range(self.x1, self.x2):
             for y in range(self.y1, self.y2):

@@ -16,7 +16,7 @@ fold read the ids.  The fields that hold cells as (x, y) tuples (rhombi,
 inner_edges, outer_edges, edges and core_membership) are views, derived
 from the ids on first read; error messages name cells too.  One depth-first
 search over id neighbour lists, components, serves cycle_partition (for
-halve, both splices and tile), is_connected_edges and fold.outer_paths.
+both splices and tile), TwoFactor.cycles, is_connected_edges and fold.
 """
 
 from __future__ import annotations
@@ -66,13 +66,6 @@ class Rhombus:
         a, b, c, d = self.cells
         return (edge(a, b), edge(b, c), edge(c, d), edge(d, a))
 
-    def matching(self, bit: int) -> tuple[Edge, Edge]:
-        """One of the two perfect matchings of the 4-cycle (opposite edges)."""
-        a, b, c, d = self.cells
-        if bit == 0:
-            return (edge(a, b), edge(c, d))
-        return (edge(b, c), edge(d, a))
-
 
 @dataclass(frozen=True)
 class KeyGraph:
@@ -97,8 +90,8 @@ class KeyGraph:
 
     @cached_property
     def matching_ids(self) -> tuple[tuple[tuple[IdEdge, IdEdge], tuple[IdEdge, IdEdge]], ...]:
-        """Per rhombus, Rhombus.matching(0) and Rhombus.matching(1) as id
-        pairs, smaller id first."""
+        """Per rhombus a, b, c, d, its two perfect matchings as id pairs,
+        smaller id first: matching 0 is {ab, cd} and matching 1 is {bc, da}."""
         return tuple(
             ((_id_edge(a, b), _id_edge(c, d)), (_id_edge(b, c), _id_edge(d, a)))
             for a, b, c, d in self.rhombus_ids
@@ -136,10 +129,16 @@ def _id_edge(a: int, b: int) -> IdEdge:
 
 @dataclass(frozen=True)
 class TwoFactor:
-    """A spanning degree-2 subgraph, stored with its cycle partition."""
+    """A spanning degree-2 subgraph of the side x side board; cycles is derived on first read."""
 
     edges: frozenset[Edge]
-    cycles: tuple[tuple[Cell, ...], ...]
+    side: int
+
+    @cached_property
+    def cycles(self) -> tuple[tuple[Cell, ...], ...]:
+        side = self.side
+        adj = id_adjacency([(x * side + y, u * side + v) for (x, y), (u, v) in self.edges], side * side)
+        return tuple(tuple(divmod(c, side) for c in cycle) for cycle in components(adj))
 
 
 def build_cores(leaper: Leaper) -> Cores:
@@ -301,11 +300,15 @@ def cycle_partition(edges: Iterable[IdEdge], n: int, height: int) -> list[list[i
     cell order, and a degree failure names the first such cell.
     """
     adj = id_adjacency(edges, n)
-    degrees = list(map(len, adj))
-    if degrees.count(2) != n:
+    _check_degree_two(list(map(len, adj)), height)
+    return components(adj)
+
+
+def _check_degree_two(degrees: Sequence[int], height: int) -> None:
+    """Raise, naming the first cell in id order, unless every degree is 2."""
+    if degrees.count(2) != len(degrees):
         c = next(c for c, d in enumerate(degrees) if d != 2)
         raise ConstructionError(f"cell {divmod(c, height)} has degree {degrees[c]}, expected 2")
-    return components(adj)
 
 
 def halving_ids(key: KeyGraph, bits: Sequence[int]) -> list[IdEdge]:
@@ -320,16 +323,16 @@ def halving_ids(key: KeyGraph, bits: Sequence[int]) -> list[IdEdge]:
 
 def halve(key: KeyGraph, bits: Sequence[int]) -> TwoFactor:
     """Pseudotour from a per-rhombus matching choice (one bit per rhombus),
-    partitioned on cell ids and turned into cells at the end.  It needs no
-    degree pass of its own: cycle_partition proves every degree is 2."""
+    proved a two-factor by counting each cell's degree on cell ids."""
     side = key.leaper.side
     edges = halving_ids(key, bits)
-    cycles = cycle_partition(edges, side * side, side)
+    degrees = [0] * (side * side)
+    for a, b in edges:
+        degrees[a] += 1
+        degrees[b] += 1
+    _check_degree_two(degrees, side)
     cell = key.cells
-    return TwoFactor(
-        edges=frozenset([(cell[a], cell[b]) for a, b in edges]),
-        cycles=tuple(tuple(map(cell.__getitem__, c)) for c in cycles),
-    )
+    return TwoFactor(frozenset([(cell[a], cell[b]) for a, b in edges]), side)
 
 
 def is_connected_edges(cells: Iterable[V], edges: Iterable[tuple[V, V]]) -> bool:

@@ -10,7 +10,9 @@ CycleTracker, and each merge flip unions two of them.  At the end the id
 edges the bits pick are built once and one cycle partition checks degrees
 and a single tour.  The plain splice makes one pass of merge flips over all
 rhombi; the symmetric one grows a cycle by mirrored pairs.  Ids turn back
-into cells only in Tour.cells and in error messages.
+into cells only in Tour.cells and in error messages.  Central symmetry is
+proved once: mirror partners found in pencil order, the outer edges
+reflected, and one bits check at the end of the symmetric splice.
 """
 
 from __future__ import annotations
@@ -136,39 +138,34 @@ def splice(key: KeyGraph, bits: Sequence[int]) -> Tour:
 
 
 def _partners(key: KeyGraph) -> list[int]:
-    """Index of each rhombus's central reflection among the key's rhombi."""
-    side = key.leaper.side
-    cellsets = [frozenset(r) for r in key.rhombus_ids]
-    index = {cells: i for i, cells in enumerate(cellsets)}
-    partners = [index.get(frozenset(side * side - 1 - c for c in cells)) for cells in cellsets]
+    """Index of each rhombus's central reflection among the key's rhombi.
+
+    The reflection negates every move, and each pencil's moves, negated,
+    are the same moves shifted by two.  So the mirror of a, b, c, d is
+    stored as c*, d*, a*, b*, and finding it in that order proves that
+    matching b ({ab, cd} or {bc, da}) maps onto the partner's matching b.
+    """
+    last = key.leaper.side ** 2 - 1
+    index = {r: i for i, r in enumerate(key.rhombus_ids)}
+    partners = [index.get((last - c, last - d, last - a, last - b)) for a, b, c, d in key.rhombus_ids]
     if None in partners:
-        cells = tuple(divmod(c, side) for c in key.rhombus_ids[partners.index(None)])
+        cells = tuple(map(key.cells.__getitem__, key.rhombus_ids[partners.index(None)]))
         raise ConstructionError(f"rhombus {cells} has no central mirror")
     return partners
 
 
-def symmetric_halving_bits(key: KeyGraph) -> list[int]:
-    """Matching bits that make the halved two-factor centrally symmetric:
-    all zeros, checked by reflecting each edge of that halving once.
-
-    The central reflection negates every move, and each rhombus pencil's
-    move sequence, negated, is the same sequence shifted by two.  So the
-    reflection of a rhombus a, b, c, d is its partner with cells in pencil
-    order c*, d*, a*, b*, and matching 0 ({ab, cd}) maps onto the partner's
-    matching 0.  The outer graph is a union of reflections, so it is
-    symmetric too.
-    """
+def symmetric_halving_bits(key: KeyGraph, partners: Sequence[int]) -> list[int]:
+    """All-zero matching bits, whose halving is centrally symmetric: the
+    partners map matchings by bit (see _partners), and each outer edge is
+    checked to have a mirror image other than itself."""
     last = key.leaper.side ** 2 - 1
-    bits = [0] * len(key.rhombus_ids)
-    edges = set(halving_ids(key, bits))
-    for a, b in edges:
+    outer = set(key.outer_ids)
+    for a, b in key.outer_ids:
         mirrored = (last - b, last - a)
-        if mirrored == (a, b):
-            cells = (key.cells[a], key.cells[b])
-            raise ConstructionError(f"edge {cells} is its own central reflection")
-        if mirrored not in edges:
-            raise ConstructionError("initial halving is not centrally symmetric")
-    return bits
+        if mirrored == (a, b) or mirrored not in outer:
+            what = "is its own central reflection" if mirrored == (a, b) else "has no central mirror"
+            raise ConstructionError(f"outer edge {(key.cells[a], key.cells[b])} {what}")
+    return [0] * len(partners)
 
 
 def _find_center_rhombus(key: KeyGraph, partners: Sequence[int]) -> int:
@@ -179,27 +176,27 @@ def _find_center_rhombus(key: KeyGraph, partners: Sequence[int]) -> int:
     return fixed[0]
 
 
-def _check_mirrored_bits(bits: Sequence[int], partners: Sequence[int]) -> None:
-    """Raise unless the halving the bits pick is centrally symmetric.
-
-    Rhombus edge sets are disjoint from each other and from the outer
-    edges.  symmetric_halving_bits has shown that the outer edges are
-    symmetric and that the reflection maps each rhombus's matching 0 onto
-    its partner's matching 0; as it maps the rhombus onto the partner, it
-    maps matching 1 onto matching 1 too.  So the halving is symmetric iff
-    every rhombus has the same bit as its partner.
-    """
-    if any(bits[i] != bits[j] for i, j in enumerate(partners)):
-        raise ConstructionError("result tour is not centrally symmetric")
+def _check_mirrored_bits(key: KeyGraph, bits: Sequence[int], partners: Sequence[int]) -> None:
+    """Raise, naming the first rhombus whose bit differs from its
+    partner's, unless the halving the bits pick is centrally symmetric:
+    rhombus edge sets are disjoint from each other and from the outer
+    edges, which symmetric_halving_bits has shown symmetric, and the
+    reflection maps matchings by bit (see _partners)."""
+    for i, j in enumerate(partners):
+        if bits[i] != bits[j]:
+            cells = tuple(map(key.cells.__getitem__, key.rhombus_ids[i]))
+            raise ConstructionError(f"rhombus {cells} has bit {bits[i]}, its mirror {bits[j]}")
 
 
 def symmetric_splice(key: KeyGraph) -> Tour:
     """Grow a centrally symmetric cycle by paired rhombus flips until it
-    spans the board."""
+    spans the board.  Bits change only in partner pairs or at the
+    self-paired anchor, so no step can undo an asymmetry, and the one bits
+    check at the end rejects every run that made one."""
     last = key.leaper.side ** 2 - 1
     matchings = key.matching_ids
     partners = _partners(key)
-    bits, tracker = _tracked_halving(key, symmetric_halving_bits(key))
+    bits, tracker = _tracked_halving(key, symmetric_halving_bits(key, partners))
     find = tracker.find
 
     # the grown cycle holds all of r1, so it holds the anchor's mirror image,
@@ -237,12 +234,9 @@ def symmetric_splice(key: KeyGraph) -> Tour:
             tracker.union(anchor, out_edge[0])
         elif not (_merge_flip(key, bits, tracker, i) and _merge_flip(key, bits, tracker, j)):
             raise ConstructionError("symmetric splice failed to grow the cycle")
-        if bits[i] != bits[j]:
-            raise ConstructionError("grown cycle lost central symmetry")
 
-    tour = _single_tour(key, bits, "symmetric splice")
-    _check_mirrored_bits(bits, partners)
-    return tour
+    _check_mirrored_bits(key, bits, partners)
+    return _single_tour(key, bits, "symmetric splice")
 
 
 def canonicalize(tour: Tour) -> Tour:

@@ -2,12 +2,14 @@
 
 Nothing here reuses the generator's graph construction; legality is
 recomputed from (p, q) alone so the checks stay meaningful as an oracle.
+A report checks central symmetry only when a caller reads it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 Cell = tuple[int, int]
@@ -19,7 +21,9 @@ class TourReport:
     all_moves_legal: bool
     all_cells_once: bool
     closed: bool
-    centrally_symmetric: Optional[bool]  # None when not checked
+    cells: Sequence[Cell] = field(repr=False)
+    width: int
+    height: int
     first_failure: Optional[str] = None
 
     @property
@@ -30,6 +34,11 @@ class TourReport:
             and self.all_cells_once
             and self.closed
         )
+
+    @cached_property
+    def centrally_symmetric(self) -> bool:
+        """True iff the tour is valid and centrally symmetric; checked on first read."""
+        return self.valid and verify_central_symmetry(self.cells, self.width, self.height)
 
 
 def _move_vectors(p: int, q: int) -> set[tuple[int, int]]:
@@ -48,11 +57,9 @@ def is_free(p: int, q: int) -> bool:
     return math.gcd(q - p, q + p) == 1
 
 
-def verify_tour(
-    cells: Sequence[Cell], p: int, q: int, width: int, height: int, *, check_symmetry: bool = True
-) -> TourReport:
-    """Check a cyclic cell sequence for being a closed Hamiltonian tour and,
-    if check_symmetry, for central symmetry; p, q, width, height must be >= 1."""
+def verify_tour(cells: Sequence[Cell], p: int, q: int, width: int, height: int) -> TourReport:
+    """Check a cyclic cell sequence for being a closed Hamiltonian tour;
+    p, q, width, height must be >= 1."""
     if min(p, q, width, height) < 1:
         raise ValueError(f"need p, q, width, height >= 1, got {p}, {q}, {width}, {height}")
     moves = _move_vectors(p, q)
@@ -62,7 +69,7 @@ def verify_tour(
         all_moves_legal=True,
         all_cells_once=True,
         closed=(n > 0),
-        centrally_symmetric=False if check_symmetry else None,
+        cells=cells, width=width, height=height,
     )
     if not report.cell_count_ok and report.first_failure is None:
         report.first_failure = f"{n} cells listed, board has {width * height}"
@@ -92,9 +99,6 @@ def verify_tour(
             report.closed = False
             if report.first_failure is None:
                 report.first_failure = f"closing move {a} -> {b} is illegal"
-
-    if report.valid and check_symmetry:
-        report.centrally_symmetric = verify_central_symmetry(cells, width, height)
     return report
 
 

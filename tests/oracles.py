@@ -2,7 +2,17 @@
 
 from collections import defaultdict
 
+from leapertour.geom import edge
 from leapertour.keygraph import ConstructionError
+
+
+def rhombus_matching(r, bit):
+    """One of the two perfect matchings (opposite edges) of a rhombus's
+    4-cycle a, b, c, d: {ab, cd} for bit 0 and {bc, da} for bit 1."""
+    a, b, c, d = r.cells
+    if bit == 0:
+        return (edge(a, b), edge(c, d))
+    return (edge(b, c), edge(d, a))
 
 
 def adjacency(edges):

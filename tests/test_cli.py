@@ -1,6 +1,12 @@
+import dataclasses
+import re
+
 import pytest
 
-from leapertour.cli import main
+import leapertour.fold as fold
+import leapertour.splice as splice
+import leapertour.verify as verify
+from leapertour.cli import free_leapers, main
 from leapertour.geom import Leaper
 from leapertour.render import parse_structured
 
@@ -236,6 +242,59 @@ def test_sweep_builds_each_key_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "sweep", "--max-sum", "9")
     assert code == 0 and "FAIL" not in out
     assert sorted((lp.p, lp.q) for lp in built) == sorted(free_leapers(9))
+
+
+def test_sweep_checks_symmetry_once_per_leaper(capsys, monkeypatch):
+    # only the symmetric tour's report is read for symmetry
+    calls = []
+    real = verify.verify_central_symmetry
+    monkeypatch.setattr(verify, "verify_central_symmetry", lambda *a: calls.append(a) or real(*a))
+    code, out, _ = run(capsys, "sweep", "--max-sum", "9")
+    assert code == 0 and "FAIL" not in out
+    assert len(calls) == len(free_leapers(9)) == 9
+
+
+def _cut_outer_path(monkeypatch):
+    """Make fold's key graphs lack one outer edge between two cells outside
+    every core, so build_folding finds a path end with no projection."""
+    real = fold.build_key
+
+    def cut(leaper):
+        key = real(leaper)
+        gone = next(e for e in key.outer_ids if key.membership[e[0]] == key.membership[e[1]] == 0)
+        return dataclasses.replace(key, outer_ids=tuple(e for e in key.outer_ids if e != gone))
+
+    monkeypatch.setattr(fold, "build_key", cut)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("generate",), r"splice left \d+ cycles"),
+        (("generate", "--symmetric"), "partner rhombus does not mirror the pending one"),
+        (("fold",), r"outer path end \(\d+, \d+\) has 0 core projections, not 1"),
+    ],
+    ids=["generate", "symmetric", "fold"],
+)
+def test_construction_error_is_one_error_line(capsys, monkeypatch, argv, message):
+    # generate's merge flips never flip, and fold's key lacks an outer edge
+    monkeypatch.setattr(splice, "_merge_flip", lambda *a: False)
+    _cut_outer_path(monkeypatch)
+    code, out, err = run(capsys, *argv, "--p", "2", "--q", "5")
+    assert code == 1
+    assert out == ""
+    assert re.fullmatch(rf"error: \(2,5\)-leaper: {message}\n", err), err
+    assert "Traceback" not in err
+
+
+def test_sweep_reports_a_construction_error_and_goes_on(capsys, monkeypatch):
+    monkeypatch.setattr(splice, "_merge_flip", lambda *a: False)
+    code, out, err = run(capsys, "sweep", "--max-sum", "9")
+    assert code == 1
+    assert err == ""
+    rows = out.splitlines()
+    assert [row.split(":")[0] for row in rows] == [f"({p},{q})" for p, q in free_leapers(9)]
+    assert all(re.fullmatch(r"\(\d+,\d+\): FAIL  \S.*", row) for row in rows), rows
 
 
 def test_determinism_same_seed_byte_identical(tmp_path, capsys):

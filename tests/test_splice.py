@@ -34,6 +34,7 @@ from leapertour.splice import (
 from leapertour.tile import tile
 from leapertour.verify import verify_central_symmetry, verify_tour
 from oracles import cycle_partition as oracle_partition
+from oracles import rhombus_matching
 
 
 @pytest.fixture(scope="module")
@@ -56,8 +57,8 @@ def mirror(cell, side):
 # below and the check of a finished tour's edge set use them.
 def current_matching(edges, r):
     """Which of the rhombus's two matchings the edge set contains."""
-    in0 = [e in edges for e in r.matching(0)]
-    in1 = [e in edges for e in r.matching(1)]
+    in0 = [e in edges for e in rhombus_matching(r, 0)]
+    in1 = [e in edges for e in rhombus_matching(r, 1)]
     if all(in0) and not any(in1):
         return 0
     if all(in1) and not any(in0):
@@ -67,8 +68,8 @@ def current_matching(edges, r):
 
 def _flip_edges(edges, r):
     bit = current_matching(edges, r)
-    edges.difference_update(r.matching(bit))
-    edges.update(r.matching(1 - bit))
+    edges.difference_update(rhombus_matching(r, bit))
+    edges.update(rhombus_matching(r, 1 - bit))
 
 
 def test_flip_is_involution(key25):
@@ -146,7 +147,7 @@ def test_splice_stabilization_property(key25):
 def test_symmetric_halving_is_symmetric(p, q):
     key = build_key(Leaper(p, q))
     side = key.leaper.side
-    two = halve(key, symmetric_halving_bits(key))
+    two = halve(key, symmetric_halving_bits(key, _partners(key)))
     mirrored = {tuple(sorted((mirror(a, side), mirror(b, side)))) for a, b in two.edges}
     assert mirrored == {tuple(e) for e in two.edges}
 
@@ -192,22 +193,22 @@ def _oracle_symmetric_splice(key):
     """The symmetric growth loop as it was before the shared merge-flip
     engine: it re-partitions the whole board into cycles at every step."""
     side = key.leaper.side
-    edges = halving_edges(key, symmetric_halving_bits(key))
     partners = _partners(key)
+    edges = halving_edges(key, symmetric_halving_bits(key, partners))
 
     def cycle_cells_through(cell):
         return next(frozenset(cyc) for cyc in oracle_partition(edges) if cell in cyc)
 
     r1 = key.rhombi[_find_center_rhombus(key, partners)]
     anchor = r1.cells[0]
-    e1, e2 = r1.matching(current_matching(edges, r1))
+    e1, e2 = rhombus_matching(r1, current_matching(edges, r1))
     if e2[0] not in cycle_cells_through(e1[0]):
         _flip_edges(edges, r1)
     grown = cycle_cells_through(anchor)
     while True:
         straddling = None
         for i, r in enumerate(key.rhombi):
-            m1, m2 = r.matching(current_matching(edges, r))
+            m1, m2 = rhombus_matching(r, current_matching(edges, r))
             if (m1[0] in grown) != (m2[0] in grown):
                 straddling = i
                 break
@@ -215,7 +216,9 @@ def _oracle_symmetric_splice(key):
             break
         pending, rstar = key.rhombi[straddling], key.rhombi[partners[straddling]]
         out_edge = next(
-            e for e in pending.matching(current_matching(edges, pending)) if e[0] not in grown
+            e
+            for e in rhombus_matching(pending, current_matching(edges, pending))
+            if e[0] not in grown
         )
         # the mirrored edge's smaller end: the reflection reverses cell order
         if mirror(out_edge[1], side) in cycle_cells_through(out_edge[0]):
@@ -238,10 +241,10 @@ def _oracle_splice(key, bits):
     for a, b in edges:
         tracker.union(a, b)
     for r in key.rhombi:
-        e1, e2 = r.matching(current_matching(edges, r))
+        e1, e2 = rhombus_matching(r, current_matching(edges, r))
         if tracker.find(e1[0]) != tracker.find(e2[0]):
             _flip_edges(edges, r)
-            for a, b in r.matching(current_matching(edges, r)):
+            for a, b in rhombus_matching(r, current_matching(edges, r)):
                 tracker.union(a, b)
     (cycle,) = oracle_partition(edges)
     return Tour(cells=cycle)
@@ -293,7 +296,7 @@ def test_symmetric_splice_of_random_symmetric_halvings(monkeypatch, low, high):
         side = key.leaper.side
         for seed in range(5):
             bits = _paired_random_bits(key, seed)
-            fake = lambda key, bits=bits: list(bits)
+            fake = lambda key, partners, bits=bits: list(bits)
             monkeypatch.setattr(splice_module, "symmetric_halving_bits", fake)
             monkeypatch.setattr(sys.modules[__name__], "symmetric_halving_bits", fake)
             partitions.clear()
@@ -334,11 +337,13 @@ def test_symmetric_splice_finds_partners_once(monkeypatch, key25):
 def test_mirrored_bits_check_rejects_unpaired_bits(key25):
     partners = _partners(key25)
     bits = _paired_random_bits(key25, 0)
-    _check_mirrored_bits(bits, partners)
+    _check_mirrored_bits(key25, bits, partners)
     i = next(i for i, j in enumerate(partners) if j != i)
     bits[i] ^= 1
-    with pytest.raises(ConstructionError, match="result tour is not centrally symmetric"):
-        _check_mirrored_bits(bits, partners)
+    first = min(i, partners[i])
+    cells = key25.rhombi[first].cells
+    with pytest.raises(ConstructionError, match=rf"^rhombus {re.escape(str(cells))} has bit"):
+        _check_mirrored_bits(key25, bits, partners)
 
 
 @pytest.mark.parametrize("p,q", [(1, 2), (2, 5), (3, 4)])
@@ -351,7 +356,7 @@ def test_mirrored_bits_iff_symmetric_halving(p, q):
             edges = halving_edges(key, bits)
             symmetric = {edge(mirror(a, side), mirror(b, side)) for a, b in edges} == edges
             try:
-                _check_mirrored_bits(bits, partners)
+                _check_mirrored_bits(key, bits, partners)
                 passed = True
             except ConstructionError:
                 passed = False
@@ -379,9 +384,14 @@ def test_disconnected_key_graph_fails_loudly(key25, case):
 
 
 def test_degree_error_names_a_cell(key25):
+    # halve's degree count and the splice's cycle partition name the same cell
     key = dataclasses.replace(key25, rhombus_ids=key25.rhombus_ids[1:])
-    with pytest.raises(ConstructionError, match=r"^cell \(\d+, \d+\) has degree 1, expected 2$"):
-        splice(key, [0] * len(key.rhombus_ids))
+    messages = []
+    for run in (splice, halve):
+        with pytest.raises(ConstructionError, match=r"^cell \(\d+, \d+\) has degree 1, expected 2$") as error:
+            run(key, [0] * len(key.rhombus_ids))
+        messages.append(str(error.value))
+    assert messages[0] == messages[1]
 
 
 def test_rhombus_without_a_mirror_is_named(key25):
@@ -420,8 +430,56 @@ def test_extra_mirrored_outer_edges_fail_the_degree_check(key25):
 def test_self_mirrored_edge_error_names_its_cells(key25):
     # the cells (6, 6) and (7, 7) of the 14 x 14 board
     key = dataclasses.replace(key25, outer_ids=key25.outer_ids + ((6 * 14 + 6, 7 * 14 + 7),))
-    with pytest.raises(ConstructionError, match=r"^edge \(\(6, 6\), \(7, 7\)\) is its own"):
-        symmetric_halving_bits(key)
+    with pytest.raises(ConstructionError, match=r"^outer edge \(\(6, 6\), \(7, 7\)\) is its own"):
+        symmetric_halving_bits(key, _partners(key))
+
+
+@pytest.mark.parametrize("p,q", [(1, 4), (2, 5), (3, 8)])
+def test_rotated_rhombus_is_named_without_a_mirror(p, q):
+    # a rhombus stored as b, c, d, a is the same 4-cycle, but its matching 0
+    # is the other one, so the reflection no longer maps matchings by bit
+    key = build_key(Leaper(p, q))
+    i = next(i for i, j in enumerate(_partners(key)) if j > i)
+    a, b, c, d = key.rhombus_ids[i]
+    rhombus_ids = list(key.rhombus_ids)
+    rhombus_ids[i] = (b, c, d, a)
+    rotated = dataclasses.replace(key, rhombus_ids=tuple(rhombus_ids))
+    cells = tuple(map(rotated.cells.__getitem__, rhombus_ids[i]))
+    with pytest.raises(ConstructionError, match=rf"^rhombus {re.escape(str(cells))} has no central mirror$"):
+        symmetric_splice(rotated)
+
+
+def test_outer_edge_without_a_mirror_is_named(key25):
+    # dropping one outer edge leaves its mirror image without one
+    last = key25.leaper.side ** 2 - 1
+    for k in (0, len(key25.outer_ids) // 2, len(key25.outer_ids) - 1):
+        a, b = key25.outer_ids[k]
+        key = dataclasses.replace(key25, outer_ids=key25.outer_ids[:k] + key25.outer_ids[k + 1:])
+        cells = (key.cells[last - b], key.cells[last - a])
+        with pytest.raises(ConstructionError, match=rf"^outer edge {re.escape(str(cells))} has no central mirror$"):
+            symmetric_splice(key)
+
+
+def test_bits_made_asymmetric_mid_run_are_named_at_the_end(monkeypatch):
+    # after the first paired step, one rhombus flips without its partner: no
+    # later step can undo that, and the final check names the pair
+    key = build_key(Leaper(4, 9))
+    partners = _partners(key)
+    k = next(k for k, j in enumerate(partners) if j != k)
+    real, calls = splice_module._merge_flip, []
+
+    def straying(key, bits, tracker, i):
+        calls.append(i)
+        merged = real(key, bits, tracker, i)
+        if len(calls) == 3:  # the anchor, then the first pair
+            bits[k] ^= 1
+        return merged
+
+    monkeypatch.setattr(splice_module, "_merge_flip", straying)
+    cells = tuple(key.rhombi[min(k, partners[k])].cells)
+    with pytest.raises(ConstructionError, match=rf"^rhombus {re.escape(str(cells))} has bit"):
+        symmetric_splice(key)
+    assert len(calls) > 3  # the growth went on after the stray flip
 
 
 def test_plain_splice_checks_connectivity_and_partitions_once(monkeypatch, key25):

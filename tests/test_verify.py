@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leapertour.verify as verify_module
 from leapertour.geom import Leaper
 from leapertour.keygraph import build_key
 from leapertour.splice import random_bits, splice, symmetric_splice
@@ -91,11 +92,18 @@ def test_central_symmetry_handbuilt_four_cycle():
     assert verify_central_symmetry(list(reversed(cells)), 5, 3)
 
 
-def test_skipped_symmetry_check_reports_not_checked():
+def test_symmetry_is_checked_only_when_read(monkeypatch):
     tour = symmetric_splice(build_key(Leaper(1, 2)))
-    report = verify_tour(tour.cells, 1, 2, 6, 6, check_symmetry=False)
-    assert report.valid and report.centrally_symmetric is None
-    assert verify_tour(tour.cells, 1, 2, 6, 6).centrally_symmetric is True
+    calls = []
+    real = verify_module.verify_central_symmetry
+    monkeypatch.setattr(verify_module, "verify_central_symmetry", lambda *a: calls.append(a) or real(*a))
+    report = verify_tour(tour.cells, 1, 2, 6, 6)
+    assert report.valid and calls == []
+    assert report.centrally_symmetric is True and report.centrally_symmetric is True
+    assert len(calls) == 1
+    # an invalid tour reports False without a check
+    assert verify_tour(tour.cells[:-1], 1, 2, 6, 6).centrally_symmetric is False
+    assert len(calls) == 1
 
 
 def test_generic_asymmetric_input():
@@ -257,8 +265,7 @@ def test_verify_agrees_with_the_oracle_after_one_edit(pq, which, edit, data):
     closed = _oracle_closed_tour(cells, p, q, width, side)
     symmetric = _oracle_symmetric(cells, width, side)
     report = verify_tour(cells, p, q, width, side)
+    assert "centrally_symmetric" not in vars(report)  # not computed until read
     assert report.valid == closed
     assert verify_central_symmetry(cells, width, side) == symmetric
     assert report.centrally_symmetric == (closed and symmetric)
-    unchecked = verify_tour(cells, p, q, width, side, check_symmetry=False)
-    assert unchecked.valid == closed and unchecked.centrally_symmetric is None
