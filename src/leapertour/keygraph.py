@@ -212,22 +212,20 @@ def build_outer(leaper: Leaper) -> set[IdEdge]:
 
 
 def build_key(leaper: Leaper) -> KeyGraph:
-    """Assemble and validate the key graph (inner union outer)."""
+    """Assemble and validate the key graph (inner union outer).
+
+    The degree check implies the paper's sizes.  The memberships e of the
+    eight (q-p)-square cores sum to 8(q-p)**2, so inner degree 2e gives
+    8(q-p)**2 inner edges, that is 2(q-p)**2 rhombi, as build_inner rejects a
+    shared edge; outer degree 2 - e gives side**2 - 4(q-p)**2 = 16pq outer edges."""
     side = leaper.side
     cores = build_cores(leaper)
     rhombi, inner = build_inner(leaper)
     outer = build_outer(leaper)
 
     if inner & outer:
-        raise ConstructionError("inner and outer graphs share edges")
-
-    p, q = leaper.p, leaper.q
-    if len(rhombi) != 2 * (q - p) ** 2:
-        raise ConstructionError(f"expected {2 * (q - p) ** 2} rhombi, got {len(rhombi)}")
-    if len(inner) != 8 * (q - p) ** 2:
-        raise ConstructionError(f"bad inner edge count {len(inner)}")
-    if len(outer) != 16 * p * q:
-        raise ConstructionError(f"expected {16 * p * q} outer edges, got {len(outer)}")
+        shared = tuple(divmod(c, side) for c in min(inner & outer))
+        raise ConstructionError(f"inner and outer graphs share the edge {shared}")
 
     membership = [0] * (side * side)
     for core in cores.all():

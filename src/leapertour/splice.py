@@ -48,10 +48,9 @@ class Tour:
 
 
 class CycleTracker:
-    """Disjoint sets over cell ids or tile copies; two share a set iff they
-    currently lie on the same cycle.  The tracker works in place on the
-    parent list it is given, over ids or copy numbers: parent[x] leads
-    toward x's representative r, and parent[r] == r."""
+    """Disjoint sets over cell ids; two share a set iff they currently lie
+    on the same cycle.  The tracker works in place on the parent list it is
+    given: parent[x] leads toward x's representative r, and parent[r] == r."""
 
     def __init__(self, parent):
         self.parent = parent
@@ -137,6 +136,10 @@ def splice(key: KeyGraph, bits: Sequence[int]) -> Tour:
     return _single_tour(key, bits, "splice")
 
 
+def _rhombus_cells(key: KeyGraph, i: int) -> tuple[Cell, ...]:
+    return tuple(map(key.cells.__getitem__, key.rhombus_ids[i]))
+
+
 def _partners(key: KeyGraph) -> list[int]:
     """Index of each rhombus's central reflection among the key's rhombi.
 
@@ -149,7 +152,7 @@ def _partners(key: KeyGraph) -> list[int]:
     index = {r: i for i, r in enumerate(key.rhombus_ids)}
     partners = [index.get((last - c, last - d, last - a, last - b)) for a, b, c, d in key.rhombus_ids]
     if None in partners:
-        cells = tuple(map(key.cells.__getitem__, key.rhombus_ids[partners.index(None)]))
+        cells = _rhombus_cells(key, partners.index(None))
         raise ConstructionError(f"rhombus {cells} has no central mirror")
     return partners
 
@@ -184,7 +187,7 @@ def _check_mirrored_bits(key: KeyGraph, bits: Sequence[int], partners: Sequence[
     reflection maps matchings by bit (see _partners)."""
     for i, j in enumerate(partners):
         if bits[i] != bits[j]:
-            cells = tuple(map(key.cells.__getitem__, key.rhombus_ids[i]))
+            cells = _rhombus_cells(key, i)
             raise ConstructionError(f"rhombus {cells} has bit {bits[i]}, its mirror {bits[j]}")
 
 
@@ -214,14 +217,14 @@ def symmetric_splice(key: KeyGraph) -> Tour:
         else:
             break
 
-        j = partners[i]
+        j, pending = partners[i], _rhombus_cells(key, i)
         if j == i:
-            raise ConstructionError("self-symmetric rhombus straddles the grown cycle")
+            raise ConstructionError(f"self-symmetric rhombus {pending} straddles the grown cycle")
         out_edge = m2 if find(m1[0]) == grown else m1
         out_star = (last - out_edge[1], last - out_edge[0])
         absorbed, star_cycle = find(out_edge[0]), find(out_star[0])
         if out_star not in matchings[j][bits[j]] or star_cycle == grown:
-            raise ConstructionError("partner rhombus does not mirror the pending one")
+            raise ConstructionError(f"partner rhombus does not mirror the pending rhombus {pending}")
 
         if star_cycle == absorbed:
             # both loose edges on one cycle: a triple flip merges it in
@@ -230,10 +233,10 @@ def symmetric_splice(key: KeyGraph) -> Tour:
             merged = {c for c in range(last + 1) if find(c) in (grown, absorbed)}
             cycles = cycle_partition(halving_ids(key, bits), last + 1, key.leaper.side)
             if set(next(c for c in cycles if anchor in c)) != merged:
-                raise ConstructionError("symmetric splice failed to grow the cycle")
+                raise ConstructionError(f"symmetric splice failed to grow the cycle at rhombus {pending}")
             tracker.union(anchor, out_edge[0])
         elif not (_merge_flip(key, bits, tracker, i) and _merge_flip(key, bits, tracker, j)):
-            raise ConstructionError("symmetric splice failed to grow the cycle")
+            raise ConstructionError(f"symmetric splice failed to grow the cycle at rhombus {pending}")
 
     _check_mirrored_bits(key, bits, partners)
     return _single_tour(key, bits, "symmetric splice")

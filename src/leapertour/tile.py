@@ -6,21 +6,21 @@ Copies of the base tour are placed in a checkerboard of translated and
 da are also legal moves.  Flipping the switches along a spanning tree of
 the subboard grid splices all copies into one Hamiltonian tour.  Since
 every copy is the base tour or its rotation, the tree has only four seam
-types.  Each type's switches are searched for lazily, in the seam band only,
-and cached, so every later seam of that type replays them translated.  The
-seam search runs on cells, and the board's edges are ids x * height + y for
-the shared cycle partition.
+types.  Each type's switches are searched for lazily, in the seam band only;
+a never-advanced tee copy of the search buffers them for every later seam of
+that type, translated.  The seam search runs on cells; the board's edges are
+ids x * height + y for the shared cycle partition, the one proof of the tour.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, repeat, tee
 from typing import AbstractSet, Iterable, Iterator, Optional
 
 from .geom import Cell, Edge, Leaper, edge
 from .keygraph import ConstructionError, IdEdge, cycle_partition
-from .splice import CycleTracker, Tour
+from .splice import Tour
 
 
 @dataclass(frozen=True)
@@ -40,15 +40,9 @@ class Switch:
         return (edge(self.b, self.c), edge(self.d, self.a))
 
 
-def rotate_cell_ccw(cell: Cell, side: int) -> Cell:
-    """Rotate 90 degrees counterclockwise about the subboard center."""
-    return (side - 1 - cell[1], cell[0])
-
-
 def rotate_edges_ccw(edges: Iterable[Edge], side: int) -> frozenset[Edge]:
-    return frozenset(
-        edge(rotate_cell_ccw(a, side), rotate_cell_ccw(b, side)) for a, b in edges
-    )
+    """Rotate 90 degrees counterclockwise about the subboard center."""
+    return frozenset(edge((side - 1 - a[1], a[0]), (side - 1 - b[1], b[0])) for a, b in edges)
 
 
 def translate_edges(edges: Iterable[Edge], dx: int, dy: int) -> frozenset[Edge]:
@@ -104,15 +98,6 @@ def _first_avoiding(candidates: Iterable[Switch], avoid: AbstractSet[Edge]) -> O
     return None
 
 
-def _replay(cache: list[Switch], source: Iterator[Switch]) -> Iterator[Switch]:
-    """The cached switches, then more from the source, cached as pulled; a for
-    loop, since closing a replay must leave the source open (yield from won't)."""
-    yield from cache
-    for sw in source:
-        cache.append(sw)
-        yield sw
-
-
 def _shift(sw: Switch, dx: int, dy: int) -> Switch:
     return Switch(*((x + dx, y + dy) for x, y in (sw.a, sw.b, sw.c, sw.d)))
 
@@ -145,7 +130,12 @@ def find_switch(
 def tile(leaper: Leaper, k: int, l: int, base: Tour) -> Tour:
     """Hamiltonian tour on the 2(p+q)k x 2(p+q)l board built from k*l
     checkerboarded copies of the base tour spliced along a comb tree, in
-    cycle_partition's canonical order (a 1x1 tiling returns the base)."""
+    cycle_partition's canonical order (a 1x1 tiling returns the base).
+
+    Each switch merges two cycles, as the final partition confirms.  The comb
+    tree's k*l - 1 edges join all copies, so it is acyclic, and a switch is its
+    seam template shifted by (i*side, j*side): a lies in copy (i, j) and c in
+    (i2, j2), on two trees so far, so on two cycles, which bc and da join."""
     if k < 1 or l < 1:
         raise ValueError(f"tile grid must be at least 1x1, got {k}x{l}")
     side = leaper.side
@@ -170,31 +160,25 @@ def tile(leaper: Leaper, k: int, l: int, base: Tour) -> Tour:
     tree = [((i, j), (i + 1, j)) for j in range(l) for i in range(k - 1)]
     tree += [((0, j), (0, j + 1)) for j in range(l - 1)]
 
-    # Every copy starts as one cycle, so cycles are unions of copies and the
-    # merge check can run over copies instead of cells: copy (i, j) is i*l + j.
-    tracker = CycleTracker(list(range(k * l)))
-
-    # Seam templates: (di, dj, parity of the lower copy) -> its switches found
-    # so far at the origin and the search for more; translating keeps order.
-    seams: dict[tuple[int, int, int], tuple[list[Switch], Iterator[Switch]]] = {}
+    # Seam templates: (di, dj, parity of the lower copy) -> a never-advanced
+    # tee copy of its switch search at the origin; translating keeps order.
+    seams: dict[tuple[int, int, int], Iterator[Switch]] = {}
     used: set[Edge] = set()
     for (i, j), (i2, j2) in tree:
         di, dj, parity = i2 - i, j2 - j, (i + j) % 2
         kind = (di, dj, parity)
         if kind not in seams:
             upper = translate_edges(copies[1 - parity], di * side, dj * side)
-            seams[kind] = ([], switch_candidates(copies[parity], upper, leaper))
-        place = f"copies ({i}, {j}) and ({i2}, {j2}) of the {_name(leaper)} tour"
-        sw = _first_avoiding((_shift(s, i * side, j * side) for s in _replay(*seams[kind])), used)
+            seams[kind] = switch_candidates(copies[parity], upper, leaper)
+        seams[kind], found = tee(seams[kind])
+        sw = _first_avoiding((_shift(s, i * side, j * side) for s in found), used)
         if sw is None:
-            raise ConstructionError(f"no switch found between {place}")
-        copy_a, copy_b = (x // side * l + y // side for x, y in (sw.a, sw.c))
-        if not tracker.union(copy_a, copy_b):
-            raise ConstructionError(f"switch {sw} between {place} does not merge two cycles")
+            raise ConstructionError(
+                f"no switch found between copies ({i}, {j}) and ({i2}, {j2}) of the {_name(leaper)} tour"
+            )
         board.difference_update(_ids(sw.old_edges(), height))
         board.update(_ids(sw.new_edges(), height))
-        used.update(sw.old_edges())
-        used.update(sw.new_edges())
+        used.update(sw.old_edges() + sw.new_edges())
 
     # the partition covers every id, so one cycle is a tour of the board
     cycles = cycle_partition(board, k * height * side, height)

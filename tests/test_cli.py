@@ -271,7 +271,10 @@ def _cut_outer_path(monkeypatch):
     "argv,message",
     [
         (("generate",), r"splice left \d+ cycles"),
-        (("generate", "--symmetric"), "partner rhombus does not mirror the pending one"),
+        (
+            ("generate", "--symmetric"),
+            r"partner rhombus does not mirror the pending rhombus \(\(2, 2\), \(7, 4\), \(9, 9\), \(4, 7\)\)",
+        ),
         (("fold",), r"outer path end \(\d+, \d+\) has 0 core projections, not 1"),
     ],
     ids=["generate", "symmetric", "fold"],

@@ -482,6 +482,65 @@ def test_bits_made_asymmetric_mid_run_are_named_at_the_end(monkeypatch):
     assert len(calls) > 3  # the growth went on after the stray flip
 
 
+def _never_flip(monkeypatch, key):
+    monkeypatch.setattr(splice_module, "_merge_flip", lambda key, bits, tracker, i: False)
+
+
+def _flip_the_anchor_only(monkeypatch, key):
+    real, calls = splice_module._merge_flip, []
+
+    def anchor_only(key, bits, tracker, i):
+        calls.append(i)
+        return len(calls) == 1 and real(key, bits, tracker, i)
+
+    monkeypatch.setattr(splice_module, "_merge_flip", anchor_only)
+
+
+def _triple_flip_forgets_the_centre(monkeypatch, key):
+    # paired seed-0 bits put a triple flip on (2,5); the halving it partitions
+    # (the second halving_ids call) keeps the centre rhombus's old bit
+    bits = _paired_random_bits(key, 0)
+    monkeypatch.setattr(splice_module, "symmetric_halving_bits", lambda key, partners: list(bits))
+    centre = _find_center_rhombus(key, _partners(key))
+    real, calls = splice_module.halving_ids, []
+
+    def forgetting(key, bits):
+        calls.append(1)
+        if len(calls) == 2:
+            bits = list(bits)
+            bits[centre] ^= 1
+        return real(key, bits)
+
+    monkeypatch.setattr(splice_module, "halving_ids", forgetting)
+
+
+STRADDLES = "self-symmetric rhombus {} straddles the grown cycle"
+NO_MIRROR = "partner rhombus does not mirror the pending rhombus {}"
+NO_GROWTH = "symmetric splice failed to grow the cycle at rhombus {}"
+
+
+@pytest.mark.parametrize(
+    "p,q,inject,message,rhombus",
+    [
+        (1, 2, _never_flip, STRADDLES, ((1, 1), (3, 2), (4, 4), (2, 3))),
+        (3, 4, _never_flip, STRADDLES, ((3, 3), (7, 6), (10, 10), (6, 7))),
+        (2, 5, _never_flip, NO_MIRROR, ((2, 2), (7, 4), (9, 9), (4, 7))),
+        (1, 4, _never_flip, NO_MIRROR, ((1, 1), (5, 2), (6, 6), (2, 5))),
+        (2, 5, _flip_the_anchor_only, NO_GROWTH, ((2, 4), (7, 6), (9, 11), (4, 9))),
+        (2, 5, _triple_flip_forgets_the_centre, NO_GROWTH, ((2, 4), (7, 6), (9, 11), (4, 9))),
+    ],
+    ids=["straddles-1-2", "straddles-3-4", "mirror-2-5", "mirror-1-4", "paired-flip", "triple-flip"],
+)
+def test_symmetric_splice_failures_name_the_pending_rhombus(monkeypatch, p, q, inject, message, rhombus):
+    key = build_key(Leaper(p, q))
+    assert rhombus in {r.cells for r in key.rhombi}
+    if message == STRADDLES:
+        assert {mirror(c, key.leaper.side) for c in rhombus} == set(rhombus)
+    inject(monkeypatch, key)
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message.format(rhombus))}$"):
+        symmetric_splice(key)
+
+
 def test_plain_splice_checks_connectivity_and_partitions_once(monkeypatch, key25):
     calls = []
     for name in ("is_connected_edges", "cycle_partition"):

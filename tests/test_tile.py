@@ -12,7 +12,6 @@ from leapertour.splice import CycleTracker, Tour, random_bits, splice
 from leapertour.tile import (
     Switch,
     _first_avoiding,
-    _replay,
     rotate_edges_ccw,
     switch_candidates,
     tile,
@@ -245,16 +244,6 @@ def test_replayed_seam_falls_through_a_rejected_cached_switch(monkeypatch):
     assert pulled == [1, 1, 2, 1]
 
 
-def test_closing_a_replay_leaves_its_search_open():
-    # tile abandons a seam's replay once a switch fits; the next seam of that
-    # type must still be able to pull past the cache
-    cache, search = [], (c for c in "abc")
-    replay = _replay(cache, search)
-    assert next(replay) == "a"
-    replay.close()
-    assert list(_replay(cache, search)) == ["a", "b", "c"]
-
-
 # --- property: random leapers, seeds and grids ----------------------------
 
 FREE_UP_TO_9 = free_leapers(9)
@@ -304,6 +293,46 @@ def test_id_partition_equals_the_tuple_oracle_on_tilings(pq, seed, k, l):
     # and the switched board, whose one cycle tile returns
     tour = tile(leaper, k, l, base)
     assert oracle_partition(tour.edge_set()) == (tour.cells,)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(FREE_UP_TO_9),
+    st.integers(0, 2**16),
+    st.integers(1, 8),
+    st.integers(1, 8),
+)
+def test_every_switch_joins_its_seams_copies_by_edges_on_the_board(pq, seed, k, l):
+    # the premises of the merge argument in tile's docstring: a lies in copy
+    # (i, j) and c in copy (i2, j2) of the seam's comb-tree edge, and both
+    # old edges are on the board when the switch is applied
+    leaper = Leaper(*pq)
+    side = leaper.side
+    key = cached_key(*pq)
+    base = splice(key, random_bits(len(key.rhombus_ids), seed))
+    applied = []
+
+    def recording(candidates, avoid):
+        applied.append(_first_avoiding(candidates, avoid))
+        return applied[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("leapertour.tile._first_avoiding", recording)
+        tour = tile(leaper, k, l, base)
+    copies = (base.edge_set(), rotate_edges_ccw(base.edge_set(), side))
+    board = set().union(
+        *(translate_edges(copies[(i + j) % 2], i * side, j * side) for i in range(k) for j in range(l))
+    )
+    tree = [((i, j), (i + 1, j)) for j in range(l) for i in range(k - 1)]
+    tree += [((0, j), (0, j + 1)) for j in range(l - 1)]
+    assert len(applied) == len(tree) == k * l - 1
+    for ((i, j), (i2, j2)), sw in zip(tree, applied):
+        assert (sw.a[0] // side, sw.a[1] // side) == (i, j)
+        assert (sw.c[0] // side, sw.c[1] // side) == (i2, j2)
+        assert set(sw.old_edges()) <= board
+        board.difference_update(sw.old_edges())
+        board.update(sw.new_edges())
+    assert board == tour.edge_set()
 
 
 FREE_UP_TO_11 = free_leapers(11)
