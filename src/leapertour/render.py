@@ -44,7 +44,13 @@ def parse_structured(text: str) -> tuple[int, int, int, int, list[Cell]]:
 
 
 def format_svg(cells: Sequence[Cell], width: int, height: int) -> str:
-    """Closed polyline through cell centers at unit spacing, over a light grid."""
+    """Closed polyline through cell centers at unit spacing, over a light grid.
+
+    Every cell must lie on the board.  Each centre coordinate is then
+    `k + 0.5` for an int 0 <= k < 2**52, a float that is exact and that
+    prints as `f"{k}.5"`.  So the points join one string per column with
+    one per row, and give the same bytes as formatting the floats.
+    """
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
         f'width="{width * 24}" height="{height * 24}">',
@@ -57,7 +63,9 @@ def format_svg(cells: Sequence[Cell], width: int, height: int) -> str:
         parts.append(f'<line x1="0" y1="{y}" x2="{width}" y2="{y}"/>')
     parts.append("</g>")
     # SVG y grows downward; board y grows upward.
-    points = " ".join(f"{x + 0.5},{height - 1 - y + 0.5}" for x, y in cells)
+    xs = [f"{x}.5," for x in range(width)]
+    ys = [f"{height - 1 - y}.5" for y in range(height)]
+    points = " ".join([xs[x] + ys[y] for x, y in cells])
     parts.append(
         f'<polygon points="{points}" fill="none" stroke="black" stroke-width="0.08" '
         'stroke-linejoin="round"/>'

@@ -233,10 +233,14 @@ def symmetric_splice(key: KeyGraph) -> Tour:
             merged = {c for c in range(last + 1) if find(c) in (grown, absorbed)}
             cycles = cycle_partition(halving_ids(key, bits), last + 1, key.leaper.side)
             if set(next(c for c in cycles if anchor in c)) != merged:
-                raise ConstructionError(f"symmetric splice failed to grow the cycle at rhombus {pending}")
+                raise ConstructionError(
+                    f"symmetric splice triple flip failed to grow the cycle at rhombus {pending}"
+                )
             tracker.union(anchor, out_edge[0])
         elif not (_merge_flip(key, bits, tracker, i) and _merge_flip(key, bits, tracker, j)):
-            raise ConstructionError(f"symmetric splice failed to grow the cycle at rhombus {pending}")
+            raise ConstructionError(
+                f"symmetric splice paired flips failed to grow the cycle at rhombus {pending}"
+            )
 
     _check_mirrored_bits(key, bits, partners)
     return _single_tour(key, bits, "symmetric splice")

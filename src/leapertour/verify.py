@@ -104,18 +104,25 @@ def verify_tour(cells: Sequence[Cell], p: int, q: int, width: int, height: int) 
 
 def verify_central_symmetry(cells: Sequence[Cell], width: int, height: int) -> bool:
     """True iff the tour's edge set maps to itself under the point reflection
-    (x, y) -> (width-1-x, height-1-y)."""
-    n = len(cells)
-    edges = set()
-    for i in range(n):
-        a, b = cells[i], cells[(i + 1) % n]
-        edges.add((a, b) if a <= b else (b, a))
-    for a, b in edges:
-        ra = (width - 1 - a[0], height - 1 - a[1])
-        rb = (width - 1 - b[0], height - 1 - b[1])
-        if ((ra, rb) if ra <= rb else (rb, ra)) not in edges:
-            return False
-    return True
+    (x, y) -> (width-1-x, height-1-y).
+
+    Exact for any cell list, on the board or not.  Each cell becomes the
+    int key x*S + y, where S exceeds the spread of the y values of the
+    cells and of their reflections; then no two of those cells share a
+    key.  The reflection of key k is c - k with c = (width-1)*S + (height-1),
+    and since it reverses order, an edge (a, b) with a <= b maps to
+    (c - b, c - a).
+    """
+    if not cells:
+        return True
+    ys = [y for _, y in cells]
+    lo, hi = min(ys), max(ys)
+    s = max(hi, height - 1 - lo) - min(lo, height - 1 - hi) + 1
+    keys = [x * s + y for x, y in cells]
+    c = (width - 1) * s + (height - 1)
+    edges = {(a, b) if a < b else (b, a) for a, b in zip(keys, keys[1:] + keys[:1])}
+    # the reflection is one-to-one, so mapping into the set means onto it
+    return all((c - b, c - a) in edges for a, b in edges)
 
 
 def oracle_tour_search(

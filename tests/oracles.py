@@ -46,3 +46,27 @@ def cycle_partition(edges):
             prev, cur = cur, b if a == prev else a
         cycles.append(tuple(cycle))
     return tuple(cycles)
+
+
+def format_svg(cells, width, height):
+    """The SVG formatter that prints every polygon point as a float pair;
+    the package's per-coordinate string tables must give the same bytes."""
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
+        f'width="{width * 24}" height="{height * 24}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        '<g stroke="#ccc" stroke-width="0.02">',
+    ]
+    for x in range(width + 1):
+        parts.append(f'<line x1="{x}" y1="0" x2="{x}" y2="{height}"/>')
+    for y in range(height + 1):
+        parts.append(f'<line x1="0" y1="{y}" x2="{width}" y2="{y}"/>')
+    parts.append("</g>")
+    # SVG y grows downward; board y grows upward.
+    points = " ".join(f"{x + 0.5},{height - 1 - y + 0.5}" for x, y in cells)
+    parts.append(
+        f'<polygon points="{points}" fill="none" stroke="black" stroke-width="0.08" '
+        'stroke-linejoin="round"/>'
+    )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

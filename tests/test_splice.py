@@ -516,7 +516,8 @@ def _triple_flip_forgets_the_centre(monkeypatch, key):
 
 STRADDLES = "self-symmetric rhombus {} straddles the grown cycle"
 NO_MIRROR = "partner rhombus does not mirror the pending rhombus {}"
-NO_GROWTH = "symmetric splice failed to grow the cycle at rhombus {}"
+PAIRED_NO_GROWTH = "symmetric splice paired flips failed to grow the cycle at rhombus {}"
+TRIPLE_NO_GROWTH = "symmetric splice triple flip failed to grow the cycle at rhombus {}"
 
 
 @pytest.mark.parametrize(
@@ -526,8 +527,8 @@ NO_GROWTH = "symmetric splice failed to grow the cycle at rhombus {}"
         (3, 4, _never_flip, STRADDLES, ((3, 3), (7, 6), (10, 10), (6, 7))),
         (2, 5, _never_flip, NO_MIRROR, ((2, 2), (7, 4), (9, 9), (4, 7))),
         (1, 4, _never_flip, NO_MIRROR, ((1, 1), (5, 2), (6, 6), (2, 5))),
-        (2, 5, _flip_the_anchor_only, NO_GROWTH, ((2, 4), (7, 6), (9, 11), (4, 9))),
-        (2, 5, _triple_flip_forgets_the_centre, NO_GROWTH, ((2, 4), (7, 6), (9, 11), (4, 9))),
+        (2, 5, _flip_the_anchor_only, PAIRED_NO_GROWTH, ((2, 4), (7, 6), (9, 11), (4, 9))),
+        (2, 5, _triple_flip_forgets_the_centre, TRIPLE_NO_GROWTH, ((2, 4), (7, 6), (9, 11), (4, 9))),
     ],
     ids=["straddles-1-2", "straddles-3-4", "mirror-2-5", "mirror-1-4", "paired-flip", "triple-flip"],
 )

@@ -2,7 +2,7 @@ from collections import deque
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import leapertour.verify as verify_module
@@ -269,3 +269,28 @@ def test_verify_agrees_with_the_oracle_after_one_edit(pq, which, edit, data):
     assert report.valid == closed
     assert verify_central_symmetry(cells, width, side) == symmetric
     assert report.centrally_symmetric == (closed and symmetric)
+
+
+@st.composite
+def _boards_with_cell_lists(draw):
+    """Any cell list, empty or not: repeats, cells off the board on every
+    side, and about half the time a list followed by its mirror image,
+    which is always centrally symmetric."""
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cell = st.tuples(st.integers(-3, width + 2), st.integers(-3, height + 2))
+    cells = draw(st.lists(cell, max_size=8))
+    if cells and draw(st.booleans()):
+        cells.insert(draw(st.integers(0, len(cells))), draw(st.sampled_from(cells)))
+    if draw(st.booleans()):
+        cells += [(width - 1 - x, height - 1 - y) for x, y in cells]
+    return width, height, cells
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_boards_with_cell_lists())
+# off the board, (1, -1) and its mirror image (-1, 1) share a key if S is
+# taken from the board height alone
+@example((1, 1, [(1, -1)]))
+def test_central_symmetry_agrees_with_the_oracle_on_any_cell_list(board):
+    width, height, cells = board
+    assert verify_central_symmetry(cells, width, height) == _oracle_symmetric(cells, width, height)
