@@ -13,10 +13,9 @@ graph R(m, n), which in turn is connected for every admissible pair
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .geom import Leaper, edge
+from .geom import Leaper, edge, is_free
 from .keygraph import (
     ConstructionError,
     KeyGraph,
@@ -139,7 +138,7 @@ def build_crisscross(m: int, n: int) -> TwoFloorGraph:
     +-(n, m) and +-(-m, n); between-floor edges +-(+-m, m) and +-(+-n, n).
     Edges leaving the grid are clipped.
     """
-    if m < 0 or n < 0 or (m + n) % 2 == 0 or math.gcd(m - n, m + n) != 1:
+    if m < 0 or n < 0 or not is_free(m, n):
         raise ValueError(f"invalid crisscross parameters ({m}, {n})")
     t = (m + n - 1) // 2
 
@@ -196,7 +195,7 @@ def crisscross_reduce(m: int, n: int) -> tuple[int, int]:
     """
     if not 0 < m < n:
         raise ValueError(f"reduction needs 0 < m < n, got ({m}, {n})")
-    if math.gcd(m - n, m + n) != 1:
+    if not is_free(m, n):
         raise ValueError(f"({m}, {n}) not admissible")
     if 3 * m < n:
         reduced = (m, n - 2 * m)
@@ -205,7 +204,7 @@ def crisscross_reduce(m: int, n: int) -> tuple[int, int]:
     else:
         reduced = (2 * m - n, m)
     mp, np_ = reduced
-    assert mp < np_ and mp + np_ < m + n and math.gcd(mp - np_, mp + np_) == 1
+    assert mp < np_ and mp + np_ < m + n and is_free(mp, np_)
     return reduced
 
 

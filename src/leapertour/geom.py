@@ -1,5 +1,9 @@
 """Board geometry: cells, leaper moves, subboards, reflections, and pencils.
 
+It is the one home of is_free, the admissibility test of leapers and of
+crisscross graphs, and of ConstructionError, the failure type of every
+construction step, a pencil leaving the board included.
+
 Coordinates follow the lower-left-corner convention: the cell (x, y) is the
 one whose lower left corner sits at the point (x, y), so a square board of
 side n holds the cells (0, 0) through (n - 1, n - 1).  Pencils and
@@ -23,12 +27,22 @@ Edge = tuple[Cell, Cell]
 REFLECTIONS = ("identity", "vertical", "center", "horizontal")
 
 
-class PencilError(ValueError):
+class ConstructionError(RuntimeError):
+    """An internal structural invariant failed during graph construction."""
+
+
+class PencilError(ConstructionError):
     """A pencil path left the board; carries the offending cell."""
 
     def __init__(self, cell: Cell, side: int):
         super().__init__(f"pencil path leaves the {side}x{side} board at {cell}")
         self.cell = cell
+
+
+def is_free(a: int, b: int) -> bool:
+    """True iff gcd(b - a, b + a) = 1: a free (a, b)-leaper, or an admissible
+    crisscross pair R(a, b)."""
+    return math.gcd(b - a, b + a) == 1
 
 
 @dataclass(frozen=True)
@@ -45,10 +59,10 @@ class Leaper:
     def __post_init__(self) -> None:
         if not 0 < self.p < self.q:
             raise ValueError(f"need 0 < p < q, got p={self.p}, q={self.q}")
-        g = math.gcd(self.q - self.p, self.q + self.p)
-        if g != 1:
+        if not is_free(self.p, self.q):
             raise ValueError(
-                f"q - p and q + p are not relatively prime (common factor {g}); "
+                "q - p and q + p are not relatively prime (common factor "
+                f"{math.gcd(self.q - self.p, self.q + self.p)}); "
                 f"the ({self.p},{self.q})-leaper is not free and admits no tour"
             )
 

@@ -17,6 +17,7 @@ inner_edges, outer_edges, edges and core_membership) are views, derived
 from the ids on first read; error messages name cells too.  One depth-first
 search over id neighbour lists, components, serves cycle_partition (for
 both splices and tile), TwoFactor.cycles, is_connected_edges and fold.
+ConstructionError lives in geom and is re-exported here under its name.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Hashable, Iterable, Sequence, TypeVar
 
 from .geom import (
     Cell,
+    ConstructionError,
     Edge,
     Leaper,
     PencilSpec,
@@ -40,10 +42,6 @@ from .geom import (
 
 V = TypeVar("V", bound=Hashable)
 IdEdge = tuple[int, int]  # cell ids, the smaller first
-
-
-class ConstructionError(RuntimeError):
-    """An internal structural invariant failed during graph construction."""
 
 
 @dataclass(frozen=True)

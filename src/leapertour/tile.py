@@ -10,6 +10,7 @@ types.  Each type's switches are searched for lazily, in the seam band only;
 a never-advanced tee copy of the search buffers them for every later seam of
 that type, translated.  The seam search runs on cells; the board's edges are
 ids x * height + y for the shared cycle partition, the one proof of the tour.
+Failure messages name the copies but not the leaper, which the caller names.
 """
 
 from __future__ import annotations
@@ -108,10 +109,6 @@ def _ids(edges: Iterable[Edge], height: int) -> list[IdEdge]:
     return [(a[0] * height + a[1], b[0] * height + b[1]) for a, b in edges]
 
 
-def _name(leaper: Leaper) -> str:
-    return f"({leaper.p},{leaper.q})-leaper"
-
-
 def find_switch(
     edges_a: frozenset[Edge],
     edges_b: frozenset[Edge],
@@ -121,9 +118,7 @@ def find_switch(
     """First canonical switch whose four edges avoid the given edge set."""
     sw = _first_avoiding(switch_candidates(edges_a, edges_b, leaper), avoid)
     if sw is None:
-        raise ConstructionError(
-            f"no switch found between adjacent copies of the {_name(leaper)} tour"
-        )
+        raise ConstructionError("no switch found between adjacent copies of the base tour")
     return sw
 
 
@@ -174,7 +169,7 @@ def tile(leaper: Leaper, k: int, l: int, base: Tour) -> Tour:
         sw = _first_avoiding((_shift(s, i * side, j * side) for s in found), used)
         if sw is None:
             raise ConstructionError(
-                f"no switch found between copies ({i}, {j}) and ({i2}, {j2}) of the {_name(leaper)} tour"
+                f"no switch found between copies ({i}, {j}) and ({i2}, {j2}) of the base tour"
             )
         board.difference_update(_ids(sw.old_edges(), height))
         board.update(_ids(sw.new_edges(), height))
@@ -183,7 +178,5 @@ def tile(leaper: Leaper, k: int, l: int, base: Tour) -> Tour:
     # the partition covers every id, so one cycle is a tour of the board
     cycles = cycle_partition(board, k * height * side, height)
     if len(cycles) != 1:
-        raise ConstructionError(
-            f"{k}x{l} tiling of the {_name(leaper)} tour left {len(cycles)} cycles"
-        )
+        raise ConstructionError(f"{k}x{l} tiling of the base tour left {len(cycles)} cycles")
     return Tour(cells=tuple(map(divmod, cycles[0], repeat(height))))

@@ -7,7 +7,6 @@ A report checks central symmetry only when a caller reads it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -48,13 +47,6 @@ def _move_vectors(p: int, q: int) -> set[tuple[int, int]]:
         for sx in (1, -1)
         for sy in (1, -1)
     }
-
-
-def is_free(p: int, q: int) -> bool:
-    """True iff the (p, q)-leaper can reach every cell of a large board."""
-    if p < 1 or q < 1:
-        raise ValueError(f"need positive p and q, got ({p}, {q})")
-    return math.gcd(q - p, q + p) == 1
 
 
 def verify_tour(cells: Sequence[Cell], p: int, q: int, width: int, height: int) -> TourReport:

@@ -4,10 +4,12 @@ import re
 import pytest
 
 import leapertour.fold as fold
+import leapertour.keygraph as keygraph
 import leapertour.splice as splice
+import leapertour.tile as tile
 import leapertour.verify as verify
 from leapertour.cli import free_leapers, main
-from leapertour.geom import Leaper
+from leapertour.geom import Leaper, PencilSpec, Subboard
 from leapertour.render import parse_structured
 
 
@@ -112,9 +114,12 @@ def test_symmetric_tiling_is_usage_error(capsys, monkeypatch, k, l):
 
 
 def test_non_free_leaper_is_usage_error(capsys):
-    code, _, err = run(capsys, "generate", "--p", "1", "--q", "3")
+    code, _, err = run(capsys, "generate", "--p", "2", "--q", "4")
     assert code == 2
-    assert "relatively prime" in err
+    assert err == (
+        "error: q - p and q + p are not relatively prime (common factor 2); "
+        "the (2,4)-leaper is not free and admits no tour\n"
+    )
 
 
 def test_verify_with_wrong_q(tmp_path, capsys):
@@ -267,37 +272,73 @@ def _cut_outer_path(monkeypatch):
     monkeypatch.setattr(fold, "build_key", cut)
 
 
+def _never_merge(monkeypatch):
+    monkeypatch.setattr(splice, "_merge_flip", lambda *a: False)
+
+
+def _push_pencil_off(monkeypatch):
+    """Move outer pencil A's base right until its move (q, p) leaves the board."""
+    real = keygraph._outer_pencils
+
+    def pushed(leaper):
+        specs = real(leaper)
+        p, q, side = leaper.p, leaper.q, leaper.side
+        specs[0] = PencilSpec(Subboard(side - q, side - q + p, 0, q), ((q, p),))
+        return specs
+
+    monkeypatch.setattr(keygraph, "_outer_pencils", pushed)
+
+
+def _no_switches(monkeypatch):
+    monkeypatch.setattr(tile, "switch_candidates", lambda a, b, leaper: iter(()))
+
+
 @pytest.mark.parametrize(
-    "argv,message",
+    "inject,argv,message",
     [
-        (("generate",), r"splice left \d+ cycles"),
+        (_never_merge, ("generate",), r"splice left \d+ cycles"),
         (
+            _never_merge,
             ("generate", "--symmetric"),
             r"partner rhombus does not mirror the pending rhombus \(\(2, 2\), \(7, 4\), \(9, 9\), \(4, 7\)\)",
         ),
-        (("fold",), r"outer path end \(\d+, \d+\) has 0 core projections, not 1"),
+        (_cut_outer_path, ("fold",), r"outer path end \(\d+, \d+\) has 0 core projections, not 1"),
+        (_push_pencil_off, ("generate",), r"pencil path leaves the 14x14 board at \(14, 2\)"),
+        (
+            _no_switches,
+            ("generate", "--tile-k", "2", "--tile-l", "1"),
+            r"no switch found between copies \(0, 0\) and \(1, 0\) of the base tour",
+        ),
     ],
-    ids=["generate", "symmetric", "fold"],
+    ids=["generate", "symmetric", "fold", "pencil", "tile"],
 )
-def test_construction_error_is_one_error_line(capsys, monkeypatch, argv, message):
-    # generate's merge flips never flip, and fold's key lacks an outer edge
-    monkeypatch.setattr(splice, "_merge_flip", lambda *a: False)
-    _cut_outer_path(monkeypatch)
+def test_construction_error_is_one_error_line(capsys, monkeypatch, inject, argv, message):
+    inject(monkeypatch)
     code, out, err = run(capsys, *argv, "--p", "2", "--q", "5")
     assert code == 1
     assert out == ""
+    # the fullmatch also proves that the leaper is named once
     assert re.fullmatch(rf"error: \(2,5\)-leaper: {message}\n", err), err
     assert "Traceback" not in err
 
 
-def test_sweep_reports_a_construction_error_and_goes_on(capsys, monkeypatch):
-    monkeypatch.setattr(splice, "_merge_flip", lambda *a: False)
+def _assert_every_sweep_row_fails(capsys):
     code, out, err = run(capsys, "sweep", "--max-sum", "9")
     assert code == 1
     assert err == ""
     rows = out.splitlines()
     assert [row.split(":")[0] for row in rows] == [f"({p},{q})" for p, q in free_leapers(9)]
     assert all(re.fullmatch(r"\(\d+,\d+\): FAIL  \S.*", row) for row in rows), rows
+
+
+def test_sweep_reports_a_construction_error_and_goes_on(capsys, monkeypatch):
+    _never_merge(monkeypatch)
+    _assert_every_sweep_row_fails(capsys)
+
+
+def test_sweep_reports_a_pencil_error_and_goes_on(capsys, monkeypatch):
+    _push_pencil_off(monkeypatch)
+    _assert_every_sweep_row_fails(capsys)
 
 
 def test_determinism_same_seed_byte_identical(tmp_path, capsys):

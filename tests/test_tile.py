@@ -106,10 +106,13 @@ def test_tile_rejects_bad_grid():
         tile(leaper, 0, 2, base_tour(1, 2))
 
 
-def test_tile_failure_names_leaper_and_copies(monkeypatch):
-    # with no candidate switches at all, the first comb-tree seam fails
+def test_tile_failure_names_the_copies(monkeypatch):
+    # with no candidate switches at all, the first comb-tree seam fails; the
+    # caller names the leaper
     monkeypatch.setattr("leapertour.tile.switch_candidates", lambda a, b, leaper: iter(()))
-    with pytest.raises(ConstructionError, match=r"copies \(0, 0\) and \(1, 0\) of the \(1,2\)-leaper"):
+    with pytest.raises(
+        ConstructionError, match=r"^no switch found between copies \(0, 0\) and \(1, 0\) of the base tour$"
+    ):
         tile(Leaper(1, 2), 2, 1, base_tour(1, 2))
 
 

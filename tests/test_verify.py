@@ -6,11 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import leapertour.verify as verify_module
-from leapertour.geom import Leaper
+from leapertour.geom import Leaper, is_free
 from leapertour.keygraph import build_key
 from leapertour.splice import random_bits, splice, symmetric_splice
 from leapertour.verify import (
-    is_free,
     oracle_tour_search,
     verify_central_symmetry,
     verify_tour,
@@ -113,15 +112,11 @@ def test_generic_asymmetric_input():
 
 @pytest.mark.parametrize(
     "p,q,expected",
-    [(1, 2, True), (1, 3, False), (3, 4, True), (2, 5, True), (2, 4, False)],
+    [(1, 2, True), (1, 3, False), (3, 4, True), (2, 5, True), (2, 4, False), (0, 1, True)],
 )
 def test_is_free(p, q, expected):
+    # (0, 1) is no leaper but the admissible crisscross pair R(0, 1)
     assert is_free(p, q) is expected
-
-
-def test_is_free_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        is_free(0, 2)
 
 
 def test_oracle_finds_knight_tour_on_6x6():
@@ -161,8 +156,8 @@ def _leaper_graph_is_connected(p, q, side):
 def test_move_model_connected_iff_free(q):
     """The (p, q)-leaper graph of a board at least (p + q) x 2q is connected
     iff gcd(p, q) = 1 and p + q is odd (D. Knuth, "Leaper graphs",
-    Math. Gazette 78 (1994)); the 2(p + q) board is that large, and is_free
-    must say the same."""
+    Math. Gazette 78 (1994)); the 2(p + q) board is that large, and is_free,
+    the predicate Leaper uses, must say the same."""
     wrong = [
         p for p in range(1, q)
         if _leaper_graph_is_connected(p, q, 2 * (p + q)) != is_free(p, q)
