@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification or construction failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -15,6 +16,9 @@ from .geom import Leaper, is_free
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+# generate and fold refuse a larger final board before building anything; a
+# 313,600-cell (2,5) tiling, 40x40 copies, peaks at about 110 MB
+MAX_CELLS = 1_000_000
 
 
 def _make_leaper(p: int, q: int) -> Leaper:
@@ -22,6 +26,17 @@ def _make_leaper(p: int, q: int) -> Leaper:
         return Leaper(p, q)
     except ValueError as exc:
         raise SystemExit2(str(exc))
+
+
+def _board_size(leaper: Leaper, k: int, l: int) -> tuple[int, int]:
+    """Width and height of k x l copies of the leaper's board, at most MAX_CELLS cells."""
+    width, height = leaper.side * k, leaper.side * l
+    if width * height > MAX_CELLS:
+        raise SystemExit2(
+            f"the {width}x{height} board has {width * height} cells, "
+            f"above the limit of {MAX_CELLS}"
+        )
+    return width, height
 
 
 class SystemExit2(Exception):
@@ -46,12 +61,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
             f"--symmetric needs a 1x1 tiling, got {args.tile_k}x{args.tile_l}: "
             "a tiled tour is not centrally symmetric"
         )
+    width, height = _board_size(leaper, args.tile_k, args.tile_l)
     tour = _generate_tour(leaper, args.symmetric, args.seed)
-    width = height = leaper.side
     if (args.tile_k, args.tile_l) != (1, 1):
         tour = tile.tile(leaper, args.tile_k, args.tile_l, tour)
-        width, height = leaper.side * args.tile_k, leaper.side * args.tile_l
 
+    # a valid tour lists each board cell once, as the formatters require
     report = verify.verify_tour(tour.cells, args.p, args.q, width, height)
     if not report.valid:
         print(f"self-verification failed: {report.first_failure}", file=sys.stderr)
@@ -103,6 +118,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_fold(args: argparse.Namespace) -> int:
     leaper = _make_leaper(args.p, args.q)
+    _board_size(leaper, 1, 1)
     report = fold.check_fold(leaper)
     pm = report.params
     em, en = pm.expected
@@ -168,7 +184,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="leapertour",
         description="Construct and verify closed (p,q)-leaper tours on 2(p+q) boards.",

@@ -1,4 +1,8 @@
-"""Tour output formats: numbered grid, structured text, and SVG."""
+"""Tour output formats: numbered grid, structured text, and SVG.
+
+Each formatter builds its text from string tables made once per call, not
+cell by cell, so it needs every cell to lie on the board (see its docstring).
+"""
 
 from __future__ import annotations
 
@@ -8,22 +12,32 @@ Cell = tuple[int, int]
 
 
 def format_grid(cells: Sequence[Cell], width: int, height: int) -> str:
-    """Board of visit numbers 1..n, row y printed top-down like a diagram."""
-    number = {c: i + 1 for i, c in enumerate(cells)}
+    """Board of visit numbers 1..n, row y printed top-down like a diagram.
+
+    Every cell must lie on the board and each board cell must appear
+    exactly once.  The visit numbers then fill a list indexed by
+    x * height + y, so row y is the slice `order[y::height]`, printed by one
+    `%`-template of right-aligned numbers.
+    """
     digits = len(str(width * height))
-    rows = []
-    for y in range(height - 1, -1, -1):
-        rows.append(" ".join(f"{number[(x, y)]:>{digits}}" for x in range(width)))
-    return "\n".join(rows) + "\n"
+    order = [0] * (width * height)
+    for i, (x, y) in enumerate(cells, 1):
+        order[x * height + y] = i
+    row = " ".join([f"%{digits}d"] * width) + "\n"
+    return "".join([row % tuple(order[y::height]) for y in range(height - 1, -1, -1)])
 
 
 def format_structured(
     cells: Sequence[Cell], p: int, q: int, width: int, height: int
 ) -> str:
-    """Header line `p q width height`, then one `x y` pair per tour step."""
-    lines = [f"{p} {q} {width} {height}"]
-    lines.extend(f"{x} {y}" for x, y in cells)
-    return "\n".join(lines) + "\n"
+    """Header line `p q width height`, then one `x y` pair per tour step.
+
+    Every cell must lie on the board: each line joins the string of its
+    column with the string of its row.
+    """
+    xs = [f"{x} " for x in range(width)]
+    ys = [f"{y}\n" for y in range(height)]
+    return f"{p} {q} {width} {height}\n" + "".join([xs[x] + ys[y] for x, y in cells])
 
 
 def parse_structured(text: str) -> tuple[int, int, int, int, list[Cell]]:

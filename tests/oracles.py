@@ -48,6 +48,25 @@ def cycle_partition(edges):
     return tuple(cycles)
 
 
+def format_grid(cells, width, height):
+    """The grid formatter that looks up and pads each cell's visit number;
+    the package's row templates must give the same bytes."""
+    number = {c: i + 1 for i, c in enumerate(cells)}
+    digits = len(str(width * height))
+    rows = []
+    for y in range(height - 1, -1, -1):
+        rows.append(" ".join(f"{number[(x, y)]:>{digits}}" for x in range(width)))
+    return "\n".join(rows) + "\n"
+
+
+def format_structured(cells, p, q, width, height):
+    """The tour-file formatter that prints each step as its own line; the
+    package's per-coordinate string tables must give the same bytes."""
+    lines = [f"{p} {q} {width} {height}"]
+    lines.extend(f"{x} {y}" for x, y in cells)
+    return "\n".join(lines) + "\n"
+
+
 def format_svg(cells, width, height):
     """The SVG formatter that prints every polygon point as a float pair;
     the package's per-coordinate string tables must give the same bytes."""

@@ -1,8 +1,10 @@
+import argparse
 import dataclasses
 import re
 
 import pytest
 
+import leapertour.cli as cli
 import leapertour.fold as fold
 import leapertour.keygraph as keygraph
 import leapertour.splice as splice
@@ -111,6 +113,79 @@ def test_symmetric_tiling_is_usage_error(capsys, monkeypatch, k, l):
     assert out == ""
     assert err.startswith("error: ") and "--symmetric" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def _refuse_construction(monkeypatch):
+    def no_construction(leaper):
+        raise AssertionError("key graph built for an oversized board")
+
+    monkeypatch.setattr(keygraph, "build_key", no_construction)
+    monkeypatch.setattr(fold, "build_key", no_construction)
+
+
+@pytest.mark.parametrize(
+    "argv,board,cells",
+    [
+        (("generate", "--p", "1", "--q", "100000"), "200002x200002", 40000800004),
+        (("fold", "--p", "1", "--q", "100000"), "200002x200002", 40000800004),
+        (
+            ("generate", "--p", "2", "--q", "5", "--tile-k", "100000", "--tile-l", "100000"),
+            "1400000x1400000",
+            1960000000000,
+        ),
+        (("generate", "--p", "2", "--q", "5", "--tile-k", "1", "--tile-l", "5103"), "14x71442", 1000188),
+    ],
+    ids=["huge-q", "fold-huge-q", "huge-tiling", "just-above"],
+)
+def test_oversized_board_is_usage_error(capsys, monkeypatch, argv, board, cells):
+    _refuse_construction(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: the {board} board has {cells} cells, above the limit of 1000000\n"
+
+
+def test_board_at_the_cell_limit_is_built(capsys, monkeypatch):
+    # the largest board measured so far, 40x40 copies of the (2,5) tour, stays admitted
+    assert Leaper(2, 5).side ** 2 * 40 * 40 <= cli.MAX_CELLS
+    monkeypatch.setattr(cli, "MAX_CELLS", 14 * 14 * 2 * 3)
+    code, out, _ = run(capsys, "generate", "--p", "2", "--q", "5", "--tile-k", "2", "--tile-l", "3")
+    assert code == 0 and out.startswith("2 5 28 42\n")
+    monkeypatch.setattr(cli, "MAX_CELLS", 14 * 14 * 2 * 3 - 1)
+    _refuse_construction(monkeypatch)
+    code, _, err = run(capsys, "generate", "--p", "2", "--q", "5", "--tile-k", "2", "--tile-l", "3")
+    assert (code, err) == (2, "error: the 28x42 board has 1176 cells, above the limit of 1175\n")
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        if self.prog == "leapertour":  # not a subcommand's parser
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+
+    def usage_error():
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--p", "1"])
+        assert exc.value.code == 2
+        return capsys.readouterr().err
+
+    path = tmp_path / "tour.txt"
+    assert run(capsys, "generate", "--p", "1", "--q", "2", "--output", str(path)) == (0, "", "")
+    first_error = usage_error()
+    assert first_error.endswith("leapertour generate: error: the following arguments are required: --q\n")
+    code, out, _ = run(capsys, "verify", str(path))
+    assert (code, out.splitlines()[-1]) == (0, "VALID")
+    code, out, _ = run(capsys, "fold", "--p", "1", "--q", "2")
+    assert code == 0 and out.endswith("MATCH, O acyclic, F connected\n")
+    assert run(capsys, "generate", "--p", "1", "--q", "2") == (0, path.read_text(), "")
+    assert usage_error() == first_error
+    assert len(built) == 1
 
 
 def test_non_free_leaper_is_usage_error(capsys):

@@ -1,3 +1,4 @@
+import random
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -5,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leapertour.cli import main
-from leapertour.render import format_svg, parse_structured
+from leapertour.render import format_grid, format_structured, format_svg, parse_structured
+from oracles import format_grid as oracle_format_grid
+from oracles import format_structured as oracle_format_structured
 from oracles import format_svg as oracle_format_svg
 
 SVG = "{http://www.w3.org/2000/svg}"
@@ -26,6 +29,50 @@ def boards_with_cells(draw):
 def test_format_svg_matches_the_float_formatter(board):
     width, height, cells = board
     assert format_svg(cells, width, height) == oracle_format_svg(cells, width, height)
+
+
+def _shuffled(width, height, rng):
+    cells = [(x, y) for x in range(width) for y in range(height)]
+    rng.shuffle(cells)
+    return width, height, cells
+
+
+@st.composite
+def shuffled_boards(draw):
+    """A board from 1x1 up to 120 on a side, often far from square, and
+    every one of its cells once, in random order."""
+    width, height = draw(st.integers(1, 120)), draw(st.integers(1, 120))
+    return _shuffled(width, height, random.Random(draw(st.integers(0, 2**32))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shuffled_boards())
+def test_format_grid_matches_the_padded_cell_formatter(board):
+    width, height, cells = board
+    assert format_grid(cells, width, height) == oracle_format_grid(cells, width, height)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shuffled_boards(), st.integers(0, 10**6), st.integers(0, 10**6))
+def test_format_structured_matches_the_line_formatter(board, p, q):
+    width, height, cells = board
+    assert format_structured(cells, p, q, width, height) == oracle_format_structured(
+        cells, p, q, width, height
+    )
+
+
+# boards on both sides of 10, 100 and 1000 cells, where a grid number
+# gains a digit, and the extremes of the drawn sizes
+@pytest.mark.parametrize(
+    "width,height",
+    [(1, 1), (3, 3), (2, 5), (9, 11), (10, 10), (27, 37), (25, 40), (1, 120), (120, 1), (120, 120)],
+)
+def test_table_formatters_across_number_widths(width, height):
+    _, _, cells = _shuffled(width, height, random.Random(width * height))
+    assert format_grid(cells, width, height) == oracle_format_grid(cells, width, height)
+    assert format_structured(cells, 2, 5, width, height) == oracle_format_structured(
+        cells, 2, 5, width, height
+    )
 
 
 @pytest.mark.parametrize(
