@@ -134,12 +134,12 @@ def reflect(ids: Iterable[int], side: int, which: str) -> list[int]:
     raise ValueError(f"unknown reflection {which!r}")
 
 
-def expand_pencil(spec: PencilSpec, side: int) -> list[tuple[int, ...]]:
-    """One path per base cell, in cell order; the vertices are the base cell
-    plus the prefix sums of the moves, as cell ids x * side + y.
+def pencil_shifts(spec: PencilSpec, side: int) -> list[Direction]:
+    """The offsets of a pencil's path vertices from their base cell: (0, 0)
+    and the prefix sums of the moves.
 
-    Every path shifts its base cell by the same prefix sums, so the pencil
-    stays on the board iff each shift keeps the whole base rectangle on it.
+    Every path shifts its base cell by the same offsets, so the pencil stays
+    on the board iff each offset keeps the whole base rectangle on it.
     Raises PencilError naming the first vertex that falls off, walking the
     paths in order.
     """
@@ -151,5 +151,12 @@ def expand_pencil(spec: PencilSpec, side: int) -> list[tuple[int, ...]]:
                 for dx, dy in shifts:
                     if not (0 <= x + dx < side and 0 <= y + dy < side):
                         raise PencilError((x + dx, y + dy), side)
+    return shifts
+
+
+def expand_pencil(spec: PencilSpec, side: int) -> list[tuple[int, ...]]:
+    """One path per base cell, in cell order: the base cell plus each of its
+    pencil_shifts, as cell ids x * side + y."""
+    rect = spec.base
     starts = [x * side + y for x in range(rect.x1, rect.x2) for y in range(rect.y1, rect.y2)]
-    return list(zip(*[[i + sx * side + sy for i in starts] for sx, sy in shifts]))
+    return list(zip(*[[i + sx * side + sy for i in starts] for sx, sy in pencil_shifts(spec, side)]))

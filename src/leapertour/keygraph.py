@@ -3,10 +3,13 @@
 On the square board of side 2(p + q) there are eight cores: four "forward"
 and four "backward" squares of side q - p.  Rhombi are 4-cycles of leaper
 moves joining corresponding cells of the four like-kind cores; their union
-is the inner graph.  Six boundary pencils and their reflections form the
-outer graph.  The key graph is the union of the two, and halving every
-rhombus (keeping one of its two perfect matchings) turns it into a
-pseudotour: a spanning subgraph in which every cell has degree two.
+is the inner graph.  Six boundary pencils and their reflections, 24
+pairwise disjoint pencils, form the outer graph.  A pencil is a rectangle
+of cells swept by one move (a rhombus pencil by four in turn), so both
+graphs are built, and their moves checked, pencil by pencil.  The key
+graph is the union of the two, and halving every rhombus (keeping one of
+its two perfect matchings) turns it into a pseudotour: a spanning subgraph
+in which every cell has degree two.
 
 build_key builds the key graph on cell ids, and a KeyGraph stores them:
 the cell (x, y) has the id x * side + y, so id order is lexicographic cell
@@ -22,6 +25,7 @@ ConstructionError lives in geom and is re-exported here under its name.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -30,6 +34,7 @@ from typing import Hashable, Iterable, Sequence, TypeVar
 from .geom import (
     Cell,
     ConstructionError,
+    Direction,
     Edge,
     Leaper,
     PencilSpec,
@@ -37,6 +42,7 @@ from .geom import (
     REFLECTIONS,
     edge,
     expand_pencil,
+    pencil_shifts,
     reflect,
 )
 
@@ -156,29 +162,43 @@ def build_cores(leaper: Leaper) -> Cores:
     return Cores(forward, backward)
 
 
+def _check_move(a: int, b: int, side: int, moves: frozenset[Direction]) -> None:
+    """Raise unless the cells with ids a and b are one leaper move apart.
+    Their id difference alone would accept a move that wraps round the
+    board: (dx + 1, dy - side) has the id difference of (dx, dy)."""
+    (x, y), (u, v) = divmod(a, side), divmod(b, side)
+    if (u - x, v - y) not in moves:
+        raise ConstructionError(f"illegal move {min((x, y), (u, v))}-{max((x, y), (u, v))}")
+
+
 def build_inner(leaper: Leaper) -> tuple[list[tuple[int, ...]], set[IdEdge]]:
     """All rhombi (as two pencils of closed 4-cycles of cell ids, forward
-    first) and their edge union."""
+    first) and their edge union, proved leaper moves and pairwise distinct.
+    Every path of a pencil is its base cell plus the same shifts, so one
+    path shows the pencil closed and one edge shows each step legal."""
     p, q = leaper.p, leaper.q
     side = leaper.side
+    moves = leaper.directions()
     cores = build_cores(leaper)
     rhombi: list[tuple[int, ...]] = []
+    edges: list[IdEdge] = []
     for base, dirs in (
         (cores.forward[0], ((q, p), (p, q), (-q, -p), (-p, -q))),
         (cores.backward[0], ((q, -p), (-p, q), (-q, p), (p, -q))),
     ):
-        for path in expand_pencil(PencilSpec(base, dirs), side):
-            if path[4] != path[0]:
-                raise ConstructionError(f"rhombus pencil not closed at {divmod(path[0], side)}")
-            rhombi.append(path[:4])
-    edges: set[IdEdge] = set()
-    for a, b, c, d in rhombi:
-        for e in (_id_edge(a, b), _id_edge(b, c), _id_edge(c, d), _id_edge(d, a)):
-            if e in edges:
-                cells = (divmod(e[0], side), divmod(e[1], side))
-                raise ConstructionError(f"two rhombi share the edge {cells}")
-            edges.add(e)
-    return rhombi, edges
+        paths = expand_pencil(PencilSpec(base, dirs), side)
+        if paths[0][4] != paths[0][0]:
+            raise ConstructionError(f"rhombus pencil not closed at {divmod(paths[0][0], side)}")
+        rhombi += [path[:4] for path in paths]
+        columns = list(zip(*paths))[:4]  # vertex k of every rhombus
+        for a, b in zip(columns, columns[1:] + columns[:1]):
+            _check_move(a[0], b[0], side, moves)
+            edges += zip(a, b) if a[0] < b[0] else zip(b, a)
+    unique = set(edges)
+    if len(unique) != len(edges):
+        a, b = next(e for e, n in Counter(edges).items() if n > 1)
+        raise ConstructionError(f"two rhombi share the edge {(divmod(a, side), divmod(b, side))}")
+    return rhombi, unique
 
 
 def _outer_pencils(leaper: Leaper) -> list[PencilSpec]:
@@ -193,36 +213,52 @@ def _outer_pencils(leaper: Leaper) -> list[PencilSpec]:
     ]
 
 
-def build_outer(leaper: Leaper) -> set[IdEdge]:
-    """Union of the six boundary pencils and all their reflections, as id
-    edges.  Reflected pencils may coincide, so the union is deduplicated."""
+def build_outer(leaper: Leaper) -> list[IdEdge]:
+    """The edges of the six boundary pencils and all their reflections, as
+    id edges, smaller id first, proved leaper moves.
+
+    A pencil's reflection is the reflected move swept over the reflected
+    rectangle, so reflect maps only two corners and one move's end.  Each
+    column of the rectangle of the edges' lower ends gives its edges in one
+    zip."""
     side = leaper.side
-    edges: set[IdEdge] = set()
+    moves = leaper.directions()
+    edges: list[IdEdge] = []
     for spec in _outer_pencils(leaper):
-        columns = list(zip(*expand_pencil(spec, side)))  # vertex k of every path
+        _, (dx, dy) = pencil_shifts(spec, side)  # the rectangle and its shift lie on the board
+        rect = spec.base
+        width, height = rect.x2 - rect.x1, rect.y2 - rect.y1
+        first, last = rect.x1 * side + rect.y1, (rect.x2 - 1) * side + rect.y2 - 1
         for which in REFLECTIONS:
-            mirrored = [reflect(column, side, which) for column in columns]
-            for a, b in zip(mirrored, mirrored[1:]):
-                # one step moves every path by the same vector, so all its
-                # edges point the same way in id order
-                edges.update(zip(a, b) if a[0] < b[0] else zip(b, a))
+            a, b, c = reflect((first, last, first + dx * side + dy), side, which)
+            _check_move(a, c, side, moves)
+            xs, ys = zip(divmod(a, side), divmod(b, side))
+            lo, d = min(xs) * side + min(ys) + min(c - a, 0), abs(c - a)
+            for s in range(lo, lo + width * side, side):
+                edges += zip(range(s, s + height), range(s + d, s + d + height))
     return edges
 
 
 def build_key(leaper: Leaper) -> KeyGraph:
     """Assemble and validate the key graph (inner union outer).
 
+    Every edge is a leaper move, though build_inner and build_outer check
+    one edge per pencil step: a step shifts a rectangle that lies on the
+    board by one vector, so all its edges are that move and none wraps.
+
     The degree check implies the paper's sizes.  The memberships e of the
     eight (q-p)-square cores sum to 8(q-p)**2, so inner degree 2e gives
     8(q-p)**2 inner edges, that is 2(q-p)**2 rhombi, as build_inner rejects a
-    shared edge; outer degree 2 - e gives side**2 - 4(q-p)**2 = 16pq outer edges."""
+    shared edge; outer degree 2 - e gives side**2 - 4(q-p)**2 = 16pq outer
+    edges, and the union's size shows them distinct."""
     side = leaper.side
     cores = build_cores(leaper)
     rhombi, inner = build_inner(leaper)
     outer = build_outer(leaper)
 
-    if inner & outer:
-        shared = tuple(divmod(c, side) for c in min(inner & outer))
+    distinct = len(inner.union(outer)) == len(inner) + len(outer)
+    if not distinct and not inner.isdisjoint(outer):
+        shared = tuple(divmod(c, side) for c in min(inner.intersection(outer)))
         raise ConstructionError(f"inner and outer graphs share the edge {shared}")
 
     membership = [0] * (side * side)
@@ -231,15 +267,9 @@ def build_key(leaper: Leaper) -> KeyGraph:
             for i in range(x * side + core.y1, x * side + core.y2):
                 membership[i] += 1
 
-    # An id difference alone would accept a move that wraps round the board:
-    # (dx + 1, dy - side) has the id difference of (dx, dy).  So each edge's
-    # y difference must be the one its id difference names.
-    dy_of = {dx * side + dy: dy for dx, dy in leaper.directions()}
     deg_inner, deg_outer = [0] * (side * side), [0] * (side * side)
     for edges, degrees in ((inner, deg_inner), (outer, deg_outer)):
         for a, b in edges:
-            if dy_of.get(b - a) != b % side - a % side:
-                raise ConstructionError(f"illegal move {divmod(a, side)}-{divmod(b, side)}")
             degrees[a] += 1
             degrees[b] += 1
     for i, e in enumerate(membership):
@@ -248,6 +278,9 @@ def build_key(leaper: Leaper) -> KeyGraph:
                 f"degree mismatch at {divmod(i, side)}: membership {e}, "
                 f"inner {deg_inner[i]}, outer {deg_outer[i]}"
             )
+    if not distinct:  # a repeat the degrees do not show: other edges at its ends are missing
+        a, b = next(e for e, n in Counter(outer).items() if n > 1)
+        raise ConstructionError(f"outer graph repeats the edge {(divmod(a, side), divmod(b, side))}")
 
     return KeyGraph(leaper, cores, tuple(rhombi), tuple(outer), membership)
 

@@ -79,13 +79,13 @@ def test_forward_rhombus_at_pp():
 @pytest.mark.parametrize("p,q", FREE_SMALL)
 def test_outer_size_and_reflection_invariance(p, q):
     leaper = Leaper(p, q)
-    outer = build_outer(leaper)
-    assert len(outer) == 16 * p * q
+    outer = build_outer(leaper)  # a list: the 24 reflected pencils are disjoint
+    assert len(outer) == len(set(outer)) == 16 * p * q
     assert all(a < b for a, b in outer)
     ends = list(zip(*outer))
     for which in ("vertical", "center", "horizontal"):
         a, b = (reflect(column, leaper.side, which) for column in ends)
-        assert set(map(tuple, map(sorted, zip(a, b)))) == outer
+        assert set(map(tuple, map(sorted, zip(a, b)))) == set(outer)
 
 
 def test_outer_degree_examples_2_5():
@@ -321,6 +321,35 @@ def test_dropped_pencil_is_named_by_the_degree_check(monkeypatch):
     with pytest.raises(
         ConstructionError,
         match=r"^degree mismatch at \(0, 0\): membership 0, inner 0, outer 1$",
+    ):
+        build_key(Leaper(2, 5))
+
+
+def test_repeated_pencil_is_named_by_the_degree_check(monkeypatch):
+    # spec 0 twice: its edges, and those of its reflections, counted twice
+    _patch_outer(monkeypatch, lambda specs, p, q, side: specs.append(specs[0]))
+    with pytest.raises(
+        ConstructionError,
+        match=r"^degree mismatch at \(0, 0\): membership 0, inner 0, outer 3$",
+    ):
+        build_key(Leaper(2, 5))
+
+
+def test_repeat_with_balanced_degrees_names_the_edge(monkeypatch):
+    # the outer edges (a, x) and (b, y) become (a, b) again and (x, y): every
+    # degree stays, so only the distinctness check sees the repeat
+    real = keygraph.build_outer
+
+    def rewired(leaper):
+        outer = real(leaper)
+        a, b = outer[0]
+        (x,) = (v for e in outer if a in e and b not in e for v in e if v != a)
+        (y,) = (v for e in outer if b in e and a not in e for v in e if v != b)
+        return [e for e in outer if {a, x} != set(e) != {b, y}] + [(a, b), (min(x, y), max(x, y))]
+
+    monkeypatch.setattr(keygraph, "build_outer", rewired)
+    with pytest.raises(
+        ConstructionError, match=r"^outer graph repeats the edge \(\(0, 0\), \(5, 2\)\)$"
     ):
         build_key(Leaper(2, 5))
 

@@ -1,5 +1,6 @@
 import random
 import xml.etree.ElementTree as ET
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +38,18 @@ def _shuffled(width, height, rng):
     return width, height, cells
 
 
+def assert_same_text(got, want):
+    """Fail, naming the first line that differs, unless the texts are equal.
+
+    A plain assert would have pytest diff the two texts, which for boards of
+    thousands of cells takes seconds, and hypothesis pays it again for each
+    failing example it tries while shrinking."""
+    if got != want:
+        pairs = zip_longest(got.split("\n"), want.split("\n"))  # split is one-to-one
+        i, (line, expected) = next((i, pair) for i, pair in enumerate(pairs) if pair[0] != pair[1])
+        raise AssertionError(f"line {i} differs: got {line!r}, want {expected!r}")
+
+
 @st.composite
 def shuffled_boards(draw):
     """A board from 1x1 up to 120 on a side, often far from square, and
@@ -49,15 +62,15 @@ def shuffled_boards(draw):
 @given(shuffled_boards())
 def test_format_grid_matches_the_padded_cell_formatter(board):
     width, height, cells = board
-    assert format_grid(cells, width, height) == oracle_format_grid(cells, width, height)
+    assert_same_text(format_grid(cells, width, height), oracle_format_grid(cells, width, height))
 
 
 @settings(max_examples=100, deadline=None)
 @given(shuffled_boards(), st.integers(0, 10**6), st.integers(0, 10**6))
 def test_format_structured_matches_the_line_formatter(board, p, q):
     width, height, cells = board
-    assert format_structured(cells, p, q, width, height) == oracle_format_structured(
-        cells, p, q, width, height
+    assert_same_text(
+        format_structured(cells, p, q, width, height), oracle_format_structured(cells, p, q, width, height)
     )
 
 
