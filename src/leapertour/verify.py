@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import sub
 from typing import Optional, Sequence
 
 Cell = tuple[int, int]
@@ -51,46 +52,61 @@ def _move_vectors(p: int, q: int) -> set[tuple[int, int]]:
 
 def verify_tour(cells: Sequence[Cell], p: int, q: int, width: int, height: int) -> TourReport:
     """Check a cyclic cell sequence for being a closed Hamiltonian tour;
-    p, q, width, height must be >= 1."""
+    p, q, width, height must be >= 1.
+
+    Each cell becomes the int key x*S + y, with S = (max y - min y) +
+    max(p, q) + 1.  Two cells' y values differ by less than S, so distinct
+    cells get distinct keys.  A step (dx, dy) has key difference dx*S + dy
+    and a move (mx, my) has key mx*S + my; these are equal iff
+    (dx - mx)*S = my - dy, and |my - dy| <= max(p, q) + (max y - min y) < S,
+    so only when the step is that move.  Each check is then one set or
+    min/max operation over the keys, and a per-cell loop runs only after a
+    check has failed, to name its first failure.
+    """
     if min(p, q, width, height) < 1:
         raise ValueError(f"need p, q, width, height >= 1, got {p}, {q}, {width}, {height}")
-    moves = _move_vectors(p, q)
     n = len(cells)
     report = TourReport(
         cell_count_ok=(n == width * height),
         all_moves_legal=True,
         all_cells_once=True,
-        closed=(n > 0),
+        closed=False,
         cells=cells, width=width, height=height,
     )
-    if not report.cell_count_ok and report.first_failure is None:
+    if not report.cell_count_ok:
         report.first_failure = f"{n} cells listed, board has {width * height}"
+    if n == 0:
+        return report
 
-    seen: set[Cell] = set()
-    for i, c in enumerate(cells):
-        x, y = c
-        if c in seen or not (0 <= x < width and 0 <= y < height):
-            report.all_cells_once = False
-            if report.first_failure is None:
-                report.first_failure = f"cell {c} at index {i} repeated or off board"
-            break
-        seen.add(c)
+    ys = [y for _, y in cells]
+    lo, hi = min(ys), max(ys)
+    s = hi - lo + max(p, q) + 1
+    keys = [x * s + y for x, y in cells]
+    moves = {dx * s + dy for dx, dy in _move_vectors(p, q)}
 
-    for i in range(n - 1):
-        a, b = cells[i], cells[i + 1]
-        if (b[0] - a[0], b[1] - a[1]) not in moves:
-            report.all_moves_legal = False
-            if report.first_failure is None:
-                report.first_failure = f"illegal move {a} -> {b} at index {i}"
-            break
+    # 0 <= y - lo < S, so a key's x is (key - lo) // S
+    on_board = 0 <= lo and hi < height and 0 <= min(keys) - lo and (max(keys) - lo) // s < width
+    if len(set(keys)) < n or not on_board:
+        report.all_cells_once = False
+        seen: set[Cell] = set()
+        for i, c in enumerate(cells):
+            x, y = c
+            if c in seen or not (0 <= x < width and 0 <= y < height):
+                if report.first_failure is None:
+                    report.first_failure = f"cell {c} at index {i} repeated or off board"
+                break
+            seen.add(c)
+
+    if not set(map(sub, keys[1:], keys)) <= moves:
+        report.all_moves_legal = False
+        if report.first_failure is None:
+            i = next(i for i in range(n - 1) if keys[i + 1] - keys[i] not in moves)
+            report.first_failure = f"illegal move {cells[i]} -> {cells[i + 1]} at index {i}"
 
     # a single cell closes with the null move, which is never a leaper move
-    if n > 0:
-        a, b = cells[-1], cells[0]
-        if (b[0] - a[0], b[1] - a[1]) not in moves:
-            report.closed = False
-            if report.first_failure is None:
-                report.first_failure = f"closing move {a} -> {b} is illegal"
+    report.closed = keys[0] - keys[-1] in moves
+    if not report.closed and report.first_failure is None:
+        report.first_failure = f"closing move {cells[-1]} -> {cells[0]} is illegal"
     return report
 
 
@@ -104,6 +120,10 @@ def verify_central_symmetry(cells: Sequence[Cell], width: int, height: int) -> b
     key.  The reflection of key k is c - k with c = (width-1)*S + (height-1),
     and since it reverses order, an edge (a, b) with a <= b maps to
     (c - b, c - a).
+
+    A reflected sequence that is a rotation of the sequence or of its
+    reverse walks the same cyclic steps, so it proves symmetry with list
+    compares alone; the edge sets are built only when that test fails.
     """
     if not cells:
         return True
@@ -112,6 +132,16 @@ def verify_central_symmetry(cells: Sequence[Cell], width: int, height: int) -> b
     s = max(hi, height - 1 - lo) - min(lo, height - 1 - hi) + 1
     keys = [x * s + y for x, y in cells]
     c = (width - 1) * s + (height - 1)
+    n = len(keys)
+    first, second = c - keys[0], c - keys[1 % n]
+    if first in keys:
+        # the reflection walks the sequence forward or backward from first;
+        # second rules a direction out before the whole list is reflected
+        i = keys.index(first)
+        if keys[(i + 1) % n] == second and [c - k for k in keys] == keys[i:] + keys[:i]:
+            return True
+        if keys[i - 1] == second and [c - k for k in keys] == keys[i::-1] + keys[:i:-1]:
+            return True
     edges = {(a, b) if a < b else (b, a) for a, b in zip(keys, keys[1:] + keys[:1])}
     # the reflection is one-to-one, so mapping into the set means onto it
     return all((c - b, c - a) in edges for a, b in edges)

@@ -4,6 +4,7 @@ from collections import defaultdict
 
 from leapertour.geom import edge
 from leapertour.keygraph import ConstructionError
+from leapertour.verify import TourReport
 
 
 def rhombus_matching(r, bit):
@@ -89,3 +90,47 @@ def format_svg(cells, width, height):
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def verify_tour(cells, p, q, width, height):
+    """The validator that checks each cell and each step as a tuple; the
+    package's int-key checks must give the same report, every field and
+    first_failure included."""
+    moves = {(sx * a, sy * b) for a, b in ((p, q), (q, p)) for sx in (1, -1) for sy in (1, -1)}
+    n = len(cells)
+    report = TourReport(
+        cell_count_ok=(n == width * height),
+        all_moves_legal=True,
+        all_cells_once=True,
+        closed=(n > 0),
+        cells=cells, width=width, height=height,
+    )
+    if not report.cell_count_ok:
+        report.first_failure = f"{n} cells listed, board has {width * height}"
+
+    seen = set()
+    for i, c in enumerate(cells):
+        x, y = c
+        if c in seen or not (0 <= x < width and 0 <= y < height):
+            report.all_cells_once = False
+            if report.first_failure is None:
+                report.first_failure = f"cell {c} at index {i} repeated or off board"
+            break
+        seen.add(c)
+
+    for i in range(n - 1):
+        a, b = cells[i], cells[i + 1]
+        if (b[0] - a[0], b[1] - a[1]) not in moves:
+            report.all_moves_legal = False
+            if report.first_failure is None:
+                report.first_failure = f"illegal move {a} -> {b} at index {i}"
+            break
+
+    # a single cell closes with the null move, which is never a leaper move
+    if n > 0:
+        a, b = cells[-1], cells[0]
+        if (b[0] - a[0], b[1] - a[1]) not in moves:
+            report.closed = False
+            if report.first_failure is None:
+                report.first_failure = f"closing move {a} -> {b} is illegal"
+    return report

@@ -14,6 +14,7 @@ from leapertour.verify import (
     verify_central_symmetry,
     verify_tour,
 )
+from oracles import verify_tour as oracle_verify_tour
 
 
 def knight_tour_6x6():
@@ -261,6 +262,7 @@ def test_verify_agrees_with_the_oracle_after_one_edit(pq, which, edit, data):
     symmetric = _oracle_symmetric(cells, width, side)
     report = verify_tour(cells, p, q, width, side)
     assert "centrally_symmetric" not in vars(report)  # not computed until read
+    assert report == oracle_verify_tour(cells, p, q, width, side)
     assert report.valid == closed
     assert verify_central_symmetry(cells, width, side) == symmetric
     assert report.centrally_symmetric == (closed and symmetric)
@@ -281,11 +283,66 @@ def _boards_with_cell_lists(draw):
     return width, height, cells
 
 
+_FREE_LEAPERS = [(p, q) for q in range(2, 16) for p in range(1, q) if is_free(p, q)]
+
+
+@st.composite
+def _leapers_with_cell_lists(draw):
+    """A free (p, q), a board, and some of its cells in any order, often
+    all of them, then edited: maybe a cell repeated, maybe one moved just
+    off an edge, and some moved to a leap from the cell before them (cell 0
+    from the last cell), so that legal and illegal steps mix.  Before the
+    leaps the y spread is at most 6 and q runs to 15, so q often exceeds
+    it; there a key spacing that counts the spread but not the move length
+    lets illegal steps through."""
+    p, q = draw(st.sampled_from(_FREE_LEAPERS))
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = draw(st.permutations([(x, y) for x in range(width) for y in range(height)]))
+    cells = cells[:draw(st.integers(0, len(cells)))]
+    if cells and draw(st.booleans()):
+        cells.insert(draw(st.integers(0, len(cells))), draw(st.sampled_from(cells)))
+    if cells and draw(st.booleans()):
+        i = draw(st.integers(0, len(cells) - 1))
+        x, y = cells[i]
+        cells[i] = draw(st.sampled_from([(-1, y), (width, y), (x, -1), (x, height)]))
+    moves = sorted(Leaper(p, q).directions())
+    for i in range(len(cells)):
+        if draw(st.booleans()):
+            dx, dy = draw(st.sampled_from(moves))
+            cells[i] = (cells[i - 1][0] + dx, cells[i - 1][1] + dy)
+    return p, q, width, height, cells
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_leapers_with_cell_lists())
+# the y spread is 3 and the step (2, -3) is no move; with a key spacing of
+# 2 * spread + 1 = 7 its key difference 11 would read as the move (1, 4)
+@example((1, 4, 3, 4, [(0, 3), (2, 0)]))
+# every y is at least S = 3, so a cell's x is (key - min y) // S, not key // S
+@example((1, 2, 1, 4, [(0, 3)]))
+@example((1, 2, 1, 4, [(-1, 3)]))
+def test_verify_tour_agrees_with_the_oracle_on_any_cell_list(leaper_board):
+    p, q, width, height, cells = leaper_board
+    assert verify_tour(cells, p, q, width, height) == oracle_verify_tour(cells, p, q, width, height)
+
+
+def _rotated_and_reversed(cells, k):
+    return (cells[k:] + cells[:k])[::-1]
+
+
 @settings(max_examples=1000, deadline=None)
 @given(_boards_with_cell_lists())
 # off the board, (1, -1) and its mirror image (-1, 1) share a key if S is
 # taken from the board height alone
 @example((1, 1, [(1, -1)]))
+# the reflected sequence is a rotation of this one, which list compares prove
+@example((6, 6, _rotated_and_reversed(_valid_tours(1, 2)[0], 5)))
+# the edge set is symmetric, but the reflected sequence 2,1,2,1,0,1 is no
+# rotation of 0,1,0,1,2,1 or of its reverse: only the edge sets show it
+@example((1, 3, [(0, 0), (0, 1), (0, 0), (0, 1), (0, 2), (0, 1)]))
+# the centre is its own mirror, so the reflection walks forward from index
+# 0, and only comparing the reflected keys, not the keys, shows (0, 0)
+@example((3, 3, [(1, 1), (1, 1), (0, 0)]))
 def test_central_symmetry_agrees_with_the_oracle_on_any_cell_list(board):
     width, height, cells = board
     assert verify_central_symmetry(cells, width, height) == _oracle_symmetric(cells, width, height)
