@@ -9,10 +9,11 @@ components search, with the id of its first cell; those labels seed a
 CycleTracker, and each merge flip unions two of them.  At the end the id
 edges the bits pick are built once and one cycle partition checks degrees
 and a single tour.  The plain splice makes one pass of merge flips over all
-rhombi; the symmetric one grows a cycle by mirrored pairs.  Ids turn back
-into cells only in Tour.cells and in error messages.  Central symmetry is
-proved once: mirror partners found in pencil order, the outer edges
-reflected, and one bits check at the end of the symmetric splice.
+rhombi, and the symmetric one a pass over partner pairs after joining each
+cycle to its mirror image.  Ids turn back into cells only in Tour.cells and
+in error messages.  Central symmetry is proved once: mirror partners found
+in pencil order, the outer edges reflected, and one bits check at the end
+of the symmetric splice.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ class Tour:
 
 
 class CycleTracker:
-    """Disjoint sets over cell ids; two share a set iff they currently lie
-    on the same cycle.  The tracker works in place on the parent list it is
+    """Disjoint sets over cell ids, one per cycle (per mirror class in the
+    symmetric splice).  The tracker works in place on the parent list it is
     given: parent[x] leads toward x's representative r, and parent[r] == r."""
 
     def __init__(self, parent):
@@ -85,9 +86,9 @@ def _tracked_halving(key: KeyGraph, bits: Sequence[int]) -> tuple[list[int], Cyc
 
     It checks no degree.  A flip swaps a rhombus's matching for the other,
     which keeps every cell's degree, and the halving of every tour the
-    splices return and of every triple flip passes through cycle_partition,
-    which proves every degree is 2.  So a halving with a cell of another
-    degree fails there, whatever the flips before it did.
+    splices return passes through cycle_partition, which proves every
+    degree is 2.  So a halving with a cell of another degree fails there,
+    whatever the flips before it did.
     """
     roots = [0] * key.leaper.side ** 2
     for component in components(id_adjacency(halving_ids(key, bits), len(roots))):
@@ -105,8 +106,8 @@ def _tracked_halving(key: KeyGraph, bits: Sequence[int]) -> tuple[list[int], Cyc
 
 
 def _merge_flip(key: KeyGraph, bits: list[int], tracker: CycleTracker, i: int) -> bool:
-    """Flip rhombus i iff its matching edges lie on different cycles,
-    recording the merge of those cycles; True iff it flipped."""
+    """Flip rhombus i iff its matching edges lie in different sets of the
+    tracker, recording their union; True iff it flipped."""
     e1, e2 = key.matching_ids[i][bits[i]]
     merged = tracker.union(e1[0], e2[0])
     if merged:
@@ -124,7 +125,8 @@ def _single_tour(key: KeyGraph, bits: Sequence[int], what: str) -> Tour:
     side = key.leaper.side
     cycles = cycle_partition(halving_ids(key, bits), side * side, side)
     if len(cycles) != 1:
-        raise ConstructionError(f"{what} left {len(cycles)} cycles")
+        cell = key.cells[cycles[1][0]]
+        raise ConstructionError(f"{what} left {len(cycles)} cycles, the second from cell {cell}")
     return Tour(cells=tuple(map(key.cells.__getitem__, cycles[0])))
 
 
@@ -192,56 +194,35 @@ def _check_mirrored_bits(key: KeyGraph, bits: Sequence[int], partners: Sequence[
 
 
 def symmetric_splice(key: KeyGraph) -> Tour:
-    """Grow a centrally symmetric cycle by paired rhombus flips until it
-    spans the board.  Bits change only in partner pairs or at the
-    self-paired anchor, so no step can undo an asymmetry, and the one bits
-    check at the end rejects every run that made one."""
+    """A centrally symmetric tour by one Kruskal pass over mirror classes.
+
+    A class is a halving cycle with its mirror image, and a partner pair
+    {i, partner(i)} links the classes of i's matching edges with weight
+    min(i, partner(i)).  Growing a symmetric cycle from the centre rhombus
+    by the first rhombus in index order that straddles it (its partner
+    straddles too) is Prim's algorithm on the classes; the weights are
+    distinct, so the spanning tree is unique, and this pass flips the same
+    pairs.  A self-mirror cycle joins by a triple flip, which also toggles
+    the centre rhombus; the centre also flips at the start iff its matching
+    edges lie on two cycles, which mirror each other and so are not
+    self-mirror.  Either way it toggles (self-mirror cycles + 1) mod 2
+    times.  A self-paired rhombus joins no two classes: its matching edges
+    mirror each other, as a self-mirror edge's vector (side-1-2x, side-1-2y)
+    is odd in both coordinates, and a leaper move is even in one.
+    """
     last = key.leaper.side ** 2 - 1
-    matchings = key.matching_ids
     partners = _partners(key)
     bits, tracker = _tracked_halving(key, symmetric_halving_bits(key, partners))
-    find = tracker.find
-
-    # the grown cycle holds all of r1, so it holds the anchor's mirror image,
-    # and it stays centrally symmetric as long as the halving does
     i1 = _find_center_rhombus(key, partners)
-    anchor = key.rhombus_ids[i1][0]
-    _merge_flip(key, bits, tracker, i1)
-
-    while True:
-        grown = find(anchor)
-        for i, pair in enumerate(matchings):
-            m1, m2 = pair[bits[i]]
-            if (find(m1[0]) == grown) != (find(m2[0]) == grown):
-                break
-        else:
-            break
-
-        j, pending = partners[i], _rhombus_cells(key, i)
-        if j == i:
-            raise ConstructionError(f"self-symmetric rhombus {pending} straddles the grown cycle")
-        out_edge = m2 if find(m1[0]) == grown else m1
-        out_star = (last - out_edge[1], last - out_edge[0])
-        absorbed, star_cycle = find(out_edge[0]), find(out_star[0])
-        if out_star not in matchings[j][bits[j]] or star_cycle == grown:
-            raise ConstructionError(f"partner rhombus does not mirror the pending rhombus {pending}")
-
-        if star_cycle == absorbed:
-            # both loose edges on one cycle: a triple flip merges it in
-            for k in (i1, i, j):
-                bits[k] ^= 1
-            merged = {c for c in range(last + 1) if find(c) in (grown, absorbed)}
-            cycles = cycle_partition(halving_ids(key, bits), last + 1, key.leaper.side)
-            if set(next(c for c in cycles if anchor in c)) != merged:
-                raise ConstructionError(
-                    f"symmetric splice triple flip failed to grow the cycle at rhombus {pending}"
-                )
-            tracker.union(anchor, out_edge[0])
-        elif not (_merge_flip(key, bits, tracker, i) and _merge_flip(key, bits, tracker, j)):
-            raise ConstructionError(
-                f"symmetric splice paired flips failed to grow the cycle at rhombus {pending}"
-            )
-
+    label = list(tracker.parent)  # each id's halving cycle, before any union
+    self_mirror = 0
+    for c in set(label):
+        self_mirror += label[last - c] == c
+        tracker.union(c, last - c)
+    for i, j in enumerate(partners):
+        if i < j and _merge_flip(key, bits, tracker, i):
+            bits[j] ^= 1
+    bits[i1] ^= (self_mirror + 1) % 2
     _check_mirrored_bits(key, bits, partners)
     return _single_tour(key, bits, "symmetric splice")
 

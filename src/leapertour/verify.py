@@ -123,7 +123,9 @@ def verify_central_symmetry(cells: Sequence[Cell], width: int, height: int) -> b
 
     A reflected sequence that is a rotation of the sequence or of its
     reverse walks the same cyclic steps, so it proves symmetry with list
-    compares alone; the edge sets are built only when that test fails.
+    compares alone.  On distinct cells a failed test means False, as two
+    cycles through the same distinct cells share their edges only if one is
+    a rotation of the other or of its reverse; a repeat needs the edge sets.
     """
     if not cells:
         return True
@@ -142,6 +144,8 @@ def verify_central_symmetry(cells: Sequence[Cell], width: int, height: int) -> b
             return True
         if keys[i - 1] == second and [c - k for k in keys] == keys[i::-1] + keys[:i:-1]:
             return True
+    if len(set(keys)) == n:
+        return False
     edges = {(a, b) if a < b else (b, a) for a, b in zip(keys, keys[1:] + keys[:1])}
     # the reflection is one-to-one, so mapping into the set means onto it
     return all((c - b, c - a) in edges for a, b in edges)

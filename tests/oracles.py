@@ -2,8 +2,19 @@
 
 from collections import defaultdict
 
+import leapertour.keygraph as keygraph
 from leapertour.geom import edge
-from leapertour.keygraph import ConstructionError
+from leapertour.keygraph import ConstructionError, halving_ids
+from leapertour.splice import (
+    _check_mirrored_bits,
+    _find_center_rhombus,
+    _merge_flip,
+    _partners,
+    _rhombus_cells,
+    _single_tour,
+    _tracked_halving,
+    symmetric_halving_bits,
+)
 from leapertour.verify import TourReport
 
 
@@ -134,3 +145,63 @@ def verify_tour(cells, p, q, width, height):
             if report.first_failure is None:
                 report.first_failure = f"closing move {a} -> {b} is illegal"
     return report
+
+
+def symmetric_splice(key, bits=None):
+    """The symmetric splice as a growth loop over the package's id engine:
+    from the centre rhombus it grows a centrally symmetric cycle, at each
+    step rescanning the rhombi in index order for the first one that
+    straddles the grown cycle, then flipping it with its partner, or with
+    its partner and the centre rhombus (a triple flip) when the cycle it
+    reaches is its own mirror image.  bits is a centrally symmetric halving,
+    the all-zero one by default.  The package's one pass over partner pairs
+    must flip the same bits."""
+    last = key.leaper.side ** 2 - 1
+    matchings = key.matching_ids
+    partners = _partners(key)
+    halving = symmetric_halving_bits(key, partners)
+    bits, tracker = _tracked_halving(key, halving if bits is None else bits)
+    find = tracker.find
+
+    # the grown cycle holds all of r1, so it holds the anchor's mirror image,
+    # and it stays centrally symmetric as long as the halving does
+    i1 = _find_center_rhombus(key, partners)
+    anchor = key.rhombus_ids[i1][0]
+    _merge_flip(key, bits, tracker, i1)
+
+    while True:
+        grown = find(anchor)
+        for i, pair in enumerate(matchings):
+            m1, m2 = pair[bits[i]]
+            if (find(m1[0]) == grown) != (find(m2[0]) == grown):
+                break
+        else:
+            break
+
+        j, pending = partners[i], _rhombus_cells(key, i)
+        if j == i:
+            raise ConstructionError(f"self-symmetric rhombus {pending} straddles the grown cycle")
+        out_edge = m2 if find(m1[0]) == grown else m1
+        out_star = (last - out_edge[1], last - out_edge[0])
+        absorbed, star_cycle = find(out_edge[0]), find(out_star[0])
+        if out_star not in matchings[j][bits[j]] or star_cycle == grown:
+            raise ConstructionError(f"partner rhombus does not mirror the pending rhombus {pending}")
+
+        if star_cycle == absorbed:
+            # both loose edges on one cycle: a triple flip merges it in
+            for k in (i1, i, j):
+                bits[k] ^= 1
+            merged = {c for c in range(last + 1) if find(c) in (grown, absorbed)}
+            cycles = keygraph.cycle_partition(halving_ids(key, bits), last + 1, key.leaper.side)
+            if set(next(c for c in cycles if anchor in c)) != merged:
+                raise ConstructionError(
+                    f"symmetric splice triple flip failed to grow the cycle at rhombus {pending}"
+                )
+            tracker.union(anchor, out_edge[0])
+        elif not (_merge_flip(key, bits, tracker, i) and _merge_flip(key, bits, tracker, j)):
+            raise ConstructionError(
+                f"symmetric splice paired flips failed to grow the cycle at rhombus {pending}"
+            )
+
+    _check_mirrored_bits(key, bits, partners)
+    return _single_tour(key, bits, "symmetric splice")

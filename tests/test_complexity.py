@@ -7,6 +7,7 @@ should grow linearly, then fails here before it shows on a benchmark.
 """
 
 import leapertour.keygraph as keygraph
+import leapertour.splice as splice
 from leapertour.geom import Leaper
 
 
@@ -27,3 +28,30 @@ def test_build_key_checks_each_pencil_step_once(monkeypatch):
         keygraph.build_key(Leaper(1, q))
         counts.append(len(calls))
     assert counts == [32, 32, 32]
+
+
+def test_splices_make_a_bounded_number_of_finds_per_rhombus(monkeypatch):
+    # the plain splice unions the two matching edges of each rhombus; the
+    # symmetric one joins each cycle to its mirror image and then tests each
+    # partner pair once: 1.10, 1.05 and 1.03 finds per rhombus when its
+    # bounds were set at twice those
+    calls = []
+    real = splice.CycleTracker.find
+
+    def counting(self, x):
+        calls.append(x)
+        return real(self, x)
+
+    monkeypatch.setattr(splice.CycleTracker, "find", counting)
+    plain, symmetric = [], []
+    for q in (20, 40, 80):
+        key = keygraph.build_key(Leaper(1, q))
+        rhombi = len(key.rhombus_ids)
+        calls.clear()
+        splice.splice(key, [0] * rhombi)
+        plain.append(len(calls) / rhombi)
+        calls.clear()
+        splice.symmetric_splice(key)
+        symmetric.append(len(calls) / rhombi)
+    assert plain == [2.0, 2.0, 2.0]
+    assert all(s <= bound for s, bound in zip(symmetric, (2.2, 2.1, 2.06))), symmetric

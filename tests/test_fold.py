@@ -56,6 +56,19 @@ def test_outer_path_ending_outside_every_core_names_the_cell():
     assert any(f"outer path end {divmod(c, 14)} " in str(failure.value) for c in (u, v))
 
 
+def test_outer_path_with_both_ends_on_one_projection_is_named(monkeypatch):
+    # two path ends of one core cell, joined as one path, fold to a loop
+    table = projections(KEY_2_5)
+    ends = [c for path in outer_paths(KEY_2_5) for c in path]
+    single = [c for c in ends if len(table[c]) == 1]
+    a, b = next((a, b) for a in single for b in single if a < b and table[a] == table[b])
+    monkeypatch.setattr(fold_module, "outer_paths", lambda key: [(a, b)])
+    with pytest.raises(
+        ConstructionError, match=rf"^outer path \({a // 14}, {a % 14}\)-\({b // 14}, {b % 14}\) folds to a self-loop$"
+    ):
+        build_folding(KEY_2_5)
+
+
 def test_folding_2_5_equals_crisscross_2_1():
     key = build_key(Leaper(2, 5))
     folding = build_folding(key)

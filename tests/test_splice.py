@@ -35,6 +35,7 @@ from leapertour.tile import tile
 from leapertour.verify import verify_central_symmetry, verify_tour
 from oracles import cycle_partition as oracle_partition
 from oracles import rhombus_matching
+from oracles import symmetric_splice as growth_symmetric_splice
 
 
 @pytest.fixture(scope="module")
@@ -189,9 +190,10 @@ def test_determinism_same_seed(key25):
     assert a == b
 
 
-def _oracle_symmetric_splice(key):
+def _oracle_symmetric_splice(key, triple_flips=None):
     """The symmetric growth loop as it was before the shared merge-flip
-    engine: it re-partitions the whole board into cycles at every step."""
+    engine: it re-partitions the whole board into cycles at every step.
+    Each triple flip appends its pending rhombus's index to triple_flips."""
     side = key.leaper.side
     partners = _partners(key)
     edges = halving_edges(key, symmetric_halving_bits(key, partners))
@@ -223,6 +225,8 @@ def _oracle_symmetric_splice(key):
         # the mirrored edge's smaller end: the reflection reverses cell order
         if mirror(out_edge[1], side) in cycle_cells_through(out_edge[0]):
             _flip_edges(edges, r1)
+            if triple_flips is not None:
+                triple_flips.append(straddling)
         _flip_edges(edges, pending)
         _flip_edges(edges, rstar)
         new_grown = cycle_cells_through(anchor)
@@ -281,14 +285,7 @@ def _paired_random_bits(key, seed):
 )
 def test_symmetric_splice_of_random_symmetric_halvings(monkeypatch, low, high):
     # the all-zero halving never needs a triple flip; random symmetric ones do
-    partitions = []
-
-    def counting_partition(edges, *args):
-        partitions.append(len(edges))
-        return keygraph.cycle_partition(edges, *args)
-
-    monkeypatch.setattr(splice_module, "cycle_partition", counting_partition)
-    triple_flips = 0
+    triple_flips = []
     for p, q in free_leapers(high):
         if p + q < low:
             continue
@@ -299,13 +296,23 @@ def test_symmetric_splice_of_random_symmetric_halvings(monkeypatch, low, high):
             fake = lambda key, partners, bits=bits: list(bits)
             monkeypatch.setattr(splice_module, "symmetric_halving_bits", fake)
             monkeypatch.setattr(sys.modules[__name__], "symmetric_halving_bits", fake)
-            partitions.clear()
             tour = symmetric_splice(key)
-            triple_flips += len(partitions) > 1
             assert verify_tour(tour.cells, p, q, side, side).valid, (p, q, seed)
             assert verify_central_symmetry(tour.cells, side, side), (p, q, seed)
-            assert tour == _oracle_symmetric_splice(key), (p, q, seed)
-    assert triple_flips > 0
+            assert tour == _oracle_symmetric_splice(key, triple_flips), (p, q, seed)
+    assert len(triple_flips) > 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "p,q", [pytest.param(p, q, id=f"{p}-{q}") for p, q in free_leapers(61) if p + q > 41]
+)
+def test_symmetric_splice_matches_the_growth_loop_to_61(monkeypatch, p, q):
+    key = build_key(Leaper(p, q))
+    assert symmetric_splice(key) == growth_symmetric_splice(key)
+    bits = _paired_random_bits(key, 0)
+    monkeypatch.setattr(splice_module, "symmetric_halving_bits", lambda key, partners: list(bits))
+    assert symmetric_splice(key) == growth_symmetric_splice(key, bits)
 
 
 @pytest.mark.parametrize("p,q", [(2, 5), (6, 13), (12, 25)])
@@ -407,6 +414,15 @@ def test_rhombus_without_a_mirror_is_named(key25):
     assert named == {divmod(side * side - 1 - c, side) for c in key25.rhombus_ids[0]}
 
 
+def test_key_without_a_centre_rhombus_is_refused(key25):
+    # dropping the centre rhombus leaves its degree-1 cells to the final
+    # partition, but the symmetric splice stops at the missing centre first
+    i1 = _find_center_rhombus(key25, _partners(key25))
+    key = dataclasses.replace(key25, rhombus_ids=key25.rhombus_ids[:i1] + key25.rhombus_ids[i1 + 1:])
+    with pytest.raises(ConstructionError, match="^expected one self-symmetric forward rhombus, got 0$"):
+        symmetric_splice(key)
+
+
 def test_extra_mirrored_outer_edges_fail_the_degree_check(key25):
     # each leaper move outside the key graph, added with its mirror image,
     # gives four cells degree 3 in every halving; a + b < last picks one
@@ -461,8 +477,8 @@ def test_outer_edge_without_a_mirror_is_named(key25):
 
 
 def test_bits_made_asymmetric_mid_run_are_named_at_the_end(monkeypatch):
-    # after the first paired step, one rhombus flips without its partner: no
-    # later step can undo that, and the final check names the pair
+    # after the first pairs, one rhombus flips without its partner: no later
+    # flip can undo that, and the final check names the pair
     key = build_key(Leaper(4, 9))
     partners = _partners(key)
     k = next(k for k, j in enumerate(partners) if j != k)
@@ -471,7 +487,7 @@ def test_bits_made_asymmetric_mid_run_are_named_at_the_end(monkeypatch):
     def straying(key, bits, tracker, i):
         calls.append(i)
         merged = real(key, bits, tracker, i)
-        if len(calls) == 3:  # the anchor, then the first pair
+        if len(calls) == 3:  # at the third pair
             bits[k] ^= 1
         return merged
 
@@ -479,26 +495,28 @@ def test_bits_made_asymmetric_mid_run_are_named_at_the_end(monkeypatch):
     cells = tuple(key.rhombi[min(k, partners[k])].cells)
     with pytest.raises(ConstructionError, match=rf"^rhombus {re.escape(str(cells))} has bit"):
         symmetric_splice(key)
-    assert len(calls) > 3  # the growth went on after the stray flip
+    assert len(calls) > 3  # the pass went on after the stray flip
 
 
 def _never_flip(monkeypatch, key):
     monkeypatch.setattr(splice_module, "_merge_flip", lambda key, bits, tracker, i: False)
 
 
-def _flip_the_anchor_only(monkeypatch, key):
-    real, calls = splice_module._merge_flip, []
+def _flip_one_pair_only(monkeypatch, key):
+    real, flipped = splice_module._merge_flip, []
 
-    def anchor_only(key, bits, tracker, i):
-        calls.append(i)
-        return len(calls) == 1 and real(key, bits, tracker, i)
+    def one_only(key, bits, tracker, i):
+        merged = not flipped and real(key, bits, tracker, i)
+        if merged:
+            flipped.append(i)
+        return merged
 
-    monkeypatch.setattr(splice_module, "_merge_flip", anchor_only)
+    monkeypatch.setattr(splice_module, "_merge_flip", one_only)
 
 
 def _triple_flip_forgets_the_centre(monkeypatch, key):
-    # paired seed-0 bits put a triple flip on (2,5); the halving it partitions
-    # (the second halving_ids call) keeps the centre rhombus's old bit
+    # paired seed-0 bits put a triple flip on (2,5); the final partition (the
+    # second halving_ids call) sees the centre rhombus's bit untoggled
     bits = _paired_random_bits(key, 0)
     monkeypatch.setattr(splice_module, "symmetric_halving_bits", lambda key, partners: list(bits))
     centre = _find_center_rhombus(key, _partners(key))
@@ -514,31 +532,24 @@ def _triple_flip_forgets_the_centre(monkeypatch, key):
     monkeypatch.setattr(splice_module, "halving_ids", forgetting)
 
 
-STRADDLES = "self-symmetric rhombus {} straddles the grown cycle"
-NO_MIRROR = "partner rhombus does not mirror the pending rhombus {}"
-PAIRED_NO_GROWTH = "symmetric splice paired flips failed to grow the cycle at rhombus {}"
-TRIPLE_NO_GROWTH = "symmetric splice triple flip failed to grow the cycle at rhombus {}"
-
-
+# The ids name the growth-loop check each fault reached before the splice
+# became one pass over partner pairs; the final partition now catches them
+# all and names the first cell of the second cycle.
 @pytest.mark.parametrize(
-    "p,q,inject,message,rhombus",
+    "p,q,inject,cycles,cell",
     [
-        (1, 2, _never_flip, STRADDLES, ((1, 1), (3, 2), (4, 4), (2, 3))),
-        (3, 4, _never_flip, STRADDLES, ((3, 3), (7, 6), (10, 10), (6, 7))),
-        (2, 5, _never_flip, NO_MIRROR, ((2, 2), (7, 4), (9, 9), (4, 7))),
-        (1, 4, _never_flip, NO_MIRROR, ((1, 1), (5, 2), (6, 6), (2, 5))),
-        (2, 5, _flip_the_anchor_only, PAIRED_NO_GROWTH, ((2, 4), (7, 6), (9, 11), (4, 9))),
-        (2, 5, _triple_flip_forgets_the_centre, TRIPLE_NO_GROWTH, ((2, 4), (7, 6), (9, 11), (4, 9))),
+        (2, 5, _never_flip, 5, (0, 4)),
+        (1, 4, _never_flip, 5, (0, 2)),
+        (2, 5, _flip_one_pair_only, 3, (0, 4)),
+        (2, 5, _triple_flip_forgets_the_centre, 2, (0, 1)),
     ],
-    ids=["straddles-1-2", "straddles-3-4", "mirror-2-5", "mirror-1-4", "paired-flip", "triple-flip"],
+    ids=["mirror-2-5", "mirror-1-4", "paired-flip", "triple-flip"],
 )
-def test_symmetric_splice_failures_name_the_pending_rhombus(monkeypatch, p, q, inject, message, rhombus):
+def test_symmetric_splice_failures_name_the_pending_rhombus(monkeypatch, p, q, inject, cycles, cell):
     key = build_key(Leaper(p, q))
-    assert rhombus in {r.cells for r in key.rhombi}
-    if message == STRADDLES:
-        assert {mirror(c, key.leaper.side) for c in rhombus} == set(rhombus)
     inject(monkeypatch, key)
-    with pytest.raises(ConstructionError, match=f"^{re.escape(message.format(rhombus))}$"):
+    message = f"symmetric splice left {cycles} cycles, the second from cell {cell}"
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
         symmetric_splice(key)
 
 

@@ -12,6 +12,7 @@ from leapertour.splice import CycleTracker, Tour, random_bits, splice
 from leapertour.tile import (
     Switch,
     _first_avoiding,
+    find_switch,
     rotate_edges_ccw,
     switch_candidates,
     tile,
@@ -113,6 +114,24 @@ def test_tile_failure_names_the_copies(monkeypatch):
     with pytest.raises(
         ConstructionError, match=r"^no switch found between copies \(0, 0\) and \(1, 0\) of the base tour$"
     ):
+        tile(Leaper(1, 2), 2, 1, base_tour(1, 2))
+
+
+def test_find_switch_without_a_candidate_is_refused():
+    base = base_tour(1, 2).edge_set()
+    right = translate_edges(base, 6, 0)
+    assert find_switch(base, right, Leaper(1, 2))
+    with pytest.raises(ConstructionError, match="^no switch found between adjacent copies of the base tour$"):
+        find_switch(base, right, Leaper(1, 2), avoid=base | right)
+
+
+def test_tiling_left_in_pieces_is_refused(monkeypatch):
+    # a "switch" inside copy (0, 0) that swaps two of its tour edges for the
+    # chords bc and da cuts that copy in two, and joins no copies
+    t = base_tour(1, 2).cells
+    cut = Switch(t[0], t[1], t[5], t[6])
+    monkeypatch.setattr("leapertour.tile.switch_candidates", lambda a, b, leaper: iter([cut]))
+    with pytest.raises(ConstructionError, match="^2x1 tiling of the base tour left 3 cycles$"):
         tile(Leaper(1, 2), 2, 1, base_tour(1, 2))
 
 
