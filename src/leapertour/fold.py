@@ -3,26 +3,35 @@
 The key graph folds onto a small two-floor graph: the four forward cores
 stack into the first floor, the four backward cores into the second, and
 every maximal path of the outer graph contracts to a single edge between
-the projections of its end cells.  One table over cell ids, filled by
-walking each core's cells once, holds every cell's projections, and the
-paths come from keygraph.components over the outer graph's ids.  The
-folded graph always coincides with an explicitly defined "crisscross"
-graph R(m, n), which in turn is connected for every admissible pair
-(m, n).  Both facts are checked here per instance by direct computation.
+the projections of its end cells.  The folded graph always coincides with
+an explicitly defined "crisscross" graph R(m, n), which in turn is
+connected for every admissible pair (m, n).  Both facts are checked here
+per instance by direct computation.
+
+Both two-floor graphs live on vertex ids, as the key graph lives on cell
+ids: on the grid of half-width t, w = 2t + 1 = q - p, the vertex (x, y, f)
+has the id ((x + t) * w + y + t) * 2 + f - 1, so id order is lexicographic
+vertex order and vertices()[i] turns an id back into its vertex.  The
+(x, y, f) tuple edges, which fold --dump prints, are a view derived on
+first read.  One table over cell ids, filled one core column at a time,
+holds every cell's projections; each outer path is found by walking it
+from its smaller end, and keygraph.components decides connectivity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import add
 
-from .geom import Leaper, edge, is_free
+from .geom import Leaper, is_free
 from .keygraph import (
     ConstructionError,
+    IdEdge,
     KeyGraph,
     build_key,
     components,
     id_adjacency,
-    is_connected_edges,
 )
 
 # A vertex of a two-floor graph: (x, y, floor) with floor 1 or 2.
@@ -32,12 +41,14 @@ FoldEdge = tuple[FoldVertex, FoldVertex]
 
 @dataclass(frozen=True)
 class TwoFloorGraph:
-    """A graph on the (2t+1)^2 x 2 vertex grid: a folding or crisscross graph."""
+    """A graph on the (2t+1)^2 x 2 vertex grid: a folding or crisscross
+    graph.  edges is derived from ids on first read."""
 
     t: int  # grid half-width
-    edges: frozenset[FoldEdge]
+    ids: frozenset[IdEdge]  # vertex ids, the smaller first
 
     def vertices(self) -> list[FoldVertex]:
+        """The vertex of each id: vertices()[i] has the id i."""
         t = self.t
         return [
             (x, y, f)
@@ -45,6 +56,11 @@ class TwoFloorGraph:
             for y in range(-t, t + 1)
             for f in (1, 2)
         ]
+
+    @cached_property
+    def edges(self) -> frozenset[FoldEdge]:
+        vertex = self.vertices()
+        return frozenset((vertex[a], vertex[b]) for a, b in self.ids)
 
 
 @dataclass(frozen=True)
@@ -72,39 +88,63 @@ class FoldReport:
     crisscross: TwoFloorGraph | None  # the expected R(m, n); None likewise
 
 
-def projections(key: KeyGraph) -> list[tuple[FoldVertex, ...]]:
-    """The fold vertices of each cell id: floor 1 for a forward core, floor 2
-    for a backward one, and none for a cell outside every core.  A cell at
-    position (x + t, y + t) within a core projects to (x, y).
+def projections(key: KeyGraph) -> list[tuple[int, ...]]:
+    """The fold vertex ids of each cell id: floor 1 for a forward core,
+    floor 2 for a backward one, and none for a cell outside every core.  A
+    cell at position (x + t, y + t) within a core projects to (x, y), so a
+    core column's cells project to every second id from its first.
     """
     side = key.leaper.side
-    t = (key.leaper.q - key.leaper.p - 1) // 2
-    table: list[tuple[FoldVertex, ...]] = [()] * side ** 2
-    for floor, group in ((1, key.cores.forward), (2, key.cores.backward)):
+    w = key.leaper.q - key.leaper.p
+    table: list[tuple[int, ...]] = [()] * side ** 2
+    for floor, group in ((0, key.cores.forward), (1, key.cores.backward)):
         for core in group:
-            for x in range(core.x1, core.x2):
-                for y in range(core.y1, core.y2):
-                    table[x * side + y] += ((x - core.x1 - t, y - core.y1 - t, floor),)
+            for i, x in enumerate(range(core.x1, core.x2)):
+                s, v = x * side + core.y1, 2 * w * i + floor
+                table[s:s + w] = map(add, table[s:s + w], zip(range(v, v + 2 * w, 2)))
     return table
 
 
 class OuterCycleError(ConstructionError):
-    """The outer graph contains a cycle, so it does not fold."""
+    """The outer graph is not a union of paths, so it does not fold."""
 
 
 def outer_paths(key: KeyGraph) -> list[tuple[int, int]]:
-    """The two end ids of each maximal path of the outer graph.
+    """The two end ids of each maximal path of the outer graph, the smaller
+    first, in id order.
 
-    Raises OuterCycleError if the outer graph contains a cycle; isolated
-    cells (core intersections) are not included.  Every cell has outer
-    degree at most 2 (build_key checks it), so a component with an edge is
-    a path exactly when two of its cells have outer degree 1.
+    Each path is walked from its smaller end, a cell of outer degree 1, to
+    the other.  A cell of outer degree 2 keeps the xor of its neighbours'
+    ids, so the one a walk came from gives the one it goes to.  Isolated
+    cells (core intersections) are not included.  OuterCycleError names a
+    cell of outer degree above 2 (build_key rules them out), or else the
+    smallest cell of an edge that no walk covers, which lies on a cycle.
     """
-    adj = id_adjacency(key.outer_ids, key.leaper.side ** 2)
-    ends = [[c for c in comp if len(adj[c]) == 1] for comp in components(adj) if len(comp) > 1]
-    if any(len(pair) != 2 for pair in ends):
-        raise OuterCycleError("outer graph contains a cycle")
-    return [(a, b) for a, b in ends]
+    side = key.leaper.side
+    n = side ** 2
+    degree, xor = [0] * n, [0] * n
+    for a, b in key.outer_ids:
+        degree[a] += 1
+        degree[b] += 1
+        xor[a] ^= b
+        xor[b] ^= a
+    if max(degree) > 2:
+        c = next(c for c, d in enumerate(degree) if d > 2)
+        raise OuterCycleError(f"outer graph branches at cell {divmod(c, side)}, degree {degree[c]}")
+    walked = bytearray(n)
+    paths = []
+    for start in [c for c, d in enumerate(degree) if d == 1]:
+        if not walked[start]:
+            prev, cur = start, xor[start]
+            while degree[cur] == 2:
+                walked[cur] = 1
+                prev, cur = cur, xor[cur] ^ prev
+            walked[start] = walked[cur] = 1
+            paths.append((start, cur))
+    if walked.count(1) - len(paths) < len(key.outer_ids):  # each path has one cell more than edges
+        c = next(c for c, d in enumerate(degree) if d and not walked[c])
+        raise OuterCycleError(f"outer graph contains a cycle through cell {divmod(c, side)}")
+    return paths
 
 
 def build_folding(key: KeyGraph) -> TwoFloorGraph:
@@ -116,7 +156,7 @@ def build_folding(key: KeyGraph) -> TwoFloorGraph:
     side = key.leaper.side
     t = (key.leaper.q - key.leaper.p - 1) // 2  # q - p = 2t + 1
     table = projections(key)
-    edges: set[FoldEdge] = set()
+    ids = {pair if pair[0] < pair[1] else pair[::-1] for pair in table if len(pair) == 2}
     for a, b in outer_paths(key):
         if len(table[a]) != 1 or len(table[b]) != 1:
             c = a if len(table[a]) != 1 else b
@@ -126,9 +166,8 @@ def build_folding(key: KeyGraph) -> TwoFloorGraph:
         (pa,), (pb,) = table[a], table[b]
         if pa == pb:
             raise ConstructionError(f"outer path {divmod(a, side)}-{divmod(b, side)} folds to a self-loop")
-        edges.add(edge(pa, pb))
-    edges.update(edge(*pair) for pair in table if len(pair) == 2)
-    return TwoFloorGraph(t=t, edges=frozenset(edges))
+        ids.add((pa, pb) if pa < pb else (pb, pa))
+    return TwoFloorGraph(t=t, ids=frozenset(ids))
 
 
 def build_crisscross(m: int, n: int) -> TwoFloorGraph:
@@ -136,24 +175,29 @@ def build_crisscross(m: int, n: int) -> TwoFloorGraph:
 
     First-floor edges have types +-(m, n) and +-(-n, m); second-floor edges
     +-(n, m) and +-(-m, n); between-floor edges +-(+-m, m) and +-(+-n, n).
-    Edges leaving the grid are clipped.
+    Edges leaving the grid are clipped.  A move adds the same amount to
+    every id it leaves from, so each grid column gives its edges of one
+    move in one zip, oriented smaller first by that amount's sign.
     """
     if m < 0 or n < 0 or not is_free(m, n):
         raise ValueError(f"invalid crisscross parameters ({m}, {n})")
     t = (m + n - 1) // 2
+    w = m + n
 
     # (from floor, to floor, move); each between-floor move and its negation
     # start on floor 1
     moves = [(1, 1, (m, n)), (1, 1, (-n, m)), (2, 2, (n, m)), (2, 2, (-m, n))]
     moves += [(1, 2, (s * vx, s * vy)) for vx, vy in ((m, m), (-m, m), (n, n), (-n, n)) for s in (1, -1)]
 
-    edges: set[FoldEdge] = set()
-    for x in range(-t, t + 1):
-        for y in range(-t, t + 1):
-            for f, g, (vx, vy) in moves:
-                if -t <= x + vx <= t and -t <= y + vy <= t:
-                    edges.add(edge((x, y, f), (x + vx, y + vy, g)))
-    return TwoFloorGraph(t=t, edges=frozenset(edges))
+    ids: set[IdEdge] = set()
+    for f, g, (vx, vy) in moves:
+        d = 2 * (vx * w + vy) + g - f  # the id step of the move
+        for x in range(max(0, -vx), min(w, w - vx)):  # grid columns counted from 0
+            lo = 2 * (x * w + max(0, -vy)) + f - 1
+            hi = 2 * (x * w + min(w, w - vy)) + f - 1
+            src, dst = range(lo, hi, 2), range(lo + d, hi + d, 2)
+            ids.update(zip(src, dst) if d > 0 else zip(dst, src))
+    return TwoFloorGraph(t=t, ids=frozenset(ids))
 
 
 def fold_params(leaper: Leaper) -> FoldParams:
@@ -180,7 +224,7 @@ def check_fold(source: Leaper | KeyGraph) -> FoldReport:
     return FoldReport(
         params=params,
         outer_acyclic=True,
-        matches=folding.edges == expected.edges,
+        matches=folding.ids == expected.ids,
         folding_connected=is_connected(folding),
         folding=folding,
         crisscross=expected,
@@ -210,4 +254,5 @@ def crisscross_reduce(m: int, n: int) -> tuple[int, int]:
 
 def is_connected(graph: TwoFloorGraph) -> bool:
     """True iff the edges connect the whole two-floor vertex grid."""
-    return is_connected_edges(graph.vertices(), graph.edges)
+    w = 2 * graph.t + 1
+    return len(components(id_adjacency(graph.ids, 2 * w * w))) <= 1

@@ -19,7 +19,8 @@ fold read the ids.  The fields that hold cells as (x, y) tuples (rhombi,
 inner_edges, outer_edges, edges and core_membership) are views, derived
 from the ids on first read; error messages name cells too.  One depth-first
 search over id neighbour lists, components, serves cycle_partition (for
-both splices and tile), TwoFactor.cycles, is_connected_edges and fold.
+both splices and tile), TwoFactor.cycles, is_connected_edges and fold's
+connectivity check; fold finds its outer paths by walking them.
 ConstructionError lives in geom and is re-exported here under its name.
 """
 

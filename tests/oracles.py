@@ -1,10 +1,18 @@
 """Reference implementations that the tests compare the package against."""
 
 from collections import defaultdict
+from dataclasses import dataclass
 
 import leapertour.keygraph as keygraph
-from leapertour.geom import edge
-from leapertour.keygraph import ConstructionError, halving_ids
+from leapertour.fold import OuterCycleError, fold_params
+from leapertour.geom import edge, is_free
+from leapertour.keygraph import (
+    ConstructionError,
+    components,
+    halving_ids,
+    id_adjacency,
+    is_connected_edges,
+)
 from leapertour.splice import (
     _check_mirrored_bits,
     _find_center_rhombus,
@@ -205,3 +213,128 @@ def symmetric_splice(key, bits=None):
 
     _check_mirrored_bits(key, bits, partners)
     return _single_tour(key, bits, "symmetric splice")
+
+
+# --- the fold on (x, y, floor) tuples -----------------------------------------
+
+
+def fold_ids(t, vertices):
+    """The ids of two-floor vertices (x, y, floor) on the grid of half-width
+    t, as the package numbers them; id order is vertex order."""
+    w = 2 * t + 1
+    return tuple(((x + t) * w + y + t) * 2 + f - 1 for x, y, f in vertices)
+
+
+@dataclass(frozen=True)
+class TupleTwoFloorGraph:
+    """A two-floor graph whose edges are (x, y, floor) tuple pairs."""
+
+    t: int  # grid half-width
+    edges: frozenset
+
+    def vertices(self):
+        t = self.t
+        return [
+            (x, y, f)
+            for x in range(-t, t + 1)
+            for y in range(-t, t + 1)
+            for f in (1, 2)
+        ]
+
+
+def projections(key):
+    """The fold vertices of each cell id: floor 1 for a forward core, floor 2
+    for a backward one, and none for a cell outside every core.  A cell at
+    position (x + t, y + t) within a core projects to (x, y).
+    """
+    side = key.leaper.side
+    t = (key.leaper.q - key.leaper.p - 1) // 2
+    table = [()] * side ** 2
+    for floor, group in ((1, key.cores.forward), (2, key.cores.backward)):
+        for core in group:
+            for x in range(core.x1, core.x2):
+                for y in range(core.y1, core.y2):
+                    table[x * side + y] += ((x - core.x1 - t, y - core.y1 - t, floor),)
+    return table
+
+
+def outer_paths(key):
+    """The two end ids of each maximal path of the outer graph.
+
+    Raises OuterCycleError if the outer graph contains a cycle; isolated
+    cells (core intersections) are not included.  Every cell has outer
+    degree at most 2 (build_key checks it), so a component with an edge is
+    a path exactly when two of its cells have outer degree 1.
+    """
+    adj = id_adjacency(key.outer_ids, key.leaper.side ** 2)
+    ends = [[c for c in comp if len(adj[c]) == 1] for comp in components(adj) if len(comp) > 1]
+    if any(len(pair) != 2 for pair in ends):
+        raise OuterCycleError("outer graph contains a cycle")
+    return [(a, b) for a, b in ends]
+
+
+def build_folding(key):
+    """Contract each outer path to an edge between its end projections.
+
+    Core-intersection cells count as zero-length paths and contribute the
+    between-floor edges.  Coinciding contributions dedup to simple edges.
+    """
+    side = key.leaper.side
+    t = (key.leaper.q - key.leaper.p - 1) // 2  # q - p = 2t + 1
+    table = projections(key)
+    edges = set()
+    for a, b in outer_paths(key):
+        if len(table[a]) != 1 or len(table[b]) != 1:
+            c = a if len(table[a]) != 1 else b
+            raise ConstructionError(
+                f"outer path end {divmod(c, side)} has {len(table[c])} core projections, not 1"
+            )
+        (pa,), (pb,) = table[a], table[b]
+        if pa == pb:
+            raise ConstructionError(f"outer path {divmod(a, side)}-{divmod(b, side)} folds to a self-loop")
+        edges.add(edge(pa, pb))
+    edges.update(edge(*pair) for pair in table if len(pair) == 2)
+    return TupleTwoFloorGraph(t=t, edges=frozenset(edges))
+
+
+def build_crisscross(m, n):
+    """The two-floor graph R(m, n) on the (2t+1)^2 x 2 grid, m + n = 2t + 1.
+
+    First-floor edges have types +-(m, n) and +-(-n, m); second-floor edges
+    +-(n, m) and +-(-m, n); between-floor edges +-(+-m, m) and +-(+-n, n).
+    Edges leaving the grid are clipped.
+    """
+    if m < 0 or n < 0 or not is_free(m, n):
+        raise ValueError(f"invalid crisscross parameters ({m}, {n})")
+    t = (m + n - 1) // 2
+
+    # (from floor, to floor, move); each between-floor move and its negation
+    # start on floor 1
+    moves = [(1, 1, (m, n)), (1, 1, (-n, m)), (2, 2, (n, m)), (2, 2, (-m, n))]
+    moves += [(1, 2, (s * vx, s * vy)) for vx, vy in ((m, m), (-m, m), (n, n), (-n, n)) for s in (1, -1)]
+
+    edges = set()
+    for x in range(-t, t + 1):
+        for y in range(-t, t + 1):
+            for f, g, (vx, vy) in moves:
+                if -t <= x + vx <= t and -t <= y + vy <= t:
+                    edges.add(edge((x, y, f), (x + vx, y + vy, g)))
+    return TupleTwoFloorGraph(t=t, edges=frozenset(edges))
+
+
+def is_connected(graph):
+    """True iff the edges connect the whole two-floor vertex grid."""
+    return is_connected_edges(graph.vertices(), graph.edges)
+
+
+def check_fold(key):
+    """The fold check on tuple graphs: (outer_acyclic, matches,
+    folding_connected, folding, crisscross), the graphs None when the
+    outer graph has a cycle.  The package's id fold must give the same
+    flags and the same tuple edges."""
+    try:
+        folding = build_folding(key)
+    except OuterCycleError:
+        return False, False, False, None, None
+    expected = build_crisscross(*fold_params(key.leaper).expected)
+    return True, folding.edges == expected.edges, is_connected(folding), folding, expected

@@ -6,6 +6,7 @@ size, on every rung: a stage whose work should not grow with the board, or
 should grow linearly, then fails here before it shows on a benchmark.
 """
 
+import leapertour.fold as fold
 import leapertour.keygraph as keygraph
 import leapertour.splice as splice
 from leapertour.geom import Leaper
@@ -55,3 +56,25 @@ def test_splices_make_a_bounded_number_of_finds_per_rhombus(monkeypatch):
         symmetric.append(len(calls) / rhombi)
     assert plain == [2.0, 2.0, 2.0]
     assert all(s <= bound for s, bound in zip(symmetric, (2.2, 2.1, 2.06))), symmetric
+
+
+def test_fold_searches_only_the_fold_vertices(monkeypatch):
+    # is_connected searches the 2(q-p)**2 vertices of the folding graph once,
+    # and outer_paths walks each path instead of searching the whole board:
+    # 722, 3,042 and 12,482 ids, where the board has 1,764, 6,724 and 26,244
+    visits = []
+    real = fold.components
+
+    def counting(adj):
+        found = real(adj)
+        visits.append(sum(map(len, found)))
+        return found
+
+    monkeypatch.setattr(fold, "components", counting)
+    counts = []
+    for q in (20, 40, 80):
+        key = keygraph.build_key(Leaper(1, q))
+        visits.clear()
+        fold.check_fold(key)
+        counts.append(list(visits))
+    assert counts == [[2 * (q - 1) ** 2] for q in (20, 40, 80)]

@@ -22,18 +22,21 @@ from leapertour.fold import (
 from leapertour.cli import free_leapers
 from leapertour.geom import Leaper, edge
 from leapertour.keygraph import ConstructionError, build_key, is_connected_edges
+from oracles import check_fold as oracle_check_fold
+from oracles import fold_ids
+from oracles import outer_paths as oracle_outer_paths
 
 # the (2,5)-leaper's 14 x 14 board, with core side 3 and t = 1
 KEY_2_5 = build_key(Leaper(2, 5))
 
 
 def test_project_single_core():
-    assert projections(KEY_2_5)[2 * 14 + 2] == ((-1, -1, 1),)
+    assert projections(KEY_2_5)[2 * 14 + 2] == fold_ids(1, ((-1, -1, 1),))
 
 
 def test_project_intersection_cell():
     # (4, 4) is position (2, 2) in C'1 = [2,5)^2 and (0, 0) in C''1 = [4,7)^2
-    assert projections(KEY_2_5)[4 * 14 + 4] == ((1, 1, 1), (-1, -1, 2))
+    assert projections(KEY_2_5)[4 * 14 + 4] == fold_ids(1, ((1, 1, 1), (-1, -1, 2)))
 
 
 def test_project_outside_all_cores():
@@ -174,8 +177,19 @@ def test_outer_paths_raises_on_a_cycle():
     # touches, so the triangle touches no outer path
     a, b, c = 4 * 14 + 4, 4 * 14 + 9, 9 * 14 + 4
     triangle = ((a, b), (a, c), (b, c))
-    with pytest.raises(OuterCycleError, match="cycle"):
+    with pytest.raises(OuterCycleError, match="cycle") as failure:
         outer_paths(dataclasses.replace(key, outer_ids=key.outer_ids + triangle))
+    assert str(failure.value).endswith("through cell (4, 4)")
+
+
+def test_outer_paths_raises_on_a_branching_cell():
+    # two ends and two cells of degree 3: the component search took this
+    # shape for one path, since exactly two of its cells have degree 1
+    shape = ((0, 1), (1, 2), (1, 3), (2, 3), (3, 4))
+    branched = dataclasses.replace(KEY_2_5, outer_ids=shape)
+    assert oracle_outer_paths(branched) == [(0, 4)]
+    with pytest.raises(OuterCycleError, match=r"^outer graph branches at cell \(0, 1\), degree 3$"):
+        outer_paths(branched)
 
 
 def test_check_fold_walks_the_outer_graph_once(monkeypatch):
@@ -259,9 +273,9 @@ def test_single_vertex_graph_connected():
 
     # the t = 0 grid is one cell on two floors: connected only by the
     # between-floor edge
-    g = TwoFloorGraph(t=0, edges=frozenset({((0, 0, 1), (0, 0, 2))}))
+    g = TwoFloorGraph(t=0, ids=frozenset({fold_ids(0, ((0, 0, 1), (0, 0, 2)))}))
     assert is_connected(g)
-    assert not is_connected(TwoFloorGraph(t=0, edges=frozenset()))
+    assert not is_connected(TwoFloorGraph(t=0, ids=frozenset()))
 
 
 # --- networkx cross-checks of the three connectivity answers ---------------
@@ -285,7 +299,7 @@ def _connectivity_cases(p, q, keep):
     key_edges = [e for e in sorted(key.edges) if keep(e)]
     cases = [(is_connected_edges(cells, key_edges), cells, key_edges)]
     for graph in (report.folding, report.crisscross):
-        kept = TwoFloorGraph(graph.t, frozenset(e for e in sorted(graph.edges) if keep(e)))
+        kept = TwoFloorGraph(graph.t, frozenset(fold_ids(graph.t, e) for e in sorted(graph.edges) if keep(e)))
         cases.append((is_connected(kept), kept.vertices(), kept.edges))
     return cases
 
@@ -302,3 +316,22 @@ def test_connectivity_agrees_with_networkx_after_dropping_edges(nx, pq, drop, se
     rng = random.Random(seed)
     for answer, vertices, edges in _connectivity_cases(*pq, lambda e: rng.random() >= drop):
         assert answer == _nx_connected(nx, vertices, edges)
+
+
+# --- the id fold against the tuple fold it replaced ------------------------
+
+
+@pytest.mark.parametrize(
+    "p,q",
+    [
+        pytest.param(p, q, id=f"{p}-{q}", marks=[pytest.mark.slow] if p + q > 21 else [])
+        for p, q in free_leapers(61)
+    ],
+)
+def test_check_fold_matches_the_tuple_oracle(p, q):
+    key = build_key(Leaper(p, q))
+    report = check_fold(key)
+    acyclic, matches, connected, folding, crisscross = oracle_check_fold(key)
+    assert (report.outer_acyclic, report.matches, report.folding_connected) == (acyclic, matches, connected)
+    assert report.folding.edges == folding.edges
+    assert report.crisscross.edges == crisscross.edges

@@ -315,6 +315,16 @@ def test_symmetric_splice_matches_the_growth_loop_to_61(monkeypatch, p, q):
     assert symmetric_splice(key) == growth_symmetric_splice(key, bits)
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "p,q", [pytest.param(p, q, id=f"{p}-{q}") for p, q in free_leapers(61) if p + q > 41]
+)
+def test_splice_matches_pre_engine_oracle_to_61(p, q):
+    key = build_key(Leaper(p, q))
+    bits = random_bits(len(key.rhombus_ids), 7)
+    assert splice(key, bits) == _oracle_splice(key, bits)
+
+
 @pytest.mark.parametrize("p,q", [(2, 5), (6, 13), (12, 25)])
 def test_symmetric_splice_partitions_the_board_once(monkeypatch, p, q):
     key = build_key(Leaper(p, q))
