@@ -43,11 +43,24 @@ class SystemExit2(Exception):
     """Usage error carrying a message for stderr."""
 
 
-def _generate_tour(leaper: Leaper, symmetric: bool, seed: Optional[int]) -> splice.Tour:
-    key = keygraph.build_key(leaper)
+def _checked_tour(
+    key: keygraph.KeyGraph, symmetric: bool, seed: Optional[int], k: int = 1, l: int = 1
+) -> splice.Tour:
+    """The key's tour, symmetric or from the seed's halving, tiled k x l; a
+    tour the independent validator refuses raises ConstructionError."""
     if symmetric:
-        return splice.symmetric_splice(key)
-    return splice.splice(key, splice.random_bits(len(key.rhombus_ids), seed))
+        tour = splice.symmetric_splice(key)
+    else:
+        tour = splice.splice(key, splice.random_bits(len(key.rhombus_ids), seed))
+    if (k, l) != (1, 1):
+        tour = tile.tile(key.leaper, k, l, tour)
+    side = key.leaper.side
+    report = verify.verify_tour(tour.cells, key.leaper.p, key.leaper.q, side * k, side * l)
+    if not report.valid:
+        raise keygraph.ConstructionError(f"self-verification failed: {report.first_failure}")
+    if symmetric and not report.centrally_symmetric:
+        raise keygraph.ConstructionError("self-verification failed: tour is not centrally symmetric")
+    return tour
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -62,19 +75,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
             "a tiled tour is not centrally symmetric"
         )
     width, height = _board_size(leaper, args.tile_k, args.tile_l)
-    tour = _generate_tour(leaper, args.symmetric, args.seed)
-    if (args.tile_k, args.tile_l) != (1, 1):
-        tour = tile.tile(leaper, args.tile_k, args.tile_l, tour)
-
     # a valid tour lists each board cell once, as the formatters require
-    report = verify.verify_tour(tour.cells, args.p, args.q, width, height)
-    if not report.valid:
-        print(f"self-verification failed: {report.first_failure}", file=sys.stderr)
-        return EXIT_FAIL
-    if args.symmetric and not report.centrally_symmetric:
-        print("self-verification failed: tour is not centrally symmetric", file=sys.stderr)
-        return EXIT_FAIL
-
+    tour = _checked_tour(keygraph.build_key(leaper), args.symmetric, args.seed, args.tile_k, args.tile_l)
     if args.format == "grid":
         text = render.format_grid(tour.cells, width, height)
     elif args.format == "svg":
@@ -124,11 +126,10 @@ def cmd_fold(args: argparse.Namespace) -> int:
     em, en = pm.expected
     print(
         f"r={pm.r} m={pm.m} n={pm.n} h={pm.h} expect R({em},{en}): "
-        f"{'MATCH' if report.matches else 'MISMATCH'}, "
-        f"O {'acyclic' if report.outer_acyclic else 'CYCLIC'}, "
+        f"{'MATCH' if report.matches else 'MISMATCH'}, O acyclic, "
         f"F {'connected' if report.folding_connected else 'DISCONNECTED'}"
     )
-    if args.dump and report.folding is not None:
+    if args.dump:
         for title, graph in (
             ("folding graph", report.folding),
             (f"crisscross R({em},{en})", report.crisscross),
@@ -136,8 +137,7 @@ def cmd_fold(args: argparse.Namespace) -> int:
             print(f"{title} edges:")
             for a, b in sorted(graph.edges):
                 print(f"  {a[0]} {a[1]} {a[2]} - {b[0]} {b[1]} {b[2]}")
-    ok = report.matches and report.outer_acyclic and report.folding_connected
-    return EXIT_OK if ok else EXIT_FAIL
+    return EXIT_OK if report.matches and report.folding_connected else EXIT_FAIL
 
 
 def free_leapers(max_sum: int) -> list[tuple[int, int]]:
@@ -151,23 +151,18 @@ def free_leapers(max_sum: int) -> list[tuple[int, int]]:
     ]
 
 
-def _sweep_one(p: int, q: int) -> tuple[bool, str]:
-    leaper = Leaper(p, q)
-    side = leaper.side
-    key = keygraph.build_key(leaper)  # validates all degree/count invariants
+def _sweep_one(p: int, q: int) -> str:
+    """The detail of the leaper's pass row; a failed check raises
+    ConstructionError."""
+    key = keygraph.build_key(Leaper(p, q))  # validates all degree/count invariants
 
     # a folding graph that matches R(m, n) answers for R(m, n)'s connectivity
     report = fold.check_fold(key)
-    if not (report.matches and report.outer_acyclic and report.folding_connected):
-        return False, "fold check failed"
-
-    tour = splice.splice(key, splice.random_bits(len(key.rhombus_ids), 0))
-    if not verify.verify_tour(tour.cells, p, q, side, side).valid:
-        return False, "plain tour invalid"
-    stour = splice.symmetric_splice(key)
-    if not verify.verify_tour(stour.cells, p, q, side, side).centrally_symmetric:
-        return False, "symmetric tour invalid"
-    return True, f"side={side} rhombi={len(key.rhombus_ids)}"
+    if not (report.matches and report.folding_connected):
+        raise keygraph.ConstructionError("fold check failed")
+    _checked_tour(key, False, 0)
+    _checked_tour(key, True, None)
+    return f"side={key.leaper.side} rhombi={len(key.rhombus_ids)}"
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -176,11 +171,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     failures = 0
     for p, q in free_leapers(args.max_sum):
         try:
-            ok, detail = _sweep_one(p, q)
+            print(f"({p},{q}): pass  {_sweep_one(p, q)}")
         except keygraph.ConstructionError as exc:
-            ok, detail = False, str(exc)
-        print(f"({p},{q}): {'pass' if ok else 'FAIL'}  {detail}")
-        failures += not ok
+            print(f"({p},{q}): FAIL  {exc}")
+            failures += 1
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 

@@ -81,11 +81,12 @@ class FoldParams:
 @dataclass(frozen=True)
 class FoldReport:
     params: FoldParams
-    outer_acyclic: bool
     matches: bool
     folding_connected: bool
-    folding: TwoFloorGraph | None  # None when the outer graph has a cycle
-    crisscross: TwoFloorGraph | None  # the expected R(m, n); None likewise
+    folding: TwoFloorGraph
+    crisscross: TwoFloorGraph  # the expected R(m, n)
+
+    outer_acyclic = True  # check_fold raises OuterCycleError instead
 
 
 def projections(key: KeyGraph) -> list[tuple[int, ...]]:
@@ -210,20 +211,14 @@ def check_fold(source: Leaper | KeyGraph) -> FoldReport:
     """Directly compare the folding graph with its expected crisscross graph.
 
     Takes a leaper, whose key graph it builds, or a key graph already built.
+    A cycle or branch in the outer graph raises OuterCycleError, naming a cell.
     """
     key = source if isinstance(source, KeyGraph) else build_key(source)
     params = fold_params(key.leaper)
-    try:
-        folding = build_folding(key)
-    except OuterCycleError:
-        return FoldReport(
-            params, outer_acyclic=False, matches=False, folding_connected=False,
-            folding=None, crisscross=None,
-        )
+    folding = build_folding(key)
     expected = build_crisscross(*params.expected)
     return FoldReport(
         params=params,
-        outer_acyclic=True,
         matches=folding.ids == expected.ids,
         folding_connected=is_connected(folding),
         folding=folding,

@@ -177,7 +177,8 @@ def _find_center_rhombus(key: KeyGraph, partners: Sequence[int]) -> int:
     """Index of the unique forward rhombus fixed by the central reflection."""
     fixed = [i for i, j in enumerate(partners) if j == i and key.kind(i) == "forward"]
     if len(fixed) != 1:
-        raise ConstructionError(f"expected one self-symmetric forward rhombus, got {len(fixed)}")
+        named = "".join(f", {_rhombus_cells(key, i)}" for i in fixed)
+        raise ConstructionError(f"expected one self-symmetric forward rhombus, got {len(fixed)}{named}")
     return fixed[0]
 
 

@@ -178,5 +178,6 @@ def tile(leaper: Leaper, k: int, l: int, base: Tour) -> Tour:
     # the partition covers every id, so one cycle is a tour of the board
     cycles = cycle_partition(board, k * height * side, height)
     if len(cycles) != 1:
-        raise ConstructionError(f"{k}x{l} tiling of the base tour left {len(cycles)} cycles")
+        second = f"the second from cell {divmod(cycles[1][0], height)}"
+        raise ConstructionError(f"{k}x{l} tiling of the base tour left {len(cycles)} cycles, {second}")
     return Tour(cells=tuple(map(divmod, cycles[0], repeat(height))))

@@ -274,18 +274,6 @@ def test_fold_dump_prints_the_checked_graphs(capsys, monkeypatch):
     assert out.count("\n  ") == len(report.folding.edges) + len(report.crisscross.edges)
 
 
-def test_fold_dump_with_cyclic_outer_prints_report_only(capsys, monkeypatch):
-    import leapertour.fold as fold
-
-    def cyclic(key):
-        raise fold.OuterCycleError("outer graph contains a cycle")
-
-    monkeypatch.setattr(fold, "outer_paths", cyclic)
-    code, out, _ = run(capsys, "fold", "--p", "2", "--q", "5", "--dump")
-    assert code == 1
-    assert "O CYCLIC" in out and "edges:" not in out
-
-
 def test_sweep_covers_only_knight_at_sum_3(capsys):
     code, out, _ = run(capsys, "sweep", "--max-sum", "3")
     assert code == 0
@@ -368,6 +356,43 @@ def _no_switches(monkeypatch):
     monkeypatch.setattr(tile, "switch_candidates", lambda a, b, leaper: iter(()))
 
 
+def _cut_copy(monkeypatch):
+    """Make tile's one switch cut the first copy of the (2,5) base tour in
+    two: it swaps two of that copy's tour edges for chords and joins no copies."""
+    key = keygraph.build_key(Leaper(2, 5))
+    t = splice.splice(key, [0] * len(key.rhombus_ids)).cells
+    cut = tile.Switch(t[0], t[1], t[5], t[6])
+    monkeypatch.setattr(tile, "switch_candidates", lambda a, b, leaper: iter([cut]))
+
+
+def _close_outer_path(monkeypatch):
+    """Join the ends of the first outer path, so outer_paths finds a cycle."""
+    real = fold.outer_paths
+
+    def closed(key):
+        ends = real(key)[0]
+        return real(dataclasses.replace(key, outer_ids=key.outer_ids + (ends,)))
+
+    monkeypatch.setattr(fold, "outer_paths", closed)
+
+
+def _drop_verified_cell(monkeypatch):
+    """Hand the validator the tour without its last cell."""
+    real = verify.verify_tour
+    monkeypatch.setattr(verify, "verify_tour", lambda cells, *a: real(cells[:-1], *a))
+
+
+def _drop_spliced_cell(monkeypatch):
+    """Make the plain splice, but not the symmetric one, lose its last cell."""
+    real = splice.splice
+    monkeypatch.setattr(splice, "splice", lambda *a: splice.Tour(cells=real(*a).cells[:-1]))
+
+
+def _asymmetric(monkeypatch):
+    """Make the validator read every tour as valid but not centrally symmetric."""
+    monkeypatch.setattr(verify, "verify_central_symmetry", lambda *a: False)
+
+
 @pytest.mark.parametrize(
     "inject,argv,message",
     [
@@ -384,8 +409,31 @@ def _no_switches(monkeypatch):
             ("generate", "--tile-k", "2", "--tile-l", "1"),
             r"no switch found between copies \(0, 0\) and \(1, 0\) of the base tour",
         ),
+        (
+            _cut_copy,
+            ("generate", "--tile-k", "2", "--tile-l", "1"),
+            r"2x1 tiling of the base tour left 3 cycles, the second from cell \(2, 5\)",
+        ),
+        (
+            _close_outer_path,
+            ("fold", "--dump"),
+            r"outer graph contains a cycle through cell \(0, 7\)",
+        ),
+        (
+            _drop_verified_cell,
+            ("generate",),
+            r"self-verification failed: 195 cells listed, board has 196",
+        ),
+        (
+            _asymmetric,
+            ("generate", "--symmetric"),
+            r"self-verification failed: tour is not centrally symmetric",
+        ),
     ],
-    ids=["generate", "symmetric", "fold", "pencil", "tile"],
+    ids=[
+        "generate", "symmetric", "fold", "pencil", "tile",
+        "tile-pieces", "fold-cyclic", "self-verification", "asymmetric",
+    ],
 )
 def test_construction_error_is_one_error_line(capsys, monkeypatch, inject, argv, message):
     inject(monkeypatch)
@@ -395,6 +443,30 @@ def test_construction_error_is_one_error_line(capsys, monkeypatch, inject, argv,
     # the fullmatch also proves that the leaper is named once
     assert re.fullmatch(rf"error: \(2,5\)-leaper: {message}\n", err), err
     assert "Traceback" not in err
+
+
+def _fold_mismatch(monkeypatch):
+    """Make fold expect a crisscross graph with no edges."""
+    real = fold.build_crisscross
+    monkeypatch.setattr(
+        fold, "build_crisscross", lambda m, n: dataclasses.replace(real(m, n), ids=frozenset())
+    )
+
+
+@pytest.mark.parametrize(
+    "inject,message",
+    [
+        (_close_outer_path, "outer graph contains a cycle through cell (0, 3)"),
+        (_fold_mismatch, "fold check failed"),
+        (_drop_spliced_cell, "self-verification failed: 35 cells listed, board has 36"),
+        (_asymmetric, "self-verification failed: tour is not centrally symmetric"),
+    ],
+    ids=["fold-cyclic", "fold-mismatch", "plain", "symmetric"],
+)
+def test_sweep_failure_is_the_located_fail_row(capsys, monkeypatch, inject, message):
+    inject(monkeypatch)
+    code, out, err = run(capsys, "sweep", "--max-sum", "3")
+    assert (code, out, err) == (1, f"(1,2): FAIL  {message}\n", "")
 
 
 def _assert_every_sweep_row_fails(capsys):

@@ -9,6 +9,7 @@ should grow linearly, then fails here before it shows on a benchmark.
 import leapertour.fold as fold
 import leapertour.keygraph as keygraph
 import leapertour.splice as splice
+import leapertour.tile as tile
 from leapertour.geom import Leaper
 
 
@@ -78,3 +79,36 @@ def test_fold_searches_only_the_fold_vertices(monkeypatch):
         fold.check_fold(key)
         counts.append(list(visits))
     assert counts == [[2 * (q - 1) ** 2] for q in (20, 40, 80)]
+
+
+def test_tile_searches_each_seam_type_once_and_partitions_once(monkeypatch):
+    # the four seam types' searches are buffered and shifted, so the
+    # candidates yielded per switch fall as the grid grows: 1.0, 0.27 and
+    # 0.063 (3, 4 and 4 candidates) when its bounds were set at twice those;
+    # one partition proves the whole board a single cycle
+    yielded, partitions = [], []
+    real_candidates, real_partition = tile.switch_candidates, tile.cycle_partition
+
+    def counting_candidates(*args):
+        for sw in real_candidates(*args):
+            yielded.append(sw)
+            yield sw
+
+    def counting_partition(*args):
+        cycles = real_partition(*args)
+        partitions.append(sum(map(len, cycles)))
+        return cycles
+
+    monkeypatch.setattr(tile, "switch_candidates", counting_candidates)
+    monkeypatch.setattr(tile, "cycle_partition", counting_partition)
+    leaper = Leaper(2, 5)
+    key = keygraph.build_key(leaper)
+    base = splice.splice(key, [0] * len(key.rhombus_ids))
+    per_switch = []
+    for n in (2, 4, 8):
+        yielded.clear()
+        partitions.clear()
+        tile.tile(leaper, n, n, base)
+        per_switch.append(len(yielded) / (n * n - 1))
+        assert partitions == [n * n * leaper.side ** 2]
+    assert all(c <= bound for c, bound in zip(per_switch, (2.0, 0.54, 0.13))), per_switch

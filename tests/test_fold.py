@@ -157,11 +157,11 @@ def _cyclic_outer_paths(key):
     raise OuterCycleError("outer graph contains a cycle")
 
 
-def test_check_fold_report_has_no_graphs_for_cyclic_outer(monkeypatch):
+def test_check_fold_raises_for_cyclic_outer(monkeypatch):
+    # outer_paths' located message reaches the caller unchanged
     monkeypatch.setattr(fold_module, "outer_paths", _cyclic_outer_paths)
-    report = check_fold(Leaper(2, 5))
-    assert not (report.outer_acyclic or report.matches or report.folding_connected)
-    assert report.folding is None and report.crisscross is None
+    with pytest.raises(OuterCycleError, match="^outer graph contains a cycle$"):
+        check_fold(Leaper(2, 5))
 
 
 def test_outer_acyclic_directly():

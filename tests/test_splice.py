@@ -433,6 +433,22 @@ def test_key_without_a_centre_rhombus_is_refused(key25):
         symmetric_splice(key)
 
 
+def test_more_fixed_forward_rhombi_are_named(key25, monkeypatch):
+    # one more forward partner pair, each mapped to itself, leaves the
+    # all-zero halving valid and three fixed forward rhombi to name
+    i1 = _find_center_rhombus(key25, _partners(key25))
+    partners = _partners(key25)
+    i = next(i for i, j in enumerate(partners) if j != i and key25.kind(i) == "forward")
+    j = partners[i]
+    partners[i], partners[j] = i, j
+    monkeypatch.setattr(splice_module, "_partners", lambda key: partners)
+    named = sorted((i, i1, j))
+    cells = "".join(f", {tuple(divmod(c, 14) for c in key25.rhombus_ids[r])}" for r in named)
+    with pytest.raises(ConstructionError) as error:
+        symmetric_splice(key25)
+    assert str(error.value) == f"expected one self-symmetric forward rhombus, got 3{cells}"
+
+
 def test_extra_mirrored_outer_edges_fail_the_degree_check(key25):
     # each leaper move outside the key graph, added with its mirror image,
     # gives four cells degree 3 in every halving; a + b < last picks one

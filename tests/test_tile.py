@@ -131,7 +131,7 @@ def test_tiling_left_in_pieces_is_refused(monkeypatch):
     t = base_tour(1, 2).cells
     cut = Switch(t[0], t[1], t[5], t[6])
     monkeypatch.setattr("leapertour.tile.switch_candidates", lambda a, b, leaper: iter([cut]))
-    with pytest.raises(ConstructionError, match="^2x1 tiling of the base tour left 3 cycles$"):
+    with pytest.raises(ConstructionError, match=r"^2x1 tiling of the base tour left 3 cycles, the second from cell \(0, 1\)$"):
         tile(Leaper(1, 2), 2, 1, base_tour(1, 2))
 
 
