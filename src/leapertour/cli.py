@@ -159,7 +159,7 @@ def _sweep_one(p: int, q: int) -> str:
     # a folding graph that matches R(m, n) answers for R(m, n)'s connectivity
     report = fold.check_fold(key)
     if not (report.matches and report.folding_connected):
-        raise keygraph.ConstructionError("fold check failed")
+        raise keygraph.ConstructionError(fold.locate_failure(report))
     _checked_tour(key, False, 0)
     _checked_tour(key, True, None)
     return f"side={key.leaper.side} rhombi={len(key.rhombus_ids)}"

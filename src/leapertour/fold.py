@@ -226,6 +226,17 @@ def check_fold(source: Leaper | KeyGraph) -> FoldReport:
     )
 
 
+def locate_failure(report: FoldReport) -> str:
+    """The smallest edge in only one graph, else the folding graph's second component's first vertex."""
+    vertex, name = report.folding.vertices(), "R({},{})".format(*report.params.expected)
+    if not report.matches:
+        a, b = min(report.folding.ids ^ report.crisscross.ids)
+        holder = "the folding graph" if (a, b) in report.folding.ids else name
+        return f"folding graph differs from {name}: only {holder} has the edge {vertex[a]}-{vertex[b]}"
+    parts = _components(report.folding)
+    return f"folding graph has {len(parts)} components, the second from vertex {vertex[parts[1][0]]}"
+
+
 def crisscross_reduce(m: int, n: int) -> tuple[int, int]:
     """One step of the (m, n) reduction; requires 0 < m < n.
 
@@ -247,7 +258,11 @@ def crisscross_reduce(m: int, n: int) -> tuple[int, int]:
     return reduced
 
 
+def _components(graph: TwoFloorGraph) -> list[list[int]]:
+    """The vertex-id components of the whole two-floor vertex grid."""
+    return components(id_adjacency(graph.ids, 2 * (2 * graph.t + 1) ** 2))
+
+
 def is_connected(graph: TwoFloorGraph) -> bool:
     """True iff the edges connect the whole two-floor vertex grid."""
-    w = 2 * graph.t + 1
-    return len(components(id_adjacency(graph.ids, 2 * w * w))) <= 1
+    return len(_components(graph)) <= 1

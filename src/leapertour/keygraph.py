@@ -18,9 +18,9 @@ divmod(i, side) turns an id back into its cell.  The splice engine and the
 fold read the ids.  The fields that hold cells as (x, y) tuples (rhombi,
 inner_edges, outer_edges, edges and core_membership) are views, derived
 from the ids on first read; error messages name cells too.  One depth-first
-search over id neighbour lists, components, serves cycle_partition (for
-both splices and tile), TwoFactor.cycles, is_connected_edges and fold's
-connectivity check; fold finds its outer paths by walking them.
+search over id neighbour lists, components, serves cycle_partition, the
+one two-factor proof (halve, both splices, tile), is_connected_edges and
+fold's connectivity check; single_cycle reads one tour from a partition.
 ConstructionError lives in geom and is re-exported here under its name.
 """
 
@@ -134,16 +134,10 @@ def _id_edge(a: int, b: int) -> IdEdge:
 
 @dataclass(frozen=True)
 class TwoFactor:
-    """A spanning degree-2 subgraph of the side x side board; cycles is derived on first read."""
+    """A spanning degree-2 subgraph of the board and its cycles, in cycle_partition's order."""
 
     edges: frozenset[Edge]
-    side: int
-
-    @cached_property
-    def cycles(self) -> tuple[tuple[Cell, ...], ...]:
-        side = self.side
-        adj = id_adjacency([(x * side + y, u * side + v) for (x, y), (u, v) in self.edges], side * side)
-        return tuple(tuple(divmod(c, side) for c in cycle) for cycle in components(adj))
+    cycles: tuple[tuple[Cell, ...], ...]
 
 
 def build_cores(leaper: Leaper) -> Cores:
@@ -330,15 +324,18 @@ def cycle_partition(edges: Iterable[IdEdge], n: int, height: int) -> list[list[i
     cell order, and a degree failure names the first such cell.
     """
     adj = id_adjacency(edges, n)
-    _check_degree_two(list(map(len, adj)), height)
+    if list(map(len, adj)).count(2) != n:
+        c = next(c for c, a in enumerate(adj) if len(a) != 2)
+        raise ConstructionError(f"cell {divmod(c, height)} has degree {len(adj[c])}, expected 2")
     return components(adj)
 
 
-def _check_degree_two(degrees: Sequence[int], height: int) -> None:
-    """Raise, naming the first cell in id order, unless every degree is 2."""
-    if degrees.count(2) != len(degrees):
-        c = next(c for c, d in enumerate(degrees) if d != 2)
-        raise ConstructionError(f"cell {divmod(c, height)} has degree {degrees[c]}, expected 2")
+def single_cycle(cycles: Sequence[list[int]], height: int, what: str) -> tuple[Cell, ...]:
+    """The cells of a cycle_partition's one cycle; more raise, naming the second's first cell."""
+    if len(cycles) != 1:
+        cell = divmod(cycles[1][0], height)
+        raise ConstructionError(f"{what} left {len(cycles)} cycles, the second from cell {cell}")
+    return tuple(map(divmod, cycles[0], repeat(height)))
 
 
 def halving_ids(key: KeyGraph, bits: Sequence[int]) -> list[IdEdge]:
@@ -353,16 +350,12 @@ def halving_ids(key: KeyGraph, bits: Sequence[int]) -> list[IdEdge]:
 
 def halve(key: KeyGraph, bits: Sequence[int]) -> TwoFactor:
     """Pseudotour from a per-rhombus matching choice (one bit per rhombus),
-    proved a two-factor by counting each cell's degree on cell ids."""
+    proved a two-factor, and split into its cycles, by one cycle_partition."""
     side = key.leaper.side
     edges = halving_ids(key, bits)
-    degrees = [0] * (side * side)
-    for a, b in edges:
-        degrees[a] += 1
-        degrees[b] += 1
-    _check_degree_two(degrees, side)
-    cell = key.cells
-    return TwoFactor(frozenset([(cell[a], cell[b]) for a, b in edges]), side)
+    cell = key.cells.__getitem__
+    cycles = tuple(tuple(map(cell, c)) for c in cycle_partition(edges, side * side, side))
+    return TwoFactor(frozenset([(cell(a), cell(b)) for a, b in edges]), cycles)
 
 
 def is_connected_edges(cells: Iterable[V], edges: Iterable[tuple[V, V]]) -> bool:

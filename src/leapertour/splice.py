@@ -32,6 +32,7 @@ from .keygraph import (
     halving_ids,
     id_adjacency,
     is_connected_edges,
+    single_cycle,
 )
 
 
@@ -123,11 +124,7 @@ def _single_tour(key: KeyGraph, bits: Sequence[int], what: str) -> Tour:
     the length of the list, which holds the outer edges; so every listed
     edge is a tour step."""
     side = key.leaper.side
-    cycles = cycle_partition(halving_ids(key, bits), side * side, side)
-    if len(cycles) != 1:
-        cell = key.cells[cycles[1][0]]
-        raise ConstructionError(f"{what} left {len(cycles)} cycles, the second from cell {cell}")
-    return Tour(cells=tuple(map(key.cells.__getitem__, cycles[0])))
+    return Tour(single_cycle(cycle_partition(halving_ids(key, bits), side * side, side), side, what))
 
 
 def splice(key: KeyGraph, bits: Sequence[int]) -> Tour:

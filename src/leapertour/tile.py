@@ -16,11 +16,11 @@ Failure messages name the copies but not the leaper, which the caller names.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat, tee
+from itertools import chain, tee
 from typing import AbstractSet, Iterable, Iterator, Optional
 
 from .geom import Cell, Edge, Leaper, edge
-from .keygraph import ConstructionError, IdEdge, cycle_partition
+from .keygraph import ConstructionError, IdEdge, cycle_partition, single_cycle
 from .splice import Tour
 
 
@@ -177,7 +177,4 @@ def tile(leaper: Leaper, k: int, l: int, base: Tour) -> Tour:
 
     # the partition covers every id, so one cycle is a tour of the board
     cycles = cycle_partition(board, k * height * side, height)
-    if len(cycles) != 1:
-        second = f"the second from cell {divmod(cycles[1][0], height)}"
-        raise ConstructionError(f"{k}x{l} tiling of the base tour left {len(cycles)} cycles, {second}")
-    return Tour(cells=tuple(map(divmod, cycles[0], repeat(height))))
+    return Tour(single_cycle(cycles, height, f"{k}x{l} tiling of the base tour"))

@@ -453,15 +453,28 @@ def _fold_mismatch(monkeypatch):
     )
 
 
+def _fold_disconnected(monkeypatch):
+    """Make both fold graphs edgeless: they match, and neither is connected."""
+    for name in ("build_folding", "build_crisscross"):
+        real = getattr(fold, name)
+        monkeypatch.setattr(
+            fold, name, lambda *a, real=real: dataclasses.replace(real(*a), ids=frozenset())
+        )
+
+
 @pytest.mark.parametrize(
     "inject,message",
     [
         (_close_outer_path, "outer graph contains a cycle through cell (0, 3)"),
-        (_fold_mismatch, "fold check failed"),
+        (
+            _fold_mismatch,
+            "folding graph differs from R(1,0): only the folding graph has the edge (0, 0, 1)-(0, 0, 2)",
+        ),
+        (_fold_disconnected, "folding graph has 2 components, the second from vertex (0, 0, 2)"),
         (_drop_spliced_cell, "self-verification failed: 35 cells listed, board has 36"),
         (_asymmetric, "self-verification failed: tour is not centrally symmetric"),
     ],
-    ids=["fold-cyclic", "fold-mismatch", "plain", "symmetric"],
+    ids=["fold-cyclic", "fold-mismatch", "fold-disconnected", "plain", "symmetric"],
 )
 def test_sweep_failure_is_the_located_fail_row(capsys, monkeypatch, inject, message):
     inject(monkeypatch)

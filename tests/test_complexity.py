@@ -112,3 +112,35 @@ def test_tile_searches_each_seam_type_once_and_partitions_once(monkeypatch):
         per_switch.append(len(yielded) / (n * n - 1))
         assert partitions == [n * n * leaper.side ** 2]
     assert all(c <= bound for c, bound in zip(per_switch, (2.0, 0.54, 0.13))), per_switch
+
+
+def test_halve_and_the_splices_search_the_board_a_fixed_number_of_times(monkeypatch):
+    # halve's one cycle_partition proves the halving and yields its cycles;
+    # each splice labels the halving's cycles, links them (a search over one
+    # id per cycle) and partitions the result: 1,764, 6,724 and 26,244 ids
+    visits = []
+    real = keygraph.components
+
+    def counting(adj):
+        found = real(adj)
+        visits.append(sum(map(len, found)))
+        return found
+
+    # keygraph's searches and the splice's own, which it imported by name
+    monkeypatch.setattr(keygraph, "components", counting)
+    monkeypatch.setattr(splice, "components", counting)
+    for q in (20, 40, 80):
+        key = keygraph.build_key(Leaper(1, q))
+        board = key.leaper.side ** 2
+        zeros = [0] * len(key.rhombus_ids)
+        visits.clear()
+        two = keygraph.halve(key, zeros)
+        assert visits == [board]
+        cycles = len(two.cycles)  # a field: reading it runs no search
+        assert visits == [board]
+        visits.clear()
+        splice.splice(key, zeros)
+        assert visits == [board, cycles, board]
+        visits.clear()
+        splice.symmetric_splice(key)
+        assert visits == [board, cycles, board]

@@ -15,6 +15,7 @@ from leapertour.fold import (
     fold_params,
     OuterCycleError,
     is_connected,
+    locate_failure,
     outer_paths,
     projections,
     TwoFloorGraph,
@@ -162,6 +163,22 @@ def test_check_fold_raises_for_cyclic_outer(monkeypatch):
     monkeypatch.setattr(fold_module, "outer_paths", _cyclic_outer_paths)
     with pytest.raises(OuterCycleError, match="^outer graph contains a cycle$"):
         check_fold(Leaper(2, 5))
+
+
+def test_located_failure_names_the_smallest_edge_and_its_graph(monkeypatch):
+    # the folding graph without its smallest edge: only R(2,1) still has it
+    real = build_folding
+    smallest = min(real(KEY_2_5).ids)
+
+    def without_smallest(key):
+        return dataclasses.replace(real(key), ids=real(key).ids - {smallest})
+
+    monkeypatch.setattr(fold_module, "build_folding", without_smallest)
+    report = check_fold(KEY_2_5)
+    assert not report.matches
+    a, b = (report.folding.vertices()[i] for i in smallest)
+    assert a == (-1, -1, 1)
+    assert locate_failure(report) == f"folding graph differs from R(2,1): only R(2,1) has the edge {a}-{b}"
 
 
 def test_outer_acyclic_directly():
