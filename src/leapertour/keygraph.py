@@ -17,10 +17,13 @@ order, the central reflection of id i is side**2 - 1 - i, and
 divmod(i, side) turns an id back into its cell.  The splice engine and the
 fold read the ids.  The fields that hold cells as (x, y) tuples (rhombi,
 inner_edges, outer_edges, edges and core_membership) are views, derived
-from the ids on first read; error messages name cells too.  One depth-first
-search over id neighbour lists, components, serves cycle_partition, the
-one two-factor proof (halve, both splices, tile), is_connected_edges and
-fold's connectivity check; single_cycle reads one tour from a partition.
+from the ids on first read; error messages name cells too.  A two-factor
+is two neighbour arrays, first and second, indexed by id: neighbour_arrays
+fills them with a degree proof, and walk follows them.  cycle_partition,
+the two-factor proof of halve and tile, is one fill and one walk of every
+cycle; the splice engine keeps the arrays and flips them in place.  The
+depth-first search over id neighbour lists, components, serves
+is_connected_edges, fold's connectivity check and the failure paths.
 ConstructionError lives in geom and is re-exported here under its name.
 """
 
@@ -30,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import Hashable, Iterable, Sequence, TypeVar
+from typing import Collection, Hashable, Iterable, Sequence, TypeVar
 
 from .geom import (
     Cell,
@@ -49,6 +52,7 @@ from .geom import (
 
 V = TypeVar("V", bound=Hashable)
 IdEdge = tuple[int, int]  # cell ids, the smaller first
+Arrays = tuple[list[int], list[int]]  # a two-factor: each id's first and second neighbour
 
 
 @dataclass(frozen=True)
@@ -316,18 +320,61 @@ def components(adj: Sequence[Sequence[int]]) -> list[list[int]]:
     return out
 
 
-def cycle_partition(edges: Iterable[IdEdge], n: int, height: int) -> list[list[int]]:
+def neighbour_arrays(edges: Iterable[IdEdge], n: int) -> Arrays | None:
+    """The first and second neighbour of each id 0 .. n - 1, or None unless
+    every id has degree 2: an id's third end sets its first to n, and too
+    few leave its second at -1."""
+    first, second = [-1] * n, [-1] * n
+    for a, b in edges:
+        if first[a] < 0:
+            first[a] = b
+        elif second[a] < 0:
+            second[a] = b
+        else:
+            first[a] = n
+        if first[b] < 0:
+            first[b] = a
+        elif second[b] < 0:
+            second[b] = a
+        else:
+            first[b] = n
+    return None if -1 in second or n in first else (first, second)
+
+
+def walk(first: list[int], second: list[int], start: int) -> list[int]:
+    """The cycle through start, from start toward its smaller neighbour."""
+    prev, cur, cycle = start, min(first[start], second[start]), [start]
+    while cur != start:
+        cycle.append(cur)
+        prev, cur = cur, first[cur] if first[cur] != prev else second[cur]
+    return cycle
+
+
+def walk_cycles(first: list[int], second: list[int]) -> list[list[int]]:
+    """The cycles of neighbour arrays, in the canonical order of components."""
+    seen, cycles = [False] * len(first), []
+    for start in range(len(first)):
+        if not seen[start]:
+            cycles.append(walk(first, second, start))
+            for c in cycles[-1]:
+                seen[c] = True
+    return cycles
+
+
+def cycle_partition(edges: Collection[IdEdge], n: int, height: int) -> list[list[int]]:
     """Split a degree-2 edge set on the ids 0 .. n - 1 into canonical cyclic
-    id sequences (see components).
+    id sequences (see components) by walking its neighbour arrays.
 
     The id of the cell (x, y) is x * height + y, so id order is lexicographic
-    cell order, and a degree failure names the first such cell.
+    cell order, and a degree failure builds neighbour lists to name the
+    first such cell.
     """
-    adj = id_adjacency(edges, n)
-    if list(map(len, adj)).count(2) != n:
+    arrays = neighbour_arrays(edges, n)
+    if arrays is None:
+        adj = id_adjacency(edges, n)
         c = next(c for c, a in enumerate(adj) if len(a) != 2)
         raise ConstructionError(f"cell {divmod(c, height)} has degree {len(adj[c])}, expected 2")
-    return components(adj)
+    return walk_cycles(*arrays)
 
 
 def single_cycle(cycles: Sequence[list[int]], height: int, what: str) -> tuple[Cell, ...]:

@@ -4,27 +4,29 @@ A pseudotour is one matching bit per rhombus, and a flip toggles a
 rhombus's bit; when the two current matching edges lie on different cycles,
 the flip merges them.  Both splices share one engine over a list of bits,
 and it runs on the key graph's id view (see keygraph), in lists indexed by
-cell id.  It labels each cycle of the halving once, by the shared
-components search, with the id of its first cell; those labels seed a
-CycleTracker, and each merge flip unions two of them.  At the end the id
-edges the bits pick are built once and one cycle partition checks degrees
-and a single tour.  The plain splice makes one pass of merge flips over all
-rhombi, and the symmetric one a pass over partner pairs after joining each
-cycle to its mirror image.  Ids turn back into cells only in Tour.cells and
-in error messages.  Central symmetry is proved once: mirror partners found
-in pencil order, the outer edges reflected, and one bits check at the end
-of the symmetric splice.
+cell id.  It fills the halving's neighbour arrays once and walks them to
+label each cycle with the id of its first cell; those labels seed a
+CycleTracker, and each merge flip unions two of them.  At the end each
+flipped rhombus rewrites its four cells in the arrays, and one walk from
+cell 0 proves a single tour.  The plain splice makes one pass of merge
+flips over all rhombi, and the symmetric one a pass over partner pairs
+after joining each cycle to its mirror image.  Ids turn back into cells
+only in Tour.cells and in error messages.  Central symmetry is proved
+once: mirror partners found in pencil order, the outer edges reflected,
+and one bits check at the end of the symmetric splice.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import getitem
+from itertools import chain, compress
+from operator import ne
 from typing import Sequence
 
 from .geom import Cell, Edge, edge
 from .keygraph import (
+    Arrays,
     ConstructionError,
     KeyGraph,
     components,
@@ -32,7 +34,10 @@ from .keygraph import (
     halving_ids,
     id_adjacency,
     is_connected_edges,
+    neighbour_arrays,
     single_cycle,
+    walk,
+    walk_cycles,
 )
 
 
@@ -81,58 +86,82 @@ def random_bits(count: int, seed: int | None) -> list[int]:
     return [rng.getrandbits(1) for _ in range(count)]
 
 
-def _tracked_halving(key: KeyGraph, bits: Sequence[int]) -> tuple[list[int], CycleTracker]:
-    """A copy of the bits and a tracker of the components of the halving
-    they pick, over cell ids, each labelled with the id of its first cell.
-
-    It checks no degree.  A flip swaps a rhombus's matching for the other,
-    which keeps every cell's degree, and the halving of every tour the
-    splices return passes through cycle_partition, which proves every
-    degree is 2.  So a halving with a cell of another degree fails there,
-    whatever the flips before it did.
+def _tracked_halving(key: KeyGraph, bits: Sequence[int]) -> tuple[list[int], CycleTracker, Arrays | None]:
+    """A copy of the bits, a tracker of the cycles of the halving they pick,
+    over cell ids, each labelled with the id of its first cell, and that
+    halving's neighbour arrays.  A cell whose degree is not 2 leaves the
+    arrays None: the generic search labels the components, and _single_tour
+    names the cell after the checks the splices make before it.
     """
-    roots = [0] * key.leaper.side ** 2
-    for component in components(id_adjacency(halving_ids(key, bits), len(roots))):
-        for c in component:
-            roots[c] = component[0]
+    side = key.leaper.side
+    if len(bits) != len(key.rhombus_ids):
+        raise ValueError(f"need {len(key.rhombus_ids)} bits, got {len(bits)}")
+    matched = (((b, c), (d, a)) if bit else ((a, b), (c, d)) for (a, b, c, d), bit in zip(key.rhombus_ids, bits))
+    halving = neighbour_arrays(chain(key.outer_ids, chain.from_iterable(matched)), side * side)
+    cycles = walk_cycles(*halving) if halving else components(id_adjacency(halving_ids(key, bits), side * side))
+    roots = [0] * side * side
+    for cycle in cycles:
+        for c in cycle:
+            roots[c] = cycle[0]
 
     # The key graph is the halving plus each rhombus's other matching, and
-    # that matching joins the component of one current matching edge to the
-    # component of the other.  So the key graph is connected iff these
-    # links connect the halving's components.
-    links = [(roots[e1[0]], roots[e2[0]]) for e1, e2 in map(getitem, key.matching_ids, bits)]
+    # that matching joins the cycle of one current matching edge to the
+    # cycle of the other, which a and c lie on: ab and cd, or bc and da.  So
+    # the key graph is connected iff these links connect the halving's cycles.
+    links = [(roots[a], roots[c]) for a, _, c, _ in key.rhombus_ids]
     if not is_connected_edges(set(roots), links):
-        raise ConstructionError("key graph is not connected")
-    return list(bits), CycleTracker(roots)
+        reached = set(components(id_adjacency(links, len(roots)))[0])
+        cell = divmod(next(c for c, r in enumerate(roots) if r not in reached), side)
+        raise ConstructionError(f"key graph is not connected: cell {cell} is not reached from cell (0, 0)")
+    return list(bits), CycleTracker(roots), halving
 
 
 def _merge_flip(key: KeyGraph, bits: list[int], tracker: CycleTracker, i: int) -> bool:
-    """Flip rhombus i iff its matching edges lie in different sets of the
-    tracker, recording their union; True iff it flipped."""
-    e1, e2 = key.matching_ids[i][bits[i]]
-    merged = tracker.union(e1[0], e2[0])
+    """Flip rhombus i iff its matching edges, through a and c, lie in
+    different sets of the tracker, recording their union; True iff it flipped."""
+    a, _, c, _ = key.rhombus_ids[i]
+    merged = tracker.union(a, c)
     if merged:
         bits[i] ^= 1
     return merged
 
 
-def _single_tour(key: KeyGraph, bits: Sequence[int], what: str) -> Tour:
+def _flip_in_place(first: list[int], second: list[int], rhombus: Sequence[int], bit: int, side: int) -> None:
+    """Swap the rhombus's matching bit for the other in the neighbour arrays;
+    raise, naming the cell, if a neighbour to drop is missing."""
+    a, b, c, d = rhombus[bit:] + rhombus[:bit]  # matching 1 of abcd is matching 0 of bcda
+    for x, old, new in (a, b, d), (b, a, c), (c, d, b), (d, c, a):
+        row = first if first[x] == old else second
+        if row[x] != old:
+            raise ConstructionError(f"cell {divmod(x, side)} has no neighbour {divmod(old, side)} to flip away")
+        row[x] = new
+
+
+def _single_tour(key: KeyGraph, start: Sequence[int], bits: Sequence[int], halving: Arrays | None, what: str) -> Tour:
     """The tour the bits' halving forms, checked to be one cycle over the
-    whole board.  cycle_partition has shown that each of the side**2 cell
-    ids has degree 2, so one cycle covers them all.  The tour keeps every
-    outer edge: a cycle of side**2 cells has side**2 edges, and side**2 is
-    the length of the list, which holds the outer edges; so every listed
-    edge is a tour step."""
+    whole board.  Each rhombus whose bit is no longer its start bit rewrites
+    its four cells in the start halving's arrays.  A rewrite drops and adds
+    an edge at both ends, so the arrays stay a two-factor, and a walk from
+    cell 0 over side**2 cells is its one cycle; otherwise, or when a degree
+    was not 2, cycle_partition names the failure.  The tour keeps every
+    outer edge, as it has as many edges as the halving."""
     side = key.leaper.side
+    if halving:
+        first, second = halving
+        for i in compress(range(len(bits)), map(ne, start, bits)):
+            _flip_in_place(first, second, key.rhombus_ids[i], start[i], side)
+        tour = walk(first, second, 0)
+        if len(tour) == side * side:
+            return Tour(single_cycle([tour], side, what))
     return Tour(single_cycle(cycle_partition(halving_ids(key, bits), side * side, side), side, what))
 
 
 def splice(key: KeyGraph, bits: Sequence[int]) -> Tour:
     """Single fixed-order pass of cycle-merging flips over all rhombi."""
-    bits, tracker = _tracked_halving(key, bits)
+    flipped, tracker, halving = _tracked_halving(key, bits)
     for i in range(len(key.rhombus_ids)):
-        _merge_flip(key, bits, tracker, i)
-    return _single_tour(key, bits, "splice")
+        _merge_flip(key, flipped, tracker, i)
+    return _single_tour(key, bits, flipped, halving, "splice")
 
 
 def _rhombus_cells(key: KeyGraph, i: int) -> tuple[Cell, ...]:
@@ -210,7 +239,8 @@ def symmetric_splice(key: KeyGraph) -> Tour:
     """
     last = key.leaper.side ** 2 - 1
     partners = _partners(key)
-    bits, tracker = _tracked_halving(key, symmetric_halving_bits(key, partners))
+    start = symmetric_halving_bits(key, partners)
+    bits, tracker, halving = _tracked_halving(key, start)
     i1 = _find_center_rhombus(key, partners)
     label = list(tracker.parent)  # each id's halving cycle, before any union
     self_mirror = 0
@@ -222,7 +252,7 @@ def symmetric_splice(key: KeyGraph) -> Tour:
             bits[j] ^= 1
     bits[i1] ^= (self_mirror + 1) % 2
     _check_mirrored_bits(key, bits, partners)
-    return _single_tour(key, bits, "symmetric splice")
+    return _single_tour(key, start, bits, halving, "symmetric splice")
 
 
 def canonicalize(tour: Tour) -> Tour:

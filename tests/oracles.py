@@ -2,8 +2,8 @@
 
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import getitem
 
-import leapertour.keygraph as keygraph
 from leapertour.fold import OuterCycleError, fold_params
 from leapertour.geom import edge, is_free
 from leapertour.keygraph import (
@@ -12,15 +12,15 @@ from leapertour.keygraph import (
     halving_ids,
     id_adjacency,
     is_connected_edges,
+    single_cycle,
 )
 from leapertour.splice import (
+    CycleTracker,
+    Tour,
     _check_mirrored_bits,
     _find_center_rhombus,
-    _merge_flip,
     _partners,
     _rhombus_cells,
-    _single_tour,
-    _tracked_halving,
     symmetric_halving_bits,
 )
 from leapertour.verify import TourReport
@@ -155,8 +155,62 @@ def verify_tour(cells, p, q, width, height):
     return report
 
 
+# --- the splice engine on generic searches --------------------------------------
+
+
+def id_cycle_partition(edges, n, height):
+    """The cycle partition as a degree count over id_adjacency's neighbour
+    lists and the generic components search; the package's walk over two
+    neighbour arrays must give the same cycles and the same degree message."""
+    adj = id_adjacency(edges, n)
+    if list(map(len, adj)).count(2) != n:
+        c = next(c for c, a in enumerate(adj) if len(a) != 2)
+        raise ConstructionError(f"cell {divmod(c, height)} has degree {len(adj[c])}, expected 2")
+    return components(adj)
+
+
+def tracked_halving(key, bits):
+    """A copy of the bits and a tracker of the components of the halving
+    they pick, each labelled with the id of its first cell, found by the
+    generic search; the links between them go through the matching views."""
+    roots = [0] * key.leaper.side ** 2
+    for component in components(id_adjacency(halving_ids(key, bits), len(roots))):
+        for c in component:
+            roots[c] = component[0]
+    links = [(roots[e1[0]], roots[e2[0]]) for e1, e2 in map(getitem, key.matching_ids, bits)]
+    if not is_connected_edges(set(roots), links):
+        raise ConstructionError("key graph is not connected")
+    return list(bits), CycleTracker(roots)
+
+
+def merge_flip(key, bits, tracker, i):
+    """Flip rhombus i iff its matching edges lie in different sets of the
+    tracker, recording their union; True iff it flipped."""
+    e1, e2 = key.matching_ids[i][bits[i]]
+    merged = tracker.union(e1[0], e2[0])
+    if merged:
+        bits[i] ^= 1
+    return merged
+
+
+def single_tour(key, bits, what):
+    """The tour the bits' halving forms, from the generic partition of the
+    whole halving."""
+    side = key.leaper.side
+    return Tour(single_cycle(id_cycle_partition(halving_ids(key, bits), side * side, side), side, what))
+
+
+def splice(key, bits):
+    """The plain splice's pass of merge flips on the generic engine; the
+    package's in-place flips must give the same tour."""
+    bits, tracker = tracked_halving(key, bits)
+    for i in range(len(key.rhombus_ids)):
+        merge_flip(key, bits, tracker, i)
+    return single_tour(key, bits, "splice")
+
+
 def symmetric_splice(key, bits=None):
-    """The symmetric splice as a growth loop over the package's id engine:
+    """The symmetric splice as a growth loop over the generic engine above:
     from the centre rhombus it grows a centrally symmetric cycle, at each
     step rescanning the rhombi in index order for the first one that
     straddles the grown cycle, then flipping it with its partner, or with
@@ -168,14 +222,14 @@ def symmetric_splice(key, bits=None):
     matchings = key.matching_ids
     partners = _partners(key)
     halving = symmetric_halving_bits(key, partners)
-    bits, tracker = _tracked_halving(key, halving if bits is None else bits)
+    bits, tracker = tracked_halving(key, halving if bits is None else bits)
     find = tracker.find
 
     # the grown cycle holds all of r1, so it holds the anchor's mirror image,
     # and it stays centrally symmetric as long as the halving does
     i1 = _find_center_rhombus(key, partners)
     anchor = key.rhombus_ids[i1][0]
-    _merge_flip(key, bits, tracker, i1)
+    merge_flip(key, bits, tracker, i1)
 
     while True:
         grown = find(anchor)
@@ -200,19 +254,19 @@ def symmetric_splice(key, bits=None):
             for k in (i1, i, j):
                 bits[k] ^= 1
             merged = {c for c in range(last + 1) if find(c) in (grown, absorbed)}
-            cycles = keygraph.cycle_partition(halving_ids(key, bits), last + 1, key.leaper.side)
+            cycles = id_cycle_partition(halving_ids(key, bits), last + 1, key.leaper.side)
             if set(next(c for c in cycles if anchor in c)) != merged:
                 raise ConstructionError(
                     f"symmetric splice triple flip failed to grow the cycle at rhombus {pending}"
                 )
             tracker.union(anchor, out_edge[0])
-        elif not (_merge_flip(key, bits, tracker, i) and _merge_flip(key, bits, tracker, j)):
+        elif not (merge_flip(key, bits, tracker, i) and merge_flip(key, bits, tracker, j)):
             raise ConstructionError(
                 f"symmetric splice paired flips failed to grow the cycle at rhombus {pending}"
             )
 
     _check_mirrored_bits(key, bits, partners)
-    return _single_tour(key, bits, "symmetric splice")
+    return single_tour(key, bits, "symmetric splice")
 
 
 # --- the fold on (x, y, floor) tuples -----------------------------------------

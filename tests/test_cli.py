@@ -393,6 +393,13 @@ def _asymmetric(monkeypatch):
     monkeypatch.setattr(verify, "verify_central_symmetry", lambda *a: False)
 
 
+def _drop_outer_edges(monkeypatch):
+    """Make the plain splice run on the key graph without its outer edges,
+    which leaves the corner cells (0, 0) and (0, 1) isolated."""
+    real = splice.splice
+    monkeypatch.setattr(splice, "splice", lambda key, bits: real(dataclasses.replace(key, outer_ids=()), bits))
+
+
 @pytest.mark.parametrize(
     "inject,argv,message",
     [
@@ -429,10 +436,15 @@ def _asymmetric(monkeypatch):
             ("generate", "--symmetric"),
             r"self-verification failed: tour is not centrally symmetric",
         ),
+        (
+            _drop_outer_edges,
+            ("generate",),
+            r"key graph is not connected: cell \(0, 1\) is not reached from cell \(0, 0\)",
+        ),
     ],
     ids=[
         "generate", "symmetric", "fold", "pencil", "tile",
-        "tile-pieces", "fold-cyclic", "self-verification", "asymmetric",
+        "tile-pieces", "fold-cyclic", "self-verification", "asymmetric", "disconnected",
     ],
 )
 def test_construction_error_is_one_error_line(capsys, monkeypatch, inject, argv, message):
@@ -492,10 +504,13 @@ def _assert_every_sweep_row_fails(capsys):
 
 
 def test_sweep_reports_a_construction_error_and_goes_on(capsys, monkeypatch):
-    # a key graph read as disconnected fails every row; never merging would
-    # pass the small leapers whose halvings need no merge
-    monkeypatch.setattr(splice, "is_connected_edges", lambda *a: False)
+    # a disconnected key graph fails every row; never merging would pass the
+    # small leapers whose halvings need no merge
+    _drop_outer_edges(monkeypatch)
     _assert_every_sweep_row_fails(capsys)
+    code, out, _ = run(capsys, "sweep", "--max-sum", "9")
+    message = "FAIL  key graph is not connected: cell (0, 1) is not reached from cell (0, 0)"
+    assert all(row.endswith(message) for row in out.splitlines()), out
 
 
 def test_sweep_reports_a_pencil_error_and_goes_on(capsys, monkeypatch):

@@ -115,32 +115,51 @@ def test_tile_searches_each_seam_type_once_and_partitions_once(monkeypatch):
 
 
 def test_halve_and_the_splices_search_the_board_a_fixed_number_of_times(monkeypatch):
-    # halve's one cycle_partition proves the halving and yields its cycles;
-    # each splice labels the halving's cycles, links them (a search over one
-    # id per cycle) and partitions the result: 1,764, 6,724 and 26,244 ids
-    visits = []
-    real = keygraph.components
+    # halve's one cycle_partition walks the halving's ids once and builds no
+    # neighbour lists; each splice walks them twice, for the halving's cycle
+    # labels and from cell 0 after the flips in place, and its one search is
+    # the connectivity check over one id per halving cycle: 2 * 1,764,
+    # 2 * 6,724 and 2 * 26,244 ids walked
+    walked, searched, lists = [], [], []
+    real_walk, real_components, real_lists = keygraph.walk, keygraph.components, keygraph.id_adjacency
 
-    def counting(adj):
-        found = real(adj)
-        visits.append(sum(map(len, found)))
+    def counting_walk(*args):
+        cycle = real_walk(*args)
+        walked.append(len(cycle))
+        return cycle
+
+    def counting_components(adj):
+        found = real_components(adj)
+        searched.append(sum(map(len, found)))
         return found
 
-    # keygraph's searches and the splice's own, which it imported by name
-    monkeypatch.setattr(keygraph, "components", counting)
-    monkeypatch.setattr(splice, "components", counting)
+    def counting_lists(edges, n):
+        lists.append(n)
+        return real_lists(edges, n)
+
+    def forbidden(*args):
+        raise AssertionError("the splice searched the board")
+
+    # keygraph's walks and searches, and the splice's own, imported by name
+    monkeypatch.setattr(keygraph, "walk", counting_walk)
+    monkeypatch.setattr(splice, "walk", counting_walk)
+    monkeypatch.setattr(keygraph, "components", counting_components)
+    monkeypatch.setattr(keygraph, "id_adjacency", counting_lists)
+    for name in ("components", "id_adjacency", "cycle_partition"):
+        monkeypatch.setattr(splice, name, forbidden)
     for q in (20, 40, 80):
         key = keygraph.build_key(Leaper(1, q))
         board = key.leaper.side ** 2
         zeros = [0] * len(key.rhombus_ids)
-        visits.clear()
+        walked.clear()
         two = keygraph.halve(key, zeros)
-        assert visits == [board]
+        assert (sum(walked), searched, lists) == (board, [], [])
         cycles = len(two.cycles)  # a field: reading it runs no search
-        assert visits == [board]
-        visits.clear()
-        splice.splice(key, zeros)
-        assert visits == [board, cycles, board]
-        visits.clear()
-        splice.symmetric_splice(key)
-        assert visits == [board, cycles, board]
+        assert len(walked) == cycles
+        for run in (lambda: splice.splice(key, zeros), lambda: splice.symmetric_splice(key)):
+            walked.clear()
+            run()
+            assert sum(walked) == 2 * board
+            assert searched == lists == [cycles]
+            searched.clear()
+            lists.clear()

@@ -22,6 +22,7 @@ from leapertour.splice import (
     Tour,
     _check_mirrored_bits,
     _find_center_rhombus,
+    _flip_in_place,
     _merge_flip,
     _partners,
     _tracked_halving,
@@ -34,7 +35,8 @@ from leapertour.splice import (
 from leapertour.tile import tile
 from leapertour.verify import verify_central_symmetry, verify_tour
 from oracles import cycle_partition as oracle_partition
-from oracles import rhombus_matching
+from oracles import id_cycle_partition, merge_flip, rhombus_matching, tracked_halving
+from oracles import splice as generic_splice
 from oracles import symmetric_splice as growth_symmetric_splice
 
 
@@ -95,7 +97,7 @@ def test_flip_merges_cycles_when_edges_on_different_cycles(key25):
     zeros = [0] * len(key25.rhombi)
     before = len(oracle_partition(halving_edges(key25, zeros)))
     for i in range(len(key25.rhombi)):
-        bits, tracker = _tracked_halving(key25, zeros)
+        bits, tracker, _ = _tracked_halving(key25, zeros)
         if _merge_flip(key25, bits, tracker, i):
             assert len(oracle_partition(halving_edges(key25, bits))) == before - 1
             # both matching edges now lie on one cycle, so it stays put
@@ -327,16 +329,28 @@ def test_splice_matches_pre_engine_oracle_to_61(p, q):
 
 @pytest.mark.parametrize("p,q", [(2, 5), (6, 13), (12, 25)])
 def test_symmetric_splice_partitions_the_board_once(monkeypatch, p, q):
+    # the halving's cycles are walked once, for their labels, and the flipped
+    # arrays once from cell 0; no cycle_partition call searches the board
     key = build_key(Leaper(p, q))
-    calls = []
+    labels, final, partitions = [], [], []
+    real_cycles, real_walk = splice_module.walk_cycles, splice_module.walk
 
-    def counting_partition(edges, *args):
-        calls.append(len(edges))
-        return keygraph.cycle_partition(edges, *args)
+    def counting_cycles(*arrays):
+        cycles = real_cycles(*arrays)
+        labels.append(sum(map(len, cycles)))
+        return cycles
 
-    monkeypatch.setattr(splice_module, "cycle_partition", counting_partition)
+    def counting_walk(*args):
+        cycle = real_walk(*args)
+        final.append(len(cycle))
+        return cycle
+
+    monkeypatch.setattr(splice_module, "walk_cycles", counting_cycles)
+    monkeypatch.setattr(splice_module, "walk", counting_walk)
+    monkeypatch.setattr(splice_module, "cycle_partition", lambda *a: partitions.append(a))
     symmetric_splice(key)
-    assert calls == [key.leaper.side ** 2]
+    assert labels == final == [key.leaper.side ** 2]
+    assert partitions == []
 
 
 def test_symmetric_splice_finds_partners_once(monkeypatch, key25):
@@ -392,11 +406,17 @@ def _split_keys(key):
 
 
 @pytest.mark.parametrize("case", [0, 1], ids=["no-outer", "halving-only"])
-def test_disconnected_key_graph_fails_loudly(key25, case):
+def test_disconnected_key_graph_fails_loudly(nx, key25, case):
+    # the named cell is the smallest one off cell (0, 0)'s component of the
+    # key graph, found here by networkx
     key, bits = _split_keys(key25)[case]
-    with pytest.raises(ConstructionError, match="^key graph is not connected$"):
+    graph = nx.Graph(key.edges)
+    graph.add_nodes_from(key.cells)
+    off = min(set(key.cells) - nx.node_connected_component(graph, (0, 0)))
+    message = f"key graph is not connected: cell {off} is not reached from cell (0, 0)"
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
         splice(key, bits)
-    with pytest.raises(ConstructionError, match="^key graph is not connected$"):
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
         symmetric_splice(key)
 
 
@@ -541,26 +561,24 @@ def _flip_one_pair_only(monkeypatch, key):
 
 
 def _triple_flip_forgets_the_centre(monkeypatch, key):
-    # paired seed-0 bits put a triple flip on (2,5); the final partition (the
-    # second halving_ids call) sees the centre rhombus's bit untoggled
+    # paired seed-0 bits put a triple flip on (2,5); the centre rhombus's
+    # toggle is undone after the mirrored-bits check, so the in-place flips
+    # and the final walk see it untoggled
     bits = _paired_random_bits(key, 0)
     monkeypatch.setattr(splice_module, "symmetric_halving_bits", lambda key, partners: list(bits))
     centre = _find_center_rhombus(key, _partners(key))
-    real, calls = splice_module.halving_ids, []
+    real = splice_module._check_mirrored_bits
 
-    def forgetting(key, bits):
-        calls.append(1)
-        if len(calls) == 2:
-            bits = list(bits)
-            bits[centre] ^= 1
-        return real(key, bits)
+    def forgetting(key, bits, partners):
+        real(key, bits, partners)
+        bits[centre] ^= 1
 
-    monkeypatch.setattr(splice_module, "halving_ids", forgetting)
+    monkeypatch.setattr(splice_module, "_check_mirrored_bits", forgetting)
 
 
 # The ids name the growth-loop check each fault reached before the splice
-# became one pass over partner pairs; the final partition now catches them
-# all and names the first cell of the second cycle.
+# became one pass over partner pairs; the final walk now catches them all,
+# and its failure path names the first cell of the second cycle.
 @pytest.mark.parametrize(
     "p,q,inject,cycles,cell",
     [
@@ -579,7 +597,7 @@ def test_symmetric_splice_failures_name_the_pending_rhombus(monkeypatch, p, q, i
         symmetric_splice(key)
 
 
-def test_plain_splice_checks_connectivity_and_partitions_once(monkeypatch, key25):
+def test_plain_splice_checks_connectivity_once_and_partitions_only_a_failure(monkeypatch, key25):
     calls = []
     for name in ("is_connected_edges", "cycle_partition"):
         real = getattr(splice_module, name)
@@ -587,7 +605,50 @@ def test_plain_splice_checks_connectivity_and_partitions_once(monkeypatch, key25
             splice_module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
         )
     splice(key25, random_bits(len(key25.rhombi), 3))
-    assert sorted(calls) == ["cycle_partition", "is_connected_edges"]
+    assert calls == ["is_connected_edges"]
+    # a pass that never merges leaves the all-zero halving's 6 cycles, which
+    # the failure path counts with one cycle_partition
+    calls.clear()
+    _never_flip(monkeypatch, key25)
+    with pytest.raises(ConstructionError, match=r"^splice left 6 cycles, the second from cell \(0, 2\)$"):
+        splice(key25, [0] * len(key25.rhombi))
+    assert calls == ["is_connected_edges", "cycle_partition"]
+
+
+def _no_neighbour(cell, old, side):
+    """The message of a rewrite that finds no neighbour old at cell, both ids."""
+    return re.escape(f"cell {divmod(cell, side)} has no neighbour {divmod(old, side)} to flip away")
+
+
+def test_a_rewrite_whose_neighbour_is_missing_names_the_cell(key25):
+    # a flip of the matching that is not in the arrays, and a flip made twice
+    side = key25.leaper.side
+    for i in (0, len(key25.rhombus_ids) // 2, len(key25.rhombus_ids) - 1):
+        a, b, c, d = key25.rhombus_ids[i]
+        first, second = keygraph.neighbour_arrays(halving_ids(key25, [0] * len(key25.rhombi)), side * side)
+        with pytest.raises(ConstructionError, match=f"^{_no_neighbour(b, c, side)}$"):
+            _flip_in_place(list(first), list(second), (a, b, c, d), 1, side)
+        _flip_in_place(first, second, (a, b, c, d), 0, side)
+        with pytest.raises(ConstructionError, match=f"^{_no_neighbour(a, b, side)}$"):
+            _flip_in_place(first, second, (a, b, c, d), 0, side)
+
+
+def test_splice_rewriting_a_flip_twice_names_its_first_cell(monkeypatch, key25):
+    # the first rhombus the pass flips, found by the generic engine, is
+    # rewritten twice, so its cell a has lost b before the second rewrite
+    bits = random_bits(len(key25.rhombi), 5)
+    flipped, tracker = tracked_halving(key25, bits)
+    first = next(i for i in range(len(bits)) if merge_flip(key25, flipped, tracker, i))
+    real = splice_module._flip_in_place
+
+    def twice(*args):
+        real(*args)
+        real(*args)
+
+    monkeypatch.setattr(splice_module, "_flip_in_place", twice)
+    a, b = key25.rhombus_ids[first][bits[first]:][:2]  # the first two cells of its start matching
+    with pytest.raises(ConstructionError, match=f"^{_no_neighbour(a, b, key25.leaper.side)}$"):
+        splice(key25, bits)
 
 
 @lru_cache(maxsize=None)
@@ -629,5 +690,41 @@ def test_halving_cycles_are_its_components(nx, pq, seed):
     graph = nx.Graph(halving_edges(key, bits))
     components = nx.number_connected_components(graph)
     assert len(halve(key, bits).cycles) == components
-    _, tracker = _tracked_halving(key, bits)
+    _, tracker, _ = _tracked_halving(key, bits)
     assert len({tracker.find(c) for c in range(key.leaper.side ** 2)}) == components
+
+
+def _agrees_with_the_generic_engine(pq, seed):
+    """Both splices and cycle_partition against the engine on generic
+    searches in oracles: the same tours, cycles and degree messages."""
+    key = _key(*pq)
+    side = key.leaper.side
+    bits = random_bits(len(key.rhombus_ids), seed)
+    assert splice(key, bits) == generic_splice(key, bits)
+    edges = halving_ids(key, bits)
+    k = seed % len(edges)
+    for case in (edges, edges[:k] + edges[k + 1:], edges + [edges[k]]):
+        outcomes = []
+        for partition in (keygraph.cycle_partition, id_cycle_partition):
+            try:
+                outcomes.append(partition(case, side * side, side))
+            except ConstructionError as error:
+                outcomes.append(str(error))
+        assert outcomes[0] == outcomes[1]
+    paired = _paired_random_bits(key, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(splice_module, "symmetric_halving_bits", lambda key, partners: list(paired))
+        assert symmetric_splice(key) == growth_symmetric_splice(key, paired)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(LEAPERS_TO_21), st.integers(0, 2**32 - 1))
+def test_engine_matches_the_generic_engine_to_21(pq, seed):
+    _agrees_with_the_generic_engine(pq, seed)
+
+
+@pytest.mark.slow
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(free_leapers(61)), st.integers(0, 2**32 - 1))
+def test_engine_matches_the_generic_engine_to_61(pq, seed):
+    _agrees_with_the_generic_engine(pq, seed)
