@@ -19,11 +19,11 @@ fold read the ids.  The fields that hold cells as (x, y) tuples (rhombi,
 inner_edges, outer_edges, edges and core_membership) are views, derived
 from the ids on first read; error messages name cells too.  A two-factor
 is two neighbour arrays, first and second, indexed by id: neighbour_arrays
-fills them with a degree proof, and walk follows them.  cycle_partition,
-the two-factor proof of halve and tile, is one fill and one walk of every
-cycle; the splice engine keeps the arrays and flips them in place.  The
-depth-first search over id neighbour lists, components, serves
-is_connected_edges, fold's connectivity check and the failure paths.
+fills them with a degree proof, and cycle_partition walks every cycle, as
+halve does.  The splice engine and tile flip their arrays in place, and
+one_cycle, one walk from id 0, proves a single tour.  The depth-first
+search over id neighbour lists, components, serves is_connected_edges,
+fold's connectivity check and the failure paths.
 ConstructionError lives in geom and is re-exported here under its name.
 """
 
@@ -32,8 +32,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from typing import Collection, Hashable, Iterable, Sequence, TypeVar
+from itertools import chain, repeat
+from typing import Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .geom import (
     Cell,
@@ -51,7 +51,7 @@ from .geom import (
 )
 
 V = TypeVar("V", bound=Hashable)
-IdEdge = tuple[int, int]  # cell ids, the smaller first
+IdEdge = tuple[int, int]  # two cell ids
 Arrays = tuple[list[int], list[int]]  # a two-factor: each id's first and second neighbour
 
 
@@ -98,15 +98,6 @@ class KeyGraph:
         return list(map(divmod, range(self.leaper.side ** 2), repeat(self.leaper.side)))
 
     @cached_property
-    def matching_ids(self) -> tuple[tuple[tuple[IdEdge, IdEdge], tuple[IdEdge, IdEdge]], ...]:
-        """Per rhombus a, b, c, d, its two perfect matchings as id pairs,
-        smaller id first: matching 0 is {ab, cd} and matching 1 is {bc, da}."""
-        return tuple(
-            ((_id_edge(a, b), _id_edge(c, d)), (_id_edge(b, c), _id_edge(d, a)))
-            for a, b, c, d in self.rhombus_ids
-        )
-
-    @cached_property
     def rhombi(self) -> tuple[Rhombus, ...]:
         cell = self.cells
         return tuple(
@@ -130,10 +121,6 @@ class KeyGraph:
     @cached_property
     def core_membership(self) -> dict[Cell, int]:
         return dict(zip(self.cells, self.membership))
-
-
-def _id_edge(a: int, b: int) -> IdEdge:
-    return (a, b) if a < b else (b, a)
 
 
 @dataclass(frozen=True)
@@ -350,8 +337,9 @@ def walk(first: list[int], second: list[int], start: int) -> list[int]:
     return cycle
 
 
-def walk_cycles(first: list[int], second: list[int]) -> list[list[int]]:
-    """The cycles of neighbour arrays, in the canonical order of components."""
+def cycle_partition(first: list[int], second: list[int]) -> list[list[int]]:
+    """The cycles of a two-factor's neighbour arrays, in the canonical order
+    of components: each from its smallest id toward its smaller neighbour."""
     seen, cycles = [False] * len(first), []
     for start in range(len(first)):
         if not seen[start]:
@@ -361,48 +349,54 @@ def walk_cycles(first: list[int], second: list[int]) -> list[list[int]]:
     return cycles
 
 
-def cycle_partition(edges: Collection[IdEdge], n: int, height: int) -> list[list[int]]:
-    """Split a degree-2 edge set on the ids 0 .. n - 1 into canonical cyclic
-    id sequences (see components) by walking its neighbour arrays.
-
-    The id of the cell (x, y) is x * height + y, so id order is lexicographic
-    cell order, and a degree failure builds neighbour lists to name the
-    first such cell.
-    """
-    arrays = neighbour_arrays(edges, n)
-    if arrays is None:
-        adj = id_adjacency(edges, n)
-        c = next(c for c, a in enumerate(adj) if len(a) != 2)
-        raise ConstructionError(f"cell {divmod(c, height)} has degree {len(adj[c])}, expected 2")
-    return walk_cycles(*arrays)
+def degree_error(edges: Iterable[IdEdge], n: int, height: int) -> ConstructionError:
+    """The error naming the first id, as the cell (x, y) of x * height + y,
+    whose degree in the edges is not 2, where neighbour_arrays gave None."""
+    adj = id_adjacency(edges, n)
+    c = next(c for c, a in enumerate(adj) if len(a) != 2)
+    return ConstructionError(f"cell {divmod(c, height)} has degree {len(adj[c])}, expected 2")
 
 
-def single_cycle(cycles: Sequence[list[int]], height: int, what: str) -> tuple[Cell, ...]:
-    """The cells of a cycle_partition's one cycle; more raise, naming the second's first cell."""
-    if len(cycles) != 1:
-        cell = divmod(cycles[1][0], height)
-        raise ConstructionError(f"{what} left {len(cycles)} cycles, the second from cell {cell}")
-    return tuple(map(divmod, cycles[0], repeat(height)))
+def flip(first: list[int], second: list[int], a: int, b: int, c: int, d: int, height: int) -> None:
+    """Swap the edges ab and cd of a two-factor's neighbour arrays for bc and
+    da at all four ends; raise, naming the cell, if a neighbour to drop is missing."""
+    for x, old, new in (a, b, d), (b, a, c), (c, d, b), (d, c, a):
+        row = first if first[x] == old else second
+        if row[x] != old:
+            raise ConstructionError(f"cell {divmod(x, height)} has no neighbour {divmod(old, height)} to flip away")
+        row[x] = new
 
 
-def halving_ids(key: KeyGraph, bits: Sequence[int]) -> list[IdEdge]:
-    """The outer id edges plus the matching each bit picks for its rhombus."""
+def one_cycle(first: list[int], second: list[int], height: int, what: str) -> tuple[Cell, ...]:
+    """The cells of the two-factor's cycle through id 0, in canonical order,
+    if it covers every id; otherwise raise, naming the second cycle's first cell."""
+    cycle = walk(first, second, 0)
+    if len(cycle) != len(first):
+        cycles = cycle_partition(first, second)
+        raise ConstructionError(f"{what} left {len(cycles)} cycles, the second from cell {divmod(cycles[1][0], height)}")
+    return tuple(map(divmod, cycle, repeat(height)))
+
+
+def halving_ids(key: KeyGraph, bits: Sequence[int]) -> Iterator[IdEdge]:
+    """The outer id edges, then, in rhombus order, the matching each bit
+    picks for its rhombus a, b, c, d: ab and cd for 0, bc and da for 1."""
     if len(bits) != len(key.rhombus_ids):
         raise ValueError(f"need {len(key.rhombus_ids)} bits, got {len(bits)}")
-    edges = list(key.outer_ids)
-    for pair, bit in zip(key.matching_ids, bits):
-        edges += pair[bit]
-    return edges
+    matched = (((b, c), (d, a)) if bit else ((a, b), (c, d)) for (a, b, c, d), bit in zip(key.rhombus_ids, bits))
+    return chain(key.outer_ids, chain.from_iterable(matched))
 
 
 def halve(key: KeyGraph, bits: Sequence[int]) -> TwoFactor:
     """Pseudotour from a per-rhombus matching choice (one bit per rhombus),
-    proved a two-factor, and split into its cycles, by one cycle_partition."""
+    proved a two-factor by its neighbour arrays, and split into its cycles."""
     side = key.leaper.side
-    edges = halving_ids(key, bits)
+    edges = list(halving_ids(key, bits))
+    arrays = neighbour_arrays(edges, side * side)
+    if arrays is None:
+        raise degree_error(edges, side * side, side)
     cell = key.cells.__getitem__
-    cycles = tuple(tuple(map(cell, c)) for c in cycle_partition(edges, side * side, side))
-    return TwoFactor(frozenset([(cell(a), cell(b)) for a, b in edges]), cycles)
+    cycles = tuple(tuple(map(cell, c)) for c in cycle_partition(*arrays))
+    return TwoFactor(frozenset([edge(cell(a), cell(b)) for a, b in edges]), cycles)
 
 
 def is_connected_edges(cells: Iterable[V], edges: Iterable[tuple[V, V]]) -> bool:

@@ -4,23 +4,23 @@ A pseudotour is one matching bit per rhombus, and a flip toggles a
 rhombus's bit; when the two current matching edges lie on different cycles,
 the flip merges them.  Both splices share one engine over a list of bits,
 and it runs on the key graph's id view (see keygraph), in lists indexed by
-cell id.  It fills the halving's neighbour arrays once and walks them to
-label each cycle with the id of its first cell; those labels seed a
-CycleTracker, and each merge flip unions two of them.  At the end each
-flipped rhombus rewrites its four cells in the arrays, and one walk from
-cell 0 proves a single tour.  The plain splice makes one pass of merge
-flips over all rhombi, and the symmetric one a pass over partner pairs
-after joining each cycle to its mirror image.  Ids turn back into cells
-only in Tour.cells and in error messages.  Central symmetry is proved
-once: mirror partners found in pencil order, the outer edges reflected,
-and one bits check at the end of the symmetric splice.
+cell id.  It fills the halving's neighbour arrays once, and
+cycle_partition labels each cycle with the id of its first cell; those
+labels seed a CycleTracker, and each merge flip unions two of them.  At the
+end each flipped rhombus flips its four cells in the arrays, and one_cycle
+proves a single tour.  The plain splice makes one pass of merge flips over
+all rhombi, and the symmetric one a pass over partner pairs after joining
+each cycle to its mirror image.  Ids turn back into cells only in Tour.cells and in error
+messages.  Central symmetry is proved once: mirror partners found in
+pencil order, the outer edges reflected, and one bits check at the end of
+the symmetric splice.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 from operator import ne
 from typing import Sequence
 
@@ -31,13 +31,13 @@ from .keygraph import (
     KeyGraph,
     components,
     cycle_partition,
+    degree_error,
+    flip,
     halving_ids,
     id_adjacency,
     is_connected_edges,
     neighbour_arrays,
-    single_cycle,
-    walk,
-    walk_cycles,
+    one_cycle,
 )
 
 
@@ -94,11 +94,8 @@ def _tracked_halving(key: KeyGraph, bits: Sequence[int]) -> tuple[list[int], Cyc
     names the cell after the checks the splices make before it.
     """
     side = key.leaper.side
-    if len(bits) != len(key.rhombus_ids):
-        raise ValueError(f"need {len(key.rhombus_ids)} bits, got {len(bits)}")
-    matched = (((b, c), (d, a)) if bit else ((a, b), (c, d)) for (a, b, c, d), bit in zip(key.rhombus_ids, bits))
-    halving = neighbour_arrays(chain(key.outer_ids, chain.from_iterable(matched)), side * side)
-    cycles = walk_cycles(*halving) if halving else components(id_adjacency(halving_ids(key, bits), side * side))
+    halving = neighbour_arrays(halving_ids(key, bits), side * side)
+    cycles = cycle_partition(*halving) if halving else components(id_adjacency(halving_ids(key, bits), side * side))
     roots = [0] * side * side
     for cycle in cycles:
         for c in cycle:
@@ -126,34 +123,20 @@ def _merge_flip(key: KeyGraph, bits: list[int], tracker: CycleTracker, i: int) -
     return merged
 
 
-def _flip_in_place(first: list[int], second: list[int], rhombus: Sequence[int], bit: int, side: int) -> None:
-    """Swap the rhombus's matching bit for the other in the neighbour arrays;
-    raise, naming the cell, if a neighbour to drop is missing."""
-    a, b, c, d = rhombus[bit:] + rhombus[:bit]  # matching 1 of abcd is matching 0 of bcda
-    for x, old, new in (a, b, d), (b, a, c), (c, d, b), (d, c, a):
-        row = first if first[x] == old else second
-        if row[x] != old:
-            raise ConstructionError(f"cell {divmod(x, side)} has no neighbour {divmod(old, side)} to flip away")
-        row[x] = new
-
-
 def _single_tour(key: KeyGraph, start: Sequence[int], bits: Sequence[int], halving: Arrays | None, what: str) -> Tour:
     """The tour the bits' halving forms, checked to be one cycle over the
-    whole board.  Each rhombus whose bit is no longer its start bit rewrites
-    its four cells in the start halving's arrays.  A rewrite drops and adds
-    an edge at both ends, so the arrays stay a two-factor, and a walk from
-    cell 0 over side**2 cells is its one cycle; otherwise, or when a degree
-    was not 2, cycle_partition names the failure.  The tour keeps every
-    outer edge, as it has as many edges as the halving."""
+    whole board: each rhombus whose bit is no longer its start bit flips its
+    matching in the start halving's arrays, and one_cycle walks them.  A
+    cell's degree is the same in every halving, as both matchings of a
+    rhombus cover its four cells, so the final bits name a degree failure.
+    The tour keeps every outer edge, as it has as many edges as the halving."""
     side = key.leaper.side
-    if halving:
-        first, second = halving
-        for i in compress(range(len(bits)), map(ne, start, bits)):
-            _flip_in_place(first, second, key.rhombus_ids[i], start[i], side)
-        tour = walk(first, second, 0)
-        if len(tour) == side * side:
-            return Tour(single_cycle([tour], side, what))
-    return Tour(single_cycle(cycle_partition(halving_ids(key, bits), side * side, side), side, what))
+    if halving is None:
+        raise degree_error(halving_ids(key, bits), side * side, side)
+    first, second = halving
+    for r, bit in compress(zip(key.rhombus_ids, start), map(ne, start, bits)):
+        flip(first, second, *r[bit:], *r[:bit], side)  # matching 1 of abcd is matching 0 of bcda
+    return Tour(one_cycle(first, second, side, what))
 
 
 def splice(key: KeyGraph, bits: Sequence[int]) -> Tour:

@@ -8,9 +8,10 @@ the subboard grid splices all copies into one Hamiltonian tour.  Since
 every copy is the base tour or its rotation, the tree has only four seam
 types.  Each type's switches are searched for lazily, in the seam band only;
 a never-advanced tee copy of the search buffers them for every later seam of
-that type, translated.  The seam search runs on cells; the board's edges are
-ids x * height + y for the shared cycle partition, the one proof of the tour.
-Failure messages name the copies but not the leaper, which the caller names.
+that type, translated.  The seam search runs on cells; the copies' cyclic
+orders fill the board's neighbour arrays on ids x * height + y, each switch
+flips them in place, and one walk proves the tour.  Failure messages name
+the copies but not the leaper, which the caller names.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from itertools import chain, tee
 from typing import AbstractSet, Iterable, Iterator, Optional
 
 from .geom import Cell, Edge, Leaper, edge
-from .keygraph import ConstructionError, IdEdge, cycle_partition, single_cycle
+# perfbench/spans.py wraps tile.cycle_partition by name, so it stays bound here
+from .keygraph import ConstructionError, cycle_partition, flip, one_cycle
 from .splice import Tour
 
 
@@ -103,12 +105,6 @@ def _shift(sw: Switch, dx: int, dy: int) -> Switch:
     return Switch(*((x + dx, y + dy) for x, y in (sw.a, sw.b, sw.c, sw.d)))
 
 
-def _ids(edges: Iterable[Edge], height: int) -> list[IdEdge]:
-    """Cell edges as id pairs x * height + y; the order of an edge's ends is
-    kept, and ids keep the order of cells with y < height."""
-    return [(a[0] * height + a[1], b[0] * height + b[1]) for a, b in edges]
-
-
 def find_switch(
     edges_a: frozenset[Edge],
     edges_b: frozenset[Edge],
@@ -127,7 +123,7 @@ def tile(leaper: Leaper, k: int, l: int, base: Tour) -> Tour:
     checkerboarded copies of the base tour spliced along a comb tree, in
     cycle_partition's canonical order (a 1x1 tiling returns the base).
 
-    Each switch merges two cycles, as the final partition confirms.  The comb
+    Each switch merges two cycles, as the final walk confirms.  The comb
     tree's k*l - 1 edges join all copies, so it is acyclic, and a switch is its
     seam template shifted by (i*side, j*side): a lies in copy (i, j) and c in
     (i2, j2), on two trees so far, so on two cycles, which bc and da join."""
@@ -136,20 +132,27 @@ def tile(leaper: Leaper, k: int, l: int, base: Tour) -> Tour:
     side = leaper.side
     if len(base.cells) != side * side:
         raise ValueError(f"base tour has {len(base.cells)} cells, expected {side * side}")
+    seen = [False] * (side * side)  # the fill needs each cell once, or the final walk may never end
+    for x, y in base.cells:
+        if not (0 <= x < side and 0 <= y < side) or seen[x * side + y]:
+            raise ValueError(f"base tour cell {(x, y)} is off the {side}x{side} board or repeated")
+        seen[x * side + y] = True
     if k == 1 and l == 1:
         return base
 
     base_edges = base.edge_set()
     copies = (base_edges, rotate_edges_ccw(base_edges, side))
 
-    # a copy's ids are those of its orientation at the origin plus an offset
+    # a copy's cyclic ids, its orientation's at the origin plus an offset, give each its two neighbours
     height = l * side
-    origin = [_ids(edges, height) for edges in copies]
-    board: set[IdEdge] = set()
+    rotated = [(side - 1 - y, x) for x, y in base.cells]
+    orders = [[x * height + y for x, y in cells] for cells in (base.cells, rotated)]
+    first, second = [0] * (k * height * side), [0] * (k * height * side)
     for i in range(k):
         for j in range(l):
-            offset = (i * height + j) * side
-            board.update([(a + offset, b + offset) for a, b in origin[(i + j) % 2]])
+            order = [c + (i * height + j) * side for c in orders[(i + j) % 2]]
+            for c, prev, succ in zip(order, order[-1:] + order, order[1:] + order):
+                first[c], second[c] = prev, succ
 
     # Comb spanning tree: every row left to right, rows joined in column 0.
     tree = [((i, j), (i + 1, j)) for j in range(l) for i in range(k - 1)]
@@ -171,10 +174,7 @@ def tile(leaper: Leaper, k: int, l: int, base: Tour) -> Tour:
             raise ConstructionError(
                 f"no switch found between copies ({i}, {j}) and ({i2}, {j2}) of the base tour"
             )
-        board.difference_update(_ids(sw.old_edges(), height))
-        board.update(_ids(sw.new_edges(), height))
+        flip(first, second, *(x * height + y for x, y in (sw.a, sw.b, sw.c, sw.d)), height)
         used.update(sw.old_edges() + sw.new_edges())
 
-    # the partition covers every id, so one cycle is a tour of the board
-    cycles = cycle_partition(board, k * height * side, height)
-    return Tour(single_cycle(cycles, height, f"{k}x{l} tiling of the base tour"))
+    return Tour(one_cycle(first, second, height, f"{k}x{l} tiling of the base tour"))

@@ -2,6 +2,7 @@
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import tee
 from operator import getitem
 
 from leapertour.fold import OuterCycleError, fold_params
@@ -12,7 +13,6 @@ from leapertour.keygraph import (
     halving_ids,
     id_adjacency,
     is_connected_edges,
-    single_cycle,
 )
 from leapertour.splice import (
     CycleTracker,
@@ -23,6 +23,7 @@ from leapertour.splice import (
     _rhombus_cells,
     symmetric_halving_bits,
 )
+from leapertour.tile import _first_avoiding, _shift, rotate_edges_ccw, switch_candidates, translate_edges
 from leapertour.verify import TourReport
 
 
@@ -158,6 +159,22 @@ def verify_tour(cells, p, q, width, height):
 # --- the splice engine on generic searches --------------------------------------
 
 
+def id_pair(u, v):
+    return (u, v) if u < v else (v, u)
+
+
+def matchings(rhombus):
+    """The two perfect matchings of the rhombus a, b, c, d as id pairs,
+    smaller id first: matching 0 is {ab, cd} and matching 1 is {bc, da}."""
+    a, b, c, d = rhombus
+    return (id_pair(a, b), id_pair(c, d)), (id_pair(b, c), id_pair(d, a))
+
+
+def matching_ids(key):
+    """Each rhombus's two matchings, in rhombus order."""
+    return tuple(map(matchings, key.rhombus_ids))
+
+
 def id_cycle_partition(edges, n, height):
     """The cycle partition as a degree count over id_adjacency's neighbour
     lists and the generic components search; the package's walk over two
@@ -169,6 +186,14 @@ def id_cycle_partition(edges, n, height):
     return components(adj)
 
 
+def single_cycle(cycles, height, what):
+    """The cells of a partition's one cycle; more raise, naming the second's first cell."""
+    if len(cycles) != 1:
+        cell = divmod(cycles[1][0], height)
+        raise ConstructionError(f"{what} left {len(cycles)} cycles, the second from cell {cell}")
+    return tuple(divmod(c, height) for c in cycles[0])
+
+
 def tracked_halving(key, bits):
     """A copy of the bits and a tracker of the components of the halving
     they pick, each labelled with the id of its first cell, found by the
@@ -177,7 +202,7 @@ def tracked_halving(key, bits):
     for component in components(id_adjacency(halving_ids(key, bits), len(roots))):
         for c in component:
             roots[c] = component[0]
-    links = [(roots[e1[0]], roots[e2[0]]) for e1, e2 in map(getitem, key.matching_ids, bits)]
+    links = [(roots[e1[0]], roots[e2[0]]) for e1, e2 in map(getitem, matching_ids(key), bits)]
     if not is_connected_edges(set(roots), links):
         raise ConstructionError("key graph is not connected")
     return list(bits), CycleTracker(roots)
@@ -186,7 +211,7 @@ def tracked_halving(key, bits):
 def merge_flip(key, bits, tracker, i):
     """Flip rhombus i iff its matching edges lie in different sets of the
     tracker, recording their union; True iff it flipped."""
-    e1, e2 = key.matching_ids[i][bits[i]]
+    e1, e2 = matchings(key.rhombus_ids[i])[bits[i]]
     merged = tracker.union(e1[0], e2[0])
     if merged:
         bits[i] ^= 1
@@ -219,7 +244,7 @@ def symmetric_splice(key, bits=None):
     the all-zero one by default.  The package's one pass over partner pairs
     must flip the same bits."""
     last = key.leaper.side ** 2 - 1
-    matchings = key.matching_ids
+    matchings = matching_ids(key)
     partners = _partners(key)
     halving = symmetric_halving_bits(key, partners)
     bits, tracker = tracked_halving(key, halving if bits is None else bits)
@@ -267,6 +292,52 @@ def symmetric_splice(key, bits=None):
 
     _check_mirrored_bits(key, bits, partners)
     return single_tour(key, bits, "symmetric splice")
+
+
+# --- the tiling on an id edge set ---------------------------------------------
+
+
+def tile(leaper, k, l, base):
+    """The tiling on the board's id edge set: the placed copies as id pairs
+    x * height + y, each switch applied by set difference and union, and
+    one generic partition of the whole board as the proof of the tour.  The
+    package's in-place flips on neighbour arrays must give the same tour."""
+    side = leaper.side
+    if k == 1 and l == 1:
+        return base
+    base_edges = base.edge_set()
+    copies = (base_edges, rotate_edges_ccw(base_edges, side))
+    height = l * side
+
+    def ids(edges):
+        return [(a[0] * height + a[1], b[0] * height + b[1]) for a, b in edges]
+
+    origin = [ids(edges) for edges in copies]
+    board = set()
+    for i in range(k):
+        for j in range(l):
+            offset = (i * height + j) * side
+            board.update([(a + offset, b + offset) for a, b in origin[(i + j) % 2]])
+    tree = [((i, j), (i + 1, j)) for j in range(l) for i in range(k - 1)]
+    tree += [((0, j), (0, j + 1)) for j in range(l - 1)]
+    seams, used = {}, set()
+    for (i, j), (i2, j2) in tree:
+        di, dj, parity = i2 - i, j2 - j, (i + j) % 2
+        kind = (di, dj, parity)
+        if kind not in seams:
+            upper = translate_edges(copies[1 - parity], di * side, dj * side)
+            seams[kind] = switch_candidates(copies[parity], upper, leaper)
+        seams[kind], found = tee(seams[kind])
+        sw = _first_avoiding((_shift(s, i * side, j * side) for s in found), used)
+        if sw is None:
+            raise ConstructionError(
+                f"no switch found between copies ({i}, {j}) and ({i2}, {j2}) of the base tour"
+            )
+        board.difference_update(ids(sw.old_edges()))
+        board.update(ids(sw.new_edges()))
+        used.update(sw.old_edges() + sw.new_edges())
+    cycles = id_cycle_partition(board, k * height * side, height)
+    return Tour(single_cycle(cycles, height, f"{k}x{l} tiling of the base tour"))
 
 
 # --- the fold on (x, y, floor) tuples -----------------------------------------

@@ -85,42 +85,52 @@ def test_tile_searches_each_seam_type_once_and_partitions_once(monkeypatch):
     # the four seam types' searches are buffered and shifted, so the
     # candidates yielded per switch fall as the grid grows: 1.0, 0.27 and
     # 0.063 (3, 4 and 4 candidates) when its bounds were set at twice those;
-    # one partition proves the whole board a single cycle
-    yielded, partitions = [], []
-    real_candidates, real_partition = tile.switch_candidates, tile.cycle_partition
+    # the switches flip the copies' arrays in place, and one walk of the
+    # whole board from cell 0 proves it a single cycle, with no partition,
+    # degree proof or search
+    yielded, walked = [], []
+    real_candidates, real_walk = tile.switch_candidates, keygraph.walk
 
     def counting_candidates(*args):
         for sw in real_candidates(*args):
             yielded.append(sw)
             yield sw
 
-    def counting_partition(*args):
-        cycles = real_partition(*args)
-        partitions.append(sum(map(len, cycles)))
-        return cycles
+    def counting_walk(*args):
+        cycle = real_walk(*args)
+        walked.append(len(cycle))
+        return cycle
 
-    monkeypatch.setattr(tile, "switch_candidates", counting_candidates)
-    monkeypatch.setattr(tile, "cycle_partition", counting_partition)
+    def forbidden(*args):
+        raise AssertionError("tile partitioned or searched the board")
+
     leaper = Leaper(2, 5)
     key = keygraph.build_key(leaper)
     base = splice.splice(key, [0] * len(key.rhombus_ids))
+    monkeypatch.setattr(tile, "switch_candidates", counting_candidates)
+    monkeypatch.setattr(keygraph, "walk", counting_walk)
+    for module in (keygraph, tile):
+        monkeypatch.setattr(module, "cycle_partition", forbidden)
+    for name in ("neighbour_arrays", "id_adjacency", "components"):
+        monkeypatch.setattr(keygraph, name, forbidden)
     per_switch = []
     for n in (2, 4, 8):
         yielded.clear()
-        partitions.clear()
+        walked.clear()
         tile.tile(leaper, n, n, base)
         per_switch.append(len(yielded) / (n * n - 1))
-        assert partitions == [n * n * leaper.side ** 2]
+        assert walked == [n * n * leaper.side ** 2]
     assert all(c <= bound for c, bound in zip(per_switch, (2.0, 0.54, 0.13))), per_switch
 
 
 def test_halve_and_the_splices_search_the_board_a_fixed_number_of_times(monkeypatch):
     # halve's one cycle_partition walks the halving's ids once and builds no
-    # neighbour lists; each splice walks them twice, for the halving's cycle
-    # labels and from cell 0 after the flips in place, and its one search is
-    # the connectivity check over one id per halving cycle: 2 * 1,764,
-    # 2 * 6,724 and 2 * 26,244 ids walked
-    walked, searched, lists = [], [], []
+    # neighbour lists; each splice walks them twice, once in its one
+    # cycle_partition, for the halving's cycle labels, and once from cell 0
+    # after the flips in place, and its one search is the connectivity check
+    # over one id per halving cycle: 2 * 1,764, 2 * 6,724 and 2 * 26,244 ids
+    # walked
+    walked, searched, lists, partitions = [], [], [], []
     real_walk, real_components, real_lists = keygraph.walk, keygraph.components, keygraph.id_adjacency
 
     def counting_walk(*args):
@@ -137,15 +147,20 @@ def test_halve_and_the_splices_search_the_board_a_fixed_number_of_times(monkeypa
         lists.append(n)
         return real_lists(edges, n)
 
+    def counting_partition(*arrays):
+        partitions.append(len(arrays[0]))
+        return real_partition(*arrays)
+
     def forbidden(*args):
         raise AssertionError("the splice searched the board")
 
     # keygraph's walks and searches, and the splice's own, imported by name
+    real_partition = splice.cycle_partition
     monkeypatch.setattr(keygraph, "walk", counting_walk)
-    monkeypatch.setattr(splice, "walk", counting_walk)
     monkeypatch.setattr(keygraph, "components", counting_components)
     monkeypatch.setattr(keygraph, "id_adjacency", counting_lists)
-    for name in ("components", "id_adjacency", "cycle_partition"):
+    monkeypatch.setattr(splice, "cycle_partition", counting_partition)
+    for name in ("components", "id_adjacency", "degree_error"):
         monkeypatch.setattr(splice, name, forbidden)
     for q in (20, 40, 80):
         key = keygraph.build_key(Leaper(1, q))
@@ -160,6 +175,8 @@ def test_halve_and_the_splices_search_the_board_a_fixed_number_of_times(monkeypa
             walked.clear()
             run()
             assert sum(walked) == 2 * board
+            assert partitions == [board]
             assert searched == lists == [cycles]
             searched.clear()
             lists.clear()
+            partitions.clear()

@@ -23,10 +23,11 @@ from leapertour.keygraph import (
     halving_ids,
     id_adjacency,
     is_connected_edges,
+    neighbour_arrays,
 )
 from leapertour.splice import random_bits, splice, symmetric_splice
 from oracles import cycle_partition as oracle_partition
-from oracles import rhombus_matching
+from oracles import matching_ids, rhombus_matching
 
 FREE_SMALL = [(1, 2), (2, 3), (1, 4), (3, 4), (2, 5), (4, 5), (1, 6), (5, 6), (2, 7), (4, 7)]
 
@@ -167,8 +168,8 @@ def _cached_key(p, q):
 def test_id_partition_equals_the_tuple_oracle_on_halvings(pq, seed):
     key = _cached_key(*pq)
     side = key.leaper.side
-    edges = halving_ids(key, random_bits(len(key.rhombus_ids), seed))
-    cycles = cycle_partition(edges, side * side, side)
+    edges = list(halving_ids(key, random_bits(len(key.rhombus_ids), seed)))
+    cycles = cycle_partition(*neighbour_arrays(edges, side * side))
     assert list(map(tuple, cycles)) == list(oracle_partition(edges))
     cells = [(divmod(a, side), divmod(b, side)) for a, b in edges]
     assert [tuple(divmod(c, side) for c in cycle) for cycle in cycles] == list(oracle_partition(cells))
@@ -231,21 +232,20 @@ def test_id_view_names_the_same_edges(p, q):
 
     assert all(a < b for a, b in key.outer_ids)
     assert {cells(e) for e in key.outer_ids} == key.outer_edges
-    assert len(key.matching_ids) == len(key.rhombi)
-    for r, pair in zip(key.rhombi, key.matching_ids):
-        for bit in (0, 1):
-            assert all(a < b for a, b in pair[bit])
-            assert tuple(map(cells, pair[bit])) == rhombus_matching(r, bit)
+    # a halving is the outer edges, then each rhombus's matching by its bit
+    for bit in (0, 1):
+        halving = [edge(*cells(e)) for e in halving_ids(key, [bit] * len(key.rhombi))]
+        assert halving[:len(key.outer_ids)] == [cells(e) for e in key.outer_ids]
+        assert halving[len(key.outer_ids):] == [e for r in key.rhombi for e in rhombus_matching(r, bit)]
 
 
 def test_tuple_view_follows_replaced_ids():
     key = build_key(Leaper(2, 5))
-    assert key.rhombi and key.outer_edges and key.matching_ids  # derive the originals first
+    assert key.rhombi and key.outer_edges  # derive the originals first
     bare = dataclasses.replace(key, rhombus_ids=key.rhombus_ids[:3], outer_ids=())
     assert bare.outer_edges == frozenset()
     assert bare.rhombi == key.rhombi[:3]
     assert bare.inner_edges == frozenset(e for r in key.rhombi[:3] for e in r.edges())
-    assert bare.matching_ids == key.matching_ids[:3]
 
 
 # Guards for build_key's invariants.  Each patches the table of outer
@@ -452,7 +452,7 @@ def test_key_equals_the_cell_oracle(p, q):
     assert list(key.core_membership.items()) == list(membership.items())
     assert len(key.outer_ids) == len(outer)
     assert {cells(e) for e in key.outer_ids} == outer
-    for r, pair in zip(rhombi, key.matching_ids, strict=True):
+    for r, pair in zip(rhombi, matching_ids(key), strict=True):
         assert tuple(map(cells, pair[0])) == rhombus_matching(r, 0)
         assert tuple(map(cells, pair[1])) == rhombus_matching(r, 1)
 

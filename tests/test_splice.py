@@ -22,7 +22,6 @@ from leapertour.splice import (
     Tour,
     _check_mirrored_bits,
     _find_center_rhombus,
-    _flip_in_place,
     _merge_flip,
     _partners,
     _tracked_halving,
@@ -35,7 +34,7 @@ from leapertour.splice import (
 from leapertour.tile import tile
 from leapertour.verify import verify_central_symmetry, verify_tour
 from oracles import cycle_partition as oracle_partition
-from oracles import id_cycle_partition, merge_flip, rhombus_matching, tracked_halving
+from oracles import id_cycle_partition, id_pair, matching_ids, merge_flip, rhombus_matching, tracked_halving
 from oracles import splice as generic_splice
 from oracles import symmetric_splice as growth_symmetric_splice
 
@@ -48,7 +47,7 @@ def key25():
 def halving_edges(key, bits):
     """The halving's edges as cells."""
     side = key.leaper.side
-    return {(divmod(a, side), divmod(b, side)) for a, b in halving_ids(key, bits)}
+    return {edge(divmod(a, side), divmod(b, side)) for a, b in halving_ids(key, bits)}
 
 
 def mirror(cell, side):
@@ -330,27 +329,27 @@ def test_splice_matches_pre_engine_oracle_to_61(p, q):
 @pytest.mark.parametrize("p,q", [(2, 5), (6, 13), (12, 25)])
 def test_symmetric_splice_partitions_the_board_once(monkeypatch, p, q):
     # the halving's cycles are walked once, for their labels, and the flipped
-    # arrays once from cell 0; no cycle_partition call searches the board
+    # arrays once from cell 0; no degree search builds neighbour lists
     key = build_key(Leaper(p, q))
-    labels, final, partitions = [], [], []
-    real_cycles, real_walk = splice_module.walk_cycles, splice_module.walk
+    labels, final, lists = [], [], []
+    real_cycles, real_tour = splice_module.cycle_partition, splice_module.one_cycle
 
     def counting_cycles(*arrays):
         cycles = real_cycles(*arrays)
         labels.append(sum(map(len, cycles)))
         return cycles
 
-    def counting_walk(*args):
-        cycle = real_walk(*args)
-        final.append(len(cycle))
-        return cycle
+    def counting_tour(*args):
+        cells = real_tour(*args)
+        final.append(len(cells))
+        return cells
 
-    monkeypatch.setattr(splice_module, "walk_cycles", counting_cycles)
-    monkeypatch.setattr(splice_module, "walk", counting_walk)
-    monkeypatch.setattr(splice_module, "cycle_partition", lambda *a: partitions.append(a))
+    monkeypatch.setattr(splice_module, "cycle_partition", counting_cycles)
+    monkeypatch.setattr(splice_module, "one_cycle", counting_tour)
+    monkeypatch.setattr(splice_module, "degree_error", lambda *a: lists.append(a))
     symmetric_splice(key)
     assert labels == final == [key.leaper.side ** 2]
-    assert partitions == []
+    assert lists == []
 
 
 def test_symmetric_splice_finds_partners_once(monkeypatch, key25):
@@ -399,9 +398,10 @@ def _split_keys(key):
     the all-zero halving's cycles (every cell keeps degree 2)."""
     zeros = [0] * len(key.rhombi)
     assert len(oracle_partition(halving_edges(key, zeros))) > 1
+    halving = tuple(id_pair(*e) for e in halving_ids(key, zeros))  # as outer edges: smaller id first
     return [
         (dataclasses.replace(key, outer_ids=()), zeros),
-        (dataclasses.replace(key, rhombus_ids=(), outer_ids=tuple(halving_ids(key, zeros))), []),
+        (dataclasses.replace(key, rhombus_ids=(), outer_ids=halving), []),
     ]
 
 
@@ -481,7 +481,7 @@ def test_extra_mirrored_outer_edges_fail_the_degree_check(key25):
         for dx, dy in leaper.directions()
         for b in [a + dx * side + dy]
         if 0 <= a // side + dx < side and 0 <= a % side + dy < side and a < b and a + b < last
-    } - set(key25.outer_ids) - {e for pair in key25.matching_ids for m in pair for e in m}
+    } - set(key25.outer_ids) - {e for pair in matching_ids(key25) for m in pair for e in m}
     assert len(extra) == 100
     for a, b in extra:
         key = dataclasses.replace(key25, outer_ids=key25.outer_ids + ((a, b), (last - b, last - a)))
@@ -598,21 +598,24 @@ def test_symmetric_splice_failures_name_the_pending_rhombus(monkeypatch, p, q, i
 
 
 def test_plain_splice_checks_connectivity_once_and_partitions_only_a_failure(monkeypatch, key25):
+    # the splice partitions the halving once, for its cycle labels, and
+    # checks connectivity once; the flipped arrays are partitioned only when
+    # their walk from cell 0 falls short
     calls = []
-    for name in ("is_connected_edges", "cycle_partition"):
-        real = getattr(splice_module, name)
-        monkeypatch.setattr(
-            splice_module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
-        )
+    for module, name in (
+        (splice_module, "cycle_partition"), (splice_module, "is_connected_edges"), (keygraph, "cycle_partition")
+    ):
+        real, label = getattr(module, name), f"{module.__name__.split('.')[1]}.{name}"
+        monkeypatch.setattr(module, name, lambda *a, real=real, label=label: calls.append(label) or real(*a))
     splice(key25, random_bits(len(key25.rhombi), 3))
-    assert calls == ["is_connected_edges"]
+    assert calls == ["splice.cycle_partition", "splice.is_connected_edges"]
     # a pass that never merges leaves the all-zero halving's 6 cycles, which
-    # the failure path counts with one cycle_partition
+    # the failure path names by walking the flipped arrays' cycles
     calls.clear()
     _never_flip(monkeypatch, key25)
     with pytest.raises(ConstructionError, match=r"^splice left 6 cycles, the second from cell \(0, 2\)$"):
         splice(key25, [0] * len(key25.rhombi))
-    assert calls == ["is_connected_edges", "cycle_partition"]
+    assert calls == ["splice.cycle_partition", "splice.is_connected_edges", "keygraph.cycle_partition"]
 
 
 def _no_neighbour(cell, old, side):
@@ -627,10 +630,10 @@ def test_a_rewrite_whose_neighbour_is_missing_names_the_cell(key25):
         a, b, c, d = key25.rhombus_ids[i]
         first, second = keygraph.neighbour_arrays(halving_ids(key25, [0] * len(key25.rhombi)), side * side)
         with pytest.raises(ConstructionError, match=f"^{_no_neighbour(b, c, side)}$"):
-            _flip_in_place(list(first), list(second), (a, b, c, d), 1, side)
-        _flip_in_place(first, second, (a, b, c, d), 0, side)
+            keygraph.flip(list(first), list(second), b, c, d, a, side)
+        keygraph.flip(first, second, a, b, c, d, side)
         with pytest.raises(ConstructionError, match=f"^{_no_neighbour(a, b, side)}$"):
-            _flip_in_place(first, second, (a, b, c, d), 0, side)
+            keygraph.flip(first, second, a, b, c, d, side)
 
 
 def test_splice_rewriting_a_flip_twice_names_its_first_cell(monkeypatch, key25):
@@ -639,13 +642,13 @@ def test_splice_rewriting_a_flip_twice_names_its_first_cell(monkeypatch, key25):
     bits = random_bits(len(key25.rhombi), 5)
     flipped, tracker = tracked_halving(key25, bits)
     first = next(i for i in range(len(bits)) if merge_flip(key25, flipped, tracker, i))
-    real = splice_module._flip_in_place
+    real = splice_module.flip
 
     def twice(*args):
         real(*args)
         real(*args)
 
-    monkeypatch.setattr(splice_module, "_flip_in_place", twice)
+    monkeypatch.setattr(splice_module, "flip", twice)
     a, b = key25.rhombus_ids[first][bits[first]:][:2]  # the first two cells of its start matching
     with pytest.raises(ConstructionError, match=f"^{_no_neighbour(a, b, key25.leaper.side)}$"):
         splice(key25, bits)
@@ -695,22 +698,26 @@ def test_halving_cycles_are_its_components(nx, pq, seed):
 
 
 def _agrees_with_the_generic_engine(pq, seed):
-    """Both splices and cycle_partition against the engine on generic
-    searches in oracles: the same tours, cycles and degree messages."""
+    """Both splices, and the degree proof and cycle partition, against the
+    engine on generic searches in oracles: the same tours, cycles and
+    degree messages."""
     key = _key(*pq)
     side = key.leaper.side
     bits = random_bits(len(key.rhombus_ids), seed)
     assert splice(key, bits) == generic_splice(key, bits)
-    edges = halving_ids(key, bits)
+    edges = list(halving_ids(key, bits))
     k = seed % len(edges)
     for case in (edges, edges[:k] + edges[k + 1:], edges + [edges[k]]):
-        outcomes = []
-        for partition in (keygraph.cycle_partition, id_cycle_partition):
-            try:
-                outcomes.append(partition(case, side * side, side))
-            except ConstructionError as error:
-                outcomes.append(str(error))
-        assert outcomes[0] == outcomes[1]
+        arrays = keygraph.neighbour_arrays(case, side * side)
+        if arrays is None:
+            found = str(keygraph.degree_error(case, side * side, side))
+        else:
+            found = keygraph.cycle_partition(*arrays)
+        try:
+            expected = id_cycle_partition(case, side * side, side)
+        except ConstructionError as error:
+            expected = str(error)
+        assert found == expected
     paired = _paired_random_bits(key, seed)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(splice_module, "symmetric_halving_bits", lambda key, partners: list(paired))

@@ -1,3 +1,4 @@
+import re
 from functools import lru_cache
 from itertools import chain
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from leapertour.cli import free_leapers
 from leapertour.geom import Leaper, edge
-from leapertour.keygraph import ConstructionError, build_key, cycle_partition
+from leapertour.keygraph import ConstructionError, build_key, cycle_partition, neighbour_arrays
 from leapertour.splice import CycleTracker, Tour, random_bits, splice
 from leapertour.tile import (
     Switch,
@@ -20,6 +21,7 @@ from leapertour.tile import (
 )
 from leapertour.verify import verify_tour
 from oracles import cycle_partition as oracle_partition
+from oracles import tile as partition_tile
 
 
 def base_tour(p, q):
@@ -123,6 +125,34 @@ def test_find_switch_without_a_candidate_is_refused():
     assert find_switch(base, right, Leaper(1, 2))
     with pytest.raises(ConstructionError, match="^no switch found between adjacent copies of the base tour$"):
         find_switch(base, right, Leaper(1, 2), avoid=base | right)
+
+
+@pytest.mark.parametrize(
+    "change,cell",
+    [
+        (lambda cells: cells[:5] + cells[4:5] + cells[6:], (2, 2)),  # repeated, (4, 1) left out
+        (lambda cells: cells[:7] + ((6, 2),) + cells[8:], (6, 2)),  # x == side
+        (lambda cells: ((-1, 0),) + cells[1:], (-1, 0)),  # negative
+    ],
+    ids=["repeated", "x-is-side", "negative"],
+)
+def test_malformed_base_tour_is_refused(change, cell):
+    # the right cell count, but a cell off the base board or listed twice
+    base = base_tour(1, 2)
+    assert base.cells[4:6] == ((2, 2), (4, 1))
+    with pytest.raises(ValueError, match=rf"^base tour cell {re.escape(str(cell))} is off the 6x6 board or repeated$"):
+        tile(Leaper(1, 2), 2, 1, Tour(change(base.cells)))
+
+
+def test_switch_whose_edge_is_not_on_the_board_is_refused(monkeypatch):
+    # a "switch" whose ab joins two cells of copy (0, 0) that are not tour
+    # neighbours: the in-place flip finds no b at a to drop
+    t = base_tour(1, 2).cells
+    bad = Switch(t[0], t[2], t[5], t[6])
+    monkeypatch.setattr("leapertour.tile.switch_candidates", lambda a, b, leaper: iter([bad]))
+    message = f"cell {t[0]} has no neighbour {t[2]} to flip away"
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+        tile(Leaper(1, 2), 2, 1, base_tour(1, 2))
 
 
 def test_tiling_left_in_pieces_is_refused(monkeypatch):
@@ -310,7 +340,7 @@ def test_id_partition_equals_the_tuple_oracle_on_tilings(pq, seed, k, l):
         *(translate_edges(copies[(i + j) % 2], i * side, j * side) for i in range(k) for j in range(l))
     )
     ids = [(a[0] * height + a[1], b[0] * height + b[1]) for a, b in placed]
-    cycles = cycle_partition(ids, k * l * side * side, height)
+    cycles = cycle_partition(*neighbour_arrays(ids, k * l * side * side))
     assert [tuple(divmod(c, height) for c in cycle) for cycle in cycles] == list(oracle_partition(placed))
     # and the switched board, whose one cycle tile returns
     tour = tile(leaper, k, l, base)
@@ -378,3 +408,23 @@ def test_lazy_band_search_tiles_like_the_eager_pairwise_scan(pq, seed, k, l):
         )
         expected = tile(leaper, k, l, base)
     assert tile(leaper, k, l, base) == expected
+
+
+def _tiles_like_the_partition_oracle(pq, seed, k, l):
+    leaper = Leaper(*pq)
+    key = cached_key(*pq)
+    base = splice(key, random_bits(len(key.rhombus_ids), seed))
+    assert tile(leaper, k, l, base) == partition_tile(leaper, k, l, base)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(FREE_UP_TO_9), st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 3))
+def test_in_place_tile_matches_the_partition_oracle(pq, seed, k, l):
+    _tiles_like_the_partition_oracle(pq, seed, k, l)
+
+
+@pytest.mark.slow
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(free_leapers(21)), st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 5))
+def test_in_place_tile_matches_the_partition_oracle_to_21(pq, seed, k, l):
+    _tiles_like_the_partition_oracle(pq, seed, k, l)

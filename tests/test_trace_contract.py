@@ -20,12 +20,12 @@ OPS = {
     "generate": (
         ["generate", "--p", "2", "--q", "5", "--seed", "3"],
         {"cli.main", "keygraph.build_key", "geom.expand_pencil", "geom.reflect",
-         "keygraph.is_connected_edges", "splice.splice",
+         "keygraph.is_connected_edges", "keygraph.cycle_partition", "splice.splice",
          "verify.verify_tour", "render.format_structured"},
     ),
     "symmetric": (
         ["generate", "--p", "2", "--q", "5", "--symmetric", "--format", "svg"],
-        {"splice.symmetric_splice", "splice.symmetric_halving_bits",
+        {"splice.symmetric_splice", "splice.symmetric_halving_bits", "keygraph.cycle_partition",
          "verify.verify_central_symmetry", "render.format_svg"},
     ),
     "tiling": (
