@@ -6,12 +6,13 @@ Copies of the base tour are placed in a checkerboard of translated and
 da are also legal moves.  Flipping the switches along a spanning tree of
 the subboard grid splices all copies into one Hamiltonian tour.  Since
 every copy is the base tour or its rotation, the tree has only four seam
-types.  Each type's switches are searched for lazily, in the seam band only;
-a never-advanced tee copy of the search buffers them for every later seam of
-that type, translated.  The seam search runs on cells; the copies' cyclic
-orders fill the board's neighbour arrays on ids x * height + y, each switch
-flips them in place, and one walk proves the tour.  Failure messages name
-the copies but not the leaper, which the caller names.
+types.  Each type's switches are searched for lazily, on the two copies'
+q-wide strips along the seam only; a never-advanced tee copy of the search
+buffers them for every later seam of that type, translated.  The seam
+search runs on cells; the copies' cyclic orders fill the board's neighbour
+arrays on ids x * height + y, each switch flips them in place, and one walk
+proves the tour.  Failure messages name the copies but not the leaper, which
+the caller names.
 """
 
 from __future__ import annotations
@@ -52,6 +53,12 @@ def translate_edges(edges: Iterable[Edge], dx: int, dy: int) -> frozenset[Edge]:
     return frozenset(
         edge((a[0] + dx, a[1] + dy), (b[0] + dx, b[1] + dy)) for a, b in edges
     )
+
+
+# The ccw turn (x, y) -> (side-1-y, x) takes base strips to turned ones, keyed
+# (axis, high) with axis 0 for x: x >= side - q from y < q, x < q from
+# y >= side - q, and y from x.
+_TURNED_FROM = {(0, 1): (1, 0), (0, 0): (1, 1), (1, 1): (0, 1), (1, 0): (0, 0)}
 
 
 def _near(edges: Iterable[Edge], other: Iterable[Edge], reach: int) -> list[Edge]:
@@ -126,7 +133,13 @@ def tile(leaper: Leaper, k: int, l: int, base: Tour) -> Tour:
     Each switch merges two cycles, as the final walk confirms.  The comb
     tree's k*l - 1 edges join all copies, so it is acyclic, and a switch is its
     seam template shifted by (i*side, j*side): a lies in copy (i, j) and c in
-    (i2, j2), on two trees so far, so on two cycles, which bc and da join."""
+    (i2, j2), on two trees so far, so on two cycles, which bc and da join.
+
+    As bc and da are moves, a switch across a seam along x has a, b in the
+    lower copy's strip x >= side - q and c, d in the upper's x < q, before it
+    is translated, and likewise in y.  switch_candidates keeps the order of
+    the edges it is given, so the strips give the switches of whole copies
+    in the same order."""
     if k < 1 or l < 1:
         raise ValueError(f"tile grid must be at least 1x1, got {k}x{l}")
     side = leaper.side
@@ -140,8 +153,13 @@ def tile(leaper: Leaper, k: int, l: int, base: Tour) -> Tour:
     if k == 1 and l == 1:
         return base
 
-    base_edges = base.edge_set()
-    copies = (base_edges, rotate_edges_ccw(base_edges, side))
+    edges, q, far = base.edge_set(), leaper.q, side - leaper.q
+    strips: tuple[dict[tuple[int, int], frozenset[Edge]], ...] = ({}, {})
+    for axis in (0, 1):
+        strips[0][axis, 0] = frozenset([e for e in edges if e[0][axis] < q and e[1][axis] < q])
+        strips[0][axis, 1] = frozenset([e for e in edges if e[0][axis] >= far and e[1][axis] >= far])
+    for turned, of in _TURNED_FROM.items():
+        strips[1][turned] = rotate_edges_ccw(strips[0][of], side)
 
     # a copy's cyclic ids, its orientation's at the origin plus an offset, give each its two neighbours
     height = l * side
@@ -165,9 +183,11 @@ def tile(leaper: Leaper, k: int, l: int, base: Tour) -> Tour:
     for (i, j), (i2, j2) in tree:
         di, dj, parity = i2 - i, j2 - j, (i + j) % 2
         kind = (di, dj, parity)
-        if kind not in seams:
-            upper = translate_edges(copies[1 - parity], di * side, dj * side)
-            seams[kind] = switch_candidates(copies[parity], upper, leaper)
+        if kind not in seams:  # dj is the strips' axis: 0 (x) for a seam along x
+            lower = strips[parity][dj, 1]
+            upper = translate_edges(strips[1 - parity][dj, 0], di * side, dj * side)
+            # an empty strip holds no switch, and gives the band search no bounding box
+            seams[kind] = switch_candidates(lower, upper, leaper) if lower and upper else iter(())
         seams[kind], found = tee(seams[kind])
         sw = _first_avoiding((_shift(s, i * side, j * side) for s in found), used)
         if sw is None:

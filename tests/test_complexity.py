@@ -180,3 +180,33 @@ def test_halve_and_the_splices_search_the_board_a_fixed_number_of_times(monkeypa
             searched.clear()
             lists.clear()
             partitions.clear()
+
+
+def test_tile_searches_the_two_seam_strips_not_whole_copies(monkeypatch):
+    # switch_candidates gets the lower copy's and the upper copy's q-wide
+    # strips along each seam, and translate_edges the upper strip only: at
+    # most 36 of (2,5)'s 196 edges per copy and 727 of (1,20)'s 1,764 when
+    # its bounds were set at twice those.  A strip holds at most q * side
+    # tour edges: each of its q * side cells ends two of them
+    sizes = []
+    real_candidates, real_translate = tile.switch_candidates, tile.translate_edges
+
+    def counting_candidates(edges_a, edges_b, leaper):
+        sizes.extend((len(edges_a), len(edges_b)))
+        return real_candidates(edges_a, edges_b, leaper)
+
+    def counting_translate(edges, dx, dy):
+        edges = list(edges)
+        sizes.append(len(edges))
+        return real_translate(edges, dx, dy)
+
+    monkeypatch.setattr(tile, "switch_candidates", counting_candidates)
+    monkeypatch.setattr(tile, "translate_edges", counting_translate)
+    for (p, q), grids, bound in (((2, 5), (2, 4, 8), 72), ((1, 20), (2,), 1454)):
+        leaper = Leaper(p, q)
+        key = keygraph.build_key(leaper)
+        base = splice.splice(key, [0] * len(key.rhombus_ids))
+        for n in grids:
+            sizes.clear()
+            tile.tile(leaper, n, n, base)
+            assert sizes and max(sizes) <= min(bound, q * leaper.side), (p, q, n, sizes)

@@ -7,10 +7,11 @@ or a report changes a digest.
 
 Plain ``pytest`` runs a lean subset: per leaper a ``tour`` with no seed and
 with seed 7, a ``--symmetric`` tour, one ``grid`` and one ``svg``; a (2,5)
-3x4 tiling as ``grid``; ``fold --dump`` for the free leapers with
-p + q <= 15; and ``sweep --max-sum 15``.  ``pytest -m slow`` adds the rest
-of the set: every leaper x seed (none, 0, 1, 7) x format, ``--symmetric`` in
-every format, and the tiling as ``tour``.
+3x4 tiling as ``grid``; the tilings in ``TILINGS`` but the (1,40) one;
+``fold --dump`` for the free leapers with p + q <= 15; and
+``sweep --max-sum 15``.  ``pytest -m slow`` adds the rest of the set: every
+leaper x seed (none, 0, 1, 7) x format, ``--symmetric`` in every format, the
+(2,5) 3x4 tiling as ``tour``, and the (1,40) 2x2 tiling.
 """
 
 import hashlib
@@ -23,6 +24,17 @@ LEAPERS = ((1, 2), (2, 5), (4, 9), (10, 21), (12, 25))
 SEEDS = (None, 0, 1, 7)
 FORMATS = ("tour", "grid", "svg")
 LEAN_GENERATE = {(None, "tour"), (7, "tour"), (0, "grid"), (1, "svg")}
+# (p, q, seed, k, l, format, lean): both seam orientations and parities, a
+# row (4x1) and a column (1x3) with one orientation only, and the widest
+# seam strips, q / side = 40 / 82
+TILINGS = (
+    (2, 5, 3, 3, 4, "grid", True),
+    (1, 4, None, 2, 3, "tour", True),
+    (3, 8, 2, 3, 2, "tour", True),
+    (4, 9, None, 1, 3, "tour", True),
+    (2, 5, None, 4, 1, "tour", True),
+    (1, 40, 7, 2, 2, "tour", False),
+)
 
 
 def _cases():
@@ -48,6 +60,14 @@ def _cases():
             f"tile-2-5-3x4-{fmt}",
             ["generate", "--p", "2", "--q", "5", "--tile-k", "3", "--tile-l", "4", "--format", fmt],
             fmt == "grid",
+        )
+    for p, q, seed, k, l, fmt, lean in TILINGS:
+        seeded = [] if seed is None else ["--seed", str(seed)]
+        yield (
+            f"tile-{p}-{q}-seed{seed}-{k}x{l}-{fmt}",
+            ["generate", "--p", str(p), "--q", str(q), *seeded,
+             "--tile-k", str(k), "--tile-l", str(l), "--format", fmt],
+            lean,
         )
     for p, q in free_leapers(15):
         yield f"fold-{p}-{q}", ["fold", "--p", str(p), "--q", str(q), "--dump"], True
@@ -146,6 +166,13 @@ DIGESTS = {
     "symmetric-12-25-svg": "a4e01e92a078ab4c16edd4cb92c7b282d75543864dc291fc3490c7a4b7e0bf25",
     "tile-2-5-3x4-tour": "64d4cff76e590018669ff3dc56cd1928c0324897ad806486ff54993a0f76ccfd",
     "tile-2-5-3x4-grid": "7f7da80abc81d5560a1cfa2b528317613dfc36120f1c3ffda5f33c44106954d6",
+    # recorded with whole copies searched per seam; the seam strips must give the same tours
+    "tile-2-5-seed3-3x4-grid": "7f320aea30a5d90162890ba7d71918013b1457f2e737651e74af10acb6629982",
+    "tile-1-4-seedNone-2x3-tour": "488db860c4ecbd91aefe091b47eeec6e84c8dd2f823e4e452ccf4ddfdd384203",
+    "tile-3-8-seed2-3x2-tour": "d035c4da4d68fdf826668eec972f7eb29c170717b391258c2beb8bafaa35c49c",
+    "tile-4-9-seedNone-1x3-tour": "976b5bd60e38e52dfabd95552676d495abfa9ffd9ad89999ae5d46f1ee594392",
+    "tile-2-5-seedNone-4x1-tour": "edf5f6eed5b8214f1ff9c59b1cae291a0cda84290de74c26bc25c043189c94c3",
+    "tile-1-40-seed7-2x2-tour": "81e00b209cf1f3509ff7b5fdeb3936181c338b5364ad6a114cd44ebad829b561",
     "fold-1-2": "03a4a5a7dcbebe8566d5e82fc681872d912437a37fd085dea2b487b1bc8cbed3",
     "fold-1-4": "e4614a58f839a8101d04a5859f48af723e1f84af6557ef17469490d4a6adad3a",
     "fold-2-3": "4f598c23c6aef4e578be29de94c6e24c0e3a1d34b2966e32d2b71b07ef4f9f88",

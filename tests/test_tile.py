@@ -119,6 +119,19 @@ def test_tile_failure_names_the_copies(monkeypatch):
         tile(Leaper(1, 2), 2, 1, base_tour(1, 2))
 
 
+def test_base_whose_seam_strip_holds_no_edge_has_no_switch():
+    # a switch's ab lies in the lower copy's strip x >= side - q; a "tour"
+    # of the 6x6 cells that never steps between two cells of that strip
+    # leaves it empty, so no switch exists, and the search is not started
+    strip = [(x, y) for x in (4, 5) for y in range(6)]
+    rest = [(x, y) for x in range(4) for y in range(6)]
+    cells = tuple(chain.from_iterable((s, *rest[2 * i : 2 * i + 2]) for i, s in enumerate(strip)))
+    with pytest.raises(
+        ConstructionError, match=r"^no switch found between copies \(0, 0\) and \(1, 0\) of the base tour$"
+    ):
+        tile(Leaper(1, 2), 2, 1, Tour(cells))
+
+
 def test_find_switch_without_a_candidate_is_refused():
     base = base_tour(1, 2).edge_set()
     right = translate_edges(base, 6, 0)
