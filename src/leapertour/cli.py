@@ -17,7 +17,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 # generate and fold refuse a larger final board before building anything; a
-# 313,600-cell (2,5) tiling, 40x40 copies, peaks at about 110 MB
+# 313,600-cell (2,5) tiling, 40x40 copies, peaks at 77 MB (ru_maxrss)
 MAX_CELLS = 1_000_000
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from operator import add
 
 from .geom import Leaper, is_free
@@ -49,13 +50,7 @@ class TwoFloorGraph:
 
     def vertices(self) -> list[FoldVertex]:
         """The vertex of each id: vertices()[i] has the id i."""
-        t = self.t
-        return [
-            (x, y, f)
-            for x in range(-t, t + 1)
-            for y in range(-t, t + 1)
-            for f in (1, 2)
-        ]
+        return list(product(range(-self.t, self.t + 1), range(-self.t, self.t + 1), (1, 2)))
 
     @cached_property
     def edges(self) -> frozenset[FoldEdge]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Iterable, Iterator
 
 Cell = tuple[int, int]
@@ -96,9 +96,7 @@ class Subboard:
             raise ValueError(f"degenerate subboard {self}")
 
     def cells(self) -> Iterator[Cell]:
-        for x in range(self.x1, self.x2):
-            for y in range(self.y1, self.y2):
-                yield (x, y)
+        return product(range(self.x1, self.x2), range(self.y1, self.y2))
 
 
 @dataclass(frozen=True)

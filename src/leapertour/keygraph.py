@@ -6,10 +6,10 @@ moves joining corresponding cells of the four like-kind cores; their union
 is the inner graph.  Six boundary pencils and their reflections, 24
 pairwise disjoint pencils, form the outer graph.  A pencil is a rectangle
 of cells swept by one move (a rhombus pencil by four in turn), so both
-graphs are built, and their moves checked, pencil by pencil.  The key
-graph is the union of the two, and halving every rhombus (keeping one of
-its two perfect matchings) turns it into a pseudotour: a spanning subgraph
-in which every cell has degree two.
+graphs are built, and their moves, degrees and central symmetry checked,
+pencil by pencil.  The key graph is the union of the two, and halving every
+rhombus (keeping one of its two perfect matchings) turns it into a
+pseudotour: a spanning subgraph in which every cell has degree two.
 
 build_key builds the key graph on cell ids, and a KeyGraph stores them:
 the cell (x, y) has the id x * side + y, so id order is lexicographic cell
@@ -32,7 +32,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
+from operator import itemgetter, sub
 from typing import Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .geom import (
@@ -85,11 +86,6 @@ class KeyGraph:
     outer_ids: tuple[IdEdge, ...]  # smaller id first
     membership: list[int]  # per id: how many cores hold the cell, 0, 1 or 2
 
-    def kind(self, i: int) -> str:
-        """The pencil of rhombus i, told by its first move: (q, p) is forward."""
-        a, b = self.rhombus_ids[i][:2]
-        return "forward" if b - a == self.leaper.q * self.leaper.side + self.leaper.p else "backward"
-
     # The derived views.  cached_property stores its value on the instance,
     # so a dataclasses.replace copy derives its own from its own fields.
     @cached_property
@@ -99,10 +95,10 @@ class KeyGraph:
 
     @cached_property
     def rhombi(self) -> tuple[Rhombus, ...]:
-        cell = self.cells
+        cell, forward = self.cells, self.leaper.q * self.leaper.side + self.leaper.p  # the first move (q, p)
         return tuple(
-            Rhombus(tuple(map(cell.__getitem__, r)), self.kind(i))
-            for i, r in enumerate(self.rhombus_ids)
+            Rhombus(tuple(map(cell.__getitem__, r)), "forward" if r[1] - r[0] == forward else "backward")
+            for r in self.rhombus_ids
         )
 
     @cached_property
@@ -175,7 +171,7 @@ def build_inner(leaper: Leaper) -> tuple[list[tuple[int, ...]], set[IdEdge]]:
         paths = expand_pencil(PencilSpec(base, dirs), side)
         if paths[0][4] != paths[0][0]:
             raise ConstructionError(f"rhombus pencil not closed at {divmod(paths[0][0], side)}")
-        rhombi += [path[:4] for path in paths]
+        rhombi += map(itemgetter(slice(4)), paths)
         columns = list(zip(*paths))[:4]  # vertex k of every rhombus
         for a, b in zip(columns, columns[1:] + columns[:1]):
             _check_move(a[0], b[0], side, moves)
@@ -199,30 +195,41 @@ def _outer_pencils(leaper: Leaper) -> list[PencilSpec]:
     ]
 
 
-def build_outer(leaper: Leaper) -> list[IdEdge]:
+def build_outer(leaper: Leaper) -> tuple[list[IdEdge], list[int]]:
     """The edges of the six boundary pencils and all their reflections, as
-    id edges, smaller id first, proved leaper moves.
+    id edges, smaller id first, proved leaper moves and centrally symmetric,
+    and their degrees as a difference array over the ids.
 
     A pencil's reflection is the reflected move swept over the reflected
-    rectangle, so reflect maps only two corners and one move's end.  Each
-    column of the rectangle of the edges' lower ends gives its edges in one
-    zip."""
-    side = leaper.side
+    rectangle, so reflect maps only two corners and one move's end, and a
+    centre copy mirrors its identity copy (a horizontal its vertical) iff id
+    i to side**2 - 1 - i maps those three ids onto the other's.  Each column
+    of the rectangle of the edges' lower ends gives its edges in one zip."""
+    side, last = leaper.side, leaper.side ** 2 - 1
     moves = leaper.directions()
     edges: list[IdEdge] = []
+    degrees = [0] * (side * side + 1)
     for spec in _outer_pencils(leaper):
         _, (dx, dy) = pencil_shifts(spec, side)  # the rectangle and its shift lie on the board
         rect = spec.base
         width, height = rect.x2 - rect.x1, rect.y2 - rect.y1
-        first, last = rect.x1 * side + rect.y1, (rect.x2 - 1) * side + rect.y2 - 1
-        for which in REFLECTIONS:
-            a, b, c = reflect((first, last, first + dx * side + dy), side, which)
+        first, corner = rect.x1 * side + rect.y1, (rect.x2 - 1) * side + rect.y2 - 1
+        copies = [reflect((first, corner, first + dx * side + dy), side, which) for which in REFLECTIONS]
+        for a, b, c in copies:
             _check_move(a, c, side, moves)
             xs, ys = zip(divmod(a, side), divmod(b, side))
             lo, d = min(xs) * side + min(ys) + min(c - a, 0), abs(c - a)
             for s in range(lo, lo + width * side, side):
                 edges += zip(range(s, s + height), range(s + d, s + d + height))
-    return edges
+                degrees[s] += 1
+                degrees[s + height] -= 1
+                degrees[s + d] += 1
+                degrees[s + d + height] -= 1
+        for (a, b, c), image in zip(copies[:2], copies[2:]):  # identity to center, vertical to horizontal
+            if [last - a, last - b, last - c] != image:
+                named = (divmod(min(a, c), side), divmod(max(a, c), side))
+                raise ConstructionError(f"outer edge {named} has no central mirror")
+    return edges, degrees
 
 
 def build_key(leaper: Leaper) -> KeyGraph:
@@ -232,41 +239,57 @@ def build_key(leaper: Leaper) -> KeyGraph:
     one edge per pencil step: a step shifts a rectangle that lies on the
     board by one vector, so all its edges are that move and none wraps.
 
-    The degree check implies the paper's sizes.  The memberships e of the
+    A cell needs inner degree 2e and outer degree 2 - e, for the number e of
+    cores holding it: vertex k of a pencil's rhombi runs over its core k row
+    by row, and the outer degrees' difference array, less 2 - e, is all
+    zero; else the edges are counted, to name a cell.  The degree check
+    implies the paper's sizes.  The memberships e of the
     eight (q-p)-square cores sum to 8(q-p)**2, so inner degree 2e gives
     8(q-p)**2 inner edges, that is 2(q-p)**2 rhombi, as build_inner rejects a
     shared edge; outer degree 2 - e gives side**2 - 4(q-p)**2 = 16pq outer
-    edges, and the union's size shows them distinct."""
-    side = leaper.side
+    edges, and the union's size shows them distinct.
+
+    The mirror of rhombus i, a, b, c, d stored as c*, d*, a*, b*, is rhombus
+    w**2 - 1 - i of its pencil, w = q - p.  No outer edge is its own mirror:
+    its vector (side-1-2x, side-1-2y) is odd in both coordinates, a move even in one."""
+    side, size = leaper.side, leaper.side ** 2
     cores = build_cores(leaper)
     rhombi, inner = build_inner(leaper)
-    outer = build_outer(leaper)
+    outer, outer_degrees = build_outer(leaper)
 
     distinct = len(inner.union(outer)) == len(inner) + len(outer)
     if not distinct and not inner.isdisjoint(outer):
         shared = tuple(divmod(c, side) for c in min(inner.intersection(outer)))
         raise ConstructionError(f"inner and outer graphs share the edge {shared}")
 
-    membership = [0] * (side * side)
+    held, core_ids = [0] * (size + 1), []
+    outer_degrees[0] -= 2
+    outer_degrees[size] += 2
     for core in cores.all():
-        for x in range(core.x1, core.x2):
-            for i in range(x * side + core.y1, x * side + core.y2):
-                membership[i] += 1
-
-    deg_inner, deg_outer = [0] * (side * side), [0] * (side * side)
-    for edges, degrees in ((inner, deg_inner), (outer, deg_outer)):
-        for a, b in edges:
-            degrees[a] += 1
-            degrees[b] += 1
-    for i, e in enumerate(membership):
-        if deg_inner[i] != 2 * e or deg_outer[i] != 2 - e:
-            raise ConstructionError(
-                f"degree mismatch at {divmod(i, side)}: membership {e}, "
-                f"inner {deg_inner[i]}, outer {deg_outer[i]}"
-            )
+        height, starts = core.y2 - core.y1, range(core.x1 * side + core.y1, core.x2 * side + core.y1, side)
+        core_ids.append(tuple(chain.from_iterable(map(range, starts, range(starts[0] + height, size, side)))))
+        for s in starts:
+            held[s] += 1
+            held[s + height] -= 1
+            outer_degrees[s] += 1
+            outer_degrees[s + height] -= 1
+    membership = list(accumulate(held[:size]))
+    half, last = len(rhombi) // 2, size - 1
+    columns = [*zip(*rhombi[:half]), *zip(*rhombi[half:])]  # vertex k of each pencil's rhombi
+    if columns != core_ids or any(outer_degrees):
+        deg_inner, deg_outer = Counter(chain.from_iterable(inner)), Counter(chain.from_iterable(outer))
+        for i, e in enumerate(membership):
+            if deg_inner[i] != 2 * e or deg_outer[i] != 2 - e:
+                at = f"{divmod(i, side)}: membership {e}, inner {deg_inner[i]}, outer {deg_outer[i]}"
+                raise ConstructionError(f"degree mismatch at {at}")
     if not distinct:  # a repeat the degrees do not show: other edges at its ends are missing
         a, b = next(e for e, n in Counter(outer).items() if n > 1)
         raise ConstructionError(f"outer graph repeats the edge {(divmod(a, side), divmod(b, side))}")
+
+    for a, b, c, d in (columns[:4], columns[4:]):
+        if tuple(map(sub, repeat(last), c)) != a[::-1] or tuple(map(sub, repeat(last), d)) != b[::-1]:
+            r = next(r for r, m in zip(zip(a, b, c, d), zip(a[::-1], b[::-1])) if (last - r[2], last - r[3]) != m)
+            raise ConstructionError(f"rhombus {tuple(divmod(v, side) for v in r)} has no central mirror")
 
     return KeyGraph(leaper, cores, tuple(rhombi), tuple(outer), membership)
 

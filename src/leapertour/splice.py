@@ -11,9 +11,9 @@ end each flipped rhombus flips its four cells in the arrays, and one_cycle
 proves a single tour.  The plain splice makes one pass of merge flips over
 all rhombi, and the symmetric one a pass over partner pairs after joining
 each cycle to its mirror image.  Ids turn back into cells only in Tour.cells and in error
-messages.  Central symmetry is proved once: mirror partners found in
-pencil order, the outer edges reflected, and one bits check at the end of
-the symmetric splice.
+messages.  build_key proves the key graph centrally symmetric where its
+pencils are emitted, so the symmetric splice takes each rhombus's mirror
+from its index and checks only its own bits, once, at the end.
 """
 
 from __future__ import annotations
@@ -48,10 +48,7 @@ class Tour:
     cells: tuple[Cell, ...]
 
     def edge_set(self) -> frozenset[Edge]:
-        n = len(self.cells)
-        return frozenset(
-            edge(self.cells[i], self.cells[(i + 1) % n]) for i in range(n)
-        )
+        return frozenset(map(edge, self.cells, self.cells[1:] + self.cells[:1]))
 
 
 class CycleTracker:
@@ -152,51 +149,35 @@ def _rhombus_cells(key: KeyGraph, i: int) -> tuple[Cell, ...]:
 
 
 def _partners(key: KeyGraph) -> list[int]:
-    """Index of each rhombus's central reflection among the key's rhombi.
-
-    The reflection negates every move, and each pencil's moves, negated,
-    are the same moves shifted by two.  So the mirror of a, b, c, d is
-    stored as c*, d*, a*, b*, and finding it in that order proves that
-    matching b ({ab, cd} or {bc, da}) maps onto the partner's matching b.
-    """
-    last = key.leaper.side ** 2 - 1
-    index = {r: i for i, r in enumerate(key.rhombus_ids)}
-    partners = [index.get((last - c, last - d, last - a, last - b)) for a, b, c, d in key.rhombus_ids]
-    if None in partners:
-        cells = _rhombus_cells(key, partners.index(None))
-        raise ConstructionError(f"rhombus {cells} has no central mirror")
-    return partners
+    """Index of each rhombus's central mirror, as build_key proves: with
+    w = q - p, w**2 - 1 - i in the forward pencil, 3w**2 - 1 - i in the
+    backward one.  The mirror of a, b, c, d is stored as c*, d*, a*, b*, so
+    matching b ({ab, cd} or {bc, da}) maps onto the partner's matching b."""
+    n = len(key.rhombus_ids) // 2
+    return [*range(n - 1, -1, -1), *range(2 * n - 1, n - 1, -1)]
 
 
 def symmetric_halving_bits(key: KeyGraph, partners: Sequence[int]) -> list[int]:
-    """All-zero matching bits, whose halving is centrally symmetric: the
-    partners map matchings by bit (see _partners), and each outer edge is
-    checked to have a mirror image other than itself."""
-    last = key.leaper.side ** 2 - 1
-    outer = set(key.outer_ids)
-    for a, b in key.outer_ids:
-        mirrored = (last - b, last - a)
-        if mirrored == (a, b) or mirrored not in outer:
-            what = "is its own central reflection" if mirrored == (a, b) else "has no central mirror"
-            raise ConstructionError(f"outer edge {(key.cells[a], key.cells[b])} {what}")
+    """All-zero matching bits, whose halving is centrally symmetric: the partners map
+    matchings by bit (see _partners), and build_key proved the outer edges symmetric."""
     return [0] * len(partners)
 
 
-def _find_center_rhombus(key: KeyGraph, partners: Sequence[int]) -> int:
-    """Index of the unique forward rhombus fixed by the central reflection."""
-    fixed = [i for i, j in enumerate(partners) if j == i and key.kind(i) == "forward"]
-    if len(fixed) != 1:
-        named = "".join(f", {_rhombus_cells(key, i)}" for i in fixed)
-        raise ConstructionError(f"expected one self-symmetric forward rhombus, got {len(fixed)}{named}")
-    return fixed[0]
+def _find_center_rhombus(key: KeyGraph) -> int:
+    """Index of the forward rhombus fixed by the central reflection, (w**2 - 1) / 2
+    for the odd w = q - p; raise, naming the rhombus there, unless it is its own mirror."""
+    i, last = ((key.leaper.q - key.leaper.p) ** 2 - 1) // 2, key.leaper.side ** 2 - 1
+    a, b, c, d = key.rhombus_ids[i]
+    if (last - c, last - d, last - a, last - b) != (a, b, c, d):
+        raise ConstructionError(f"rhombus {_rhombus_cells(key, i)} at the centre index is not its own central mirror")
+    return i
 
 
 def _check_mirrored_bits(key: KeyGraph, bits: Sequence[int], partners: Sequence[int]) -> None:
-    """Raise, naming the first rhombus whose bit differs from its
-    partner's, unless the halving the bits pick is centrally symmetric:
-    rhombus edge sets are disjoint from each other and from the outer
-    edges, which symmetric_halving_bits has shown symmetric, and the
-    reflection maps matchings by bit (see _partners)."""
+    """Raise, naming the first rhombus whose bit differs from its partner's,
+    unless the halving the bits pick is centrally symmetric: rhombus edge
+    sets are disjoint from each other and from the outer edges, which
+    build_key has shown symmetric, and the reflection maps matchings by bit."""
     for i, j in enumerate(partners):
         if bits[i] != bits[j]:
             cells = _rhombus_cells(key, i)
@@ -218,13 +199,15 @@ def symmetric_splice(key: KeyGraph) -> Tour:
     self-mirror.  Either way it toggles (self-mirror cycles + 1) mod 2
     times.  A self-paired rhombus joins no two classes: its matching edges
     mirror each other, as a self-mirror edge's vector (side-1-2x, side-1-2y)
-    is odd in both coordinates, and a leaper move is even in one.
+    is odd in both coordinates, and a leaper move is even in one.  The key's
+    symmetry is build_key's invariant; _find_center_rhombus checks the one
+    fixed index, and the bits check and the final walk prove the tour.
     """
     last = key.leaper.side ** 2 - 1
     partners = _partners(key)
     start = symmetric_halving_bits(key, partners)
     bits, tracker, halving = _tracked_halving(key, start)
-    i1 = _find_center_rhombus(key, partners)
+    i1 = _find_center_rhombus(key)
     label = list(tracker.parent)  # each id's halving cycle, before any union
     self_mirror = 0
     for c in set(label):

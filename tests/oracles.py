@@ -18,10 +18,7 @@ from leapertour.splice import (
     CycleTracker,
     Tour,
     _check_mirrored_bits,
-    _find_center_rhombus,
-    _partners,
     _rhombus_cells,
-    symmetric_halving_bits,
 )
 from leapertour.tile import _first_avoiding, _shift, rotate_edges_ccw, switch_candidates, translate_edges
 from leapertour.verify import TourReport
@@ -234,6 +231,15 @@ def splice(key, bits):
     return single_tour(key, bits, "splice")
 
 
+def mirror_partners(key):
+    """Index of each rhombus's central mirror, found by searching the key's
+    rhombi for c*, d*, a*, b* (see splice._partners); None where it is
+    missing."""
+    last = key.leaper.side ** 2 - 1
+    index = {r: i for i, r in enumerate(key.rhombus_ids)}
+    return [index.get((last - c, last - d, last - a, last - b)) for a, b, c, d in key.rhombus_ids]
+
+
 def symmetric_splice(key, bits=None):
     """The symmetric splice as a growth loop over the generic engine above:
     from the centre rhombus it grows a centrally symmetric cycle, at each
@@ -245,14 +251,14 @@ def symmetric_splice(key, bits=None):
     must flip the same bits."""
     last = key.leaper.side ** 2 - 1
     matchings = matching_ids(key)
-    partners = _partners(key)
-    halving = symmetric_halving_bits(key, partners)
-    bits, tracker = tracked_halving(key, halving if bits is None else bits)
+    partners = mirror_partners(key)
+    bits, tracker = tracked_halving(key, [0] * len(partners) if bits is None else bits)
     find = tracker.find
 
     # the grown cycle holds all of r1, so it holds the anchor's mirror image,
-    # and it stays centrally symmetric as long as the halving does
-    i1 = _find_center_rhombus(key, partners)
+    # and it stays centrally symmetric as long as the halving does; the
+    # forward pencil comes first, so the first fixed rhombus is r1
+    i1 = next(i for i, j in enumerate(partners) if i == j)
     anchor = key.rhombus_ids[i1][0]
     merge_flip(key, bits, tracker, i1)
 

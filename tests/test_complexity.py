@@ -1,15 +1,20 @@
 """Asymptotic guards from operation counts, not wall time.
 
 Each test runs a stage on a ladder of sizes, counts one operation through
-a monkeypatched wrapper, and asserts the count, or the count per unit of
-size, on every rung: a stage whose work should not grow with the board, or
+a monkeypatched wrapper, or the line events of a module's code through
+sys.settrace, and asserts the count, or the count per unit of size, on
+every rung: a stage whose work should not grow with the board, or
 should grow linearly, then fails here before it shows on a benchmark.
 """
+
+import sys
+from collections import Counter
 
 import leapertour.fold as fold
 import leapertour.keygraph as keygraph
 import leapertour.splice as splice
 import leapertour.tile as tile
+import leapertour.verify as verify
 from leapertour.geom import Leaper
 
 
@@ -210,3 +215,59 @@ def test_tile_searches_the_two_seam_strips_not_whole_copies(monkeypatch):
             sizes.clear()
             tile.tile(leaper, n, n, base)
             assert sizes and max(sizes) <= min(bound, q * leaper.side), (p, q, n, sizes)
+
+
+def _line_events(module, run):
+    """Per function name, the line events that run executes in the module's
+    own code, and the calls into it: a Python loop shows as one or more
+    events per turn, and a comprehension as calls of its own code."""
+    lines, calls = Counter(), Counter()
+
+    def local(frame, event, arg):
+        if event == "line":
+            lines[frame.f_code.co_name] += 1
+        return local
+
+    def calling(frame, event, arg):
+        if frame.f_code.co_filename != module.__file__:
+            return None
+        calls[frame.f_code.co_name] += 1
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(calling)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return lines, calls
+
+
+def test_build_key_makes_no_per_edge_loop():
+    # the degrees are proved on difference arrays, filled per row of a core,
+    # a rhombus pencil's rectangle or an outer pencil's column, and compared
+    # by any(): 72, 68 and 66 line events per unit of side when its bound was set at
+    # twice the largest, against 3,208, 12,808 and 51,208 edges; a loop over
+    # the edges, comprehensions included, adds one or more events per edge,
+    # 76 to 316 per unit of side
+    per_side = []
+    for q in (20, 40, 80):
+        leaper = Leaper(1, q)
+        lines, _ = _line_events(keygraph, lambda: keygraph.build_key(leaper))
+        per_side.append(sum(lines.values()) / leaper.side)
+    assert all(n <= 144 for n in per_side), per_side
+
+
+def test_verify_tour_checks_a_valid_tour_without_a_per_cell_loop():
+    # each check is one set or min/max operation over the keys: verify_tour's
+    # own frame runs 22 lines on every rung when its bound was set at twice
+    # that, and its only per-cell work is the two comprehensions that encode
+    # the cells as keys (C-level maps measured slower); the loops that name
+    # a failure run only after a check has failed
+    for q in (20, 40, 80):
+        leaper = Leaper(1, q)
+        key = keygraph.build_key(leaper)
+        cells = splice.splice(key, [0] * len(key.rhombus_ids)).cells
+        lines, calls = _line_events(verify, lambda: verify.verify_tour(cells, 1, q, leaper.side, leaper.side))
+        assert lines["verify_tour"] <= 44, lines
+        assert calls["<listcomp>"] == 2 and "<genexpr>" not in calls, calls

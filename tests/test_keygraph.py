@@ -80,7 +80,7 @@ def test_forward_rhombus_at_pp():
 @pytest.mark.parametrize("p,q", FREE_SMALL)
 def test_outer_size_and_reflection_invariance(p, q):
     leaper = Leaper(p, q)
-    outer = build_outer(leaper)  # a list: the 24 reflected pencils are disjoint
+    outer, _ = build_outer(leaper)  # a list: the 24 reflected pencils are disjoint
     assert len(outer) == len(set(outer)) == 16 * p * q
     assert all(a < b for a, b in outer)
     ends = list(zip(*outer))
@@ -341,11 +341,11 @@ def test_repeat_with_balanced_degrees_names_the_edge(monkeypatch):
     real = keygraph.build_outer
 
     def rewired(leaper):
-        outer = real(leaper)
+        outer, degrees = real(leaper)
         a, b = outer[0]
         (x,) = (v for e in outer if a in e and b not in e for v in e if v != a)
         (y,) = (v for e in outer if b in e and a not in e for v in e if v != b)
-        return [e for e in outer if {a, x} != set(e) != {b, y}] + [(a, b), (min(x, y), max(x, y))]
+        return [e for e in outer if {a, x} != set(e) != {b, y}] + [(a, b), (min(x, y), max(x, y))], degrees
 
     monkeypatch.setattr(keygraph, "build_outer", rewired)
     with pytest.raises(

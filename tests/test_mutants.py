@@ -1,0 +1,177 @@
+"""The mutant table: each row breaks one check or formula of the package
+and names the tests that must kill it.
+
+A row replaces one exact text, which must occur exactly once in its file,
+in a copy of src/, and runs `python -m pytest -q -x` on its node ids in one
+subprocess with that copy first on PYTHONPATH.  Only exit code 1, a failing
+test, counts as a kill: a mutant that breaks collection (2) or selects no
+test (5) fails its row.  Rows run one at a time.  A row marked blind also
+makes verify.verify_central_symmetry return True, so that its kill must
+come from a check other than the final symmetry test of a tour.
+
+Run with: python -m pytest -m slow tests/test_mutants.py
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+from typing import NamedTuple
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# verify_central_symmetry's first lines; a blind row makes it return True
+BLIND = ("verify.py", "    if not cells:\n        return True\n    ys = [y for _, y in cells]", "    return True")
+
+
+class Mutant(NamedTuple):
+    id: str
+    file: str  # under src/leapertour
+    old: str
+    new: str
+    killers: tuple[str, ...]
+    blind: bool = False
+
+
+KEY = "tests/test_keygraph.py::test_key_equals_the_cell_oracle[2-5]"
+SYMMETRIC = "tests/test_splice.py::test_symmetric_splice[2-5]"
+GOLDEN_SYMMETRIC = "tests/test_golden.py::test_output_is_byte_identical[symmetric-2-5-tour]"
+GUARD = "tests/test_complexity.py::test_build_key_makes_no_per_edge_loop"
+VERIFY_ORACLE = "tests/test_verify.py::test_verify_tour_agrees_with_the_oracle_on_any_cell_list"
+SYMMETRY_ORACLE = "tests/test_verify.py::test_central_symmetry_agrees_with_the_oracle_on_any_cell_list"
+TILED = (
+    "tests/test_acceptance.py::test_criterion_7_tiled_tours",
+    "tests/test_golden.py::test_output_is_byte_identical[tile-2-5-seed3-3x4-grid]",
+)
+
+MUTANTS = [
+    # geom.reflect's three formulas: build_key's outer pencil checks
+    Mutant("reflect-vertical", "geom.py", "return [top - i + 2 * (i % side) for i in ids]",
+           "return [top + i - 2 * (i % side) for i in ids]", (KEY, SYMMETRIC), blind=True),
+    Mutant("reflect-center", "geom.py", "return [top + side - 1 - i for i in ids]",
+           "return [top + side - 2 - i for i in ids]", (KEY, SYMMETRIC), blind=True),
+    Mutant("reflect-horizontal", "geom.py", "return [i + side - 1 - 2 * (i % side) for i in ids]",
+           "return [i + side - 2 * (i % side) for i in ids]", (KEY, SYMMETRIC), blind=True),
+    # expand_pencil's path order: rotated, no rhombus sits at its mirror's
+    # index; column-major keeps the mirrors but reorders the rhombi
+    Mutant("pencil-order-rotated", "geom.py", "[i + sx * side + sy for i in starts]",
+           "[i + sx * side + sy for i in starts[1:] + starts[:1]]",
+           ("tests/test_splice.py::test_partners_are_the_index_ranges_of_the_mirror_search[2-5]", SYMMETRIC),
+           blind=True),
+    Mutant("pencil-order-column-major", "geom.py",
+           "for x in range(rect.x1, rect.x2) for y in range(rect.y1, rect.y2)]",
+           "for y in range(rect.y1, rect.y2) for x in range(rect.x1, rect.x2)]", (KEY, GOLDEN_SYMMETRIC), blind=True),
+    # build_key's degree proof: a dropped or shortened run only sends a
+    # valid key down the edge-by-edge path, which the line-event guard sees;
+    # a run that drops a row of each core changes the memberships
+    Mutant("outer-run-dropped", "keygraph.py", "                degrees[s + d] += 1\n", "", (GUARD,), blind=True),
+    Mutant("outer-run-shortened", "keygraph.py", "                degrees[s + height] -= 1\n",
+           "                degrees[s + height - 1] -= 1\n", (GUARD,), blind=True),
+    Mutant("core-columns-shortened", "keygraph.py", "map(range, starts, range(starts[0] + height, size, side))",
+           "map(range, starts, range(starts[0] + height - 1, size, side))", (GUARD,), blind=True),
+    Mutant("core-run-dropped", "keygraph.py", "range(core.x1 * side + core.y1, core.x2 * side + core.y1, side)",
+           "range(core.x1 * side + core.y1, (core.x2 - 1) * side + core.y1, side)", (KEY, SYMMETRIC), blind=True),
+    Mutant("degree-proof-skipped", "keygraph.py", "if columns != core_ids or any(outer_degrees):", "if False:",
+           ("tests/test_keygraph.py::test_dropped_pencil_is_named_by_the_degree_check",
+            "tests/test_keygraph.py::test_missing_rhombus_is_named_by_the_degree_check"), blind=True),
+    Mutant("outer-edges-shortened", "keygraph.py", "edges += zip(range(s, s + height), range(s + d, s + d + height))",
+           "edges += zip(range(s, s + height - 1), range(s + d, s + d + height - 1))", (KEY,), blind=True),
+    # the central-symmetry checks this key invariant replaced in the splice
+    Mutant("outer-mirror-check-dropped", "keygraph.py", "if [last - a, last - b, last - c] != image:", "if False:",
+           ("tests/test_splice.py::test_outer_edge_without_a_mirror_is_named",), blind=True),
+    Mutant("rhombus-mirror-check-dropped", "keygraph.py",
+           "if tuple(map(sub, repeat(last), c)) != a[::-1] or", "if False and",
+           ("tests/test_splice.py::test_rotated_rhombus_is_named_without_a_mirror",), blind=True),
+    Mutant("partner-range-shifted", "splice.py", "*range(2 * n - 1, n - 1, -1)", "*range(2 * n - 2, n - 2, -1)",
+           ("tests/test_splice.py::test_partners_are_the_index_ranges_of_the_mirror_search[2-5]", GOLDEN_SYMMETRIC),
+           blind=True),
+    Mutant("centre-index-off", "splice.py", "i, last = ((key.leaper.q - key.leaper.p) ** 2 - 1) // 2",
+           "i, last = ((key.leaper.q - key.leaper.p) ** 2 + 1) // 2", (SYMMETRIC,), blind=True),
+    Mutant("centre-check-dropped", "splice.py", "if (last - c, last - d, last - a, last - b) != (a, b, c, d):",
+           "if False:", ("tests/test_splice.py::test_key_without_a_centre_rhombus_is_refused",), blind=True),
+    Mutant("mirrored-bits-check-dropped", "splice.py", "        if bits[i] != bits[j]:\n", "        if False:\n",
+           ("tests/test_splice.py::test_mirrored_bits_check_rejects_unpaired_bits",), blind=True),
+    # ConstructionError sites: each raise skipped
+    Mutant("move-check-dropped", "keygraph.py", "if (u - x, v - y) not in moves:", "if False:",
+           ("tests/test_keygraph.py::test_non_leaper_move_names_the_edge",)),
+    Mutant("open-pencil-accepted", "keygraph.py", "if paths[0][4] != paths[0][0]:", "if False:",
+           ("tests/test_keygraph.py::test_open_rhombus_pencil_names_its_first_cell",)),
+    Mutant("shared-rhombus-edge-accepted", "keygraph.py", "if len(unique) != len(edges):", "if False:",
+           ("tests/test_keygraph.py::test_repeated_rhombus_names_the_shared_edge",)),
+    Mutant("inner-outer-overlap-accepted", "keygraph.py", "if not distinct and not inner.isdisjoint(outer):",
+           "if False:", ("tests/test_keygraph.py::test_pencil_repeating_a_rhombus_edge_overlaps",)),
+    Mutant("outer-repeat-accepted", "keygraph.py", "if not distinct:  # a repeat", "if False:  # a repeat",
+           ("tests/test_keygraph.py::test_repeat_with_balanced_degrees_names_the_edge",)),
+    Mutant("pencil-off-board-accepted", "geom.py", "if not (0 <= x + dx < side and 0 <= y + dy < side):",
+           "if False:", ("tests/test_keygraph.py::test_pencil_off_the_board_names_the_cell",)),
+    Mutant("flip-without-neighbour", "keygraph.py", "        if row[x] != old:\n", "        if False:\n",
+           ("tests/test_splice.py::test_a_rewrite_whose_neighbour_is_missing_names_the_cell",)),
+    Mutant("several-cycles-accepted", "keygraph.py", "if len(cycle) != len(first):", "if False:",
+           ("tests/test_splice.py::test_symmetric_splice_failures_name_the_pending_rhombus",)),
+    Mutant("disconnected-key-accepted", "splice.py", "if not is_connected_edges(set(roots), links):", "if False:",
+           ("tests/test_splice.py::test_disconnected_key_graph_fails_loudly",)),
+    Mutant("no-seam-switch-accepted", "tile.py", "        if sw is None:\n            raise ConstructionError(\n",
+           "        if False:\n            raise ConstructionError(\n",
+           ("tests/test_tile.py::test_base_whose_seam_strip_holds_no_edge_has_no_switch",)),
+    Mutant("fold-self-loop-accepted", "fold.py", "if pa == pb:", "if False:",
+           ("tests/test_fold.py::test_outer_path_with_both_ends_on_one_projection_is_named",)),
+    # the independent validator's checks, is_free, and components' order
+    Mutant("cell-count-check-weakened", "verify.py", "cell_count_ok=(n == width * height),",
+           "cell_count_ok=(n <= width * height),", ("tests/test_verify.py::test_truncated_tour_fails_count",)),
+    Mutant("first-step-unchecked", "verify.py", "if not set(map(sub, keys[1:], keys)) <= moves:",
+           "if not set(map(sub, keys[2:], keys[1:])) <= moves:", (VERIFY_ORACLE,)),
+    Mutant("repeat-check-dropped", "verify.py", "if len(set(keys)) < n or not on_board:", "if not on_board:",
+           ("tests/test_verify.py::test_repeated_cell_detected",)),
+    Mutant("closing-move-unchecked", "verify.py", "report.closed = keys[0] - keys[-1] in moves", "report.closed = True",
+           ("tests/test_verify.py::test_open_path_not_closed",)),
+    Mutant("key-spacing-narrowed", "verify.py", "s = hi - lo + max(p, q) + 1", "s = hi - lo + 1", (VERIFY_ORACLE,)),
+    Mutant("symmetry-rotation-untested", "verify.py",
+           "if keys[(i + 1) % n] == second and [c - k for k in keys] == keys[i:] + keys[:i]:",
+           "if keys[(i + 1) % n] == second:", (SYMMETRY_ORACLE,)),
+    Mutant("symmetry-fallback-accepts", "verify.py", "return all((c - b, c - a) in edges for a, b in edges)",
+           "return True", (SYMMETRY_ORACLE,)),
+    Mutant("is-free-by-parity", "geom.py", "return math.gcd(b - a, b + a) == 1", "return (b - a) % 2 == 1",
+           ("tests/test_verify.py::test_is_free",)),
+    Mutant("components-larger-neighbour-first", "keygraph.py", "stack = sorted(adj[start], reverse=True)",
+           "stack = sorted(adj[start])", ("tests/test_splice.py::test_engine_matches_the_generic_engine_to_21",)),
+    # tile's seam strips (their three mutants when they landed)
+    Mutant("strips-narrower", "tile.py", "edges, q, far = base.edge_set(), leaper.q, side - leaper.q",
+           "edges, q, far = base.edge_set(), leaper.q - 1, side - leaper.q + 1", TILED),
+    Mutant("far-strip-strict", "tile.py", "e[0][axis] >= far and e[1][axis] >= far",
+           "e[0][axis] > far and e[1][axis] > far", TILED),
+    Mutant("turned-strips-swapped", "tile.py", "_TURNED_FROM = {(0, 1): (1, 0), (0, 0): (1, 1),",
+           "_TURNED_FROM = {(0, 1): (1, 1), (0, 0): (1, 0),", TILED),
+]
+
+
+def _run(tmp_path, edits, killers):
+    """Copy src/, apply the (file, old, new) edits, and run the killers."""
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    for file, old, new in edits:
+        path = src / "leapertour" / file
+        text = path.read_text()
+        assert text.count(old) == 1, f"{file}: the text to replace occurs {text.count(old)} times: {old!r}"
+        path.write_text(text.replace(old, new))
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "-m", "slow or not slow", *killers]
+    return subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[m.id for m in MUTANTS])
+def test_mutant_is_killed(tmp_path, mutant):
+    edits = [(mutant.file, mutant.old, mutant.new)] + ([BLIND] if mutant.blind else [])
+    result = _run(tmp_path, edits, mutant.killers)
+    assert result.returncode == 1, f"exit {result.returncode}\n{result.stdout[-3000:]}\n{result.stderr[-3000:]}"
+
+
+@pytest.mark.slow
+def test_killers_pass_on_the_blind_unmutated_copy(tmp_path):
+    # so each kill above comes from its mutant, not from the blind symmetry test
+    killers = sorted({k for m in MUTANTS if m.blind for k in m.killers})
+    result = _run(tmp_path, [BLIND], killers)
+    assert result.returncode == 0, f"exit {result.returncode}\n{result.stdout[-3000:]}\n{result.stderr[-3000:]}"

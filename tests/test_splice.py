@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import leapertour.keygraph as keygraph
 import leapertour.splice as splice_module
 from leapertour.cli import free_leapers
-from leapertour.geom import Leaper, edge
+from leapertour.geom import Leaper, PencilSpec, Subboard, edge
 from leapertour.keygraph import (
     ConstructionError,
     build_key,
@@ -24,6 +24,7 @@ from leapertour.splice import (
     _find_center_rhombus,
     _merge_flip,
     _partners,
+    _rhombus_cells,
     _tracked_halving,
     canonicalize,
     random_bits,
@@ -34,7 +35,8 @@ from leapertour.splice import (
 from leapertour.tile import tile
 from leapertour.verify import verify_central_symmetry, verify_tour
 from oracles import cycle_partition as oracle_partition
-from oracles import id_cycle_partition, id_pair, matching_ids, merge_flip, rhombus_matching, tracked_halving
+from oracles import id_cycle_partition, id_pair, matching_ids, merge_flip, mirror_partners
+from oracles import rhombus_matching, tracked_halving
 from oracles import splice as generic_splice
 from oracles import symmetric_splice as growth_symmetric_splice
 
@@ -168,7 +170,7 @@ def test_symmetric_splice(p, q):
 def test_center_rhombus_base_closed_form():
     for p, q in [(1, 2), (2, 5), (3, 4), (2, 7)]:
         key = build_key(Leaper(p, q))
-        r1 = key.rhombi[_find_center_rhombus(key, _partners(key))]
+        r1 = key.rhombi[_find_center_rhombus(key)]
         assert r1.cells[0] == ((p + q - 1) // 2, (p + q - 1) // 2)
 
 
@@ -196,13 +198,13 @@ def _oracle_symmetric_splice(key, triple_flips=None):
     engine: it re-partitions the whole board into cycles at every step.
     Each triple flip appends its pending rhombus's index to triple_flips."""
     side = key.leaper.side
-    partners = _partners(key)
+    partners = mirror_partners(key)
     edges = halving_edges(key, symmetric_halving_bits(key, partners))
 
     def cycle_cells_through(cell):
         return next(frozenset(cyc) for cyc in oracle_partition(edges) if cell in cyc)
 
-    r1 = key.rhombi[_find_center_rhombus(key, partners)]
+    r1 = key.rhombi[next(i for i, j in enumerate(partners) if i == j)]
     anchor = r1.cells[0]
     e1, e2 = rhombus_matching(r1, current_matching(edges, r1))
     if e2[0] not in cycle_cells_through(e1[0]):
@@ -267,6 +269,17 @@ def test_splices_match_pre_engine_oracle(p, q):
     assert symmetric_splice(key) == _oracle_symmetric_splice(key)
     bits = random_bits(len(key.rhombi), 7)
     assert splice(key, bits) == _oracle_splice(key, bits)
+
+
+@pytest.mark.parametrize("p,q", ORACLE_LEAPERS)
+def test_partners_are_the_index_ranges_of_the_mirror_search(p, q):
+    # rhombus i's mirror is w**2 - 1 - i in the forward pencil and
+    # 3w**2 - 1 - i in the backward one, w = q - p, found by searching
+    key = build_key(Leaper(p, q))
+    w = q - p
+    partners = _partners(key)
+    assert partners == mirror_partners(key)
+    assert [partners[i] for i in (0, w * w - 1, w * w, 2 * w * w - 1)] == [w * w - 1, 0, 2 * w * w - 1, w * w]
 
 
 def _paired_random_bits(key, seed):
@@ -431,43 +444,73 @@ def test_degree_error_names_a_cell(key25):
     assert messages[0] == messages[1]
 
 
-def test_rhombus_without_a_mirror_is_named(key25):
-    # dropping rhombus 0 leaves its central partner without a mirror image
-    side = key25.leaper.side
-    key = dataclasses.replace(key25, rhombus_ids=key25.rhombus_ids[1:])
-    cell = r"\(\d+, \d+\)"
-    with pytest.raises(
-        ConstructionError, match=rf"^rhombus \({cell}(, {cell}){{3}}\) has no central mirror$"
-    ) as error:
-        symmetric_splice(key)
-    named = {(int(x), int(y)) for x, y in re.findall(r"\((\d+), (\d+)\)", str(error.value))}
-    assert named == {divmod(side * side - 1 - c, side) for c in key25.rhombus_ids[0]}
+# A key that build_key returns is centrally symmetric: it proves the mirror
+# of each rhombus and outer pencil where they are emitted, and the symmetric
+# splice reads the partners off the indices.  So the defects below are made
+# through build_key, with a patched forward rhombus pencil, outer pencil or
+# reflection, and each check names a cell.
 
 
-def test_key_without_a_centre_rhombus_is_refused(key25):
-    # dropping the centre rhombus leaves its degree-1 cells to the final
-    # partition, but the symmetric splice stops at the missing centre first
-    i1 = _find_center_rhombus(key25, _partners(key25))
+def _patch_forward_pencil(monkeypatch, change):
+    """Make keygraph.expand_pencil return change(paths) for the forward
+    rhombus pencil, whose first move is (q, p)."""
+    real = keygraph.expand_pencil
+
+    def patched(spec, side):
+        paths = real(spec, side)
+        return change(paths) if len(spec.dirs) == 4 and spec.dirs[0][1] > 0 else paths
+
+    monkeypatch.setattr(keygraph, "expand_pencil", patched)
+
+
+def _degree_message(key, i):
+    """build_key's message for rhombus i dropped: its smallest cell, first
+    in id order, has inner degree 2 too few."""
+    first = min(key.rhombus_ids[i])
+    e = key.membership[first]
+    return f"degree mismatch at {key.cells[first]}: membership {e}, inner {2 * e - 2}, outer {2 - e}"
+
+
+def test_rhombus_without_a_mirror_is_named(monkeypatch, key25):
+    # dropping a rhombus would leave its partner without a mirror image, but
+    # no rhombus goes without lowering four degrees, so the degree check
+    # names the dropped rhombus's first cell before the mirror check runs:
+    # the corner rhombus 0, rhombus 1, and rhombus 8, the partner of 0
+    for i in (0, 1, 8):
+        with monkeypatch.context() as patch:
+            _patch_forward_pencil(patch, lambda paths: paths[:i] + paths[i + 1:])
+            with pytest.raises(ConstructionError, match=f"^{re.escape(_degree_message(key25, i))}$"):
+                build_key(Leaper(2, 5))
+
+
+def test_key_without_a_centre_rhombus_is_refused(monkeypatch, key25):
+    # the centre rhombus, (w**2 - 1) / 2 = 4 for w = 3, dropped from the
+    # pencil is named by the degree check
+    i1 = _find_center_rhombus(key25)
+    assert i1 == 4
+    _patch_forward_pencil(monkeypatch, lambda paths: paths[:i1] + paths[i1 + 1:])
+    with pytest.raises(ConstructionError, match=f"^{re.escape(_degree_message(key25, i1))}$"):
+        build_key(Leaper(2, 5))
+    # a key edited without it holds rhombus 5 at the centre index, which the
+    # symmetric splice names as not its own mirror
     key = dataclasses.replace(key25, rhombus_ids=key25.rhombus_ids[:i1] + key25.rhombus_ids[i1 + 1:])
-    with pytest.raises(ConstructionError, match="^expected one self-symmetric forward rhombus, got 0$"):
-        symmetric_splice(key)
+    cells = _rhombus_cells(key25, i1 + 1)
+    message = f"rhombus {cells} at the centre index is not its own central mirror"
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+        _find_center_rhombus(key)
 
 
-def test_more_fixed_forward_rhombi_are_named(key25, monkeypatch):
-    # one more forward partner pair, each mapped to itself, leaves the
-    # all-zero halving valid and three fixed forward rhombi to name
-    i1 = _find_center_rhombus(key25, _partners(key25))
-    partners = _partners(key25)
-    i = next(i for i, j in enumerate(partners) if j != i and key25.kind(i) == "forward")
-    j = partners[i]
-    partners[i], partners[j] = i, j
-    monkeypatch.setattr(splice_module, "_partners", lambda key: partners)
-    named = sorted((i, i1, j))
-    cells = "".join(f", {tuple(divmod(c, 14) for c in key25.rhombus_ids[r])}" for r in named)
-    with pytest.raises(ConstructionError) as error:
-        symmetric_splice(key25)
-    assert str(error.value) == f"expected one self-symmetric forward rhombus, got 3{cells}"
-
+def test_more_fixed_forward_rhombi_are_named(monkeypatch, key25):
+    # a rhombus is its own mirror only if it is centred on the board, so two
+    # more fixed forward rhombi are copies of the centre rhombus: put in for
+    # rhombus 0 and its partner 8, they share its edges, and build_inner
+    # names the first
+    i1 = _find_center_rhombus(key25)
+    _patch_forward_pencil(monkeypatch, lambda paths: [paths[i1] if i in (0, 8) else p for i, p in enumerate(paths)])
+    a, b = key25.rhombus_ids[i1][:2]
+    message = f"two rhombi share the edge {(key25.cells[a], key25.cells[b])}"
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+        build_key(Leaper(2, 5))
 
 def test_extra_mirrored_outer_edges_fail_the_degree_check(key25):
     # each leaper move outside the key graph, added with its mirror image,
@@ -489,36 +532,66 @@ def test_extra_mirrored_outer_edges_fail_the_degree_check(key25):
             symmetric_splice(key)
 
 
-def test_self_mirrored_edge_error_names_its_cells(key25):
-    # the cells (6, 6) and (7, 7) of the 14 x 14 board
-    key = dataclasses.replace(key25, outer_ids=key25.outer_ids + ((6 * 14 + 6, 7 * 14 + 7),))
-    with pytest.raises(ConstructionError, match=r"^outer edge \(\(6, 6\), \(7, 7\)\) is its own"):
-        symmetric_halving_bits(key, _partners(key))
+def test_self_mirrored_edge_error_names_its_cells(monkeypatch):
+    # a self-mirror edge (x, y)-(side-1-x, side-1-y) has a vector odd in both
+    # coordinates, and no free leaper has such a move, as p + q is odd
+    for p, q in free_leapers(41):
+        assert all(dx % 2 == 0 or dy % 2 == 0 for dx, dy in Leaper(p, q).directions()), (p, q)
+    # so an outer pencil that adds one, the cells (6, 6) and (7, 7) of the
+    # 14 x 14 board, is refused as a non-move, named
+    real = keygraph._outer_pencils
+    monkeypatch.setattr(
+        keygraph, "_outer_pencils", lambda leaper: real(leaper) + [PencilSpec(Subboard(6, 7, 6, 7), ((1, 1),))]
+    )
+    with pytest.raises(ConstructionError, match=r"^illegal move \(6, 6\)-\(7, 7\)$"):
+        build_key(Leaper(2, 5))
 
 
 @pytest.mark.parametrize("p,q", [(1, 4), (2, 5), (3, 8)])
-def test_rotated_rhombus_is_named_without_a_mirror(p, q):
+def test_rotated_rhombus_is_named_without_a_mirror(monkeypatch, p, q):
     # a rhombus stored as b, c, d, a is the same 4-cycle, but its matching 0
-    # is the other one, so the reflection no longer maps matchings by bit
+    # is the other one, so the reflection no longer maps matchings by bit:
+    # build_key names it, rhombus 1, before its partner w**2 - 2
     key = build_key(Leaper(p, q))
-    i = next(i for i, j in enumerate(_partners(key)) if j > i)
-    a, b, c, d = key.rhombus_ids[i]
-    rhombus_ids = list(key.rhombus_ids)
-    rhombus_ids[i] = (b, c, d, a)
-    rotated = dataclasses.replace(key, rhombus_ids=tuple(rhombus_ids))
-    cells = tuple(map(rotated.cells.__getitem__, rhombus_ids[i]))
-    with pytest.raises(ConstructionError, match=rf"^rhombus {re.escape(str(cells))} has no central mirror$"):
-        symmetric_splice(rotated)
+    def rotate_rhombus_1(paths):
+        return [path[1:] + path[1:2] if i == 1 else path for i, path in enumerate(paths)]
+
+    _patch_forward_pencil(monkeypatch, rotate_rhombus_1)
+    a, b, c, d = _rhombus_cells(key, 1)
+    with pytest.raises(ConstructionError, match=rf"^rhombus {re.escape(str((b, c, d, a)))} has no central mirror$"):
+        build_key(Leaper(p, q))
 
 
-def test_outer_edge_without_a_mirror_is_named(key25):
-    # dropping one outer edge leaves its mirror image without one
-    last = key25.leaper.side ** 2 - 1
+def test_outer_edge_without_a_mirror_is_named(monkeypatch, key25):
+    # a copy of an outer pencil moved down by one cell drops the edges that
+    # mirror its twin copy's, and build_outer names the twin's first edge:
+    # that of pencil 0, from its rectangle's first cell (0, 0) by the move
+    # (q, p) = (5, 2)
+    side = key25.leaper.side
+    real = keygraph.reflect
+    for which, twin in (("center", "identity"), ("horizontal", "vertical")):
+        calls = []
+
+        def moved(ids, side, how):
+            calls.append(how)
+            out = real(ids, side, how)
+            return [i - 1 for i in out] if how == which and calls.count(how) == 1 else out
+
+        a, c = real((0, 5 * side + 2), side, twin)
+        named = (divmod(min(a, c), side), divmod(max(a, c), side))
+        with monkeypatch.context() as patch:
+            patch.setattr(keygraph, "reflect", moved)
+            with pytest.raises(ConstructionError, match=rf"^outer edge {re.escape(str(named))} has no central mirror$"):
+                build_key(Leaper(2, 5))
+
+
+def test_outer_edge_dropped_from_an_edited_key_is_named(key25):
+    # an edge dropped from a key that build_key returned leaves its ends
+    # degree 1 in every halving, which the symmetric splice's final check names
     for k in (0, len(key25.outer_ids) // 2, len(key25.outer_ids) - 1):
         a, b = key25.outer_ids[k]
         key = dataclasses.replace(key25, outer_ids=key25.outer_ids[:k] + key25.outer_ids[k + 1:])
-        cells = (key.cells[last - b], key.cells[last - a])
-        with pytest.raises(ConstructionError, match=rf"^outer edge {re.escape(str(cells))} has no central mirror$"):
+        with pytest.raises(ConstructionError, match=rf"^cell {re.escape(str(key.cells[a]))} has degree 1, expected 2$"):
             symmetric_splice(key)
 
 
@@ -566,7 +639,7 @@ def _triple_flip_forgets_the_centre(monkeypatch, key):
     # and the final walk see it untoggled
     bits = _paired_random_bits(key, 0)
     monkeypatch.setattr(splice_module, "symmetric_halving_bits", lambda key, partners: list(bits))
-    centre = _find_center_rhombus(key, _partners(key))
+    centre = _find_center_rhombus(key)
     real = splice_module._check_mirrored_bits
 
     def forgetting(key, bits, partners):

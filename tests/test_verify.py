@@ -113,7 +113,8 @@ def test_generic_asymmetric_input():
 
 @pytest.mark.parametrize(
     "p,q,expected",
-    [(1, 2, True), (1, 3, False), (3, 4, True), (2, 5, True), (2, 4, False), (0, 1, True)],
+    # (3, 6): q - p is odd, but 3 divides both q - p and q + p
+    [(1, 2, True), (1, 3, False), (3, 4, True), (2, 5, True), (2, 4, False), (0, 1, True), (3, 6, False)],
 )
 def test_is_free(p, q, expected):
     # (0, 1) is no leaper but the admissible crisscross pair R(0, 1)
