@@ -7,19 +7,19 @@ da are also legal moves.  Flipping the switches along a spanning tree of
 the subboard grid splices all copies into one Hamiltonian tour.  Since
 every copy is the base tour or its rotation, the tree has only four seam
 types.  Each type's switches are searched for lazily, on the two copies'
-q-wide strips along the seam only; a never-advanced tee copy of the search
-buffers them for every later seam of that type, translated.  The seam
-search runs on cells; the copies' cyclic orders fill the board's neighbour
-arrays on ids x * height + y, each switch flips them in place, and one walk
-proves the tour.  Failure messages name the copies but not the leaper, which
-the caller names.
+q-wide strips along the seam only, as ids x * height + y at the origin; a
+never-advanced tee copy of the search buffers them for every later seam of
+that type, which adds its copy's offset.  The copies fill the board's
+neighbour arrays on those ids, each switch flips them in place, and one
+walk proves the tour.  Failure messages name the copies but not the leaper,
+which the caller names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, tee
-from typing import AbstractSet, Iterable, Iterator, Optional
+from itertools import tee
+from typing import Iterable, Iterator
 
 from .geom import Cell, Edge, Leaper, edge
 # perfbench/spans.py wraps tile.cycle_partition by name, so it stays bound here
@@ -36,12 +36,6 @@ class Switch:
     b: Cell
     c: Cell
     d: Cell
-
-    def old_edges(self) -> tuple[Edge, Edge]:
-        return (edge(self.a, self.b), edge(self.c, self.d))
-
-    def new_edges(self) -> tuple[Edge, Edge]:
-        return (edge(self.b, self.c), edge(self.d, self.a))
 
 
 def rotate_edges_ccw(edges: Iterable[Edge], side: int) -> frozenset[Edge]:
@@ -61,12 +55,6 @@ def translate_edges(edges: Iterable[Edge], dx: int, dy: int) -> frozenset[Edge]:
 _TURNED_FROM = {(0, 1): (1, 0), (0, 0): (1, 1), (1, 1): (0, 1), (1, 0): (0, 0)}
 
 
-def _near(edges: Iterable[Edge], other: Iterable[Edge], reach: int) -> list[Edge]:
-    """The edges with both ends within reach, per axis, of other's bounding box."""
-    xs, ys = (range(min(v) - reach, max(v) + reach + 1) for v in zip(*chain.from_iterable(other)))
-    return [(a, b) for a, b in edges if a[0] in xs and b[0] in xs and a[1] in ys and b[1] in ys]
-
-
 def switch_candidates(
     edges_a: frozenset[Edge], edges_b: frozenset[Edge], leaper: Leaper
 ) -> Iterator[Switch]:
@@ -74,19 +62,16 @@ def switch_candidates(
     order: by edge ab of copy A, then edge cd of copy B, then the
     orientations of ab and cd.
 
-    Only the seam band is scanned: the edges of each copy with both ends
-    within q, per axis, of the other copy's bounding box.  As bc and da are
-    moves, every switch lies in the band, and dropping the other edges keeps
-    the order of the rest.  The band's B edges are indexed by endpoint, so
-    each end b of an A edge only looks at the B edges one move away.
+    B's edges are indexed by endpoint, so each end b of an A edge only looks
+    at the B edges one move away.
     """
     moves = leaper.directions()
     at: dict[Cell, list[Edge]] = {}
-    for eb in _near(edges_b, edges_a, leaper.q):
+    for eb in edges_b:
         at.setdefault(eb[0], []).append(eb)
         at.setdefault(eb[1], []).append(eb)
 
-    for ea in sorted(_near(edges_a, edges_b, leaper.q)):
+    for ea in sorted(edges_a):
         hits = []
         for oa, (a, b) in enumerate((ea, (ea[1], ea[0]))):
             for mx, my in moves:
@@ -101,28 +86,17 @@ def switch_candidates(
             yield sw
 
 
-def _first_avoiding(candidates: Iterable[Switch], avoid: AbstractSet[Edge]) -> Optional[Switch]:
-    for sw in candidates:
-        if not any(e in avoid for e in sw.old_edges() + sw.new_edges()):
-            return sw
-    return None
-
-
-def _shift(sw: Switch, dx: int, dy: int) -> Switch:
-    return Switch(*((x + dx, y + dy) for x, y in (sw.a, sw.b, sw.c, sw.d)))
-
-
 def find_switch(
     edges_a: frozenset[Edge],
     edges_b: frozenset[Edge],
     leaper: Leaper,
     avoid: frozenset[Edge] = frozenset(),
 ) -> Switch:
-    """First canonical switch whose four edges avoid the given edge set."""
-    sw = _first_avoiding(switch_candidates(edges_a, edges_b, leaper), avoid)
-    if sw is None:
-        raise ConstructionError("no switch found between adjacent copies of the base tour")
-    return sw
+    """First canonical switch none of whose edges ab, bc, cd and da is in avoid."""
+    for sw in switch_candidates(edges_a, edges_b, leaper):
+        if avoid.isdisjoint(map(edge, (sw.a, sw.b, sw.c, sw.d), (sw.b, sw.c, sw.d, sw.a))):
+            return sw
+    raise ConstructionError("no switch found between adjacent copies of the base tour")
 
 
 def tile(leaper: Leaper, k: int, l: int, base: Tour) -> Tour:
@@ -136,10 +110,15 @@ def tile(leaper: Leaper, k: int, l: int, base: Tour) -> Tour:
     (i2, j2), on two trees so far, so on two cycles, which bc and da join.
 
     As bc and da are moves, a switch across a seam along x has a, b in the
-    lower copy's strip x >= side - q and c, d in the upper's x < q, before it
-    is translated, and likewise in y.  switch_candidates keeps the order of
-    the edges it is given, so the strips give the switches of whole copies
-    in the same order."""
+    lower copy's strip x >= side - q and c, d in the upper's x < q, and
+    likewise in y; switch_candidates keeps the order of the edges it is
+    given, so the strips give whole copies' switches in the same order.
+
+    A seam takes the first candidate with b still a neighbour of a, and d of
+    c, which is the first none of whose edges an earlier switch used: its bc
+    and da join the two copies of its own tree edge, which no other tree
+    edge joins, and its ab and cd lie inside one copy each, as edges of that
+    copy's orientation, so they were used only if cut, never to come back."""
     if k < 1 or l < 1:
         raise ValueError(f"tile grid must be at least 1x1, got {k}x{l}")
     side = leaper.side
@@ -177,24 +156,26 @@ def tile(leaper: Leaper, k: int, l: int, base: Tour) -> Tour:
     tree += [((0, j), (0, j + 1)) for j in range(l - 1)]
 
     # Seam templates: (di, dj, parity of the lower copy) -> a never-advanced
-    # tee copy of its switch search at the origin; translating keeps order.
-    seams: dict[tuple[int, int, int], Iterator[Switch]] = {}
-    used: set[Edge] = set()
+    # tee copy of its switch search at the origin, as ids; offsets keep order.
+    seams: dict[tuple[int, int, int], Iterator[tuple[int, ...]]] = {}
     for (i, j), (i2, j2) in tree:
         di, dj, parity = i2 - i, j2 - j, (i + j) % 2
         kind = (di, dj, parity)
         if kind not in seams:  # dj is the strips' axis: 0 (x) for a seam along x
             lower = strips[parity][dj, 1]
             upper = translate_edges(strips[1 - parity][dj, 0], di * side, dj * side)
-            # an empty strip holds no switch, and gives the band search no bounding box
-            seams[kind] = switch_candidates(lower, upper, leaper) if lower and upper else iter(())
-        seams[kind], found = tee(seams[kind])
-        sw = _first_avoiding((_shift(s, i * side, j * side) for s in found), used)
-        if sw is None:
-            raise ConstructionError(
-                f"no switch found between copies ({i}, {j}) and ({i2}, {j2}) of the base tour"
+            seams[kind] = (
+                tuple(x * height + y for x, y in (sw.a, sw.b, sw.c, sw.d))
+                for sw in switch_candidates(lower, upper, leaper)
             )
-        flip(first, second, *(x * height + y for x, y in (sw.a, sw.b, sw.c, sw.d)), height)
-        used.update(sw.old_edges() + sw.new_edges())
+        seams[kind], found = tee(seams[kind])
+        offset = (i * height + j) * side
+        for a, b, c, d in found:
+            a, b, c, d = a + offset, b + offset, c + offset, d + offset
+            if b in (first[a], second[a]) and d in (first[c], second[c]):
+                break
+        else:
+            raise ConstructionError(f"no switch found between copies ({i}, {j}) and ({i2}, {j2}) of the base tour")
+        flip(first, second, a, b, c, d, height)
 
     return Tour(one_cycle(first, second, height, f"{k}x{l} tiling of the base tour"))

@@ -20,7 +20,7 @@ from leapertour.splice import (
     _check_mirrored_bits,
     _rhombus_cells,
 )
-from leapertour.tile import _first_avoiding, _shift, rotate_edges_ccw, switch_candidates, translate_edges
+from leapertour.tile import Switch, rotate_edges_ccw, switch_candidates, translate_edges
 from leapertour.verify import TourReport
 
 
@@ -303,10 +303,33 @@ def symmetric_splice(key, bits=None):
 # --- the tiling on an id edge set ---------------------------------------------
 
 
+def old_edges(sw):
+    """The tour edges ab and cd that a switch removes."""
+    return (edge(sw.a, sw.b), edge(sw.c, sw.d))
+
+
+def new_edges(sw):
+    """The moves bc and da that a switch adds."""
+    return (edge(sw.b, sw.c), edge(sw.d, sw.a))
+
+
+def first_avoiding(candidates, avoid):
+    """The first switch none of whose four edges is in avoid, or None."""
+    for sw in candidates:
+        if not any(e in avoid for e in old_edges(sw) + new_edges(sw)):
+            return sw
+    return None
+
+
+def shift(sw, dx, dy):
+    return Switch(*((x + dx, y + dy) for x, y in (sw.a, sw.b, sw.c, sw.d)))
+
+
 def tile(leaper, k, l, base):
     """The tiling on the board's id edge set: the placed copies as id pairs
-    x * height + y, each switch applied by set difference and union, and
-    one generic partition of the whole board as the proof of the tour.  The
+    x * height + y, each seam's first switch that avoids the set of edges
+    earlier switches used, applied by set difference and union, and one
+    generic partition of the whole board as the proof of the tour.  The
     package's in-place flips on neighbour arrays must give the same tour."""
     side = leaper.side
     if k == 1 and l == 1:
@@ -334,14 +357,14 @@ def tile(leaper, k, l, base):
             upper = translate_edges(copies[1 - parity], di * side, dj * side)
             seams[kind] = switch_candidates(copies[parity], upper, leaper)
         seams[kind], found = tee(seams[kind])
-        sw = _first_avoiding((_shift(s, i * side, j * side) for s in found), used)
+        sw = first_avoiding((shift(s, i * side, j * side) for s in found), used)
         if sw is None:
             raise ConstructionError(
                 f"no switch found between copies ({i}, {j}) and ({i2}, {j2}) of the base tour"
             )
-        board.difference_update(ids(sw.old_edges()))
-        board.update(ids(sw.new_edges()))
-        used.update(sw.old_edges() + sw.new_edges())
+        board.difference_update(ids(old_edges(sw)))
+        board.update(ids(new_edges(sw)))
+        used.update(old_edges(sw) + new_edges(sw))
     cycles = id_cycle_partition(board, k * height * side, height)
     return Tour(single_cycle(cycles, height, f"{k}x{l} tiling of the base tour"))
 

@@ -217,6 +217,38 @@ def test_tile_searches_the_two_seam_strips_not_whole_copies(monkeypatch):
             assert sizes and max(sizes) <= min(bound, q * leaper.side), (p, q, n, sizes)
 
 
+def test_tile_builds_no_switch_or_edge_per_seam(monkeypatch):
+    # each seam type's switches are built once, as cells, and mapped to ids;
+    # a seam adds its copy's offset and tests the neighbour arrays, so the
+    # Switch objects and tile.edge calls (strips turned and translated) are
+    # the same on every grid: 8 and 279 when this guard was set, where
+    # shifting cell switches and a used set of cell edges made 23, 71 and
+    # 263 switches and 399, 783 and 2,319 edge calls at 4x4, 8x8 and 16x16
+    built, edges = [], []
+    real_switch, real_edge = tile.Switch, tile.edge
+
+    def counting_switch(*cells):
+        built.append(cells)
+        return real_switch(*cells)
+
+    def counting_edge(a, b):
+        edges.append(a)
+        return real_edge(a, b)
+
+    leaper = Leaper(2, 5)
+    key = keygraph.build_key(leaper)
+    base = splice.splice(key, [0] * len(key.rhombus_ids))
+    monkeypatch.setattr(tile, "Switch", counting_switch)
+    monkeypatch.setattr(tile, "edge", counting_edge)
+    counts = []
+    for n in (4, 8, 16):
+        built.clear()
+        edges.clear()
+        tile.tile(leaper, n, n, base)
+        counts.append((len(built), len(edges)))
+    assert counts[0] == counts[1] == counts[2], counts
+
+
 def _line_events(module, run):
     """Per function name, the line events that run executes in the module's
     own code, and the calls into it: a Python loop shows as one or more

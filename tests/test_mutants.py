@@ -113,11 +113,30 @@ MUTANTS = [
            ("tests/test_splice.py::test_symmetric_splice_failures_name_the_pending_rhombus",)),
     Mutant("disconnected-key-accepted", "splice.py", "if not is_connected_edges(set(roots), links):", "if False:",
            ("tests/test_splice.py::test_disconnected_key_graph_fails_loudly",)),
-    Mutant("no-seam-switch-accepted", "tile.py", "        if sw is None:\n            raise ConstructionError(\n",
-           "        if False:\n            raise ConstructionError(\n",
+    Mutant("no-seam-switch-accepted", "tile.py", 'raise ConstructionError(f"no switch found between copies',
+           'ConstructionError(f"no switch found between copies',
            ("tests/test_tile.py::test_base_whose_seam_strip_holds_no_edge_has_no_switch",)),
+    Mutant("find-switch-raise-dropped", "tile.py", '    raise ConstructionError("no switch found between adjacent',
+           '    return ConstructionError("no switch found between adjacent',
+           ("tests/test_tile.py::test_find_switch_without_a_candidate_is_refused",)),
     Mutant("fold-self-loop-accepted", "fold.py", "if pa == pb:", "if False:",
            ("tests/test_fold.py::test_outer_path_with_both_ends_on_one_projection_is_named",)),
+    Mutant("fold-branch-accepted", "fold.py", "if max(degree) > 2:", "if False:",
+           ("tests/test_fold.py::test_outer_paths_raises_on_a_branching_cell",)),
+    Mutant("fold-cycle-accepted", "fold.py", "if walked.count(1) - len(paths) < len(key.outer_ids):", "if False:",
+           ("tests/test_fold.py::test_outer_paths_raises_on_a_cycle",)),
+    Mutant("fold-projection-count-accepted", "fold.py", "if len(table[a]) != 1 or len(table[b]) != 1:", "if False:",
+           ("tests/test_cli.py::test_construction_error_is_one_error_line[fold]",)),
+    Mutant("halve-degree-accepted", "keygraph.py", "if arrays is None:", "if False:",
+           ("tests/test_splice.py::test_degree_error_names_a_cell",)),
+    Mutant("splice-degree-accepted", "splice.py", "if halving is None:", "if False:",
+           ("tests/test_splice.py::test_degree_error_names_a_cell",)),
+    Mutant("cli-invalid-tour-accepted", "cli.py", "if not report.valid:", "if False:",
+           ("tests/test_cli.py::test_construction_error_is_one_error_line[self-verification]",)),
+    Mutant("cli-asymmetric-tour-accepted", "cli.py", "if symmetric and not report.centrally_symmetric:", "if False:",
+           ("tests/test_cli.py::test_construction_error_is_one_error_line[asymmetric]",)),
+    Mutant("cli-fold-failure-accepted", "cli.py", "if not (report.matches and report.folding_connected):",
+           "if False:", ("tests/test_cli.py::test_sweep_failure_is_the_located_fail_row[fold-mismatch]",)),
     # the independent validator's checks, is_free, and components' order
     Mutant("cell-count-check-weakened", "verify.py", "cell_count_ok=(n == width * height),",
            "cell_count_ok=(n <= width * height),", ("tests/test_verify.py::test_truncated_tour_fails_count",)),
@@ -144,6 +163,18 @@ MUTANTS = [
            "e[0][axis] > far and e[1][axis] > far", TILED),
     Mutant("turned-strips-swapped", "tile.py", "_TURNED_FROM = {(0, 1): (1, 0), (0, 0): (1, 1),",
            "_TURNED_FROM = {(0, 1): (1, 1), (0, 0): (1, 0),", TILED),
+    # tile's seams on ids: the offset, and the arrays test of the old edges,
+    # which no natural tiling fails, and the folded filter of find_switch
+    Mutant("seam-offset-transposed", "tile.py", "offset = (i * height + j) * side",
+           "offset = (j * height + i) * side", TILED),
+    Mutant("cut-edge-accepted", "tile.py", "if b in (first[a], second[a]) and d in (first[c], second[c]):",
+           "if True:", ("tests/test_tile.py::test_replayed_seam_falls_through_a_rejected_cached_switch",)),
+    Mutant("cut-ab-accepted", "tile.py", "if b in (first[a], second[a]) and d in", "if d in",
+           ("tests/test_tile.py::test_switch_whose_edge_is_not_on_the_board_is_refused",)),
+    Mutant("cut-cd-accepted", "tile.py", " and d in (first[c], second[c]):", ":",
+           ("tests/test_tile.py::test_switch_whose_edge_is_not_on_the_board_is_refused",)),
+    Mutant("find-switch-avoid-ignored", "tile.py", "if avoid.isdisjoint(", "if True or avoid.isdisjoint(",
+           ("tests/test_tile.py::test_find_switch_without_a_candidate_is_refused",)),
 ]
 
 

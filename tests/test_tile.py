@@ -1,6 +1,6 @@
 import re
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, tee
 
 import pytest
 from hypothesis import given, settings
@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from leapertour.cli import free_leapers
 from leapertour.geom import Leaper, edge
-from leapertour.keygraph import ConstructionError, build_key, cycle_partition, neighbour_arrays
+from leapertour.keygraph import ConstructionError, build_key, cycle_partition, flip, neighbour_arrays
 from leapertour.splice import CycleTracker, Tour, random_bits, splice
 from leapertour.tile import (
     Switch,
-    _first_avoiding,
     find_switch,
     rotate_edges_ccw,
     switch_candidates,
@@ -21,6 +20,7 @@ from leapertour.tile import (
 )
 from leapertour.verify import verify_tour
 from oracles import cycle_partition as oracle_partition
+from oracles import new_edges, old_edges
 from oracles import tile as partition_tile
 
 
@@ -158,14 +158,22 @@ def test_malformed_base_tour_is_refused(change, cell):
 
 
 def test_switch_whose_edge_is_not_on_the_board_is_refused(monkeypatch):
-    # a "switch" whose ab joins two cells of copy (0, 0) that are not tour
-    # neighbours: the in-place flip finds no b at a to drop
-    t = base_tour(1, 2).cells
-    bad = Switch(t[0], t[2], t[5], t[6])
-    monkeypatch.setattr("leapertour.tile.switch_candidates", lambda a, b, leaper: iter([bad]))
-    message = f"cell {t[0]} has no neighbour {t[2]} to flip away"
-    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
-        tile(Leaper(1, 2), 2, 1, base_tour(1, 2))
+    # "switches" whose ab, or cd, joins two cells of copy (0, 0) that are not
+    # tour neighbours: the seam skips them before any flip, so alone they
+    # leave it without a switch, and ahead of the real ones they change nothing
+    leaper, base = Leaper(1, 2), base_tour(1, 2)
+    expected = tile(leaper, 2, 1, base)
+    t = base.cells
+    for bad in (Switch(t[0], t[2], t[5], t[6]), Switch(t[0], t[1], t[5], t[7])):
+        monkeypatch.setattr("leapertour.tile.switch_candidates", lambda a, b, leaper: iter([bad]))
+        with pytest.raises(
+            ConstructionError, match=r"^no switch found between copies \(0, 0\) and \(1, 0\) of the base tour$"
+        ):
+            tile(leaper, 2, 1, base)
+        monkeypatch.setattr(
+            "leapertour.tile.switch_candidates", lambda a, b, leaper: chain([bad], switch_candidates(a, b, leaper))
+        )
+        assert tile(leaper, 2, 1, base) == expected
 
 
 def test_tiling_left_in_pieces_is_refused(monkeypatch):
@@ -227,14 +235,14 @@ def reference_tile(leaper, k, l, base):
         sw = next(
             sw
             for sw in pairwise_switches(placed[sub_a], placed[sub_b], leaper)
-            if not (set(sw.old_edges()) | set(sw.new_edges())) & used
+            if not (set(old_edges(sw)) | set(new_edges(sw))) & used
         )
-        (a1, _), (c1, _) = sw.old_edges()
+        (a1, _), (c1, _) = old_edges(sw)
         assert tracker.find(a1) != tracker.find(c1)
-        all_edges.difference_update(sw.old_edges())
-        all_edges.update(sw.new_edges())
-        used.update(sw.old_edges() + sw.new_edges())
-        for a, b in sw.new_edges():
+        all_edges.difference_update(old_edges(sw))
+        all_edges.update(new_edges(sw))
+        used.update(old_edges(sw) + new_edges(sw))
+        for a, b in new_edges(sw):
             tracker.union(a, b)
     (cells,) = oracle_partition(all_edges)
     return Tour(cells=cells)
@@ -289,17 +297,19 @@ def test_replayed_seam_falls_through_a_rejected_cached_switch(monkeypatch):
                 first.append(sw)
             yield sw
 
-    def first_avoiding(candidates, avoid):
+    def counted(found, n):
+        for ids in found:
+            examined[n] += 1
+            yield ids
+
+    def seam_copy(seam):
+        # each seam takes its own copy of its type's buffered search
+        buffered, found = tee(seam)
         examined.append(0)
-        for sw in candidates:
-            examined[-1] += 1
-            yield sw
+        return buffered, counted(found, len(examined) - 1)
 
     monkeypatch.setattr("leapertour.tile.switch_candidates", search)
-    monkeypatch.setattr(
-        "leapertour.tile._first_avoiding",
-        lambda candidates, avoid: _first_avoiding(first_avoiding(candidates, avoid), avoid),
-    )
+    monkeypatch.setattr("leapertour.tile.tee", seam_copy)
     tour = tile(leaper, 2, 4, base)
     assert tour == expected
     assert verify_tour(tour.cells, 1, 2, 2 * leaper.side, 4 * leaper.side).valid
@@ -377,12 +387,12 @@ def test_every_switch_joins_its_seams_copies_by_edges_on_the_board(pq, seed, k, 
     base = splice(key, random_bits(len(key.rhombus_ids), seed))
     applied = []
 
-    def recording(candidates, avoid):
-        applied.append(_first_avoiding(candidates, avoid))
-        return applied[-1]
+    def recording(first, second, a, b, c, d, height):
+        applied.append(Switch(*(divmod(v, height) for v in (a, b, c, d))))
+        flip(first, second, a, b, c, d, height)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("leapertour.tile._first_avoiding", recording)
+        mp.setattr("leapertour.tile.flip", recording)
         tour = tile(leaper, k, l, base)
     copies = (base.edge_set(), rotate_edges_ccw(base.edge_set(), side))
     board = set().union(
@@ -394,9 +404,9 @@ def test_every_switch_joins_its_seams_copies_by_edges_on_the_board(pq, seed, k, 
     for ((i, j), (i2, j2)), sw in zip(tree, applied):
         assert (sw.a[0] // side, sw.a[1] // side) == (i, j)
         assert (sw.c[0] // side, sw.c[1] // side) == (i2, j2)
-        assert set(sw.old_edges()) <= board
-        board.difference_update(sw.old_edges())
-        board.update(sw.new_edges())
+        assert set(old_edges(sw)) <= board
+        board.difference_update(old_edges(sw))
+        board.update(new_edges(sw))
     assert board == tour.edge_set()
 
 

@@ -1,5 +1,6 @@
 """Print the two source line counts of the package: non-blank lines, and
 code lines, which leave out docstrings and full-line comments as well.
+Then print both counts for each module, which sum to the two totals.
 
 Usage: python tools/src_lines.py
 """
@@ -40,10 +41,12 @@ def counts(source: str) -> tuple[int, int]:
 
 def main() -> None:
     package = Path(__file__).resolve().parent.parent / "src" / "leapertour"
-    files = sorted(package.glob("*.py"))
-    non_blank, code = map(sum, zip(*(counts(f.read_text()) for f in files)))
+    modules = {f.name: counts(f.read_text()) for f in sorted(package.glob("*.py"))}
+    non_blank, code = map(sum, zip(*modules.values()))
     print(f"non-blank lines: {non_blank}")
     print(f"code lines: {code}")
+    for name, (module_non_blank, module_code) in modules.items():
+        print(f"{name}: {module_non_blank} non-blank, {module_code} code")
 
 
 if __name__ == "__main__":
