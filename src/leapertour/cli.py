@@ -1,12 +1,19 @@
 """Command-line interface: generate, verify, fold, and sweep.
 
 Exit codes: 0 success, 1 verification or construction failure, 2 usage error.
+
+`main` runs each command with the cyclic garbage collector paused.  The
+pipeline's data are ints, and tuples and lists of ints, held in records that
+form no reference cycle, so reference counting frees every object a command
+builds when it returns, and a collection during the command frees nothing.
+tests/test_cli.py::test_commands_build_no_reference_cycles guards this.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 from typing import Optional, Sequence
 
@@ -16,7 +23,7 @@ from .geom import Leaper, is_free
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-# generate and fold refuse a larger final board before building anything; a
+# generate, fold and sweep refuse a larger board before building anything; a
 # 313,600-cell (2,5) tiling, 40x40 copies, peaks at 77 MB (ru_maxrss)
 MAX_CELLS = 1_000_000
 
@@ -28,9 +35,9 @@ def _make_leaper(p: int, q: int) -> Leaper:
         raise SystemExit2(str(exc))
 
 
-def _board_size(leaper: Leaper, k: int, l: int) -> tuple[int, int]:
-    """Width and height of k x l copies of the leaper's board, at most MAX_CELLS cells."""
-    width, height = leaper.side * k, leaper.side * l
+def _board_size(side: int, k: int, l: int) -> tuple[int, int]:
+    """Width and height of k x l copies of a board of the side, at most MAX_CELLS cells."""
+    width, height = side * k, side * l
     if width * height > MAX_CELLS:
         raise SystemExit2(
             f"the {width}x{height} board has {width * height} cells, "
@@ -74,7 +81,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             f"--symmetric needs a 1x1 tiling, got {args.tile_k}x{args.tile_l}: "
             "a tiled tour is not centrally symmetric"
         )
-    width, height = _board_size(leaper, args.tile_k, args.tile_l)
+    width, height = _board_size(leaper.side, args.tile_k, args.tile_l)
     # a valid tour lists each board cell once, as the formatters require
     tour = _checked_tour(keygraph.build_key(leaper), args.symmetric, args.seed, args.tile_k, args.tile_l)
     if args.format == "grid":
@@ -120,7 +127,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_fold(args: argparse.Namespace) -> int:
     leaper = _make_leaper(args.p, args.q)
-    _board_size(leaper, 1, 1)
+    _board_size(leaper.side, 1, 1)
     report = fold.check_fold(leaper)
     pm = report.params
     em, en = pm.expected
@@ -168,6 +175,8 @@ def _sweep_one(p: int, q: int) -> str:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.max_sum < 3:
         raise SystemExit2(f"--max-sum must be at least 3, got {args.max_sum}")
+    # refuse N by its largest board, of side 2N, before free_leapers lists every pair
+    _board_size(2 * args.max_sum, 1, 1)
     failures = 0
     for p, q in free_leapers(args.max_sum):
         try:
@@ -217,8 +226,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.
+
+    The command runs with the cyclic garbage collector paused (see the
+    module docstring), which is switched back on only if it was on before.
+    The pause starts after parse_args: the parser's first build leaves
+    argparse's reference cycles, and its usage errors format help text.
+    """
+    args = build_parser().parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except SystemExit2 as exc:
@@ -228,6 +245,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # only generate and fold let one escape: sweep reports its own per leaper
         print(f"error: ({args.p},{args.q})-leaper: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

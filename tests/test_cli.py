@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import gc
 import re
 
 import pytest
@@ -282,6 +283,31 @@ def test_sweep_covers_only_knight_at_sum_3(capsys):
     assert rows[0].startswith("(1,2): pass")
 
 
+def _refuse_listing(max_sum):
+    raise AssertionError("free leapers listed for an oversized sweep")
+
+
+@pytest.mark.parametrize(
+    "max_sum,board,cells", [("501", "1002x1002", 1004004), ("100000", "200000x200000", 40000000000)]
+)
+def test_sweep_above_the_cell_limit_is_usage_error(capsys, monkeypatch, max_sum, board, cells):
+    # the largest board of p + q = max_sum has side 2 * max_sum
+    monkeypatch.setattr(cli, "free_leapers", _refuse_listing)
+    code, out, err = run(capsys, "sweep", "--max-sum", max_sum)
+    assert (code, out, err) == (2, "", f"error: the {board} board has {cells} cells, above the limit of 1000000\n")
+
+
+def test_sweep_at_the_cell_limit_runs(capsys, monkeypatch):
+    assert (2 * 500) ** 2 == cli.MAX_CELLS
+    monkeypatch.setattr(cli, "MAX_CELLS", 6 * 6)
+    code, out, _ = run(capsys, "sweep", "--max-sum", "3")
+    assert code == 0 and out.startswith("(1,2): pass")
+    monkeypatch.setattr(cli, "MAX_CELLS", 6 * 6 - 1)
+    monkeypatch.setattr(cli, "free_leapers", _refuse_listing)
+    code, out, err = run(capsys, "sweep", "--max-sum", "3")
+    assert (code, out, err) == (2, "", "error: the 6x6 board has 36 cells, above the limit of 35\n")
+
+
 def test_sweep_small(capsys):
     code, out, _ = run(capsys, "sweep", "--max-sum", "9")
     assert code == 0
@@ -516,6 +542,77 @@ def test_sweep_reports_a_construction_error_and_goes_on(capsys, monkeypatch):
 def test_sweep_reports_a_pencil_error_and_goes_on(capsys, monkeypatch):
     _push_pencil_off(monkeypatch)
     _assert_every_sweep_row_fails(capsys)
+
+
+def _unexpected_error(monkeypatch):
+    def broken(leaper):
+        raise RuntimeError("not a construction error")
+
+    monkeypatch.setattr(keygraph, "build_key", broken)
+
+
+# commands that end in exit 0, in a usage error raised inside the command
+# (2), in a construction error (1), and in an exception main does not catch;
+# "TOUR" stands for a centrally symmetric (2,5) tour file
+COMMANDS = [
+    (None, ("generate", "--p", "2", "--q", "5"), 0),
+    (None, ("generate", "--p", "2", "--q", "5", "--symmetric"), 0),
+    (None, ("generate", "--p", "2", "--q", "5", "--seed", "3", "--tile-k", "3", "--tile-l", "4", "--format", "grid"), 0),
+    (None, ("fold", "--p", "2", "--q", "5", "--dump"), 0),
+    (None, ("verify", "TOUR", "--require-symmetry"), 0),
+    (None, ("sweep", "--max-sum", "11"), 0),
+    (None, ("generate", "--p", "1", "--q", "2", "--tile-k", "0"), 2),
+    (None, ("generate", "--p", "2", "--q", "4"), 2),
+    (_never_merge, ("generate", "--p", "2", "--q", "5"), 1),
+    (_unexpected_error, ("generate", "--p", "2", "--q", "5"), RuntimeError),
+]
+COMMAND_IDS = [
+    "generate", "symmetric", "tiled", "fold-dump", "verify", "sweep",
+    "tile-k-0", "not-free", "construction-error", "unexpected-error",
+]
+
+
+def _run_command(tmp_path, capsys, monkeypatch, inject, argv, code):
+    """Run one of COMMANDS through main and check its exit code."""
+    if "TOUR" in argv:
+        tour = tmp_path / "sym.txt"
+        assert run(capsys, "generate", "--p", "2", "--q", "5", "--symmetric", "--output", str(tour))[0] == 0
+        argv = tuple(str(tour) if a == "TOUR" else a for a in argv)
+    if inject:
+        inject(monkeypatch)
+    if code is RuntimeError:
+        with pytest.raises(RuntimeError):
+            main(list(argv))
+    else:
+        assert run(capsys, *argv)[0] == code
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("inject,argv,code", COMMANDS, ids=COMMAND_IDS)
+def test_collector_state_comes_back_as_it_was(tmp_path, capsys, monkeypatch, enabled, inject, argv, code):
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        _run_command(tmp_path, capsys, monkeypatch, inject, argv, code)
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+@pytest.mark.parametrize("inject,argv,code", COMMANDS, ids=COMMAND_IDS)
+def test_commands_build_no_reference_cycles(tmp_path, capsys, monkeypatch, inject, argv, code):
+    # main pauses the collector during a command, which leaks nothing only
+    # while a command's objects form no reference cycle: with the collector
+    # off, the collection after the command finds nothing to free
+    was = gc.isenabled()
+    try:
+        gc.disable()
+        cli.build_parser()  # its first build leaves argparse's cycles
+        gc.collect()
+        _run_command(tmp_path, capsys, monkeypatch, inject, argv, code)
+        assert gc.collect() == 0
+    finally:
+        gc.enable() if was else gc.disable()
 
 
 def test_determinism_same_seed_byte_identical(tmp_path, capsys):

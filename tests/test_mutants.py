@@ -137,6 +137,13 @@ MUTANTS = [
            ("tests/test_cli.py::test_construction_error_is_one_error_line[asymmetric]",)),
     Mutant("cli-fold-failure-accepted", "cli.py", "if not (report.matches and report.folding_connected):",
            "if False:", ("tests/test_cli.py::test_sweep_failure_is_the_located_fail_row[fold-mismatch]",)),
+    # main's pause of the cyclic collector, and its restore of the state found
+    Mutant("cli-collector-not-paused", "cli.py", "    gc.disable()\n", "",
+           ("tests/test_complexity.py::test_generate_starts_no_garbage_collection",)),
+    Mutant("cli-collector-not-restored", "cli.py", "            gc.enable()\n", "            pass\n",
+           ("tests/test_cli.py::test_collector_state_comes_back_as_it_was[generate-enabled]",)),
+    Mutant("cli-collector-always-enabled", "cli.py", "if enabled:", "if True:",
+           ("tests/test_cli.py::test_collector_state_comes_back_as_it_was[generate-disabled]",)),
     # the independent validator's checks, is_free, and components' order
     Mutant("cell-count-check-weakened", "verify.py", "cell_count_ok=(n == width * height),",
            "cell_count_ok=(n <= width * height),", ("tests/test_verify.py::test_truncated_tour_fails_count",)),
