@@ -70,7 +70,6 @@ class Rhombus:
     """A 4-cycle of leaper moves with cells in cyclic order a, b, c, d."""
 
     cells: tuple[Cell, Cell, Cell, Cell]
-    kind: str  # "forward" or "backward"
 
     def edges(self) -> tuple[Edge, Edge, Edge, Edge]:
         a, b, c, d = self.cells
@@ -95,11 +94,7 @@ class KeyGraph:
 
     @cached_property
     def rhombi(self) -> tuple[Rhombus, ...]:
-        cell, forward = self.cells, self.leaper.q * self.leaper.side + self.leaper.p  # the first move (q, p)
-        return tuple(
-            Rhombus(tuple(map(cell.__getitem__, r)), "forward" if r[1] - r[0] == forward else "backward")
-            for r in self.rhombus_ids
-        )
+        return tuple(Rhombus(tuple(map(self.cells.__getitem__, r))) for r in self.rhombus_ids)
 
     @cached_property
     def inner_edges(self) -> frozenset[Edge]:

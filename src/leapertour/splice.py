@@ -52,20 +52,19 @@ class Tour:
 
 
 class CycleTracker:
-    """Disjoint sets over cell ids, one per cycle (per mirror class in the
-    symmetric splice).  The tracker works in place on the parent list it is
-    given: parent[x] leads toward x's representative r, and parent[r] == r."""
+    """Disjoint sets over cells, one per cycle (per mirror class in the
+    symmetric splice), in place on the parent list or dict it is given:
+    parent[x] leads toward x's representative r, and parent[r] == r; find
+    points each cell on its path at its grandparent, which moves no root."""
 
     def __init__(self, parent):
         self.parent = parent
 
     def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
 
     def union(self, x, y) -> bool:
         rx, ry = self.find(x), self.find(y)

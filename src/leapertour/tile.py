@@ -6,13 +6,13 @@ Copies of the base tour are placed in a checkerboard of translated and
 da are also legal moves.  Flipping the switches along a spanning tree of
 the subboard grid splices all copies into one Hamiltonian tour.  Since
 every copy is the base tour or its rotation, the tree has only four seam
-types.  Each type's switches are searched for lazily, on the two copies'
-q-wide strips along the seam only, as ids x * height + y at the origin; a
-never-advanced tee copy of the search buffers them for every later seam of
-that type, which adds its copy's offset.  The copies fill the board's
-neighbour arrays on those ids, each switch flips them in place, and one
-walk proves the tour.  Failure messages name the copies but not the leaper,
-which the caller names.
+types.  A type's first seam cuts the copies' q-wide strips along it from
+the cell orders of the base and its quarter turn, and searches them lazily
+for switches as ids x * height + y at the origin; a never-advanced tee copy
+buffers them for every later seam of that type, which adds its offset.  The
+copies fill the board's neighbour arrays on those ids, each switch flips
+them in place, and one walk proves the tour.  Failure messages name the
+copies but not the leaper, which the caller names.
 """
 
 from __future__ import annotations
@@ -47,12 +47,6 @@ def translate_edges(edges: Iterable[Edge], dx: int, dy: int) -> frozenset[Edge]:
     return frozenset(
         edge((a[0] + dx, a[1] + dy), (b[0] + dx, b[1] + dy)) for a, b in edges
     )
-
-
-# The ccw turn (x, y) -> (side-1-y, x) takes base strips to turned ones, keyed
-# (axis, high) with axis 0 for x: x >= side - q from y < q, x < q from
-# y >= side - q, and y from x.
-_TURNED_FROM = {(0, 1): (1, 0), (0, 0): (1, 1), (1, 1): (0, 1), (1, 0): (0, 0)}
 
 
 def switch_candidates(
@@ -111,8 +105,9 @@ def tile(leaper: Leaper, k: int, l: int, base: Tour) -> Tour:
 
     As bc and da are moves, a switch across a seam along x has a, b in the
     lower copy's strip x >= side - q and c, d in the upper's x < q, and
-    likewise in y; switch_candidates keeps the order of the edges it is
-    given, so the strips give whole copies' switches in the same order.
+    likewise in y: the edges of that copy's cell order with both ends in it.
+    switch_candidates keeps the order of the edges it is given, so the
+    strips give whole copies' switches in the same order.
 
     A seam takes the first candidate with b still a neighbour of a, and d of
     c, which is the first none of whose edges an earlier switch used: its bc
@@ -132,18 +127,10 @@ def tile(leaper: Leaper, k: int, l: int, base: Tour) -> Tour:
     if k == 1 and l == 1:
         return base
 
-    edges, q, far = base.edge_set(), leaper.q, side - leaper.q
-    strips: tuple[dict[tuple[int, int], frozenset[Edge]], ...] = ({}, {})
-    for axis in (0, 1):
-        strips[0][axis, 0] = frozenset([e for e in edges if e[0][axis] < q and e[1][axis] < q])
-        strips[0][axis, 1] = frozenset([e for e in edges if e[0][axis] >= far and e[1][axis] >= far])
-    for turned, of in _TURNED_FROM.items():
-        strips[1][turned] = rotate_edges_ccw(strips[0][of], side)
-
     # a copy's cyclic ids, its orientation's at the origin plus an offset, give each its two neighbours
-    height = l * side
-    rotated = [(side - 1 - y, x) for x, y in base.cells]
-    orders = [[x * height + y for x, y in cells] for cells in (base.cells, rotated)]
+    height, q = l * side, leaper.q
+    turns = (base.cells, [(side - 1 - y, x) for x, y in base.cells])  # the base and its ccw quarter turn
+    orders = [[x * height + y for x, y in cells] for cells in turns]
     first, second = [0] * (k * height * side), [0] * (k * height * side)
     for i in range(k):
         for j in range(l):
@@ -162,8 +149,11 @@ def tile(leaper: Leaper, k: int, l: int, base: Tour) -> Tour:
         di, dj, parity = i2 - i, j2 - j, (i + j) % 2
         kind = (di, dj, parity)
         if kind not in seams:  # dj is the strips' axis: 0 (x) for a seam along x
-            lower = strips[parity][dj, 1]
-            upper = translate_edges(strips[1 - parity][dj, 0], di * side, dj * side)
+            lower, upper = (
+                frozenset(edge(u, v) for u, v in zip(cells[-1:] + cells, cells) if lo <= u[dj] < hi and lo <= v[dj] < hi)
+                for cells, lo, hi in ((turns[parity], side - q, side), (turns[1 - parity], 0, q))
+            )
+            upper = translate_edges(upper, di * side, dj * side)
             seams[kind] = (
                 tuple(x * height + y for x, y in (sw.a, sw.b, sw.c, sw.d))
                 for sw in switch_candidates(lower, upper, leaper)

@@ -209,23 +209,27 @@ def test_tile_searches_the_two_seam_strips_not_whole_copies(monkeypatch):
 
     monkeypatch.setattr(tile, "switch_candidates", counting_candidates)
     monkeypatch.setattr(tile, "translate_edges", counting_translate)
-    for (p, q), grids, bound in (((2, 5), (2, 4, 8), 72), ((1, 20), (2,), 1454)):
+    for (p, q), grids, bound in (
+        ((2, 5), ((2, 2), (4, 4), (8, 8), (4, 1), (1, 4)), 72),  # one-axis grids meet two of the four seam kinds
+        ((1, 20), ((2, 2),), 1454),
+    ):
         leaper = Leaper(p, q)
         key = keygraph.build_key(leaper)
         base = splice.splice(key, [0] * len(key.rhombus_ids))
-        for n in grids:
+        for k, l in grids:
             sizes.clear()
-            tile.tile(leaper, n, n, base)
-            assert sizes and max(sizes) <= min(bound, q * leaper.side), (p, q, n, sizes)
+            tile.tile(leaper, k, l, base)
+            assert sizes and max(sizes) <= min(bound, q * leaper.side), (p, q, k, l, sizes)
 
 
 def test_tile_builds_no_switch_or_edge_per_seam(monkeypatch):
     # each seam type's switches are built once, as cells, and mapped to ids;
     # a seam adds its copy's offset and tests the neighbour arrays, so the
-    # Switch objects and tile.edge calls (strips turned and translated) are
-    # the same on every grid: 8 and 279 when this guard was set, where
-    # shifting cell switches and a used set of cell edges made 23, 71 and
-    # 263 switches and 399, 783 and 2,319 edge calls at 4x4, 8x8 and 16x16
+    # Switch objects and tile.edge calls (strips cut and translated) are
+    # the same on every grid: 8 and 417 now, 8 and 279 when this guard was
+    # set and only the turned strips called it, where shifting cell switches
+    # and a used set of cell edges made 23, 71 and 263 switches and 399, 783
+    # and 2,319 edge calls at 4x4, 8x8 and 16x16
     built, edges = [], []
     real_switch, real_edge = tile.Switch, tile.edge
 

@@ -409,7 +409,7 @@ def _oracle_key(leaper):
         (cores.forward[0], ((q, p), (p, q), (-q, -p), (-p, -q)), "forward"),
         (cores.backward[0], ((q, -p), (-p, q), (-q, p), (p, -q)), "backward"),
     ):
-        rhombi += [Rhombus(path[:4], kind) for path in pencil(base, dirs)]
+        rhombi += [Rhombus(path[:4]) for path in pencil(base, dirs)]
     inner = {e for r in rhombi for e in r.edges()}
 
     mirrors = (

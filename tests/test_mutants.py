@@ -164,12 +164,12 @@ MUTANTS = [
     Mutant("components-larger-neighbour-first", "keygraph.py", "stack = sorted(adj[start], reverse=True)",
            "stack = sorted(adj[start])", ("tests/test_splice.py::test_engine_matches_the_generic_engine_to_21",)),
     # tile's seam strips (their three mutants when they landed)
-    Mutant("strips-narrower", "tile.py", "edges, q, far = base.edge_set(), leaper.q, side - leaper.q",
-           "edges, q, far = base.edge_set(), leaper.q - 1, side - leaper.q + 1", TILED),
-    Mutant("far-strip-strict", "tile.py", "e[0][axis] >= far and e[1][axis] >= far",
-           "e[0][axis] > far and e[1][axis] > far", TILED),
-    Mutant("turned-strips-swapped", "tile.py", "_TURNED_FROM = {(0, 1): (1, 0), (0, 0): (1, 1),",
-           "_TURNED_FROM = {(0, 1): (1, 1), (0, 0): (1, 0),", TILED),
+    Mutant("strips-narrower", "tile.py", "((turns[parity], side - q, side), (turns[1 - parity], 0, q))",
+           "((turns[parity], side - q + 1, side), (turns[1 - parity], 0, q - 1))", TILED),
+    Mutant("far-strip-strict", "tile.py", "if lo <= u[dj] < hi and lo <= v[dj] < hi",
+           "if lo < u[dj] < hi and lo < v[dj] < hi", TILED),
+    Mutant("turned-strips-swapped", "tile.py", "(turns[parity], side - q, side)", "(turns[1 - parity], side - q, side)",
+           TILED),
     # tile's seams on ids: the offset, and the arrays test of the old edges,
     # which no natural tiling fails, and the folded filter of find_switch
     Mutant("seam-offset-transposed", "tile.py", "offset = (i * height + j) * side",

@@ -770,6 +770,32 @@ def test_halving_cycles_are_its_components(nx, pq, seed):
     assert len({tracker.find(c) for c in range(key.leaper.side ** 2)}) == components
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 30).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60)
+        )
+    ),
+    st.booleans(),
+)
+def test_cycle_tracker_finds_the_networkx_components(nx, graph_spec, as_dict):
+    # random unions on a list or a dict of parents: a union merges exactly
+    # when its ends are apart, and find names one root per component
+    n, edges = graph_spec
+    tracker = splice_module.CycleTracker({x: x for x in range(n)} if as_dict else list(range(n)))
+    merges = sum(tracker.union(a, b) for a, b in edges)
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from(edges)
+    components = list(nx.connected_components(graph))
+    assert merges == n - len(components)
+    roots = [{tracker.find(x) for x in component} for component in components]
+    assert all(len(root) == 1 for root in roots)
+    assert len(set().union(*roots)) == len(components)
+    assert all(tracker.parent[r] == r for (r,) in roots)
+
+
 def _agrees_with_the_generic_engine(pq, seed):
     """Both splices, and the degree proof and cycle partition, against the
     engine on generic searches in oracles: the same tours, cycles and
