@@ -4,24 +4,23 @@ A pseudotour is one matching bit per rhombus, and a flip toggles a
 rhombus's bit; when the two current matching edges lie on different cycles,
 the flip merges them.  Both splices share one engine over a list of bits,
 and it runs on the key graph's id view (see keygraph), in lists indexed by
-cell id.  It fills the halving's neighbour arrays once, and
-cycle_partition labels each cycle with the id of its first cell; those
-labels seed a CycleTracker, and each merge flip unions two of them.  At the
-end each flipped rhombus flips its four cells in the arrays, and one_cycle
-proves a single tour.  The plain splice makes one pass of merge flips over
-all rhombi, and the symmetric one a pass over partner pairs after joining
-each cycle to its mirror image.  Ids turn back into cells only in Tour.cells and in error
-messages.  build_key proves the key graph centrally symmetric where its
-pencils are emitted, so the symmetric splice takes each rhombus's mirror
-from its index and checks only its own bits, once, at the end.
+cell id.  It fills the halving's neighbour arrays once, refusing a cell of
+degree other than 2, and cycle_partition labels each cycle with the id of
+its first cell; those labels seed a CycleTracker, and each merge flip
+unions two of them and flips the rhombus's four cells in the arrays at
+once.  one_cycle then proves a single tour.  The plain splice makes one
+pass of merge flips over all rhombi, and the symmetric one a pass over
+partner pairs after joining each cycle to its mirror image.  Ids turn back
+into cells only in Tour.cells and in error messages.  build_key proves the
+key graph centrally symmetric where its pencils are emitted, so the
+symmetric splice takes each rhombus's mirror from its index and checks only
+its own bits, once, at the end.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import compress
-from operator import ne
 from typing import Sequence
 
 from .geom import Cell, Edge, edge
@@ -82,18 +81,19 @@ def random_bits(count: int, seed: int | None) -> list[int]:
     return [rng.getrandbits(1) for _ in range(count)]
 
 
-def _tracked_halving(key: KeyGraph, bits: Sequence[int]) -> tuple[list[int], CycleTracker, Arrays | None]:
-    """A copy of the bits, a tracker of the cycles of the halving they pick,
-    over cell ids, each labelled with the id of its first cell, and that
-    halving's neighbour arrays.  A cell whose degree is not 2 leaves the
-    arrays None: the generic search labels the components, and _single_tour
-    names the cell after the checks the splices make before it.
+def _tracked_halving(key: KeyGraph, bits: Sequence[int]) -> tuple[Arrays, CycleTracker]:
+    """The neighbour arrays of the halving the bits pick, and a tracker of
+    its cycles over cell ids, each labelled with the id of its first cell.
+    Raise, naming a cell, if a cell's degree is not 2, as halve does, and
+    then if the key graph is not connected.  A cell's degree is the same in
+    every halving, as both matchings of a rhombus cover its four cells.
     """
     side = key.leaper.side
     halving = neighbour_arrays(halving_ids(key, bits), side * side)
-    cycles = cycle_partition(*halving) if halving else components(id_adjacency(halving_ids(key, bits), side * side))
+    if halving is None:
+        raise degree_error(halving_ids(key, bits), side * side, side)
     roots = [0] * side * side
-    for cycle in cycles:
+    for cycle in cycle_partition(*halving):
         for c in cycle:
             roots[c] = cycle[0]
 
@@ -106,41 +106,34 @@ def _tracked_halving(key: KeyGraph, bits: Sequence[int]) -> tuple[list[int], Cyc
         reached = set(components(id_adjacency(links, len(roots)))[0])
         cell = divmod(next(c for c, r in enumerate(roots) if r not in reached), side)
         raise ConstructionError(f"key graph is not connected: cell {cell} is not reached from cell (0, 0)")
-    return list(bits), CycleTracker(roots), halving
+    return halving, CycleTracker(roots)
 
 
-def _merge_flip(key: KeyGraph, bits: list[int], tracker: CycleTracker, i: int) -> bool:
+def _flip_rhombus(key: KeyGraph, halving: Arrays, bits: list[int], i: int) -> None:
+    """Toggle rhombus i's bit and swap its matching in the halving's arrays."""
+    r, bit = key.rhombus_ids[i], bits[i]
+    flip(*halving, *r[bit:], *r[:bit], key.leaper.side)  # matching 1 of abcd is matching 0 of bcda
+    bits[i] ^= 1
+
+
+def _merge_flip(key: KeyGraph, halving: Arrays, bits: list[int], tracker: CycleTracker, i: int) -> bool:
     """Flip rhombus i iff its matching edges, through a and c, lie in
     different sets of the tracker, recording their union; True iff it flipped."""
     a, _, c, _ = key.rhombus_ids[i]
     merged = tracker.union(a, c)
     if merged:
-        bits[i] ^= 1
+        _flip_rhombus(key, halving, bits, i)
     return merged
 
 
-def _single_tour(key: KeyGraph, start: Sequence[int], bits: Sequence[int], halving: Arrays | None, what: str) -> Tour:
-    """The tour the bits' halving forms, checked to be one cycle over the
-    whole board: each rhombus whose bit is no longer its start bit flips its
-    matching in the start halving's arrays, and one_cycle walks them.  A
-    cell's degree is the same in every halving, as both matchings of a
-    rhombus cover its four cells, so the final bits name a degree failure.
-    The tour keeps every outer edge, as it has as many edges as the halving."""
-    side = key.leaper.side
-    if halving is None:
-        raise degree_error(halving_ids(key, bits), side * side, side)
-    first, second = halving
-    for r, bit in compress(zip(key.rhombus_ids, start), map(ne, start, bits)):
-        flip(first, second, *r[bit:], *r[:bit], side)  # matching 1 of abcd is matching 0 of bcda
-    return Tour(one_cycle(first, second, side, what))
-
-
 def splice(key: KeyGraph, bits: Sequence[int]) -> Tour:
-    """Single fixed-order pass of cycle-merging flips over all rhombi."""
-    flipped, tracker, halving = _tracked_halving(key, bits)
+    """Single fixed-order pass of cycle-merging flips over all rhombi.  The
+    tour keeps every outer edge, as flips change only rhombus edges."""
+    halving, tracker = _tracked_halving(key, bits)
+    flipped = list(bits)
     for i in range(len(key.rhombus_ids)):
-        _merge_flip(key, flipped, tracker, i)
-    return _single_tour(key, bits, flipped, halving, "splice")
+        _merge_flip(key, halving, flipped, tracker, i)
+    return Tour(one_cycle(*halving, key.leaper.side, "splice"))
 
 
 def _rhombus_cells(key: KeyGraph, i: int) -> tuple[Cell, ...]:
@@ -195,8 +188,8 @@ def symmetric_splice(key: KeyGraph) -> Tour:
     pairs.  A self-mirror cycle joins by a triple flip, which also toggles
     the centre rhombus; the centre also flips at the start iff its matching
     edges lie on two cycles, which mirror each other and so are not
-    self-mirror.  Either way it toggles (self-mirror cycles + 1) mod 2
-    times.  A self-paired rhombus joins no two classes: its matching edges
+    self-mirror.  So it flips once at the end iff the self-mirror cycles
+    are even in number.  A self-paired rhombus joins no two classes: its matching edges
     mirror each other, as a self-mirror edge's vector (side-1-2x, side-1-2y)
     is odd in both coordinates, and a leaper move is even in one.  The key's
     symmetry is build_key's invariant; _find_center_rhombus checks the one
@@ -204,8 +197,8 @@ def symmetric_splice(key: KeyGraph) -> Tour:
     """
     last = key.leaper.side ** 2 - 1
     partners = _partners(key)
-    start = symmetric_halving_bits(key, partners)
-    bits, tracker, halving = _tracked_halving(key, start)
+    bits = symmetric_halving_bits(key, partners)
+    halving, tracker = _tracked_halving(key, bits)
     i1 = _find_center_rhombus(key)
     label = list(tracker.parent)  # each id's halving cycle, before any union
     self_mirror = 0
@@ -213,11 +206,12 @@ def symmetric_splice(key: KeyGraph) -> Tour:
         self_mirror += label[last - c] == c
         tracker.union(c, last - c)
     for i, j in enumerate(partners):
-        if i < j and _merge_flip(key, bits, tracker, i):
-            bits[j] ^= 1
-    bits[i1] ^= (self_mirror + 1) % 2
+        if i < j and _merge_flip(key, halving, bits, tracker, i):
+            _flip_rhombus(key, halving, bits, j)
+    if self_mirror % 2 == 0:
+        _flip_rhombus(key, halving, bits, i1)
     _check_mirrored_bits(key, bits, partners)
-    return _single_tour(key, start, bits, halving, "symmetric splice")
+    return Tour(one_cycle(*halving, key.leaper.side, "symmetric splice"))
 
 
 def canonicalize(tour: Tour) -> Tour:

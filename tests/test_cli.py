@@ -419,11 +419,18 @@ def _asymmetric(monkeypatch):
     monkeypatch.setattr(verify, "verify_central_symmetry", lambda *a: False)
 
 
-def _drop_outer_edges(monkeypatch):
-    """Make the plain splice run on the key graph without its outer edges,
-    which leaves the corner cells (0, 0) and (0, 1) isolated."""
+def _keep_only_the_halving(monkeypatch):
+    """Make the plain splice run on a key graph that is only its all-zero
+    halving, as outer edges without rhombi: every cell keeps degree 2, and
+    the halving's cycles, more than one for each leaper run here, are its
+    components."""
     real = splice.splice
-    monkeypatch.setattr(splice, "splice", lambda key, bits: real(dataclasses.replace(key, outer_ids=()), bits))
+
+    def halving_only(key, bits):
+        halving = tuple(keygraph.halving_ids(key, [0] * len(key.rhombus_ids)))
+        return real(dataclasses.replace(key, rhombus_ids=(), outer_ids=halving), [])
+
+    monkeypatch.setattr(splice, "splice", halving_only)
 
 
 @pytest.mark.parametrize(
@@ -463,9 +470,9 @@ def _drop_outer_edges(monkeypatch):
             r"self-verification failed: tour is not centrally symmetric",
         ),
         (
-            _drop_outer_edges,
+            _keep_only_the_halving,
             ("generate",),
-            r"key graph is not connected: cell \(0, 1\) is not reached from cell \(0, 0\)",
+            r"key graph is not connected: cell \(0, 2\) is not reached from cell \(0, 0\)",
         ),
     ],
     ids=[
@@ -532,11 +539,15 @@ def _assert_every_sweep_row_fails(capsys):
 def test_sweep_reports_a_construction_error_and_goes_on(capsys, monkeypatch):
     # a disconnected key graph fails every row; never merging would pass the
     # small leapers whose halvings need no merge
-    _drop_outer_edges(monkeypatch)
+    _keep_only_the_halving(monkeypatch)
     _assert_every_sweep_row_fails(capsys)
     code, out, _ = run(capsys, "sweep", "--max-sum", "9")
-    message = "FAIL  key graph is not connected: cell (0, 1) is not reached from cell (0, 0)"
-    assert all(row.endswith(message) for row in out.splitlines()), out
+    # each row names the smallest cell off its halving's cycle through (0, 0)
+    cells = [(0, 2), (0, 2), (0, 1), (0, 2), (0, 2), (0, 2), (0, 2), (0, 1), (0, 1)]
+    assert out.splitlines() == [
+        f"({p},{q}): FAIL  key graph is not connected: cell {cell} is not reached from cell (0, 0)"
+        for (p, q), cell in zip(free_leapers(9), cells, strict=True)
+    ]
 
 
 def test_sweep_reports_a_pencil_error_and_goes_on(capsys, monkeypatch):

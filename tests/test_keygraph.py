@@ -405,9 +405,9 @@ def _oracle_key(leaper):
             yield tuple(path)
 
     rhombi = []
-    for base, dirs, kind in (
-        (cores.forward[0], ((q, p), (p, q), (-q, -p), (-p, -q)), "forward"),
-        (cores.backward[0], ((q, -p), (-p, q), (-q, p), (p, -q)), "backward"),
+    for base, dirs in (
+        (cores.forward[0], ((q, p), (p, q), (-q, -p), (-p, -q))),
+        (cores.backward[0], ((q, -p), (-p, q), (-q, p), (p, -q))),
     ):
         rhombi += [Rhombus(path[:4]) for path in pencil(base, dirs)]
     inner = {e for r in rhombi for e in r.edges()}

@@ -42,6 +42,8 @@ GOLDEN_SYMMETRIC = "tests/test_golden.py::test_output_is_byte_identical[symmetri
 GUARD = "tests/test_complexity.py::test_build_key_makes_no_per_edge_loop"
 VERIFY_ORACLE = "tests/test_verify.py::test_verify_tour_agrees_with_the_oracle_on_any_cell_list"
 SYMMETRY_ORACLE = "tests/test_verify.py::test_central_symmetry_agrees_with_the_oracle_on_any_cell_list"
+PLAIN = "tests/test_splice.py::test_splice_2_5_random_halvings"
+FLIP_COUNTS = "tests/test_splice.py::test_splices_flip_each_rhombus_once_per_merge"
 TILED = (
     "tests/test_acceptance.py::test_criterion_7_tiled_tours",
     "tests/test_golden.py::test_output_is_byte_identical[tile-2-5-seed3-3x4-grid]",
@@ -94,6 +96,16 @@ MUTANTS = [
            "if False:", ("tests/test_splice.py::test_key_without_a_centre_rhombus_is_refused",), blind=True),
     Mutant("mirrored-bits-check-dropped", "splice.py", "        if bits[i] != bits[j]:\n", "        if False:\n",
            ("tests/test_splice.py::test_mirrored_bits_check_rejects_unpaired_bits",), blind=True),
+    # the splices' flips in place: the centre's parity and the partner's
+    # flip, which only the symmetric splice makes, and arrays left unflipped
+    Mutant("centre-parity-inverted", "splice.py", "    if self_mirror % 2 == 0:\n", "    if self_mirror % 2 == 1:\n",
+           (SYMMETRIC, FLIP_COUNTS)),
+    Mutant("partner-flip-dropped", "splice.py", "            _flip_rhombus(key, halving, bits, j)\n",
+           "            pass\n", (SYMMETRIC, FLIP_COUNTS)),
+    Mutant("merge-flips-only-the-bit", "splice.py", "        _flip_rhombus(key, halving, bits, i)\n",
+           "        bits[i] ^= 1\n", (SYMMETRIC, PLAIN)),
+    Mutant("helper-array-flip-dropped", "splice.py", "    flip(*halving, *r[bit:], *r[:bit], key.leaper.side)",
+           "    pass", (SYMMETRIC, PLAIN)),
     # ConstructionError sites: each raise skipped
     Mutant("move-check-dropped", "keygraph.py", "if (u - x, v - y) not in moves:", "if False:",
            ("tests/test_keygraph.py::test_non_leaper_move_names_the_edge",)),

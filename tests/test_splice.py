@@ -98,11 +98,16 @@ def test_flip_merges_cycles_when_edges_on_different_cycles(key25):
     zeros = [0] * len(key25.rhombi)
     before = len(oracle_partition(halving_edges(key25, zeros)))
     for i in range(len(key25.rhombi)):
-        bits, tracker, _ = _tracked_halving(key25, zeros)
-        if _merge_flip(key25, bits, tracker, i):
+        halving, tracker = _tracked_halving(key25, zeros)
+        bits = list(zeros)
+        if _merge_flip(key25, halving, bits, tracker, i):
             assert len(oracle_partition(halving_edges(key25, bits))) == before - 1
+            # the arrays were flipped in place to the new bits' halving
+            side = key25.leaper.side
+            rebuilt = keygraph.neighbour_arrays(halving_ids(key25, bits), side * side)
+            assert list(map(sorted, zip(*halving))) == list(map(sorted, zip(*rebuilt)))
             # both matching edges now lie on one cycle, so it stays put
-            assert not _merge_flip(key25, bits, tracker, i) and bits[i] == 1
+            assert not _merge_flip(key25, halving, bits, tracker, i) and bits[i] == 1
             break
     else:
         pytest.skip("all-zero halving produced a single cycle")
@@ -421,12 +426,20 @@ def _split_keys(key):
 @pytest.mark.parametrize("case", [0, 1], ids=["no-outer", "halving-only"])
 def test_disconnected_key_graph_fails_loudly(nx, key25, case):
     # the named cell is the smallest one off cell (0, 0)'s component of the
-    # key graph, found here by networkx
+    # key graph, found here by networkx; a halving with a cell of degree
+    # other than 2, as without the outer graph, names its first such cell
+    # before connectivity is checked
     key, bits = _split_keys(key25)[case]
     graph = nx.Graph(key.edges)
     graph.add_nodes_from(key.cells)
-    off = min(set(key.cells) - nx.node_connected_component(graph, (0, 0)))
-    message = f"key graph is not connected: cell {off} is not reached from cell (0, 0)"
+    halving = nx.Graph(halving_edges(key, bits))
+    halving.add_nodes_from(key.cells)
+    odd = [c for c in sorted(key.cells) if halving.degree(c) != 2]
+    if odd:
+        message = f"cell {odd[0]} has degree {halving.degree(odd[0])}, expected 2"
+    else:
+        off = min(set(key.cells) - nx.node_connected_component(graph, (0, 0)))
+        message = f"key graph is not connected: cell {off} is not reached from cell (0, 0)"
     with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
         splice(key, bits)
     with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
@@ -603,11 +616,11 @@ def test_bits_made_asymmetric_mid_run_are_named_at_the_end(monkeypatch):
     k = next(k for k, j in enumerate(partners) if j != k)
     real, calls = splice_module._merge_flip, []
 
-    def straying(key, bits, tracker, i):
+    def straying(key, halving, bits, tracker, i):
         calls.append(i)
-        merged = real(key, bits, tracker, i)
+        merged = real(key, halving, bits, tracker, i)
         if len(calls) == 3:  # at the third pair
-            bits[k] ^= 1
+            splice_module._flip_rhombus(key, halving, bits, k)
         return merged
 
     monkeypatch.setattr(splice_module, "_merge_flip", straying)
@@ -618,16 +631,16 @@ def test_bits_made_asymmetric_mid_run_are_named_at_the_end(monkeypatch):
 
 
 def _never_flip(monkeypatch, key):
-    monkeypatch.setattr(splice_module, "_merge_flip", lambda key, bits, tracker, i: False)
+    monkeypatch.setattr(splice_module, "_merge_flip", lambda *args: False)
 
 
 def _flip_one_pair_only(monkeypatch, key):
     real, flipped = splice_module._merge_flip, []
 
-    def one_only(key, bits, tracker, i):
-        merged = not flipped and real(key, bits, tracker, i)
+    def one_only(*args):
+        merged = not flipped and real(*args)
         if merged:
-            flipped.append(i)
+            flipped.append(args[-1])
         return merged
 
     monkeypatch.setattr(splice_module, "_merge_flip", one_only)
@@ -635,18 +648,18 @@ def _flip_one_pair_only(monkeypatch, key):
 
 def _triple_flip_forgets_the_centre(monkeypatch, key):
     # paired seed-0 bits put a triple flip on (2,5); the centre rhombus's
-    # toggle is undone after the mirrored-bits check, so the in-place flips
-    # and the final walk see it untoggled
+    # flip is skipped, in its bit and in the arrays, so the mirrored-bits
+    # check passes and the final walk sees it unflipped
     bits = _paired_random_bits(key, 0)
     monkeypatch.setattr(splice_module, "symmetric_halving_bits", lambda key, partners: list(bits))
     centre = _find_center_rhombus(key)
-    real = splice_module._check_mirrored_bits
+    real = splice_module._flip_rhombus
 
-    def forgetting(key, bits, partners):
-        real(key, bits, partners)
-        bits[centre] ^= 1
+    def forgetting(key, halving, bits, i):
+        if i != centre:
+            real(key, halving, bits, i)
 
-    monkeypatch.setattr(splice_module, "_check_mirrored_bits", forgetting)
+    monkeypatch.setattr(splice_module, "_flip_rhombus", forgetting)
 
 
 # The ids name the growth-loop check each fault reached before the splice
@@ -744,6 +757,29 @@ def test_splice_matches_oracle_on_random_halvings(pq, seed):
 
 
 @settings(max_examples=40, deadline=None)
+@given(st.sampled_from(LEAPERS_TO_21), st.none() | st.integers(0, 2**32 - 1))
+def test_splices_flip_each_rhombus_once_per_merge(pq, seed):
+    # the plain splice flips one rhombus per merge of the halving's cycles;
+    # the symmetric one flips a partner pair per merge of its mirror
+    # classes, and the centre iff the self-mirror cycles are even in number
+    key = _key(*pq)
+    side = key.leaper.side
+    bits = random_bits(len(key.rhombus_ids), seed)
+    flips, real = [], splice_module._flip_rhombus
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(splice_module, "_flip_rhombus", lambda *args: flips.append(args[-1]) or real(*args))
+        splice(key, bits)
+        plain = flips[:]
+        flips.clear()
+        symmetric_splice(key)
+    assert len(set(plain)) == len(plain) == len(halve(key, bits).cycles) - 1
+    cycles = halve(key, [0] * len(key.rhombus_ids)).cycles
+    self_mirror = sum(mirror(cycle[0], side) in cycle for cycle in cycles)
+    classes = (len(cycles) - self_mirror) // 2 + self_mirror
+    assert len(set(flips)) == len(flips) == 2 * (classes - 1) + (self_mirror % 2 == 0)
+
+
+@settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from(LEAPERS_TO_21),
     st.integers(0, 2**32 - 1),
@@ -766,7 +802,7 @@ def test_halving_cycles_are_its_components(nx, pq, seed):
     graph = nx.Graph(halving_edges(key, bits))
     components = nx.number_connected_components(graph)
     assert len(halve(key, bits).cycles) == components
-    _, tracker, _ = _tracked_halving(key, bits)
+    _, tracker = _tracked_halving(key, bits)
     assert len({tracker.find(c) for c in range(key.leaper.side ** 2)}) == components
 
 
