@@ -6,10 +6,13 @@ moves joining corresponding cells of the four like-kind cores; their union
 is the inner graph.  Six boundary pencils and their reflections, 24
 pairwise disjoint pencils, form the outer graph.  A pencil is a rectangle
 of cells swept by one move (a rhombus pencil by four in turn), so both
-graphs are built, and their moves, degrees and central symmetry checked,
-pencil by pencil.  The key graph is the union of the two, and halving every
-rhombus (keeping one of its two perfect matchings) turns it into a
-pseudotour: a spanning subgraph in which every cell has degree two.
+graphs are built, and their moves, degrees, central symmetry and the
+distinctness of their edges checked, pencil by pencil: each pencil step is
+a family of edges, a rectangle of lower ends and one id step, and no two
+families of one step have rectangles that meet.  The key graph is the
+union of the two, and halving every rhombus (keeping one of its two perfect
+matchings) turns it into a pseudotour: a spanning subgraph in which every
+cell has degree two.
 
 build_key builds the key graph on cell ids, and a KeyGraph stores them:
 the cell (x, y) has the id x * side + y, so id order is lexicographic cell
@@ -32,7 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, combinations, groupby, repeat
 from operator import itemgetter, sub
 from typing import Hashable, Iterable, Iterator, Sequence, TypeVar
 
@@ -148,34 +151,51 @@ def _check_move(a: int, b: int, side: int, moves: frozenset[Direction]) -> None:
         raise ConstructionError(f"illegal move {min((x, y), (u, v))}-{max((x, y), (u, v))}")
 
 
-def build_inner(leaper: Leaper) -> tuple[list[tuple[int, ...]], set[IdEdge]]:
-    """All rhombi (as two pencils of closed 4-cycles of cell ids, forward
-    first) and their edge union, proved leaper moves and pairwise distinct.
-    Every path of a pencil is its base cell plus the same shifts, so one
-    path shows the pencil closed and one edge shows each step legal."""
-    p, q = leaper.p, leaper.q
-    side = leaper.side
-    moves = leaper.directions()
-    cores = build_cores(leaper)
-    rhombi: list[tuple[int, ...]] = []
-    edges: list[IdEdge] = []
-    for base, dirs in (
-        (cores.forward[0], ((q, p), (p, q), (-q, -p), (-p, -q))),
-        (cores.backward[0], ((q, -p), (-p, q), (-q, p), (p, -q))),
+def build_inner(leaper: Leaper) -> tuple[list[list[tuple[int, ...]]], list[tuple[int, ...]]]:
+    """The rhombi, as two pencils of closed 4-cycles of cell ids, forward
+    first, proved leaper moves, and the families of their eight steps (see
+    build_key).  Every path of a pencil is its base cell plus the same
+    shifts, so one path shows the pencil closed and one edge shows each
+    step legal."""
+    p, q, side = leaper.p, leaper.q, leaper.side
+    moves, cores = leaper.directions(), build_cores(leaper)
+    pencils: list[list[tuple[int, ...]]] = []
+    families: list[tuple[int, ...]] = []
+    for kind, dirs in (
+        (cores.forward, ((q, p), (p, q), (-q, -p), (-p, -q))),
+        (cores.backward, ((q, -p), (-p, q), (-q, p), (p, -q))),
     ):
-        paths = expand_pencil(PencilSpec(base, dirs), side)
+        paths = expand_pencil(PencilSpec(kind[0], dirs), side)
         if paths[0][4] != paths[0][0]:
             raise ConstructionError(f"rhombus pencil not closed at {divmod(paths[0][0], side)}")
-        rhombi += map(itemgetter(slice(4)), paths)
-        columns = list(zip(*paths))[:4]  # vertex k of every rhombus
-        for a, b in zip(columns, columns[1:] + columns[:1]):
-            _check_move(a[0], b[0], side, moves)
-            edges += zip(a, b) if a[0] < b[0] else zip(b, a)
-    unique = set(edges)
-    if len(unique) != len(edges):
-        a, b = next(e for e, n in Counter(edges).items() if n > 1)
-        raise ConstructionError(f"two rhombi share the edge {(divmod(a, side), divmod(b, side))}")
-    return rhombi, unique
+        pencils.append(list(map(itemgetter(slice(4)), paths)))
+        for k, (a, b) in enumerate(zip(paths[0], paths[0][1:])):
+            _check_move(a, b, side, moves)
+            low = kind[k] if a < b else kind[(k + 1) % 4]
+            families.append((abs(b - a), low.x1, low.x2, low.y1, low.y2))
+    return pencils, families
+
+
+def _families_meet(families: Sequence[tuple[int, ...]]) -> bool:
+    """True iff two of the families share an edge.  A family (d, x1, x2, y1,
+    y2) is a pencil step's edges (i, i + d), d > 0, for each id i of the
+    cells x1 <= x < x2, y1 <= y < y2, the rectangle of their lower ends.  An
+    edge is its lower end and its step, so two families share one iff their
+    steps are equal and their rectangles meet; sorted, the families of each
+    step come together."""
+    return any(x1 < u2 and u1 < x2 and y1 < v2 and v1 < y2 for _, group in groupby(sorted(families), itemgetter(0))
+               for (_, x1, x2, y1, y2), (_, u1, u2, v1, v2) in combinations(group, 2))
+
+
+def _inner_edges(columns: Sequence[tuple[int, ...]]) -> list[IdEdge]:
+    """The rhombus edges, smaller id first, from the vertex columns of the
+    two pencils: each pencil's step 0 of every rhombus, then step 1, ..."""
+    return [e for c in (columns[:4], columns[4:]) for a, b in zip(c, c[1:] + c[:1]) for e in zip(*sorted((a, b)))]
+
+
+def _first_repeat(edges: Iterable[IdEdge]) -> IdEdge | None:
+    """The first edge listed more than once, or None."""
+    return next((e for e, n in Counter(edges).items() if n > 1), None)
 
 
 def _outer_pencils(leaper: Leaper) -> list[PencilSpec]:
@@ -190,20 +210,21 @@ def _outer_pencils(leaper: Leaper) -> list[PencilSpec]:
     ]
 
 
-def build_outer(leaper: Leaper) -> tuple[list[IdEdge], list[int]]:
+def build_outer(leaper: Leaper) -> tuple[list[IdEdge], list[int], list[tuple[int, ...]]]:
     """The edges of the six boundary pencils and all their reflections, as
     id edges, smaller id first, proved leaper moves and centrally symmetric,
-    and their degrees as a difference array over the ids.
+    their degrees as a difference array over the ids, and the family of
+    each of the 24 copies.
 
     A pencil's reflection is the reflected move swept over the reflected
     rectangle, so reflect maps only two corners and one move's end, and a
     centre copy mirrors its identity copy (a horizontal its vertical) iff id
     i to side**2 - 1 - i maps those three ids onto the other's.  Each column
     of the rectangle of the edges' lower ends gives its edges in one zip."""
-    side, last = leaper.side, leaper.side ** 2 - 1
-    moves = leaper.directions()
+    side, last, moves = leaper.side, leaper.side ** 2 - 1, leaper.directions()
     edges: list[IdEdge] = []
     degrees = [0] * (side * side + 1)
+    families: list[tuple[int, ...]] = []
     for spec in _outer_pencils(leaper):
         _, (dx, dy) = pencil_shifts(spec, side)  # the rectangle and its shift lie on the board
         rect = spec.base
@@ -214,6 +235,7 @@ def build_outer(leaper: Leaper) -> tuple[list[IdEdge], list[int]]:
             _check_move(a, c, side, moves)
             xs, ys = zip(divmod(a, side), divmod(b, side))
             lo, d = min(xs) * side + min(ys) + min(c - a, 0), abs(c - a)
+            families.append((d, lo // side, lo // side + width, lo % side, lo % side + height))
             for s in range(lo, lo + width * side, side):
                 edges += zip(range(s, s + height), range(s + d, s + d + height))
                 degrees[s] += 1
@@ -224,7 +246,7 @@ def build_outer(leaper: Leaper) -> tuple[list[IdEdge], list[int]]:
             if [last - a, last - b, last - c] != image:
                 named = (divmod(min(a, c), side), divmod(max(a, c), side))
                 raise ConstructionError(f"outer edge {named} has no central mirror")
-    return edges, degrees
+    return edges, degrees, families
 
 
 def build_key(leaper: Leaper) -> KeyGraph:
@@ -236,57 +258,79 @@ def build_key(leaper: Leaper) -> KeyGraph:
 
     A cell needs inner degree 2e and outer degree 2 - e, for the number e of
     cores holding it: vertex k of a pencil's rhombi runs over its core k row
-    by row, and the outer degrees' difference array, less 2 - e, is all
-    zero; else the edges are counted, to name a cell.  The degree check
-    implies the paper's sizes.  The memberships e of the
-    eight (q-p)-square cores sum to 8(q-p)**2, so inner degree 2e gives
-    8(q-p)**2 inner edges, that is 2(q-p)**2 rhombi, as build_inner rejects a
-    shared edge; outer degree 2 - e gives side**2 - 4(q-p)**2 = 16pq outer
-    edges, and the union's size shows them distinct.
+    by row, and the outer degrees' difference array is that of 2 - e.  The
+    degree check implies the paper's sizes: the memberships e of the eight
+    (q-p)-square cores sum to 8(q-p)**2, so inner degree 2e gives 8(q-p)**2
+    inner edges, that is 2(q-p)**2 rhombi, and outer degree 2 - e gives
+    side**2 - 4(q-p)**2 = 16pq outer edges, once the edges are shown
+    distinct.  They are shown distinct on 32 families, not edge by edge.  A
+    family is one pencil step: an id step d > 0 and the rectangle of its
+    edges' lower ends, its edges (i, i + d) for each id i of the rectangle.
+      1. Once vertex k of a rhombus pencil is core k, the edges between
+         vertices k and k + 1 are core k swept by the move v_k: the cores
+         are (q-p)-squares, so every rhombus takes the same id step, and the
+         lower ends are core k, or core k + 1 if v_k lowers the id.  An
+         outer copy is its rectangle swept by one move, and build_outer
+         emits exactly its family.
+      2. An edge is its lower end and its id step, so two families share an
+         edge iff their steps are equal and their rectangles meet; within a
+         family the lower ends differ.  As |dy| < side / 2, an id step is
+         one move up to its sign.
+      3. In a pencil v2 = -v0 and v3 = -v1, so steps k and k + 2 take one id
+         step, and their lower ends are two of the pencil's cores: the
+         rhombi share no edge iff those cores miss each other.  No forward
+         move equals a backward move or its opposite, as p >= 1.
+      4. An outer copy shares an edge with a rhombus family or another copy
+         only if their steps are equal and their rectangles meet, so
+         _families_meet decides distinctness in at most 32 * 31 / 2 tests.
+    So the key is accepted when vertex k of each pencil is core k, the
+    degree arrays agree and no two families of one step meet.  If any
+    of these fails, the edges are listed and counted, in the order of the
+    checks, to name the failure: a shared rhombus edge before the outer
+    pencils are built, then an edge of both graphs, a cell's degree, and an
+    outer edge repeated with every degree balanced.
 
     The mirror of rhombus i, a, b, c, d stored as c*, d*, a*, b*, is rhombus
     w**2 - 1 - i of its pencil, w = q - p.  No outer edge is its own mirror:
     its vector (side-1-2x, side-1-2y) is odd in both coordinates, a move even in one."""
-    side, size = leaper.side, leaper.side ** 2
+    side, size, last = leaper.side, leaper.side ** 2, leaper.side ** 2 - 1
     cores = build_cores(leaper)
-    rhombi, inner = build_inner(leaper)
-    outer, outer_degrees = build_outer(leaper)
-
-    distinct = len(inner.union(outer)) == len(inner) + len(outer)
-    if not distinct and not inner.isdisjoint(outer):
-        shared = tuple(divmod(c, side) for c in min(inner.intersection(outer)))
-        raise ConstructionError(f"inner and outer graphs share the edge {shared}")
-
+    pencils, families = build_inner(leaper)
     held, core_ids = [0] * (size + 1), []
-    outer_degrees[0] -= 2
-    outer_degrees[size] += 2
+    wanted = [2] + [0] * (size - 1) + [-2]  # the difference array of outer degrees 2 - e
     for core in cores.all():
         height, starts = core.y2 - core.y1, range(core.x1 * side + core.y1, core.x2 * side + core.y1, side)
         core_ids.append(tuple(chain.from_iterable(map(range, starts, range(starts[0] + height, size, side)))))
         for s in starts:
             held[s] += 1
             held[s + height] -= 1
-            outer_degrees[s] += 1
-            outer_degrees[s + height] -= 1
+            wanted[s] -= 1
+            wanted[s + height] += 1
     membership = list(accumulate(held[:size]))
-    half, last = len(rhombi) // 2, size - 1
-    columns = [*zip(*rhombi[:half]), *zip(*rhombi[half:])]  # vertex k of each pencil's rhombi
-    if columns != core_ids or any(outer_degrees):
+    columns = [column for pencil in pencils for column in zip(*pencil)]  # vertex k of each pencil's rhombi
+    proved = columns == core_ids and not _families_meet(families)
+    if not proved and (shared := _first_repeat(_inner_edges(columns))):
+        raise ConstructionError(f"two rhombi share the edge {tuple(divmod(c, side) for c in shared)}")
+
+    outer, outer_degrees, outer_families = build_outer(leaper)
+    if not proved or outer_degrees != wanted or _families_meet(families + outer_families):
+        inner = set(_inner_edges(columns))
+        if both := inner.intersection(outer):
+            raise ConstructionError(f"inner and outer graphs share the edge {tuple(divmod(c, side) for c in min(both))}")
         deg_inner, deg_outer = Counter(chain.from_iterable(inner)), Counter(chain.from_iterable(outer))
         for i, e in enumerate(membership):
             if deg_inner[i] != 2 * e or deg_outer[i] != 2 - e:
                 at = f"{divmod(i, side)}: membership {e}, inner {deg_inner[i]}, outer {deg_outer[i]}"
                 raise ConstructionError(f"degree mismatch at {at}")
-    if not distinct:  # a repeat the degrees do not show: other edges at its ends are missing
-        a, b = next(e for e, n in Counter(outer).items() if n > 1)
-        raise ConstructionError(f"outer graph repeats the edge {(divmod(a, side), divmod(b, side))}")
+        if repeated := _first_repeat(outer):  # a repeat the degrees do not show: other edges at its ends are missing
+            raise ConstructionError(f"outer graph repeats the edge {tuple(divmod(c, side) for c in repeated)}")
 
     for a, b, c, d in (columns[:4], columns[4:]):
         if tuple(map(sub, repeat(last), c)) != a[::-1] or tuple(map(sub, repeat(last), d)) != b[::-1]:
             r = next(r for r, m in zip(zip(a, b, c, d), zip(a[::-1], b[::-1])) if (last - r[2], last - r[3]) != m)
             raise ConstructionError(f"rhombus {tuple(divmod(v, side) for v in r)} has no central mirror")
 
-    return KeyGraph(leaper, cores, tuple(rhombi), tuple(outer), membership)
+    return KeyGraph(leaper, cores, tuple(chain(*pencils)), tuple(outer), membership)
 
 
 def id_adjacency(edges: Iterable[IdEdge], n: int) -> list[list[int]]:
@@ -357,13 +401,13 @@ def walk(first: list[int], second: list[int], start: int) -> list[int]:
 
 def cycle_partition(first: list[int], second: list[int]) -> list[list[int]]:
     """The cycles of a two-factor's neighbour arrays, in the canonical order
-    of components: each from its smallest id toward its smaller neighbour."""
-    seen, cycles = [False] * len(first), []
-    for start in range(len(first)):
-        if not seen[start]:
-            cycles.append(walk(first, second, start))
-            for c in cycles[-1]:
-                seen[c] = True
+    of components: each from its smallest id toward its smaller neighbour.
+    Each next start is the first unseen id, found by one scan from the last."""
+    seen, cycles, start = [False] * (len(first) + 1), [], 0  # the last, a sentinel, ends the scan
+    while (start := seen.index(False, start)) < len(first):
+        cycles.append(walk(first, second, start))
+        for c in cycles[-1]:
+            seen[c] = True
     return cycles
 
 

@@ -7,8 +7,10 @@ every rung: a stage whose work should not grow with the board, or
 should grow linearly, then fails here before it shows on a benchmark.
 """
 
+import builtins
 import gc
 import sys
+import tracemalloc
 from collections import Counter
 
 import leapertour.cli as cli
@@ -336,3 +338,33 @@ def test_generate_starts_no_garbage_collection(tmp_path):
     finally:
         gc.callbacks.remove(hook)
     assert counts == [0, 0, 0, 0], counts
+
+
+def test_build_key_builds_no_edge_container_on_its_valid_path(monkeypatch):
+    # build_key proves its edges distinct on 32 pencil families, so a valid
+    # key hashes no edge into a set or Counter, and the memory it takes for
+    # a while, beyond the key it returns, stays flat per cell: 108, 121 and
+    # 127 bytes at (1,20), (1,40) and (1,80) when this guard was set, where
+    # listing and hashing every rhombus edge and uniting them with the outer
+    # edges took 186, 266 and 301
+    made = []
+    for name in ("set", "frozenset", "Counter"):
+        real = getattr(keygraph, name, None) or getattr(builtins, name)
+
+        def counting(*args, real=real, name=name):
+            made.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(keygraph, name, counting, raising=False)
+    per_cell = []
+    for q in (20, 40, 80):
+        leaper = Leaper(1, q)
+        keygraph.build_key(leaper)  # warm the allocator's free lists
+        tracemalloc.start()
+        key = keygraph.build_key(leaper)
+        kept, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        per_cell.append((peak - kept) / leaper.side ** 2)
+        del key
+    assert made == []
+    assert all(n <= 160 for n in per_cell), per_cell

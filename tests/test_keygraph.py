@@ -63,16 +63,18 @@ def test_core_side_is_q_minus_p(p, q):
 
 
 def test_inner_2_5_counts():
-    rhombi, edges = build_inner(Leaper(2, 5))
-    assert len(rhombi) == 18  # 2 * (q-p)^2
-    assert len(edges) == 72  # 4 edges each, none shared
+    pencils, families = build_inner(Leaper(2, 5))
+    assert [len(pencil) for pencil in pencils] == [9, 9]  # 2 * (q-p)^2 rhombi
+    assert len(families) == 8  # 4 steps per pencil
+    assert sum((x2 - x1) * (y2 - y1) for _, x1, x2, y1, y2 in families) == 72  # 4 edges each
+    assert not keygraph._families_meet(families)  # none shared
 
 
 def test_forward_rhombus_at_pp():
     p, q = 2, 5
     side = 2 * (p + q)
-    rhombi, _ = build_inner(Leaper(p, q))
-    (r,) = [r for r in rhombi if r[0] == p * side + p]
+    (forward, _), _ = build_inner(Leaper(p, q))
+    (r,) = [r for r in forward if r[0] == p * side + p]
     cells = tuple(divmod(i, side) for i in r)
     assert cells == ((p, p), (p + q, 2 * p), (2 * p + q, 2 * p + q), (2 * p, p + q))
 
@@ -80,8 +82,9 @@ def test_forward_rhombus_at_pp():
 @pytest.mark.parametrize("p,q", FREE_SMALL)
 def test_outer_size_and_reflection_invariance(p, q):
     leaper = Leaper(p, q)
-    outer, _ = build_outer(leaper)  # a list: the 24 reflected pencils are disjoint
+    outer, _, families = build_outer(leaper)  # a list: the 24 reflected pencils are disjoint
     assert len(outer) == len(set(outer)) == 16 * p * q
+    assert len(families) == 24 and not keygraph._families_meet(families)
     assert all(a < b for a, b in outer)
     ends = list(zip(*outer))
     for which in ("vertical", "center", "horizontal"):
@@ -248,6 +251,39 @@ def test_tuple_view_follows_replaced_ids():
     assert bare.inner_edges == frozenset(e for r in key.rhombi[:3] for e in r.edges())
 
 
+def _family_edges(family, side):
+    """The edges (i, i + d) of a family, for each id i of its rectangle."""
+    d, x1, x2, y1, y2 = family
+    return [(x * side + y, x * side + y + d) for x in range(x1, x2) for y in range(y1, y2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(free_leapers(41)))
+def test_families_are_the_stored_edges_and_pairwise_disjoint(pq):
+    # the premise of build_key's distinctness proof, on the edges it stores
+    leaper = Leaper(*pq)
+    key, side = build_key(leaper), leaper.side
+    inner, outer = build_inner(leaper)[1], build_outer(leaper)[2]
+    rhombus_edges = [tuple(sorted(e)) for r in key.rhombus_ids for e in zip(r, r[1:] + r[:1])]
+    assert sorted(e for f in inner for e in _family_edges(f, side)) == sorted(rhombus_edges)
+    assert sorted(e for f in outer for e in _family_edges(f, side)) == sorted(key.outer_ids)
+    edges = [e for f in inner + outer for e in _family_edges(f, side)]
+    assert len(set(edges)) == len(edges)
+    assert not keygraph._families_meet(inner + outer)
+
+
+# a step d of 1 or 2, and a rectangle (x, y, width, height) that lies on the 8 x 8 board
+FAMILY = st.tuples(st.integers(1, 2), st.integers(0, 4), st.integers(0, 4), st.integers(1, 3), st.integers(1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(FAMILY, min_size=2, max_size=4))
+def test_families_meet_iff_they_share_an_edge(specs):
+    families = [(d, x, x + w, y, y + h) for d, x, y, w, h in specs]
+    edges = [set(_family_edges(f, 8)) for f in families]
+    assert keygraph._families_meet(families) == any(a & b for i, a in enumerate(edges) for b in edges[i + 1:])
+
+
 # Guards for build_key's invariants.  Each patches the table of outer
 # pencils, or the rhombus pencils expand_pencil returns, so that exactly one
 # check fires, and asserts that check's message.
@@ -337,15 +373,19 @@ def test_repeated_pencil_is_named_by_the_degree_check(monkeypatch):
 
 def test_repeat_with_balanced_degrees_names_the_edge(monkeypatch):
     # the outer edges (a, x) and (b, y) become (a, b) again and (x, y): every
-    # degree stays, so only the distinctness check sees the repeat
+    # degree stays, and the new edges join the families as one-cell steps,
+    # so only the families' rectangle test sees the repeat
     real = keygraph.build_outer
 
     def rewired(leaper):
-        outer, degrees = real(leaper)
+        outer, degrees, families = real(leaper)
         a, b = outer[0]
         (x,) = (v for e in outer if a in e and b not in e for v in e if v != a)
         (y,) = (v for e in outer if b in e and a not in e for v in e if v != b)
-        return [e for e in outer if {a, x} != set(e) != {b, y}] + [(a, b), (min(x, y), max(x, y))], degrees
+        added = [(a, b), (min(x, y), max(x, y))]
+        cells = [divmod(i, leaper.side) for i, _ in added]
+        steps = [(j - i, u, u + 1, v, v + 1) for (i, j), (u, v) in zip(added, cells)]
+        return [e for e in outer if {a, x} != set(e) != {b, y}] + added, degrees, families + steps
 
     monkeypatch.setattr(keygraph, "build_outer", rewired)
     with pytest.raises(
@@ -374,6 +414,17 @@ def test_open_rhombus_pencil_names_its_first_cell(monkeypatch):
 
 def test_repeated_rhombus_names_the_shared_edge(monkeypatch):
     _patch_rhombus_pencils(monkeypatch, lambda paths: paths + paths[:1])
+    with pytest.raises(
+        ConstructionError, match=r"^two rhombi share the edge \(\(2, 2\), \(7, 4\)\)$"
+    ):
+        build_key(Leaper(2, 5))
+
+
+def test_shared_rhombus_edge_is_named_before_the_outer_pencils_fail(monkeypatch):
+    # the rhombi are checked before the outer pencils are built, so a key
+    # with a bent outer move as well still names the shared edge
+    _patch_rhombus_pencils(monkeypatch, lambda paths: paths + paths[:1])
+    _patch_outer(monkeypatch, lambda specs, p, q, side: specs.__setitem__(0, PencilSpec(specs[0].base, ((q, p + 1),))))
     with pytest.raises(
         ConstructionError, match=r"^two rhombi share the edge \(\(2, 2\), \(7, 4\)\)$"
     ):

@@ -43,6 +43,7 @@ GUARD = "tests/test_complexity.py::test_build_key_makes_no_per_edge_loop"
 VERIFY_ORACLE = "tests/test_verify.py::test_verify_tour_agrees_with_the_oracle_on_any_cell_list"
 SYMMETRY_ORACLE = "tests/test_verify.py::test_central_symmetry_agrees_with_the_oracle_on_any_cell_list"
 PLAIN = "tests/test_splice.py::test_splice_2_5_random_halvings"
+STORED_FAMILIES = "tests/test_keygraph.py::test_families_are_the_stored_edges_and_pairwise_disjoint"
 FLIP_COUNTS = "tests/test_splice.py::test_splices_flip_each_rhombus_once_per_merge"
 TILED = (
     "tests/test_acceptance.py::test_criterion_7_tiled_tours",
@@ -76,9 +77,10 @@ MUTANTS = [
            "map(range, starts, range(starts[0] + height - 1, size, side))", (GUARD,), blind=True),
     Mutant("core-run-dropped", "keygraph.py", "range(core.x1 * side + core.y1, core.x2 * side + core.y1, side)",
            "range(core.x1 * side + core.y1, (core.x2 - 1) * side + core.y1, side)", (KEY, SYMMETRIC), blind=True),
-    Mutant("degree-proof-skipped", "keygraph.py", "if columns != core_ids or any(outer_degrees):", "if False:",
-           ("tests/test_keygraph.py::test_dropped_pencil_is_named_by_the_degree_check",
-            "tests/test_keygraph.py::test_missing_rhombus_is_named_by_the_degree_check"), blind=True),
+    Mutant("degree-proof-skipped", "keygraph.py", "if not proved or outer_degrees != wanted or", "if not proved or",
+           ("tests/test_keygraph.py::test_dropped_pencil_is_named_by_the_degree_check",), blind=True),
+    Mutant("core-columns-unchecked", "keygraph.py", "proved = columns == core_ids and not", "proved = not",
+           ("tests/test_keygraph.py::test_missing_rhombus_is_named_by_the_degree_check",), blind=True),
     Mutant("outer-edges-shortened", "keygraph.py", "edges += zip(range(s, s + height), range(s + d, s + d + height))",
            "edges += zip(range(s, s + height - 1), range(s + d, s + d + height - 1))", (KEY,), blind=True),
     # the central-symmetry checks this key invariant replaced in the splice
@@ -111,12 +113,29 @@ MUTANTS = [
            ("tests/test_keygraph.py::test_non_leaper_move_names_the_edge",)),
     Mutant("open-pencil-accepted", "keygraph.py", "if paths[0][4] != paths[0][0]:", "if False:",
            ("tests/test_keygraph.py::test_open_rhombus_pencil_names_its_first_cell",)),
-    Mutant("shared-rhombus-edge-accepted", "keygraph.py", "if len(unique) != len(edges):", "if False:",
+    Mutant("shared-rhombus-edge-accepted", "keygraph.py",
+           "if not proved and (shared :=", "if False and (shared :=",
            ("tests/test_keygraph.py::test_repeated_rhombus_names_the_shared_edge",)),
-    Mutant("inner-outer-overlap-accepted", "keygraph.py", "if not distinct and not inner.isdisjoint(outer):",
+    Mutant("inner-outer-overlap-accepted", "keygraph.py", "if both := inner.intersection(outer):",
            "if False:", ("tests/test_keygraph.py::test_pencil_repeating_a_rhombus_edge_overlaps",)),
-    Mutant("outer-repeat-accepted", "keygraph.py", "if not distinct:  # a repeat", "if False:  # a repeat",
+    Mutant("outer-repeat-accepted", "keygraph.py", "if repeated := _first_repeat(outer):", "if False:",
            ("tests/test_keygraph.py::test_repeat_with_balanced_degrees_names_the_edge",)),
+    # build_key's distinctness proof on families: a meet test that never
+    # fires, a core moved onto another so that two families meet, and the
+    # families' own description of the edges they stand for
+    Mutant("families-never-meet", "keygraph.py", "    return any(x1 < u2",
+           "    return False and any(x1 < u2",
+           ("tests/test_keygraph.py::test_repeat_with_balanced_degrees_names_the_edge",
+            "tests/test_keygraph.py::test_families_meet_iff_they_share_an_edge")),
+    Mutant("families-meet-when-touching", "keygraph.py", "x1 < u2 and u1 < x2", "x1 <= u2 and u1 <= x2",
+           ("tests/test_keygraph.py::test_families_meet_iff_they_share_an_edge",)),
+    Mutant("core-moved-onto-core-0", "keygraph.py", "Subboard(2 * p, p + q, p + q, 2 * q),",
+           "Subboard(2 * p, p + q, p, q),", (KEY,)),
+    Mutant("rhombus-family-of-upper-ends", "keygraph.py", "kind[k] if a < b else kind[(k + 1) % 4]", "kind[k]",
+           (STORED_FAMILIES,)),
+    Mutant("outer-family-transposed", "keygraph.py",
+           "lo // side, lo // side + width, lo % side, lo % side + height",
+           "lo // side, lo // side + height, lo % side, lo % side + width", (STORED_FAMILIES,)),
     Mutant("pencil-off-board-accepted", "geom.py", "if not (0 <= x + dx < side and 0 <= y + dy < side):",
            "if False:", ("tests/test_keygraph.py::test_pencil_off_the_board_names_the_cell",)),
     Mutant("flip-without-neighbour", "keygraph.py", "        if row[x] != old:\n", "        if False:\n",
@@ -175,6 +194,10 @@ MUTANTS = [
            ("tests/test_verify.py::test_is_free",)),
     Mutant("components-larger-neighbour-first", "keygraph.py", "stack = sorted(adj[start], reverse=True)",
            "stack = sorted(adj[start])", ("tests/test_splice.py::test_engine_matches_the_generic_engine_to_21",)),
+    # cycle_partition's scan for each next unseen start
+    Mutant("partition-scan-skips-one", "keygraph.py", "seen.index(False, start)) < len(first):",
+           "seen.index(False, start + 1)) < len(first):",
+           ("tests/test_keygraph.py::test_id_partition_equals_the_tuple_oracle_on_halvings",)),
     # tile's seam strips (their three mutants when they landed)
     Mutant("strips-narrower", "tile.py", "((turns[parity], side - q, side), (turns[1 - parity], 0, q))",
            "((turns[parity], side - q + 1, side), (turns[1 - parity], 0, q - 1))", TILED),

@@ -516,7 +516,7 @@ def test_key_without_a_centre_rhombus_is_refused(monkeypatch, key25):
 def test_more_fixed_forward_rhombi_are_named(monkeypatch, key25):
     # a rhombus is its own mirror only if it is centred on the board, so two
     # more fixed forward rhombi are copies of the centre rhombus: put in for
-    # rhombus 0 and its partner 8, they share its edges, and build_inner
+    # rhombus 0 and its partner 8, they share its edges, and build_key
     # names the first
     i1 = _find_center_rhombus(key25)
     _patch_forward_pencil(monkeypatch, lambda paths: [paths[i1] if i in (0, 8) else p for i, p in enumerate(paths)])
