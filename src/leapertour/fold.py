@@ -15,7 +15,7 @@ vertex order and vertices()[i] turns an id back into its vertex.  The
 (x, y, f) tuple edges, which fold --dump prints, are a view derived on
 first read.  One table over cell ids, filled one core column at a time,
 holds every cell's projections; each outer path is found by walking it
-from its smaller end, and keygraph.components decides connectivity.
+from its smaller end, and a keygraph.CycleTracker decides connectivity.
 """
 
 from __future__ import annotations
@@ -28,11 +28,10 @@ from operator import add
 from .geom import Leaper, is_free
 from .keygraph import (
     ConstructionError,
+    CycleTracker,
     IdEdge,
     KeyGraph,
     build_key,
-    components,
-    id_adjacency,
 )
 
 # A vertex of a two-floor graph: (x, y, floor) with floor 1 or 2.
@@ -228,8 +227,8 @@ def locate_failure(report: FoldReport) -> str:
         a, b = min(report.folding.ids ^ report.crisscross.ids)
         holder = "the folding graph" if (a, b) in report.folding.ids else name
         return f"folding graph differs from {name}: only {holder} has the edge {vertex[a]}-{vertex[b]}"
-    parts = _components(report.folding)
-    return f"folding graph has {len(parts)} components, the second from vertex {vertex[parts[1][0]]}"
+    tracker, count = _joined(report.folding)
+    return f"folding graph has {count} components, the second from vertex {vertex[tracker.first_apart()]}"
 
 
 def crisscross_reduce(m: int, n: int) -> tuple[int, int]:
@@ -253,11 +252,12 @@ def crisscross_reduce(m: int, n: int) -> tuple[int, int]:
     return reduced
 
 
-def _components(graph: TwoFloorGraph) -> list[list[int]]:
-    """The vertex-id components of the whole two-floor vertex grid."""
-    return components(id_adjacency(graph.ids, 2 * (2 * graph.t + 1) ** 2))
+def _joined(graph: TwoFloorGraph) -> tuple[CycleTracker, int]:
+    """A tracker of the two-floor grid's vertex ids joined by the edges, and the number of components."""
+    tracker = CycleTracker(list(range(2 * (2 * graph.t + 1) ** 2)))
+    return tracker, len(tracker.parent) - tracker.join(graph.ids)
 
 
 def is_connected(graph: TwoFloorGraph) -> bool:
     """True iff the edges connect the whole two-floor vertex grid."""
-    return len(_components(graph)) <= 1
+    return _joined(graph)[1] <= 1

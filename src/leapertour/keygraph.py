@@ -24,9 +24,9 @@ from the ids on first read; error messages name cells too.  A two-factor
 is two neighbour arrays, first and second, indexed by id: neighbour_arrays
 fills them with a degree proof, and cycle_partition walks every cycle, as
 halve does.  The splice engine and tile flip their arrays in place, and
-one_cycle, one walk from id 0, proves a single tour.  The depth-first
-search over id neighbour lists, components, serves is_connected_edges,
-fold's connectivity check and the failure paths.
+one_cycle, one walk from id 0, proves a single tour.  CycleTracker's
+disjoint sets answer every connectivity question: the splices' merges,
+is_connected_edges, fold's check, and the cell a failure names.
 ConstructionError lives in geom and is re-exported here under its name.
 """
 
@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, combinations, groupby, repeat
+from itertools import accumulate, chain, combinations, groupby, repeat, starmap
 from operator import itemgetter, sub
 from typing import Hashable, Iterable, Iterator, Sequence, TypeVar
 
@@ -193,6 +193,11 @@ def _inner_edges(columns: Sequence[tuple[int, ...]]) -> list[IdEdge]:
     return [e for c in (columns[:4], columns[4:]) for a, b in zip(c, c[1:] + c[:1]) for e in zip(*sorted((a, b)))]
 
 
+def _mirror(rect: Subboard, side: int) -> Subboard:
+    """The central mirror of a rectangle: its ids in row order are the rectangle's, mirrored and reversed."""
+    return Subboard(side - rect.x2, side - rect.x1, side - rect.y2, side - rect.y1)
+
+
 def _first_repeat(edges: Iterable[IdEdge]) -> IdEdge | None:
     """The first edge listed more than once, or None."""
     return next((e for e, n in Counter(edges).items() if n > 1), None)
@@ -291,7 +296,9 @@ def build_key(leaper: Leaper) -> KeyGraph:
     outer edge repeated with every degree balanced.
 
     The mirror of rhombus i, a, b, c, d stored as c*, d*, a*, b*, is rhombus
-    w**2 - 1 - i of its pencil, w = q - p.  No outer edge is its own mirror:
+    w**2 - 1 - i of its pencil, w = q - p.  Once vertex k is core k, that is
+    core 2 mirroring core 0 and core 3 core 1 (_mirror); only if it fails are
+    the ids compared, to name the rhombus.  No outer edge is its own mirror:
     its vector (side-1-2x, side-1-2y) is odd in both coordinates, a move even in one."""
     side, size, last = leaper.side, leaper.side ** 2, leaper.side ** 2 - 1
     cores = build_cores(leaper)
@@ -325,48 +332,13 @@ def build_key(leaper: Leaper) -> KeyGraph:
         if repeated := _first_repeat(outer):  # a repeat the degrees do not show: other edges at its ends are missing
             raise ConstructionError(f"outer graph repeats the edge {tuple(divmod(c, side) for c in repeated)}")
 
-    for a, b, c, d in (columns[:4], columns[4:]):
-        if tuple(map(sub, repeat(last), c)) != a[::-1] or tuple(map(sub, repeat(last), d)) != b[::-1]:
-            r = next(r for r, m in zip(zip(a, b, c, d), zip(a[::-1], b[::-1])) if (last - r[2], last - r[3]) != m)
-            raise ConstructionError(f"rhombus {tuple(divmod(v, side) for v in r)} has no central mirror")
+    if not proved or any(_mirror(c, side) != a or _mirror(d, side) != b for a, b, c, d in (cores.forward, cores.backward)):
+        for a, b, c, d in (columns[:4], columns[4:]):
+            if tuple(map(sub, repeat(last), c)) != a[::-1] or tuple(map(sub, repeat(last), d)) != b[::-1]:
+                r = next(r for r, m in zip(zip(a, b, c, d), zip(a[::-1], b[::-1])) if (last - r[2], last - r[3]) != m)
+                raise ConstructionError(f"rhombus {tuple(divmod(v, side) for v in r)} has no central mirror")
 
     return KeyGraph(leaper, cores, tuple(chain(*pencils)), tuple(outer), membership)
-
-
-def id_adjacency(edges: Iterable[IdEdge], n: int) -> list[list[int]]:
-    """Neighbour lists of an undirected edge set on the ids 0 .. n - 1."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    return adj
-
-
-def components(adj: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The components of the graph on ids with these neighbour lists, each
-    in depth-first order.
-
-    Start ids are taken in increasing order, and each start visits its
-    smaller neighbour first.  So each component starts at its smallest id,
-    and on a degree-2 graph each comes out as its cycle in canonical order:
-    from that id toward the smaller of its two neighbours.
-    """
-    seen = [False] * len(adj)
-    out = []
-    for start in range(len(adj)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        component = [start]
-        stack = sorted(adj[start], reverse=True)
-        while stack:
-            v = stack.pop()
-            if not seen[v]:
-                seen[v] = True
-                component.append(v)
-                stack += adj[v]
-        out.append(component)
-    return out
 
 
 def neighbour_arrays(edges: Iterable[IdEdge], n: int) -> Arrays | None:
@@ -400,8 +372,8 @@ def walk(first: list[int], second: list[int], start: int) -> list[int]:
 
 
 def cycle_partition(first: list[int], second: list[int]) -> list[list[int]]:
-    """The cycles of a two-factor's neighbour arrays, in the canonical order
-    of components: each from its smallest id toward its smaller neighbour.
+    """The cycles of a two-factor's neighbour arrays in the canonical order,
+    by their smallest ids: each from that id toward its smaller neighbour.
     Each next start is the first unseen id, found by one scan from the last."""
     seen, cycles, start = [False] * (len(first) + 1), [], 0  # the last, a sentinel, ends the scan
     while (start := seen.index(False, start)) < len(first):
@@ -414,9 +386,9 @@ def cycle_partition(first: list[int], second: list[int]) -> list[list[int]]:
 def degree_error(edges: Iterable[IdEdge], n: int, height: int) -> ConstructionError:
     """The error naming the first id, as the cell (x, y) of x * height + y,
     whose degree in the edges is not 2, where neighbour_arrays gave None."""
-    adj = id_adjacency(edges, n)
-    c = next(c for c, a in enumerate(adj) if len(a) != 2)
-    return ConstructionError(f"cell {divmod(c, height)} has degree {len(adj[c])}, expected 2")
+    degree = Counter(chain.from_iterable(edges))
+    c = next(c for c in range(n) if degree[c] != 2)
+    return ConstructionError(f"cell {divmod(c, height)} has degree {degree[c]}, expected 2")
 
 
 def flip(first: list[int], second: list[int], a: int, b: int, c: int, d: int, height: int) -> None:
@@ -461,9 +433,42 @@ def halve(key: KeyGraph, bits: Sequence[int]) -> TwoFactor:
     return TwoFactor(frozenset([edge(cell(a), cell(b)) for a, b in edges]), cycles)
 
 
+class CycleTracker:
+    """Disjoint sets in place on a parent list or dict: parent[x] leads toward
+    x's root r, parent[r] == r, and each walk to a root points the elements on
+    its path at their grandparents.  union walks both inline and puts y's under x's."""
+
+    def __init__(self, parent):
+        self.parent = parent
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    def union(self, x, y) -> bool:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x == y:
+            return False
+        parent[y] = x
+        return True
+
+    def join(self, edges: Iterable[tuple]) -> int:
+        """Union the ends of each edge; the number of merges."""
+        return sum(starmap(self.union, edges))
+
+    def first_apart(self) -> int:
+        """The first of the ids 0 .. n - 1 not joined to id 0: the second component's first id."""
+        return next(i for i in range(len(self.parent)) if self.find(i) != self.find(0))
+
+
 def is_connected_edges(cells: Iterable[V], edges: Iterable[tuple[V, V]]) -> bool:
-    """True iff the edges join all the given vertices into one component;
-    both ends of every edge must be among them."""
-    index = {v: i for i, v in enumerate(set(cells))}
-    ids = [(index[a], index[b]) for a, b in edges]
-    return len(components(id_adjacency(ids, len(index)))) <= 1
+    """True iff the edges join all the given vertices into one component, as
+    n - 1 merges join n; both ends of every edge must be among them."""
+    tracker = CycleTracker({v: v for v in cells})
+    return tracker.join(edges) >= len(tracker.parent) - 1

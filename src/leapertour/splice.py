@@ -6,8 +6,8 @@ the flip merges them.  Both splices share one engine over a list of bits,
 and it runs on the key graph's id view (see keygraph), in lists indexed by
 cell id.  It fills the halving's neighbour arrays once, refusing a cell of
 degree other than 2, and cycle_partition labels each cycle with the id of
-its first cell; those labels seed a CycleTracker, and each merge flip
-unions two of them and flips the rhombus's four cells in the arrays at
+its first cell; those labels seed a keygraph.CycleTracker, and each merge
+flip unions two of them and flips the rhombus's four cells in the arrays at
 once.  one_cycle then proves a single tour.  The plain splice makes one
 pass of merge flips over all rhombi, and the symmetric one a pass over
 partner pairs after joining each cycle to its mirror image.  Ids turn back
@@ -27,13 +27,12 @@ from .geom import Cell, Edge, edge
 from .keygraph import (
     Arrays,
     ConstructionError,
+    CycleTracker,
     KeyGraph,
-    components,
     cycle_partition,
     degree_error,
     flip,
     halving_ids,
-    id_adjacency,
     is_connected_edges,
     neighbour_arrays,
     one_cycle,
@@ -48,29 +47,6 @@ class Tour:
 
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(map(edge, self.cells, self.cells[1:] + self.cells[:1]))
-
-
-class CycleTracker:
-    """Disjoint sets over cells, one per cycle (per mirror class in the
-    symmetric splice), in place on the parent list or dict it is given:
-    parent[x] leads toward x's representative r, and parent[r] == r; find
-    points each cell on its path at its grandparent, which moves no root."""
-
-    def __init__(self, parent):
-        self.parent = parent
-
-    def find(self, x):
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    def union(self, x, y) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[ry] = rx
-        return True
 
 
 def random_bits(count: int, seed: int | None) -> list[int]:
@@ -103,8 +79,9 @@ def _tracked_halving(key: KeyGraph, bits: Sequence[int]) -> tuple[Arrays, CycleT
     # the key graph is connected iff these links connect the halving's cycles.
     links = [(roots[a], roots[c]) for a, _, c, _ in key.rhombus_ids]
     if not is_connected_edges(set(roots), links):
-        reached = set(components(id_adjacency(links, len(roots)))[0])
-        cell = divmod(next(c for c, r in enumerate(roots) if r not in reached), side)
+        joined = CycleTracker(list(roots))
+        joined.join(links)
+        cell = divmod(joined.first_apart(), side)
         raise ConstructionError(f"key graph is not connected: cell {cell} is not reached from cell (0, 0)")
     return halving, CycleTracker(roots)
 
@@ -120,8 +97,7 @@ def _merge_flip(key: KeyGraph, halving: Arrays, bits: list[int], tracker: CycleT
     """Flip rhombus i iff its matching edges, through a and c, lie in
     different sets of the tracker, recording their union; True iff it flipped."""
     a, _, c, _ = key.rhombus_ids[i]
-    merged = tracker.union(a, c)
-    if merged:
+    if merged := tracker.union(a, c):
         _flip_rhombus(key, halving, bits, i)
     return merged
 
@@ -200,11 +176,9 @@ def symmetric_splice(key: KeyGraph) -> Tour:
     bits = symmetric_halving_bits(key, partners)
     halving, tracker = _tracked_halving(key, bits)
     i1 = _find_center_rhombus(key)
-    label = list(tracker.parent)  # each id's halving cycle, before any union
-    self_mirror = 0
-    for c in set(label):
-        self_mirror += label[last - c] == c
-        tracker.union(c, last - c)
+    labels = set(tracker.parent)  # the halving cycles, before any union
+    self_mirror = sum(tracker.parent[last - c] == c for c in labels)
+    tracker.join((c, last - c) for c in labels)
     for i, j in enumerate(partners):
         if i < j and _merge_flip(key, halving, bits, tracker, i):
             _flip_rhombus(key, halving, bits, j)

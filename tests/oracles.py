@@ -9,13 +9,10 @@ from leapertour.fold import OuterCycleError, fold_params
 from leapertour.geom import edge, is_free
 from leapertour.keygraph import (
     ConstructionError,
-    components,
+    CycleTracker,
     halving_ids,
-    id_adjacency,
-    is_connected_edges,
 )
 from leapertour.splice import (
-    CycleTracker,
     Tour,
     _check_mirrored_bits,
     _rhombus_cells,
@@ -40,6 +37,43 @@ def adjacency(edges):
         adj[a].append(b)
         adj[b].append(a)
     return adj
+
+
+def id_adjacency(edges, n):
+    """Neighbour lists of an undirected edge set on the ids 0 .. n - 1."""
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
+def components(adj):
+    """The components of the graph on ids with these neighbour lists, each
+    in depth-first order: a search independent of the package's
+    disjoint-set tracker.
+
+    Start ids are taken in increasing order, and each start visits its
+    smaller neighbour first.  So each component starts at its smallest id,
+    and on a degree-2 graph each comes out as its cycle in canonical order:
+    from that id toward the smaller of its two neighbours.
+    """
+    seen = [False] * len(adj)
+    out = []
+    for start in range(len(adj)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        component = [start]
+        stack = sorted(adj[start], reverse=True)
+        while stack:
+            v = stack.pop()
+            if not seen[v]:
+                seen[v] = True
+                component.append(v)
+                stack += adj[v]
+        out.append(component)
+    return out
 
 
 def cycle_partition(edges):
@@ -194,13 +228,14 @@ def single_cycle(cycles, height, what):
 def tracked_halving(key, bits):
     """A copy of the bits and a tracker of the components of the halving
     they pick, each labelled with the id of its first cell, found by the
-    generic search; the links between them go through the matching views."""
+    generic search; the links between them go through the matching views,
+    and the same search over the links checks that they reach every label."""
     roots = [0] * key.leaper.side ** 2
     for component in components(id_adjacency(halving_ids(key, bits), len(roots))):
         for c in component:
             roots[c] = component[0]
     links = [(roots[e1[0]], roots[e2[0]]) for e1, e2 in map(getitem, matching_ids(key), bits)]
-    if not is_connected_edges(set(roots), links):
+    if not set(components(id_adjacency(links, len(roots)))[0]).issuperset(roots):
         raise ConstructionError("key graph is not connected")
     return list(bits), CycleTracker(roots)
 
@@ -477,8 +512,10 @@ def build_crisscross(m, n):
 
 
 def is_connected(graph):
-    """True iff the edges connect the whole two-floor vertex grid."""
-    return is_connected_edges(graph.vertices(), graph.edges)
+    """True iff the edges connect the whole two-floor vertex grid, by the
+    generic search over the vertices' indices."""
+    index = {v: i for i, v in enumerate(graph.vertices())}
+    return len(components(id_adjacency([(index[a], index[b]) for a, b in graph.edges], len(index)))) <= 1
 
 
 def check_fold(key):

@@ -41,52 +41,60 @@ def test_build_key_checks_each_pencil_step_once(monkeypatch):
     assert counts == [32, 32, 32]
 
 
-def test_splices_make_a_bounded_number_of_finds_per_rhombus(monkeypatch):
-    # the plain splice unions the two matching edges of each rhombus; the
-    # symmetric one joins each cycle to its mirror image and then tests each
-    # partner pair once: 1.10, 1.05 and 1.03 finds per rhombus when its
-    # bounds were set at twice those
-    calls = []
-    real = splice.CycleTracker.find
+def _count_trackers(monkeypatch):
+    """Record the size of each CycleTracker the package builds, by the name
+    each module holds, and of the tracker that each union runs on."""
+    built, unions = [], []
+    real, real_union = keygraph.CycleTracker, keygraph.CycleTracker.union
 
-    def counting(self, x):
-        calls.append(x)
-        return real(self, x)
+    def counting(parent):
+        built.append(len(parent))
+        return real(parent)
 
-    monkeypatch.setattr(splice.CycleTracker, "find", counting)
+    def counting_union(self, x, y):
+        unions.append(len(self.parent))
+        return real_union(self, x, y)
+
+    for module in (keygraph, splice, fold):
+        monkeypatch.setattr(module, "CycleTracker", counting)
+    monkeypatch.setattr(real, "union", counting_union)
+    return built, unions
+
+
+def test_splices_make_a_bounded_number_of_unions_per_rhombus(monkeypatch):
+    # on the tracker over the board's ids, the plain splice unions the two
+    # matching edges of each rhombus once; the symmetric one joins each
+    # cycle to its mirror image and then tests each partner pair once:
+    # 0.55, 0.525 and 0.513 unions per rhombus when its bounds were set at
+    # twice those.  The connectivity check's tracker, over one id per
+    # halving cycle, takes one union per rhombus in both
+    _, unions = _count_trackers(monkeypatch)
     plain, symmetric = [], []
     for q in (20, 40, 80):
         key = keygraph.build_key(Leaper(1, q))
-        rhombi = len(key.rhombus_ids)
-        calls.clear()
-        splice.splice(key, [0] * rhombi)
-        plain.append(len(calls) / rhombi)
-        calls.clear()
-        splice.symmetric_splice(key)
-        symmetric.append(len(calls) / rhombi)
-    assert plain == [2.0, 2.0, 2.0]
-    assert all(s <= bound for s, bound in zip(symmetric, (2.2, 2.1, 2.06))), symmetric
+        rhombi, board = len(key.rhombus_ids), key.leaper.side ** 2
+        runs = ((lambda: splice.splice(key, [0] * rhombi), plain), (lambda: splice.symmetric_splice(key), symmetric))
+        for run, out in runs:
+            unions.clear()
+            run()
+            assert len(unions) - unions.count(board) == rhombi
+            out.append(unions.count(board) / rhombi)
+    assert plain == [1.0, 1.0, 1.0]
+    assert all(s <= bound for s, bound in zip(symmetric, (1.1, 1.05, 1.03))), symmetric
 
 
 def test_fold_searches_only_the_fold_vertices(monkeypatch):
-    # is_connected searches the 2(q-p)**2 vertices of the folding graph once,
-    # and outer_paths walks each path instead of searching the whole board:
-    # 722, 3,042 and 12,482 ids, where the board has 1,764, 6,724 and 26,244
-    visits = []
-    real = fold.components
-
-    def counting(adj):
-        found = real(adj)
-        visits.append(sum(map(len, found)))
-        return found
-
-    monkeypatch.setattr(fold, "components", counting)
+    # is_connected joins one tracker over the 2(q-p)**2 vertices of the
+    # folding graph, once, and outer_paths walks each path instead of
+    # searching the whole board: 722, 3,042 and 12,482 ids, where the board
+    # has 1,764, 6,724 and 26,244
+    built, _ = _count_trackers(monkeypatch)
     counts = []
     for q in (20, 40, 80):
         key = keygraph.build_key(Leaper(1, q))
-        visits.clear()
+        built.clear()
         fold.check_fold(key)
-        counts.append(list(visits))
+        counts.append(list(built))
     assert counts == [[2 * (q - 1) ** 2] for q in (20, 40, 80)]
 
 
@@ -96,7 +104,7 @@ def test_tile_searches_each_seam_type_once_and_partitions_once(monkeypatch):
     # 0.063 (3, 4 and 4 candidates) when its bounds were set at twice those;
     # the switches flip the copies' arrays in place, and one walk of the
     # whole board from cell 0 proves it a single cycle, with no partition,
-    # degree proof or search
+    # degree proof or tracker
     yielded, walked = [], []
     real_candidates, real_walk = tile.switch_candidates, keygraph.walk
 
@@ -111,7 +119,7 @@ def test_tile_searches_each_seam_type_once_and_partitions_once(monkeypatch):
         return cycle
 
     def forbidden(*args):
-        raise AssertionError("tile partitioned or searched the board")
+        raise AssertionError("tile partitioned or joined the board")
 
     leaper = Leaper(2, 5)
     key = keygraph.build_key(leaper)
@@ -120,7 +128,7 @@ def test_tile_searches_each_seam_type_once_and_partitions_once(monkeypatch):
     monkeypatch.setattr(keygraph, "walk", counting_walk)
     for module in (keygraph, tile):
         monkeypatch.setattr(module, "cycle_partition", forbidden)
-    for name in ("neighbour_arrays", "id_adjacency", "components"):
+    for name in ("neighbour_arrays", "CycleTracker"):
         monkeypatch.setattr(keygraph, name, forbidden)
     per_switch = []
     for n in (2, 4, 8):
@@ -134,50 +142,39 @@ def test_tile_searches_each_seam_type_once_and_partitions_once(monkeypatch):
 
 def test_halve_and_the_splices_search_the_board_a_fixed_number_of_times(monkeypatch):
     # halve's one cycle_partition walks the halving's ids once and builds no
-    # neighbour lists; each splice walks them twice, once in its one
-    # cycle_partition, for the halving's cycle labels, and once from cell 0
-    # after the flips in place, and its one search is the connectivity check
-    # over one id per halving cycle: 2 * 1,764, 2 * 6,724 and 2 * 26,244 ids
-    # walked
-    walked, searched, lists, partitions = [], [], [], []
-    real_walk, real_components, real_lists = keygraph.walk, keygraph.components, keygraph.id_adjacency
+    # tracker; each splice walks them twice, once in its one cycle_partition,
+    # for the halving's cycle labels, and once from cell 0 after the flips in
+    # place, and it builds two trackers: the connectivity check's, over one
+    # id per halving cycle, then the merges' over the labels of all
+    # 1,764, 6,724 and 26,244 ids
+    walked, partitions = [], []
+    built, _ = _count_trackers(monkeypatch)
+    real_walk, real_partition = keygraph.walk, splice.cycle_partition
 
     def counting_walk(*args):
         cycle = real_walk(*args)
         walked.append(len(cycle))
         return cycle
 
-    def counting_components(adj):
-        found = real_components(adj)
-        searched.append(sum(map(len, found)))
-        return found
-
-    def counting_lists(edges, n):
-        lists.append(n)
-        return real_lists(edges, n)
-
     def counting_partition(*arrays):
         partitions.append(len(arrays[0]))
         return real_partition(*arrays)
 
     def forbidden(*args):
-        raise AssertionError("the splice searched the board")
+        raise AssertionError("the splice counted degrees")
 
-    # keygraph's walks and searches, and the splice's own, imported by name
-    real_partition = splice.cycle_partition
+    # keygraph's walks, and the splice's own partition, imported by name
     monkeypatch.setattr(keygraph, "walk", counting_walk)
-    monkeypatch.setattr(keygraph, "components", counting_components)
-    monkeypatch.setattr(keygraph, "id_adjacency", counting_lists)
     monkeypatch.setattr(splice, "cycle_partition", counting_partition)
-    for name in ("components", "id_adjacency", "degree_error"):
-        monkeypatch.setattr(splice, name, forbidden)
+    monkeypatch.setattr(splice, "degree_error", forbidden)
     for q in (20, 40, 80):
         key = keygraph.build_key(Leaper(1, q))
         board = key.leaper.side ** 2
         zeros = [0] * len(key.rhombus_ids)
         walked.clear()
+        built.clear()
         two = keygraph.halve(key, zeros)
-        assert (sum(walked), searched, lists) == (board, [], [])
+        assert (sum(walked), built) == (board, [])
         cycles = len(two.cycles)  # a field: reading it runs no search
         assert len(walked) == cycles
         for run in (lambda: splice.splice(key, zeros), lambda: splice.symmetric_splice(key)):
@@ -185,9 +182,8 @@ def test_halve_and_the_splices_search_the_board_a_fixed_number_of_times(monkeypa
             run()
             assert sum(walked) == 2 * board
             assert partitions == [board]
-            assert searched == lists == [cycles]
-            searched.clear()
-            lists.clear()
+            assert built == [cycles, board]
+            built.clear()
             partitions.clear()
 
 
@@ -338,6 +334,18 @@ def test_generate_starts_no_garbage_collection(tmp_path):
     finally:
         gc.callbacks.remove(hook)
     assert counts == [0, 0, 0, 0], counts
+
+
+def test_build_key_mirrors_no_id_on_its_valid_path(monkeypatch):
+    # the rhombi's central symmetry is proved on the cores, core 2 the mirror
+    # of core 0 and core 3 of core 1; the ids are mirrored one by one only
+    # to name a rhombus once that has failed
+    def forbidden(*args):
+        raise AssertionError("build_key mirrored the rhombus ids one by one")
+
+    monkeypatch.setattr(keygraph, "sub", forbidden)
+    for p, q in ((1, 20), (2, 5), (10, 21), (12, 25)):
+        keygraph.build_key(Leaper(p, q))
 
 
 def test_build_key_builds_no_edge_container_on_its_valid_path(monkeypatch):

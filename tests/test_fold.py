@@ -13,6 +13,8 @@ from leapertour.fold import (
     check_fold,
     crisscross_reduce,
     fold_params,
+    FoldParams,
+    FoldReport,
     OuterCycleError,
     is_connected,
     locate_failure,
@@ -296,6 +298,34 @@ def test_single_vertex_graph_connected():
 
 
 # --- networkx cross-checks of the three connectivity answers ---------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2).flatmap(
+        lambda t: st.tuples(
+            st.just(t),
+            st.lists(st.tuples(st.integers(0, 2 * (2 * t + 1) ** 2 - 1), st.integers(0, 2 * (2 * t + 1) ** 2 - 1)),
+                     max_size=60),
+        )
+    )
+)
+def test_fold_connectivity_and_its_located_failure_are_the_networkx_ones(nx, spec):
+    # on random graphs over the 2, 18 and 50 vertex ids of t = 0, 1, 2: the
+    # component count and the second component's first vertex, which
+    # locate_failure names for a matching but disconnected folding graph
+    t, pairs = spec
+    n = 2 * (2 * t + 1) ** 2
+    folding = TwoFloorGraph(t, frozenset((min(a, b), max(a, b)) for a, b in pairs))
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from(folding.ids)
+    assert is_connected(folding) == nx.is_connected(graph)
+    if not nx.is_connected(graph):
+        report = FoldReport(FoldParams(2 * t + 1, 0, 2 * t + 1, 0), True, False, folding, folding)
+        count = nx.number_connected_components(graph)
+        second = folding.vertices()[min(set(range(n)) - nx.node_connected_component(graph, 0))]
+        assert locate_failure(report) == f"folding graph has {count} components, the second from vertex {second}"
 
 
 def _nx_connected(nx, vertices, edges):

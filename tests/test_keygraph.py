@@ -17,11 +17,10 @@ from leapertour.keygraph import (
     build_inner,
     build_key,
     build_outer,
-    components,
+    CycleTracker,
     cycle_partition,
     halve,
     halving_ids,
-    id_adjacency,
     is_connected_edges,
     neighbour_arrays,
 )
@@ -180,21 +179,27 @@ def test_id_partition_equals_the_tuple_oracle_on_halvings(pq, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.integers(1, 30).flatmap(
+    st.integers(0, 30).flatmap(
         lambda n: st.tuples(
-            st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40)
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40) if n else st.just([]),
         )
     )
 )
-def test_components_are_the_networkx_components(nx, graph_spec):
+def test_connectivity_answers_are_the_networkx_ones(nx, graph_spec):
+    # the tracker's answers: is_connected_edges, with the empty graph
+    # connected; the merge count; and first_apart, which the failure messages
+    # name as the second component's first id: the smallest off id 0's
     n, edges = graph_spec
-    found = components(id_adjacency(edges, n))
     graph = nx.Graph()
     graph.add_nodes_from(range(n))
     graph.add_edges_from(edges)
-    assert sorted(map(sorted, found)) == sorted(map(sorted, nx.connected_components(graph)))
-    # each component starts at its smallest id, and they come in that order
-    assert [c[0] for c in found] == sorted(min(c) for c in found)
+    connected = n == 0 or nx.is_connected(graph)
+    assert is_connected_edges(range(n), edges) == connected
+    if not connected:
+        tracker = CycleTracker(list(range(n)))
+        assert tracker.join(edges) == n - nx.number_connected_components(graph)
+        assert tracker.first_apart() == min(set(range(n)) - nx.node_connected_component(graph, 0))
 
 
 def in_core(cell, core):
@@ -282,6 +287,21 @@ def test_families_meet_iff_they_share_an_edge(specs):
     families = [(d, x, x + w, y, y + h) for d, x, y, w, h in specs]
     edges = [set(_family_edges(f, 8)) for f in families]
     assert keygraph._families_meet(families) == any(a & b for i, a in enumerate(edges) for b in edges[i + 1:])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 9), st.data())
+def test_mirror_rectangle_is_the_reversed_mirror_of_its_ids(side, data):
+    # the premise of build_key's mirror check on cores: the ids of a
+    # rectangle's mirror, in row order, are side**2 - 1 less its own ids, reversed
+    x1, x2 = sorted(data.draw(st.lists(st.integers(0, side), min_size=2, max_size=2, unique=True)))
+    y1, y2 = sorted(data.draw(st.lists(st.integers(0, side), min_size=2, max_size=2, unique=True)))
+    rect, last = Subboard(x1, x2, y1, y2), side * side - 1
+
+    def ids(r):
+        return [x * side + y for x, y in r.cells()]
+
+    assert ids(keygraph._mirror(rect, side)) == [last - i for i in reversed(ids(rect))]
 
 
 # Guards for build_key's invariants.  Each patches the table of outer

@@ -45,6 +45,9 @@ SYMMETRY_ORACLE = "tests/test_verify.py::test_central_symmetry_agrees_with_the_o
 PLAIN = "tests/test_splice.py::test_splice_2_5_random_halvings"
 STORED_FAMILIES = "tests/test_keygraph.py::test_families_are_the_stored_edges_and_pairwise_disjoint"
 FLIP_COUNTS = "tests/test_splice.py::test_splices_flip_each_rhombus_once_per_merge"
+MIRROR_GUARD = "tests/test_complexity.py::test_build_key_mirrors_no_id_on_its_valid_path"
+CONNECTIVITY = "tests/test_keygraph.py::test_connectivity_answers_are_the_networkx_ones"
+FOLD_DISCONNECTED = "tests/test_cli.py::test_sweep_failure_is_the_located_fail_row[fold-disconnected]"
 TILED = (
     "tests/test_acceptance.py::test_criterion_7_tiled_tours",
     "tests/test_golden.py::test_output_is_byte_identical[tile-2-5-seed3-3x4-grid]",
@@ -89,6 +92,13 @@ MUTANTS = [
     Mutant("rhombus-mirror-check-dropped", "keygraph.py",
            "if tuple(map(sub, repeat(last), c)) != a[::-1] or", "if False and",
            ("tests/test_splice.py::test_rotated_rhombus_is_named_without_a_mirror",), blind=True),
+    # its proof on the cores: a mirror rectangle moved by one, or core 3
+    # compared with core 0, sends every valid key down the per-id check
+    Mutant("mirror-rectangle-moved", "keygraph.py", "side - rect.y2, side - rect.y1)",
+           "side - rect.y2 + 1, side - rect.y1 + 1)",
+           (MIRROR_GUARD, "tests/test_keygraph.py::test_mirror_rectangle_is_the_reversed_mirror_of_its_ids")),
+    Mutant("core-3-off-its-mirror", "keygraph.py", "_mirror(d, side) != b for", "_mirror(d, side) != a for",
+           (MIRROR_GUARD,)),
     Mutant("partner-range-shifted", "splice.py", "*range(2 * n - 1, n - 1, -1)", "*range(2 * n - 2, n - 2, -1)",
            ("tests/test_splice.py::test_partners_are_the_index_ranges_of_the_mirror_search[2-5]", GOLDEN_SYMMETRIC),
            blind=True),
@@ -175,7 +185,7 @@ MUTANTS = [
            ("tests/test_cli.py::test_collector_state_comes_back_as_it_was[generate-enabled]",)),
     Mutant("cli-collector-always-enabled", "cli.py", "if enabled:", "if True:",
            ("tests/test_cli.py::test_collector_state_comes_back_as_it_was[generate-disabled]",)),
-    # the independent validator's checks, is_free, and components' order
+    # the independent validator's checks, and is_free
     Mutant("cell-count-check-weakened", "verify.py", "cell_count_ok=(n == width * height),",
            "cell_count_ok=(n <= width * height),", ("tests/test_verify.py::test_truncated_tour_fails_count",)),
     Mutant("first-step-unchecked", "verify.py", "if not set(map(sub, keys[1:], keys)) <= moves:",
@@ -192,8 +202,19 @@ MUTANTS = [
            "return True", (SYMMETRY_ORACLE,)),
     Mutant("is-free-by-parity", "geom.py", "return math.gcd(b - a, b + a) == 1", "return (b - a) % 2 == 1",
            ("tests/test_verify.py::test_is_free",)),
-    Mutant("components-larger-neighbour-first", "keygraph.py", "stack = sorted(adj[start], reverse=True)",
-           "stack = sorted(adj[start])", ("tests/test_splice.py::test_engine_matches_the_generic_engine_to_21",)),
+    # the one disjoint-set engine: a union that links y, not its root; a
+    # connectivity test one merge short; a component count one too many; and
+    # a failure that looks for the first id apart from itself, not from id 0
+    Mutant("union-links-y-not-its-root", "keygraph.py", "        while parent[y] != y:\n", "        while False:\n",
+           ("tests/test_splice.py::test_cycle_tracker_finds_the_networkx_components", CONNECTIVITY, PLAIN)),
+    Mutant("connected-one-merge-short", "keygraph.py", "tracker.join(edges) >= len(tracker.parent) - 1",
+           "tracker.join(edges) >= len(tracker.parent) - 2",
+           (CONNECTIVITY, "tests/test_splice.py::test_disconnected_key_graph_fails_loudly")),
+    Mutant("fold-component-count-off-by-one", "fold.py", "len(tracker.parent) - tracker.join(graph.ids)",
+           "len(tracker.parent) + 1 - tracker.join(graph.ids)",
+           (FOLD_DISCONNECTED, "tests/test_fold.py::test_fold_connectivity_and_its_located_failure_are_the_networkx_ones")),
+    Mutant("first-apart-from-itself", "keygraph.py", "if self.find(i) != self.find(0))", "if self.find(i) != self.find(i))",
+           (FOLD_DISCONNECTED, "tests/test_cli.py::test_construction_error_is_one_error_line[disconnected]")),
     # cycle_partition's scan for each next unseen start
     Mutant("partition-scan-skips-one", "keygraph.py", "seen.index(False, start)) < len(first):",
            "seen.index(False, start + 1)) < len(first):",

@@ -819,7 +819,7 @@ def test_cycle_tracker_finds_the_networkx_components(nx, graph_spec, as_dict):
     # random unions on a list or a dict of parents: a union merges exactly
     # when its ends are apart, and find names one root per component
     n, edges = graph_spec
-    tracker = splice_module.CycleTracker({x: x for x in range(n)} if as_dict else list(range(n)))
+    tracker = keygraph.CycleTracker({x: x for x in range(n)} if as_dict else list(range(n)))
     merges = sum(tracker.union(a, b) for a, b in edges)
     graph = nx.Graph()
     graph.add_nodes_from(range(n))
