@@ -60,10 +60,9 @@ def random_bits(count: int, seed: int | None) -> list[int]:
 def _tracked_halving(key: KeyGraph, bits: Sequence[int]) -> tuple[Arrays, CycleTracker]:
     """The neighbour arrays of the halving the bits pick, and a tracker of
     its cycles over cell ids, each labelled with the id of its first cell.
-    Raise, naming a cell, if a cell's degree is not 2, as halve does, and
-    then if the key graph is not connected.  A cell's degree is the same in
-    every halving, as both matchings of a rhombus cover its four cells.
-    """
+    Raise, naming a cell, if a cell's degree is not 2, as halve does: it is
+    the same in every halving, as both matchings of a rhombus cover its four
+    cells.  Each splice proves the key graph connected its own way."""
     side = key.leaper.side
     halving = neighbour_arrays(halving_ids(key, bits), side * side)
     if halving is None:
@@ -72,17 +71,6 @@ def _tracked_halving(key: KeyGraph, bits: Sequence[int]) -> tuple[Arrays, CycleT
     for cycle in cycle_partition(*halving):
         for c in cycle:
             roots[c] = cycle[0]
-
-    # The key graph is the halving plus each rhombus's other matching, and
-    # that matching joins the cycle of one current matching edge to the
-    # cycle of the other, which a and c lie on: ab and cd, or bc and da.  So
-    # the key graph is connected iff these links connect the halving's cycles.
-    links = [(roots[a], roots[c]) for a, _, c, _ in key.rhombus_ids]
-    if not is_connected_edges(set(roots), links):
-        joined = CycleTracker(list(roots))
-        joined.join(links)
-        cell = divmod(joined.first_apart(), side)
-        raise ConstructionError(f"key graph is not connected: cell {cell} is not reached from cell (0, 0)")
     return halving, CycleTracker(roots)
 
 
@@ -104,7 +92,9 @@ def _merge_flip(key: KeyGraph, halving: Arrays, bits: list[int], tracker: CycleT
 
 def splice(key: KeyGraph, bits: Sequence[int]) -> Tour:
     """Single fixed-order pass of cycle-merging flips over all rhombi.  The
-    tour keeps every outer edge, as flips change only rhombus edges."""
+    tour keeps every outer edge, as flips change only rhombus edges.  On a
+    disconnected key graph the pass leaves one cycle per component, and
+    one_cycle names the first cell off cell (0, 0)'s component."""
     halving, tracker = _tracked_halving(key, bits)
     flipped = list(bits)
     for i in range(len(key.rhombus_ids)):
@@ -175,8 +165,17 @@ def symmetric_splice(key: KeyGraph) -> Tour:
     partners = _partners(key)
     bits = symmetric_halving_bits(key, partners)
     halving, tracker = _tracked_halving(key, bits)
-    i1 = _find_center_rhombus(key)
     labels = set(tracker.parent)  # the halving cycles, before any union
+    # A rhombus's other matching joins the cycles of its current matching
+    # edges, through a and c, so the key graph is connected iff these links
+    # connect the halving's cycles, taken before the mirror joins below,
+    # which would let a key of two mirror halves pass.
+    links = [(tracker.parent[a], tracker.parent[c]) for a, _, c, _ in key.rhombus_ids]
+    if not is_connected_edges(labels, links):
+        tracker.join(links)
+        cell = divmod(tracker.first_apart(), key.leaper.side)
+        raise ConstructionError(f"key graph is not connected: cell {cell} is not reached from cell (0, 0)")
+    i1 = _find_center_rhombus(key)
     self_mirror = sum(tracker.parent[last - c] == c for c in labels)
     tracker.join((c, last - c) for c in labels)
     for i, j in enumerate(partners):

@@ -420,17 +420,18 @@ def _asymmetric(monkeypatch):
 
 
 def _keep_only_the_halving(monkeypatch):
-    """Make the plain splice run on a key graph that is only its all-zero
+    """Make both splices run on a key graph that is only its all-zero
     halving, as outer edges without rhombi: every cell keeps degree 2, and
     the halving's cycles, more than one for each leaper run here, are its
     components."""
-    real = splice.splice
+    real, real_symmetric = splice.splice, splice.symmetric_splice
 
-    def halving_only(key, bits):
+    def halving_only(key):
         halving = tuple(keygraph.halving_ids(key, [0] * len(key.rhombus_ids)))
-        return real(dataclasses.replace(key, rhombus_ids=(), outer_ids=halving), [])
+        return dataclasses.replace(key, rhombus_ids=(), outer_ids=halving)
 
-    monkeypatch.setattr(splice, "splice", halving_only)
+    monkeypatch.setattr(splice, "splice", lambda key, bits: real(halving_only(key), []))
+    monkeypatch.setattr(splice, "symmetric_splice", lambda key: real_symmetric(halving_only(key)))
 
 
 @pytest.mark.parametrize(
@@ -469,15 +470,16 @@ def _keep_only_the_halving(monkeypatch):
             ("generate", "--symmetric"),
             r"self-verification failed: tour is not centrally symmetric",
         ),
+        (_keep_only_the_halving, ("generate",), r"splice left 6 cycles, the second from cell \(0, 2\)"),
         (
             _keep_only_the_halving,
-            ("generate",),
+            ("generate", "--symmetric"),
             r"key graph is not connected: cell \(0, 2\) is not reached from cell \(0, 0\)",
         ),
     ],
     ids=[
-        "generate", "symmetric", "fold", "pencil", "tile",
-        "tile-pieces", "fold-cyclic", "self-verification", "asymmetric", "disconnected",
+        "generate", "symmetric", "fold", "pencil", "tile", "tile-pieces", "fold-cyclic",
+        "self-verification", "asymmetric", "disconnected", "disconnected-symmetric",
     ],
 )
 def test_construction_error_is_one_error_line(capsys, monkeypatch, inject, argv, message):
@@ -542,11 +544,13 @@ def test_sweep_reports_a_construction_error_and_goes_on(capsys, monkeypatch):
     _keep_only_the_halving(monkeypatch)
     _assert_every_sweep_row_fails(capsys)
     code, out, _ = run(capsys, "sweep", "--max-sum", "9")
-    # each row names the smallest cell off its halving's cycle through (0, 0)
+    # the plain splice runs first: each row names its halving's cycle count
+    # and the smallest cell off its cycle through (0, 0)
+    counts = [2, 6, 2, 10, 6, 2, 14, 18, 2]
     cells = [(0, 2), (0, 2), (0, 1), (0, 2), (0, 2), (0, 2), (0, 2), (0, 1), (0, 1)]
     assert out.splitlines() == [
-        f"({p},{q}): FAIL  key graph is not connected: cell {cell} is not reached from cell (0, 0)"
-        for (p, q), cell in zip(free_leapers(9), cells, strict=True)
+        f"({p},{q}): FAIL  splice left {n} cycles, the second from cell {cell}"
+        for (p, q), n, cell in zip(free_leapers(9), counts, cells, strict=True)
     ]
 
 

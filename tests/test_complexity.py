@@ -66,18 +66,21 @@ def test_splices_make_a_bounded_number_of_unions_per_rhombus(monkeypatch):
     # matching edges of each rhombus once; the symmetric one joins each
     # cycle to its mirror image and then tests each partner pair once:
     # 0.55, 0.525 and 0.513 unions per rhombus when its bounds were set at
-    # twice those.  The connectivity check's tracker, over one id per
-    # halving cycle, takes one union per rhombus in both
+    # twice those.  Only the symmetric splice checks connectivity first, on
+    # a tracker over one id per halving cycle, with one union per rhombus
     _, unions = _count_trackers(monkeypatch)
     plain, symmetric = [], []
     for q in (20, 40, 80):
         key = keygraph.build_key(Leaper(1, q))
         rhombi, board = len(key.rhombus_ids), key.leaper.side ** 2
-        runs = ((lambda: splice.splice(key, [0] * rhombi), plain), (lambda: splice.symmetric_splice(key), symmetric))
-        for run, out in runs:
+        runs = (
+            (lambda: splice.splice(key, [0] * rhombi), plain, 0),
+            (lambda: splice.symmetric_splice(key), symmetric, rhombi),
+        )
+        for run, out, checked in runs:
             unions.clear()
             run()
-            assert len(unions) - unions.count(board) == rhombi
+            assert len(unions) - unions.count(board) == checked
             out.append(unions.count(board) / rhombi)
     assert plain == [1.0, 1.0, 1.0]
     assert all(s <= bound for s, bound in zip(symmetric, (1.1, 1.05, 1.03))), symmetric
@@ -144,9 +147,9 @@ def test_halve_and_the_splices_search_the_board_a_fixed_number_of_times(monkeypa
     # halve's one cycle_partition walks the halving's ids once and builds no
     # tracker; each splice walks them twice, once in its one cycle_partition,
     # for the halving's cycle labels, and once from cell 0 after the flips in
-    # place, and it builds two trackers: the connectivity check's, over one
-    # id per halving cycle, then the merges' over the labels of all
-    # 1,764, 6,724 and 26,244 ids
+    # place.  It builds the merges' tracker over the labels of all 1,764,
+    # 6,724 and 26,244 ids, and the symmetric splice then builds its
+    # connectivity check's, over one id per halving cycle
     walked, partitions = [], []
     built, _ = _count_trackers(monkeypatch)
     real_walk, real_partition = keygraph.walk, splice.cycle_partition
@@ -177,12 +180,13 @@ def test_halve_and_the_splices_search_the_board_a_fixed_number_of_times(monkeypa
         assert (sum(walked), built) == (board, [])
         cycles = len(two.cycles)  # a field: reading it runs no search
         assert len(walked) == cycles
-        for run in (lambda: splice.splice(key, zeros), lambda: splice.symmetric_splice(key)):
+        runs = ((lambda: splice.splice(key, zeros), [board]), (lambda: splice.symmetric_splice(key), [board, cycles]))
+        for run, trackers in runs:
             walked.clear()
             run()
             assert sum(walked) == 2 * board
             assert partitions == [board]
-            assert built == [cycles, board]
+            assert built == trackers
             built.clear()
             partitions.clear()
 

@@ -152,8 +152,14 @@ MUTANTS = [
            ("tests/test_splice.py::test_a_rewrite_whose_neighbour_is_missing_names_the_cell",)),
     Mutant("several-cycles-accepted", "keygraph.py", "if len(cycle) != len(first):", "if False:",
            ("tests/test_splice.py::test_symmetric_splice_failures_name_the_pending_rhombus",)),
-    Mutant("disconnected-key-accepted", "splice.py", "if not is_connected_edges(set(roots), links):", "if False:",
+    # the symmetric splice's check on the raw cycle labels: dropped, or made
+    # after the mirror joins, which hide a key of two mirror halves
+    Mutant("disconnected-key-accepted", "splice.py", "if not is_connected_edges(labels, links):", "if False:",
            ("tests/test_splice.py::test_disconnected_key_graph_fails_loudly",)),
+    Mutant("connectivity-checked-after-the-mirror-join", "splice.py",
+           "if not is_connected_edges(labels, links):",
+           "if not is_connected_edges(labels, links + [(c, last - c) for c in labels]):",
+           ("tests/test_splice.py::test_a_key_of_two_mirror_halves_fails_the_symmetric_check",)),
     Mutant("no-seam-switch-accepted", "tile.py", 'raise ConstructionError(f"no switch found between copies',
            'ConstructionError(f"no switch found between copies',
            ("tests/test_tile.py::test_base_whose_seam_strip_holds_no_edge_has_no_switch",)),
@@ -214,7 +220,8 @@ MUTANTS = [
            "len(tracker.parent) + 1 - tracker.join(graph.ids)",
            (FOLD_DISCONNECTED, "tests/test_fold.py::test_fold_connectivity_and_its_located_failure_are_the_networkx_ones")),
     Mutant("first-apart-from-itself", "keygraph.py", "if self.find(i) != self.find(0))", "if self.find(i) != self.find(i))",
-           (FOLD_DISCONNECTED, "tests/test_cli.py::test_construction_error_is_one_error_line[disconnected]")),
+           (FOLD_DISCONNECTED,
+            "tests/test_cli.py::test_construction_error_is_one_error_line[disconnected-symmetric]")),
     # cycle_partition's scan for each next unseen start
     Mutant("partition-scan-skips-one", "keygraph.py", "seen.index(False, start)) < len(first):",
            "seen.index(False, start + 1)) < len(first):",

@@ -411,39 +411,87 @@ def test_mirrored_bits_iff_symmetric_halving(p, q):
             assert passed == symmetric, (seed, bits)
 
 
+def _halving_key(key, bits):
+    """The key graph that is only the halving the bits pick, as outer edges
+    without rhombi: every cell keeps degree 2, and its components are the
+    halving's cycles."""
+    halving = tuple(id_pair(*e) for e in halving_ids(key, bits))  # as outer edges: smaller id first
+    return dataclasses.replace(key, rhombus_ids=(), outer_ids=halving)
+
+
 def _split_keys(key):
     """Key graphs split in two ways: without the outer graph, and with only
-    the all-zero halving's cycles (every cell keeps degree 2)."""
+    the all-zero halving's cycles."""
     zeros = [0] * len(key.rhombi)
     assert len(oracle_partition(halving_edges(key, zeros))) > 1
-    halving = tuple(id_pair(*e) for e in halving_ids(key, zeros))  # as outer edges: smaller id first
-    return [
-        (dataclasses.replace(key, outer_ids=()), zeros),
-        (dataclasses.replace(key, rhombus_ids=(), outer_ids=halving), []),
-    ]
+    return [(dataclasses.replace(key, outer_ids=()), zeros), (_halving_key(key, zeros), [])]
 
 
-@pytest.mark.parametrize("case", [0, 1], ids=["no-outer", "halving-only"])
-def test_disconnected_key_graph_fails_loudly(nx, key25, case):
-    # the named cell is the smallest one off cell (0, 0)'s component of the
-    # key graph, found here by networkx; a halving with a cell of degree
-    # other than 2, as without the outer graph, names its first such cell
-    # before connectivity is checked
-    key, bits = _split_keys(key25)[case]
+def _disconnection_messages(nx, key, bits):
+    """The plain and the symmetric splice's messages for a key graph that is
+    not connected, from networkx: the plain splice's merge pass leaves one
+    cycle per component, and its final walk names their count and the
+    smallest cell off cell (0, 0)'s component, the cell that the symmetric
+    splice's check on the raw cycle labels names.  A halving with a cell of
+    degree other than 2, as without the outer graph, names its first such
+    cell in both, before connectivity is checked."""
     graph = nx.Graph(key.edges)
     graph.add_nodes_from(key.cells)
     halving = nx.Graph(halving_edges(key, bits))
     halving.add_nodes_from(key.cells)
     odd = [c for c in sorted(key.cells) if halving.degree(c) != 2]
     if odd:
-        message = f"cell {odd[0]} has degree {halving.degree(odd[0])}, expected 2"
-    else:
-        off = min(set(key.cells) - nx.node_connected_component(graph, (0, 0)))
-        message = f"key graph is not connected: cell {off} is not reached from cell (0, 0)"
-    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+        return (f"cell {odd[0]} has degree {halving.degree(odd[0])}, expected 2",) * 2
+    off = min(set(key.cells) - nx.node_connected_component(graph, (0, 0)))
+    return (
+        f"splice left {nx.number_connected_components(graph)} cycles, the second from cell {off}",
+        f"key graph is not connected: cell {off} is not reached from cell (0, 0)",
+    )
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["no-outer", "halving-only"])
+def test_disconnected_key_graph_fails_loudly(nx, key25, case):
+    key, bits = _split_keys(key25)[case]
+    plain, symmetric = _disconnection_messages(nx, key, bits)
+    with pytest.raises(ConstructionError, match=f"^{re.escape(plain)}$"):
         splice(key, bits)
-    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ConstructionError, match=f"^{re.escape(symmetric)}$"):
         symmetric_splice(key)
+
+
+@pytest.mark.parametrize("p,q,cell", [(1, 2, (0, 2)), (2, 3, (0, 1)), (3, 4, (0, 2)), (4, 5, (0, 1))])
+def test_a_key_of_two_mirror_halves_fails_the_symmetric_check(p, q, cell):
+    # the all-zero halving of these leapers is two cycles, each the other's
+    # mirror: joined to its mirror before the merge pass, each cycle would
+    # pass for the whole key graph, so the symmetric splice checks the raw
+    # cycle labels first
+    key = build_key(Leaper(p, q))
+    zeros = [0] * len(key.rhombus_ids)
+    cycles = halve(key, zeros).cycles
+    side = key.leaper.side
+    assert len(cycles) == 2 and {mirror(c, side) for c in cycles[0]} == set(cycles[1])
+    message = f"key graph is not connected: cell {cell} is not reached from cell (0, 0)"
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+        symmetric_splice(_halving_key(key, zeros))
+
+
+@settings(max_examples=25, deadline=None)
+@given(pq=st.sampled_from(free_leapers(21)), seed=st.integers(0, 2**32 - 1))
+def test_splices_name_the_networkx_disconnection_of_a_halving_key(nx, pq, seed):
+    # each key cut down to a halving of its own: the plain splice on the
+    # seed's halving, the symmetric splice on the all-zero one, whose bits
+    # it takes itself
+    key = _key(*pq)
+    for bits, run, which in (
+        (random_bits(len(key.rhombus_ids), seed), lambda k: splice(k, []), 0),
+        ([0] * len(key.rhombus_ids), symmetric_splice, 1),
+    ):
+        if len(halve(key, bits).cycles) == 1:
+            continue  # a halving that is a tour is a connected key
+        split = _halving_key(key, bits)
+        message = _disconnection_messages(nx, split, [])[which]
+        with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+            run(split)
 
 
 def test_degree_error_names_a_cell(key25):
@@ -684,9 +732,9 @@ def test_symmetric_splice_failures_name_the_pending_rhombus(monkeypatch, p, q, i
 
 
 def test_plain_splice_checks_connectivity_once_and_partitions_only_a_failure(monkeypatch, key25):
-    # the splice partitions the halving once, for its cycle labels, and
-    # checks connectivity once; the flipped arrays are partitioned only when
-    # their walk from cell 0 falls short
+    # the splice partitions the halving once, for its cycle labels, and runs
+    # no connectivity check of its own: its final walk from cell 0 is the
+    # one check, and the flipped arrays are partitioned only when it falls short
     calls = []
     for module, name in (
         (splice_module, "cycle_partition"), (splice_module, "is_connected_edges"), (keygraph, "cycle_partition")
@@ -694,14 +742,14 @@ def test_plain_splice_checks_connectivity_once_and_partitions_only_a_failure(mon
         real, label = getattr(module, name), f"{module.__name__.split('.')[1]}.{name}"
         monkeypatch.setattr(module, name, lambda *a, real=real, label=label: calls.append(label) or real(*a))
     splice(key25, random_bits(len(key25.rhombi), 3))
-    assert calls == ["splice.cycle_partition", "splice.is_connected_edges"]
+    assert calls == ["splice.cycle_partition"]
     # a pass that never merges leaves the all-zero halving's 6 cycles, which
     # the failure path names by walking the flipped arrays' cycles
     calls.clear()
     _never_flip(monkeypatch, key25)
     with pytest.raises(ConstructionError, match=r"^splice left 6 cycles, the second from cell \(0, 2\)$"):
         splice(key25, [0] * len(key25.rhombi))
-    assert calls == ["splice.cycle_partition", "splice.is_connected_edges", "keygraph.cycle_partition"]
+    assert calls == ["splice.cycle_partition", "keygraph.cycle_partition"]
 
 
 def _no_neighbour(cell, old, side):

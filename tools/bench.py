@@ -1,5 +1,5 @@
 """Time each stage of the pipeline on a fixed ladder of leapers and tilings,
-and write the medians and minima to the next free BENCH_<n>.json.
+and write the medians, quartiles and minima to the next free BENCH_<n>.json.
 
 Rungs: the leapers (12,25), (10,21), (1,40), (1,80) and (2,101), and the
 (2,5) tour of seed 3 tiled 3x4, 10x10 and 40x40.  Stages, each timed on its
@@ -21,15 +21,19 @@ freeing its edge set, with render unchanged).  Within a rung the stages
 still follow its own build, as in generate, so on a leaper rung a change to
 build_key can move the later stages' times by the way their inputs are laid
 out in memory.  The cyclic garbage collector is paused, as cli.main pauses
-it for a command.  For each stage, the log-log slope of its median time against the cell count is
-taken between adjacent rungs and fitted over all its rungs; a stage whose
-fitted slope is above 1.2 is flagged, since cells * log(cells) growth
-gives about 1.1 at these sizes.
+it for a command.  For each stage, the log-log slope of its median time
+against the cell count is taken between adjacent rungs and fitted over its
+rungs; a stage whose fitted slope is above 1.2 is flagged, since cells *
+log(cells) growth gives about 1.1 at these sizes.  The leaper stages work
+per rhombus as well as per cell, and rhombi per cell (2(q-p)**2 / side**2)
+are 0.06 at (12,25) and (10,21) but 0.45-0.48 at the other three, so
+these stages are fitted over those three rungs of like density only.
 
 The file records the Python version, the core count, the repeat count,
-each rung's cells and each stage's median and min in ms, the slopes, the
-flagged stages and the run's wall time.  It uses the stdlib only, and
-imports leapertour from the src/ next to this file.
+each rung's cells (and a leaper rung's rhombi), each stage's median, first
+and third quartile and min in ms, the rungs the leaper stages are fitted
+over, the slopes, the flagged stages and the run's wall time.  It uses the
+stdlib only, and imports leapertour from the src/ next to this file.
 
 Usage: python tools/bench.py [--repeat N] [--dir DIR]
 """
@@ -58,6 +62,8 @@ from leapertour.geom import Leaper  # noqa: E402
 LEAPERS = [(12, 25), (10, 21), (1, 40), (1, 80), (2, 101)]
 TILINGS = [(3, 4), (10, 10), (40, 40)]
 SLOPE_FLAG = 1.2
+LEAPER_STAGES = ("build_key", "halve", "splice", "symmetric_splice", "check_fold")
+LIKE_DENSITY = ["(1,40)", "(1,80)", "(2,101)"]  # the rungs the leaper stages are fitted over
 
 
 def tour_stages(cells, p: int, q: int, width: int, height: int, argv: list[str], out: str):
@@ -72,6 +78,7 @@ def tour_stages(cells, p: int, q: int, width: int, height: int, argv: list[str],
 
 
 def leaper_stages(p: int, q: int, out: str):
+    """The rung's stages, and its counts: the key's rhombi."""
     leaper = Leaper(p, q)
     key = keygraph.build_key(leaper)
     bits = splice.random_bits(len(key.rhombus_ids), 7)
@@ -84,7 +91,8 @@ def leaper_stages(p: int, q: int, out: str):
         "check_fold": lambda: fold.check_fold(key),
     }
     argv = ["--p", str(p), "--q", str(q), "--seed", "7"]
-    return stages | tour_stages(tour.cells, p, q, leaper.side, leaper.side, argv, out)
+    counts = {"rhombi": len(key.rhombus_ids)}
+    return stages | tour_stages(tour.cells, p, q, leaper.side, leaper.side, argv, out), counts
 
 
 def tiling_stages(k: int, l: int, out: str):
@@ -94,30 +102,42 @@ def tiling_stages(k: int, l: int, out: str):
     tour = tile.tile(leaper, k, l, base)
     argv = ["--p", "2", "--q", "5", "--seed", "3", "--tile-k", str(k), "--tile-l", str(l)]
     stages = {"tile": lambda: tile.tile(leaper, k, l, base)}
-    return stages | tour_stages(tour.cells, 2, 5, k * leaper.side, l * leaper.side, argv, out)
+    return stages | tour_stages(tour.cells, 2, 5, k * leaper.side, l * leaper.side, argv, out), {}
 
 
 def slopes(rungs: dict) -> dict[str, dict]:
     """Per stage: the log-log slope of median time against cells between
-    adjacent rungs, in cell order, and the least-squares slope over them all."""
-    points: dict[str, list[tuple[int, float]]] = {}
-    for rung in rungs.values():
+    adjacent rungs, in cell order, and the least-squares slope over them all,
+    or, for a leaper stage, over the LIKE_DENSITY rungs only (None if fewer
+    than two of them ran)."""
+    points: dict[str, list[tuple[int, float, str]]] = {}
+    for name, rung in rungs.items():
         for stage, t in rung["stages"].items():
-            points.setdefault(stage, []).append((rung["cells"], t["median_ms"]))
+            points.setdefault(stage, []).append((rung["cells"], t["median_ms"], name))
     out = {}
     for stage, pts in points.items():
         pts.sort()
         if len(pts) < 2 or pts[0][0] == pts[-1][0]:
             continue
-        xs, ys = [math.log(c) for c, _ in pts], [math.log(t) for _, t in pts]
+        xs, ys = [math.log(c) for c, _, _ in pts], [math.log(t) for _, t, _ in pts]
         adjacent = [
             [pts[i][0], pts[i + 1][0], round((ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]), 3)]
             for i in range(len(pts) - 1)
             if xs[i + 1] > xs[i]
         ]
-        fit = statistics.linear_regression(xs, ys).slope
-        out[stage] = {"fit": round(fit, 3), "adjacent": adjacent}
+        like = [stage not in LEAPER_STAGES or name in LIKE_DENSITY for _, _, name in pts]
+        fitted = [(x, y) for x, y, keep in zip(xs, ys, like) if keep]
+        fit = None
+        if len({x for x, _ in fitted}) > 1:
+            fit = round(statistics.linear_regression(*zip(*fitted)).slope, 3)
+        out[stage] = {"fit": fit, "adjacent": adjacent}
     return out
+
+
+def spread(samples: list[float]) -> dict[str, float]:
+    """A stage's median, quartiles and min in ms; one sample is all four."""
+    q1, _, q3 = statistics.quantiles(samples, n=4) if len(samples) > 1 else samples * 3
+    return {"median_ms": statistics.median(samples), "q1_ms": q1, "q3_ms": q3, "min_ms": min(samples)}
 
 
 def next_free(directory: Path) -> Path:
@@ -127,20 +147,21 @@ def next_free(directory: Path) -> Path:
     return directory / f"BENCH_{n}.json"
 
 
-def one_pass(kind: str, a: int, b: int) -> dict[str, float]:
+def one_pass(kind: str, a: int, b: int) -> dict:
     """Build one rung, a leaper (a, b) or a (2,5) tiling a x b, and time
     each of its stages once, in ms, with the cyclic garbage collector paused
-    as cli.main pauses it for a command."""
+    as cli.main pauses it for a command: the times under "stages", beside
+    the rung's counts."""
     gc.disable()
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "tour.txt")
-        stages = leaper_stages(a, b, out) if kind == "leaper" else tiling_stages(a, b, out)
+        stages, counts = leaper_stages(a, b, out) if kind == "leaper" else tiling_stages(a, b, out)
         times = {}
         for stage, call in stages.items():
             start = time.perf_counter()
             call()
             times[stage] = (time.perf_counter() - start) * 1e3
-    return times
+    return {**counts, "stages": times}
 
 
 def run(leapers: list[tuple[int, int]], tilings: list[tuple[int, int]], repeat: int) -> dict:
@@ -151,24 +172,21 @@ def run(leapers: list[tuple[int, int]], tilings: list[tuple[int, int]], repeat: 
     ladder = [(f"({p},{q})", (2 * (p + q)) ** 2, ("leaper", p, q)) for p, q in leapers]
     ladder += [(f"(2,5) {k}x{l}", 196 * k * l, ("tiling", k, l)) for k, l in tilings]
     times: dict[str, dict[str, list[float]]] = {name: {} for name, _, _ in ladder}
+    rungs = {name: {"cells": cells} for name, cells, _ in ladder}
     for _ in range(repeat):
         for name, _, rung in ladder:
             argv = [sys.executable, __file__, "--pass", *map(str, rung)]
             done = subprocess.run(argv, capture_output=True, text=True, check=True)
-            for stage, ms in json.loads(done.stdout.splitlines()[-1]).items():
+            record = json.loads(done.stdout.splitlines()[-1])
+            for stage, ms in record.pop("stages").items():
                 times[name].setdefault(stage, []).append(ms)
-    rungs = {
-        name: {
-            "cells": cells,
-            "stages": {s: {"median_ms": statistics.median(t), "min_ms": min(t)} for s, t in times[name].items()},
-        }
-        for name, cells, _ in ladder
-    }
+            rungs[name] |= record
     for name, rung in rungs.items():
+        rung["stages"] = {s: spread(t) for s, t in times[name].items()}
         print(name, " ".join(f"{s}={t['min_ms']:.2f}" for s, t in rung["stages"].items()))
 
     fitted = slopes(rungs)
-    flagged = sorted(s for s, v in fitted.items() if v["fit"] > SLOPE_FLAG)
+    flagged = sorted(s for s, v in fitted.items() if (v["fit"] or 0) > SLOPE_FLAG)
     for stage in flagged:
         print(f"FLAG: {stage} grows with slope {fitted[stage]['fit']} > {SLOPE_FLAG}")
     return {
@@ -176,6 +194,7 @@ def run(leapers: list[tuple[int, int]], tilings: list[tuple[int, int]], repeat: 
         "cores": os.cpu_count(),
         "repeat": repeat,
         "rungs": rungs,
+        "like_density": LIKE_DENSITY,
         "slopes": fitted,
         "flagged": flagged,
         "seconds": round(time.perf_counter() - began, 1),
