@@ -1,4 +1,4 @@
-"""Board geometry: cells, leaper moves, subboards, reflections, and pencils.
+"""Board geometry: cells, leaper moves, subboards, the vertical reflection, and pencils.
 
 It is the one home of is_free, the admissibility test of leapers and of
 crisscross graphs, and of ConstructionError, the failure type of every
@@ -7,7 +7,7 @@ construction step, a pencil leaving the board included.
 Coordinates follow the lower-left-corner convention: the cell (x, y) is the
 one whose lower left corner sits at the point (x, y), so a square board of
 side n holds the cells (0, 0) through (n - 1, n - 1).  Pencils and
-reflections work on cell ids x * n + y, which divmod(i, n) turns back into
+reflect work on cell ids x * n + y, which divmod(i, n) turns back into
 cells.
 """
 
@@ -23,8 +23,6 @@ Direction = tuple[int, int]
 # Edges are stored canonically with the lexicographically smaller cell first,
 # so they behave as unordered pairs under set operations.
 Edge = tuple[Cell, Cell]
-
-REFLECTIONS = ("identity", "vertical", "center", "horizontal")
 
 
 class ConstructionError(RuntimeError):
@@ -112,24 +110,16 @@ def edge(a: Cell, b: Cell) -> Edge:
     return (a, b) if a <= b else (b, a)
 
 
-def reflect(ids: Iterable[int], side: int, which: str) -> list[int]:
-    """Reflect cell ids within a square board.
+def reflect(ids: Iterable[int], side: int) -> list[int]:
+    """Reflect cell ids in the vertical axis x = side/2 of a square board,
+    which takes the cell (x, y) to (side-1-x, y).
 
-    The four reflections are the identity, reflection in the vertical axis
-    x = side/2, which takes the cell (x, y) to (side-1-x, y), the board
-    center, which takes the id i to side**2 - 1 - i, and the horizontal axis
-    y = side/2, which takes (x, y) to (x, side-1-y).
+    The board's other two mirrors need no helper: the central reflection
+    takes the id i to side**2 - 1 - i, and the horizontal one is the
+    central reflection of the vertical one.
     """
     top = side * side - side  # the id of the cell (side - 1, 0)
-    if which == "identity":
-        return list(ids)
-    if which == "vertical":  # (side-1-x) * side + y = top - i + 2y
-        return [top - i + 2 * (i % side) for i in ids]
-    if which == "center":
-        return [top + side - 1 - i for i in ids]
-    if which == "horizontal":  # x * side + side-1-y = i + side-1 - 2y
-        return [i + side - 1 - 2 * (i % side) for i in ids]
-    raise ValueError(f"unknown reflection {which!r}")
+    return [top - i + 2 * (i % side) for i in ids]  # (side-1-x) * side + y = top - i + 2y
 
 
 def pencil_shifts(spec: PencilSpec, side: int) -> list[Direction]:

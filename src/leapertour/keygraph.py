@@ -6,13 +6,16 @@ moves joining corresponding cells of the four like-kind cores; their union
 is the inner graph.  Six boundary pencils and their reflections, 24
 pairwise disjoint pencils, form the outer graph.  A pencil is a rectangle
 of cells swept by one move (a rhombus pencil by four in turn), so both
-graphs are built, and their moves, degrees, central symmetry and the
-distinctness of their edges checked, pencil by pencil: each pencil step is
-a family of edges, a rectangle of lower ends and one id step, and no two
-families of one step have rectangles that meet.  The key graph is the
-union of the two, and halving every rhombus (keeping one of its two perfect
-matchings) turns it into a pseudotour: a spanning subgraph in which every
-cell has degree two.
+graphs are built pencil by pencil, and build_key decides each invariant
+once, on pencils, naming a cell or an edge where it fails: the moves on
+one edge per pencil step (build_inner, build_outer), the inner degrees by
+vertex k of each rhombus pencil running over core k, the rhombi's central
+symmetry on the cores, the distinctness of all edges on 32 families (a
+pencil step's rectangle of lower ends and id step), and the outer degrees
+on a difference array.  build_outer makes the outer graph centrally
+symmetric as it builds it.  The key graph is the union of the two, and
+halving every rhombus (keeping one of its two perfect matchings) turns it
+into a pseudotour: a spanning subgraph in which every cell has degree two.
 
 build_key builds the key graph on cell ids, and a KeyGraph stores them:
 the cell (x, y) has the id x * side + y, so id order is lexicographic cell
@@ -22,9 +25,10 @@ fold read the ids.  The fields that hold cells as (x, y) tuples (rhombi,
 inner_edges, outer_edges, edges and core_membership) are views, derived
 from the ids on first read; error messages name cells too.  A two-factor
 is two neighbour arrays, first and second, indexed by id: neighbour_arrays
-fills them with a degree proof, and cycle_partition walks every cycle, as
-halve does.  The splice engine and tile flip their arrays in place, and
-one_cycle, one walk from id 0, proves a single tour.  CycleTracker's
+fills them with a degree proof, halving_arrays refuses a halving that fails
+it, naming a cell, and cycle_partition walks every cycle, as halve does.
+The splice engine and tile flip their arrays in place, and one_cycle, one
+walk from id 0, proves a single tour.  CycleTracker's
 disjoint sets answer every connectivity question: the splices' merges,
 is_connected_edges, fold's check, and the cell a failure names.
 ConstructionError lives in geom and is re-exported here under its name.
@@ -35,8 +39,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, combinations, groupby, repeat, starmap
-from operator import itemgetter, sub
+from itertools import accumulate, chain, combinations, groupby, repeat, starmap, zip_longest
+from operator import itemgetter
 from typing import Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .geom import (
@@ -47,7 +51,6 @@ from .geom import (
     Leaper,
     PencilSpec,
     Subboard,
-    REFLECTIONS,
     edge,
     expand_pencil,
     pencil_shifts,
@@ -176,31 +179,25 @@ def build_inner(leaper: Leaper) -> tuple[list[list[tuple[int, ...]]], list[tuple
     return pencils, families
 
 
-def _families_meet(families: Sequence[tuple[int, ...]]) -> bool:
-    """True iff two of the families share an edge.  A family (d, x1, x2, y1,
-    y2) is a pencil step's edges (i, i + d), d > 0, for each id i of the
-    cells x1 <= x < x2, y1 <= y < y2, the rectangle of their lower ends.  An
-    edge is its lower end and its step, so two families share one iff their
-    steps are equal and their rectangles meet; sorted, the families of each
-    step come together."""
-    return any(x1 < u2 and u1 < x2 and y1 < v2 and v1 < y2 for _, group in groupby(sorted(families), itemgetter(0))
-               for (_, x1, x2, y1, y2), (_, u1, u2, v1, v2) in combinations(group, 2))
-
-
-def _inner_edges(columns: Sequence[tuple[int, ...]]) -> list[IdEdge]:
-    """The rhombus edges, smaller id first, from the vertex columns of the
-    two pencils: each pencil's step 0 of every rhombus, then step 1, ..."""
-    return [e for c in (columns[:4], columns[4:]) for a, b in zip(c, c[1:] + c[:1]) for e in zip(*sorted((a, b)))]
+def _first_shared(families: Sequence[tuple[int, ...]], side: int) -> tuple[Edge, int] | None:
+    """The smallest edge that two of the families share, as cells, and the
+    earlier family's index, or None if no two share an edge.
+    A family (d, x1, x2, y1, y2) is a pencil step's edges (i, i + d), d > 0,
+    for each id i of the cells x1 <= x < x2, y1 <= y < y2, the rectangle of
+    their lower ends.  An edge is its lower end and its step, so two
+    families share one iff their steps are equal and their rectangles meet,
+    and the smallest starts at the first cell of the meet; sorted by step
+    and index, the families of each step come together in index order."""
+    steps = sorted((d, i, *rect) for i, (d, *rect) in enumerate(families))
+    shared = min(((max(x1, u1) * side + max(y1, v1), d, i) for _, group in groupby(steps, itemgetter(0))
+                  for (d, i, x1, x2, y1, y2), (_, _, u1, u2, v1, v2) in combinations(group, 2)
+                  if x1 < u2 and u1 < x2 and y1 < v2 and v1 < y2), default=None)
+    return shared and ((divmod(shared[0], side), divmod(shared[0] + shared[1], side)), shared[2])
 
 
 def _mirror(rect: Subboard, side: int) -> Subboard:
     """The central mirror of a rectangle: its ids in row order are the rectangle's, mirrored and reversed."""
     return Subboard(side - rect.x2, side - rect.x1, side - rect.y2, side - rect.y1)
-
-
-def _first_repeat(edges: Iterable[IdEdge]) -> IdEdge | None:
-    """The first edge listed more than once, or None."""
-    return next((e for e, n in Counter(edges).items() if n > 1), None)
 
 
 def _outer_pencils(leaper: Leaper) -> list[PencilSpec]:
@@ -217,15 +214,15 @@ def _outer_pencils(leaper: Leaper) -> list[PencilSpec]:
 
 def build_outer(leaper: Leaper) -> tuple[list[IdEdge], list[int], list[tuple[int, ...]]]:
     """The edges of the six boundary pencils and all their reflections, as
-    id edges, smaller id first, proved leaper moves and centrally symmetric,
-    their degrees as a difference array over the ids, and the family of
-    each of the 24 copies.
+    id edges, smaller id first, proved leaper moves, their degrees as a
+    difference array over the ids, and the family of each of the 24 copies.
 
     A pencil's reflection is the reflected move swept over the reflected
-    rectangle, so reflect maps only two corners and one move's end, and a
-    centre copy mirrors its identity copy (a horizontal its vertical) iff id
-    i to side**2 - 1 - i maps those three ids onto the other's.  Each column
-    of the rectangle of the edges' lower ends gives its edges in one zip."""
+    rectangle, so each copy is two corners and one move's end: reflect
+    gives the vertical copy's, and id i to side**2 - 1 - i takes the
+    identity and vertical copies to the centre and horizontal ones.  So the
+    outer graph is centrally symmetric as built.  Each column of the
+    rectangle of the edges' lower ends gives its edges in one zip."""
     side, last, moves = leaper.side, leaper.side ** 2 - 1, leaper.directions()
     edges: list[IdEdge] = []
     degrees = [0] * (side * side + 1)
@@ -235,8 +232,9 @@ def build_outer(leaper: Leaper) -> tuple[list[IdEdge], list[int], list[tuple[int
         rect = spec.base
         width, height = rect.x2 - rect.x1, rect.y2 - rect.y1
         first, corner = rect.x1 * side + rect.y1, (rect.x2 - 1) * side + rect.y2 - 1
-        copies = [reflect((first, corner, first + dx * side + dy), side, which) for which in REFLECTIONS]
-        for a, b, c in copies:
+        identity = (first, corner, first + dx * side + dy)
+        vertical = reflect(identity, side)
+        for a, b, c in (identity, vertical, [last - i for i in identity], [last - i for i in vertical]):
             _check_move(a, c, side, moves)
             xs, ys = zip(divmod(a, side), divmod(b, side))
             lo, d = min(xs) * side + min(ys) + min(c - a, 0), abs(c - a)
@@ -247,10 +245,6 @@ def build_outer(leaper: Leaper) -> tuple[list[IdEdge], list[int], list[tuple[int
                 degrees[s + height] -= 1
                 degrees[s + d] += 1
                 degrees[s + d + height] -= 1
-        for (a, b, c), image in zip(copies[:2], copies[2:]):  # identity to center, vertical to horizontal
-            if [last - a, last - b, last - c] != image:
-                named = (divmod(min(a, c), side), divmod(max(a, c), side))
-                raise ConstructionError(f"outer edge {named} has no central mirror")
     return edges, degrees, families
 
 
@@ -262,45 +256,44 @@ def build_key(leaper: Leaper) -> KeyGraph:
     board by one vector, so all its edges are that move and none wraps.
 
     A cell needs inner degree 2e and outer degree 2 - e, for the number e of
-    cores holding it: vertex k of a pencil's rhombi runs over its core k row
-    by row, and the outer degrees' difference array is that of 2 - e.  The
-    degree check implies the paper's sizes: the memberships e of the eight
-    (q-p)-square cores sum to 8(q-p)**2, so inner degree 2e gives 8(q-p)**2
-    inner edges, that is 2(q-p)**2 rhombi, and outer degree 2 - e gives
-    side**2 - 4(q-p)**2 = 16pq outer edges, once the edges are shown
-    distinct.  They are shown distinct on 32 families, not edge by edge.  A
-    family is one pencil step: an id step d > 0 and the rectangle of its
-    edges' lower ends, its edges (i, i + d) for each id i of the rectangle.
-      1. Once vertex k of a rhombus pencil is core k, the edges between
-         vertices k and k + 1 are core k swept by the move v_k: the cores
-         are (q-p)-squares, so every rhombus takes the same id step, and the
-         lower ends are core k, or core k + 1 if v_k lowers the id.  An
-         outer copy is its rectangle swept by one move, and build_outer
-         emits exactly its family.
-      2. An edge is its lower end and its id step, so two families share an
-         edge iff their steps are equal and their rectangles meet; within a
-         family the lower ends differ.  As |dy| < side / 2, an id step is
-         one move up to its sign.
-      3. In a pencil v2 = -v0 and v3 = -v1, so steps k and k + 2 take one id
+    cores holding it.  The degree check implies the paper's sizes: the
+    memberships e of the eight (q-p)-square cores sum to 8(q-p)**2, so inner
+    degree 2e gives 8(q-p)**2 inner edges, that is 2(q-p)**2 rhombi, and
+    outer degree 2 - e gives side**2 - 4(q-p)**2 = 16pq outer edges, once
+    the edges are shown distinct.  Each invariant is decided once, by a
+    proof on pencils that names a cell or an edge when it fails, in this
+    order:
+      1. The column proof: vertex k of each rhombus pencil runs over its
+         core k row by row, which gives each cell inner degree 2e.
+      2. The rhombus mirror: the mirror of rhombus i, a, b, c, d stored as
+         c*, d*, a*, b*, is rhombus w**2 - 1 - i of its pencil, w = q - p,
+         once core 2 mirrors core 0 and core 3 core 1 (_mirror); if not,
+         rhombus 0 of the pencil is named.
+      3. Distinctness, on 32 families, not edge by edge.  A family is one
+         pencil step: an id step d > 0 and the rectangle of its edges'
+         lower ends, its edges (i, i + d) for each id i of the rectangle.
+         After the column proof, the edges between vertices k and k + 1 are
+         core k swept by the move v_k: the cores are (q-p)-squares, so every
+         rhombus takes the same id step, and the lower ends are core k, or
+         core k + 1 if v_k lowers the id.  An outer copy is its rectangle
+         swept by one move, and build_outer emits exactly its family.  Two
+         families share an edge iff their steps are equal and their
+         rectangles meet; within a family the lower ends differ.  As
+         |dy| < side / 2, an id step is one move up to its sign.  In a
+         pencil v2 = -v0 and v3 = -v1, so steps k and k + 2 take one id
          step, and their lower ends are two of the pencil's cores: the
          rhombi share no edge iff those cores miss each other.  No forward
          move equals a backward move or its opposite, as p >= 1.
-      4. An outer copy shares an edge with a rhombus family or another copy
-         only if their steps are equal and their rectangles meet, so
-         _families_meet decides distinctness in at most 32 * 31 / 2 tests.
-    So the key is accepted when vertex k of each pencil is core k, the
-    degree arrays agree and no two families of one step meet.  If any
-    of these fails, the edges are listed and counted, in the order of the
-    checks, to name the failure: a shared rhombus edge before the outer
-    pencils are built, then an edge of both graphs, a cell's degree, and an
-    outer edge repeated with every degree balanced.
-
-    The mirror of rhombus i, a, b, c, d stored as c*, d*, a*, b*, is rhombus
-    w**2 - 1 - i of its pencil, w = q - p.  Once vertex k is core k, that is
-    core 2 mirroring core 0 and core 3 core 1 (_mirror); only if it fails are
-    the ids compared, to name the rhombus.  No outer edge is its own mirror:
-    its vector (side-1-2x, side-1-2y) is odd in both coordinates, a move even in one."""
-    side, size, last = leaper.side, leaper.side ** 2, leaper.side ** 2 - 1
+         _first_shared names the smallest shared edge: of two rhombi before
+         the outer pencils are built, then of both graphs.
+      4. The outer degrees: their difference array must be that of 2 - e,
+         and the first index where the two differ is the cell named.
+      5. An outer edge repeated with every degree balanced, the smallest
+         edge two outer families share, is named last.
+    The outer graph is centrally symmetric as build_outer builds it, and no
+    outer edge is its own mirror: its vector (side-1-2x, side-1-2y) is odd
+    in both coordinates, a move even in one."""
+    side, size = leaper.side, leaper.side ** 2
     cores = build_cores(leaper)
     pencils, families = build_inner(leaper)
     held, core_ids = [0] * (size + 1), []
@@ -314,29 +307,29 @@ def build_key(leaper: Leaper) -> KeyGraph:
             wanted[s] -= 1
             wanted[s + height] += 1
     membership = list(accumulate(held[:size]))
-    columns = [column for pencil in pencils for column in zip(*pencil)]  # vertex k of each pencil's rhombi
-    proved = columns == core_ids and not _families_meet(families)
-    if not proved and (shared := _first_repeat(_inner_edges(columns))):
-        raise ConstructionError(f"two rhombi share the edge {tuple(divmod(c, side) for c in shared)}")
+    for name, pencil, kind in zip(("forward", "backward"), pencils, (core_ids[:4], core_ids[4:])):
+        for k, (column, ids) in enumerate(zip(zip(*pencil), kind)):  # vertex k of the pencil's rhombi, and core k
+            if column != ids:  # name the first cell of the core it misses, or its first vertex past the core
+                at, want = next(pair for pair in zip_longest(column, ids) if pair[0] != pair[1])
+                cell = divmod(at if want is None else want, side)
+                raise ConstructionError(f"vertex {k} of the {name} rhombi leaves core {k} at {cell}")
+    for (a, b, c, d), pencil in zip((cores.forward, cores.backward), pencils):
+        if _mirror(c, side) != a or _mirror(d, side) != b:
+            raise ConstructionError(f"rhombus {tuple(divmod(v, side) for v in pencil[0])} has no central mirror")
+    if shared := _first_shared(families, side):
+        raise ConstructionError(f"two rhombi share the edge {shared[0]}")
 
     outer, outer_degrees, outer_families = build_outer(leaper)
-    if not proved or outer_degrees != wanted or _families_meet(families + outer_families):
-        inner = set(_inner_edges(columns))
-        if both := inner.intersection(outer):
-            raise ConstructionError(f"inner and outer graphs share the edge {tuple(divmod(c, side) for c in min(both))}")
-        deg_inner, deg_outer = Counter(chain.from_iterable(inner)), Counter(chain.from_iterable(outer))
-        for i, e in enumerate(membership):
-            if deg_inner[i] != 2 * e or deg_outer[i] != 2 - e:
-                at = f"{divmod(i, side)}: membership {e}, inner {deg_inner[i]}, outer {deg_outer[i]}"
-                raise ConstructionError(f"degree mismatch at {at}")
-        if repeated := _first_repeat(outer):  # a repeat the degrees do not show: other edges at its ends are missing
-            raise ConstructionError(f"outer graph repeats the edge {tuple(divmod(c, side) for c in repeated)}")
-
-    if not proved or any(_mirror(c, side) != a or _mirror(d, side) != b for a, b, c, d in (cores.forward, cores.backward)):
-        for a, b, c, d in (columns[:4], columns[4:]):
-            if tuple(map(sub, repeat(last), c)) != a[::-1] or tuple(map(sub, repeat(last), d)) != b[::-1]:
-                r = next(r for r, m in zip(zip(a, b, c, d), zip(a[::-1], b[::-1])) if (last - r[2], last - r[3]) != m)
-                raise ConstructionError(f"rhombus {tuple(divmod(v, side) for v in r)} has no central mirror")
+    shared = _first_shared(families + outer_families, side)
+    if shared and shared[1] < len(families):
+        raise ConstructionError(f"inner and outer graphs share the edge {shared[0]}")
+    if outer_degrees != wanted:  # the prefix sums agree before the first index where the arrays differ
+        i = next(i for i, (a, b) in enumerate(zip(outer_degrees, wanted)) if a != b)
+        e = membership[i]
+        at = f"{divmod(i, side)}: membership {e}, inner {2 * e}, outer {2 - e + outer_degrees[i] - wanted[i]}"
+        raise ConstructionError(f"degree mismatch at {at}")
+    if shared:  # a repeat the degrees do not show: other edges at its ends are missing
+        raise ConstructionError(f"outer graph repeats the edge {shared[0]}")
 
     return KeyGraph(leaper, cores, tuple(chain(*pencils)), tuple(outer), membership)
 
@@ -420,17 +413,23 @@ def halving_ids(key: KeyGraph, bits: Sequence[int]) -> Iterator[IdEdge]:
     return chain(key.outer_ids, chain.from_iterable(matched))
 
 
+def halving_arrays(key: KeyGraph, bits: Sequence[int]) -> Arrays:
+    """The neighbour arrays of the halving the bits pick.  Raise, naming a
+    cell, if a cell's degree is not 2: it is the same in every halving, as
+    both matchings of a rhombus cover its four cells."""
+    side = key.leaper.side
+    arrays = neighbour_arrays(halving_ids(key, bits), side * side)
+    if arrays is None:
+        raise degree_error(halving_ids(key, bits), side * side, side)
+    return arrays
+
+
 def halve(key: KeyGraph, bits: Sequence[int]) -> TwoFactor:
     """Pseudotour from a per-rhombus matching choice (one bit per rhombus),
-    proved a two-factor by its neighbour arrays, and split into its cycles."""
-    side = key.leaper.side
-    edges = list(halving_ids(key, bits))
-    arrays = neighbour_arrays(edges, side * side)
-    if arrays is None:
-        raise degree_error(edges, side * side, side)
-    cell = key.cells.__getitem__
-    cycles = tuple(tuple(map(cell, c)) for c in cycle_partition(*arrays))
-    return TwoFactor(frozenset([edge(cell(a), cell(b)) for a, b in edges]), cycles)
+    proved a two-factor by its neighbour arrays, split into its cycles, and
+    its edges read off the cycles."""
+    cycles = tuple(tuple(map(key.cells.__getitem__, c)) for c in cycle_partition(*halving_arrays(key, bits)))
+    return TwoFactor(frozenset(chain.from_iterable(map(edge, c, c[1:] + c[:1]) for c in cycles)), cycles)
 
 
 class CycleTracker:

@@ -4,17 +4,18 @@ A pseudotour is one matching bit per rhombus, and a flip toggles a
 rhombus's bit; when the two current matching edges lie on different cycles,
 the flip merges them.  Both splices share one engine over a list of bits,
 and it runs on the key graph's id view (see keygraph), in lists indexed by
-cell id.  It fills the halving's neighbour arrays once, refusing a cell of
-degree other than 2, and cycle_partition labels each cycle with the id of
-its first cell; those labels seed a keygraph.CycleTracker, and each merge
-flip unions two of them and flips the rhombus's four cells in the arrays at
-once.  one_cycle then proves a single tour.  The plain splice makes one
-pass of merge flips over all rhombi, and the symmetric one a pass over
-partner pairs after joining each cycle to its mirror image.  Ids turn back
-into cells only in Tour.cells and in error messages.  build_key proves the
-key graph centrally symmetric where its pencils are emitted, so the
-symmetric splice takes each rhombus's mirror from its index and checks only
-its own bits, once, at the end.
+cell id.  It fills the halving's neighbour arrays once (halving_arrays,
+which refuses a cell of degree other than 2), and cycle_partition labels
+each cycle with the id of its first cell; those labels seed a
+keygraph.CycleTracker, and each merge flip unions two of them and flips
+the rhombus's four cells in the arrays at once.  one_cycle then proves a
+single tour.  The plain splice makes one pass of merge flips over all
+rhombi, and the symmetric one a pass over partner pairs after joining each
+cycle to its mirror image.  Ids turn back into cells only in Tour.cells and
+in error messages.  build_key proves the rhombi centrally symmetric on
+their cores, and build_outer builds the outer graph symmetric, so the
+symmetric splice takes each rhombus's mirror from its index and checks
+only its own bits, once, at the end.
 """
 
 from __future__ import annotations
@@ -30,11 +31,9 @@ from .keygraph import (
     CycleTracker,
     KeyGraph,
     cycle_partition,
-    degree_error,
     flip,
-    halving_ids,
+    halving_arrays,
     is_connected_edges,
-    neighbour_arrays,
     one_cycle,
 )
 
@@ -60,13 +59,10 @@ def random_bits(count: int, seed: int | None) -> list[int]:
 def _tracked_halving(key: KeyGraph, bits: Sequence[int]) -> tuple[Arrays, CycleTracker]:
     """The neighbour arrays of the halving the bits pick, and a tracker of
     its cycles over cell ids, each labelled with the id of its first cell.
-    Raise, naming a cell, if a cell's degree is not 2, as halve does: it is
-    the same in every halving, as both matchings of a rhombus cover its four
-    cells.  Each splice proves the key graph connected its own way."""
+    halving_arrays refuses a cell of degree other than 2, as in halve.  Each
+    splice proves the key graph connected its own way."""
     side = key.leaper.side
-    halving = neighbour_arrays(halving_ids(key, bits), side * side)
-    if halving is None:
-        raise degree_error(halving_ids(key, bits), side * side, side)
+    halving = halving_arrays(key, bits)
     roots = [0] * side * side
     for cycle in cycle_partition(*halving):
         for c in cycle:

@@ -164,12 +164,13 @@ def test_halve_and_the_splices_search_the_board_a_fixed_number_of_times(monkeypa
         return real_partition(*arrays)
 
     def forbidden(*args):
-        raise AssertionError("the splice counted degrees")
+        raise AssertionError("halve or the splice counted degrees")
 
-    # keygraph's walks, and the splice's own partition, imported by name
+    # keygraph's walks, the splice's own partition, imported by name, and
+    # the degree count that halving_arrays makes only for a failure
     monkeypatch.setattr(keygraph, "walk", counting_walk)
     monkeypatch.setattr(splice, "cycle_partition", counting_partition)
-    monkeypatch.setattr(splice, "degree_error", forbidden)
+    monkeypatch.setattr(keygraph, "degree_error", forbidden)
     for q in (20, 40, 80):
         key = keygraph.build_key(Leaper(1, q))
         board = key.leaper.side ** 2
@@ -338,18 +339,6 @@ def test_generate_starts_no_garbage_collection(tmp_path):
     finally:
         gc.callbacks.remove(hook)
     assert counts == [0, 0, 0, 0], counts
-
-
-def test_build_key_mirrors_no_id_on_its_valid_path(monkeypatch):
-    # the rhombi's central symmetry is proved on the cores, core 2 the mirror
-    # of core 0 and core 3 of core 1; the ids are mirrored one by one only
-    # to name a rhombus once that has failed
-    def forbidden(*args):
-        raise AssertionError("build_key mirrored the rhombus ids one by one")
-
-    monkeypatch.setattr(keygraph, "sub", forbidden)
-    for p, q in ((1, 20), (2, 5), (10, 21), (12, 25)):
-        keygraph.build_key(Leaper(p, q))
 
 
 def test_build_key_builds_no_edge_container_on_its_valid_path(monkeypatch):

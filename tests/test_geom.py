@@ -37,21 +37,20 @@ def test_invalid_leapers_rejected(p, q):
 
 
 def test_reflect_cell_formulas():
+    # reflect is the vertical mirror; the central one is id i to last - i,
+    # and the horizontal one the central mirror of the vertical one
     side = 14  # (2,5) board
-    formulas = {
-        "identity": lambda x, y: (x, y),
-        "vertical": lambda x, y: (side - 1 - x, y),
-        "center": lambda x, y: (side - 1 - x, side - 1 - y),
-        "horizontal": lambda x, y: (x, side - 1 - y),
-    }
+    last = side * side - 1
     ids = range(side * side)
-    for which, formula in formulas.items():
-        mirrored = [divmod(i, side) for i in reflect(ids, side, which)]
-        assert mirrored == [formula(*divmod(i, side)) for i in ids], which
-    assert divmod(reflect([0], side, "vertical")[0], side) == (13, 0)
-    assert reflect([0], side, "center") == [side * side - 1]
-    with pytest.raises(ValueError, match="unknown reflection"):
-        reflect([0], side, "diagonal")
+    vertical = reflect(ids, side)
+    formulas = {
+        "vertical": (vertical, lambda x, y: (side - 1 - x, y)),
+        "center": ([last - i for i in ids], lambda x, y: (side - 1 - x, side - 1 - y)),
+        "horizontal": ([last - i for i in vertical], lambda x, y: (x, side - 1 - y)),
+    }
+    for which, (mirrored, formula) in formulas.items():
+        assert [divmod(i, side) for i in mirrored] == [formula(*divmod(i, side)) for i in ids], which
+    assert divmod(reflect([0], side)[0], side) == (13, 0)
 
 
 def _ids(cells, side):
@@ -63,24 +62,34 @@ def test_reflect_subboard_center_maps_core_1_to_core_3():
     side = 2 * (p + q)
     c1 = Subboard(p, q, p, q)
     c3 = Subboard(2 * p + q, p + 2 * q, 2 * p + q, p + 2 * q)
-    mirrored = reflect(_ids(c1.cells(), side), side, "center")
+    mirrored = [side * side - 1 - i for i in _ids(c1.cells(), side)]
     assert {divmod(i, side) for i in mirrored} == set(c3.cells())
 
 
 def test_center_reflection_is_involution():
+    # the central mirror last - i, and the vertical reflection, each undo themselves
     side = 14
+    last = side * side - 1
     ids = _ids(Subboard(1, 4, 2, 9).cells(), side)
-    mirrored = reflect(ids, side, "center")
-    assert set(mirrored) != set(ids)
-    assert reflect(mirrored, side, "center") == ids
+    for mirror in (lambda ids: [last - i for i in ids], lambda ids: reflect(ids, side)):
+        mirrored = mirror(ids)
+        assert set(mirrored) != set(ids)
+        assert mirror(mirrored) == ids
 
 
 def test_klein_four_composition():
-    # vertical then horizontal equals center, on every cell of a small board
+    # on every cell of a small board, vertical then horizontal equals
+    # center, and the vertical and central mirrors commute, so the
+    # horizontal mirror is either order of the two
     side = 6
+    last = side * side - 1
     ids = range(side * side)
-    vertical = reflect(ids, side, "vertical")
-    assert reflect(vertical, side, "horizontal") == reflect(ids, side, "center")
+
+    def horizontal(ids):
+        return [last - i for i in reflect(ids, side)]
+
+    assert horizontal(reflect(ids, side)) == [last - i for i in ids]
+    assert horizontal(ids) == reflect([last - i for i in ids], side)
 
 
 def test_forward_rhombus_pencil_yields_closed_cycles():

@@ -66,7 +66,7 @@ def test_inner_2_5_counts():
     assert [len(pencil) for pencil in pencils] == [9, 9]  # 2 * (q-p)^2 rhombi
     assert len(families) == 8  # 4 steps per pencil
     assert sum((x2 - x1) * (y2 - y1) for _, x1, x2, y1, y2 in families) == 72  # 4 edges each
-    assert not keygraph._families_meet(families)  # none shared
+    assert keygraph._first_shared(families, 14) is None  # none shared
 
 
 def test_forward_rhombus_at_pp():
@@ -81,13 +81,15 @@ def test_forward_rhombus_at_pp():
 @pytest.mark.parametrize("p,q", FREE_SMALL)
 def test_outer_size_and_reflection_invariance(p, q):
     leaper = Leaper(p, q)
+    side, last = leaper.side, leaper.side ** 2 - 1
     outer, _, families = build_outer(leaper)  # a list: the 24 reflected pencils are disjoint
     assert len(outer) == len(set(outer)) == 16 * p * q
-    assert len(families) == 24 and not keygraph._families_meet(families)
+    assert len(families) == 24 and keygraph._first_shared(families, side) is None
     assert all(a < b for a, b in outer)
     ends = list(zip(*outer))
-    for which in ("vertical", "center", "horizontal"):
-        a, b = (reflect(column, leaper.side, which) for column in ends)
+    vertical = [reflect(column, side) for column in ends]
+    # the vertical, central (id i to last - i) and horizontal mirrors
+    for a, b in (vertical, [[last - i for i in c] for c in ends], [[last - i for i in c] for c in vertical]):
         assert set(map(tuple, map(sorted, zip(a, b)))) == set(outer)
 
 
@@ -274,7 +276,7 @@ def test_families_are_the_stored_edges_and_pairwise_disjoint(pq):
     assert sorted(e for f in outer for e in _family_edges(f, side)) == sorted(key.outer_ids)
     edges = [e for f in inner + outer for e in _family_edges(f, side)]
     assert len(set(edges)) == len(edges)
-    assert not keygraph._families_meet(inner + outer)
+    assert keygraph._first_shared(inner + outer, side) is None
 
 
 # a step d of 1 or 2, and a rectangle (x, y, width, height) that lies on the 8 x 8 board
@@ -284,9 +286,17 @@ FAMILY = st.tuples(st.integers(1, 2), st.integers(0, 4), st.integers(0, 4), st.i
 @settings(max_examples=200, deadline=None)
 @given(st.lists(FAMILY, min_size=2, max_size=4))
 def test_families_meet_iff_they_share_an_edge(specs):
+    # _first_shared finds a shared edge iff two families' edges meet, and
+    # it is the smallest such edge, with the earliest family holding it and
+    # a later one
     families = [(d, x, x + w, y, y + h) for d, x, y, w, h in specs]
     edges = [set(_family_edges(f, 8)) for f in families]
-    assert keygraph._families_meet(families) == any(a & b for i, a in enumerate(edges) for b in edges[i + 1:])
+    shared = [(e, i) for i, a in enumerate(edges) for b in edges[i + 1:] for e in a & b]
+    found = keygraph._first_shared(families, 8)
+    assert (found is None) == (not shared)
+    if shared:
+        (a, b), i = min(shared)
+        assert found == ((divmod(a, 8), divmod(b, 8)), i)
 
 
 @settings(max_examples=100, deadline=None)
@@ -432,8 +442,27 @@ def test_open_rhombus_pencil_names_its_first_cell(monkeypatch):
         build_key(Leaper(2, 5))
 
 
+def _repeat_rhombus_step(monkeypatch):
+    """List the forward pencil's step 0 twice among the rhombus families.
+    Its vertices still run over their cores, so only the families test sees it."""
+    real = keygraph.build_inner
+
+    def repeated(leaper):
+        pencils, families = real(leaper)
+        return pencils, families + families[:1]
+
+    monkeypatch.setattr(keygraph, "build_inner", repeated)
+
+
 def test_repeated_rhombus_names_the_shared_edge(monkeypatch):
-    _patch_rhombus_pencils(monkeypatch, lambda paths: paths + paths[:1])
+    # a rhombus listed twice takes vertex 0 past its core, and the column
+    # proof names that vertex; a rhombus step listed twice shares every edge
+    # with itself, and the families test names the first
+    with monkeypatch.context() as patch:
+        _patch_rhombus_pencils(patch, lambda paths: paths + paths[:1])
+        with pytest.raises(ConstructionError, match=r"^vertex 0 of the forward rhombi leaves core 0 at \(2, 2\)$"):
+            build_key(Leaper(2, 5))
+    _repeat_rhombus_step(monkeypatch)
     with pytest.raises(
         ConstructionError, match=r"^two rhombi share the edge \(\(2, 2\), \(7, 4\)\)$"
     ):
@@ -443,7 +472,7 @@ def test_repeated_rhombus_names_the_shared_edge(monkeypatch):
 def test_shared_rhombus_edge_is_named_before_the_outer_pencils_fail(monkeypatch):
     # the rhombi are checked before the outer pencils are built, so a key
     # with a bent outer move as well still names the shared edge
-    _patch_rhombus_pencils(monkeypatch, lambda paths: paths + paths[:1])
+    _repeat_rhombus_step(monkeypatch)
     _patch_outer(monkeypatch, lambda specs, p, q, side: specs.__setitem__(0, PencilSpec(specs[0].base, ((q, p + 1),))))
     with pytest.raises(
         ConstructionError, match=r"^two rhombi share the edge \(\(2, 2\), \(7, 4\)\)$"
@@ -452,12 +481,16 @@ def test_shared_rhombus_edge_is_named_before_the_outer_pencils_fail(monkeypatch)
 
 
 def test_missing_rhombus_is_named_by_the_degree_check(monkeypatch):
-    # 16 rhombi instead of 2(q-p)**2 = 18: the degree check implies the count
-    _patch_rhombus_pencils(monkeypatch, lambda paths: paths[1:])
-    with pytest.raises(
-        ConstructionError,
-        match=r"^degree mismatch at \(2, 2\): membership 1, inner 0, outer 1$",
-    ):
+    # 16 rhombi instead of 2(q-p)**2 = 18: the degree check implies the
+    # count.  Its inner half is the column proof, which names the first
+    # cell of core 0 that vertex 0 of the forward rhombi no longer covers;
+    # with the forward pencil whole, the backward pencil's core 0, from (4, 4)
+    with monkeypatch.context() as patch:
+        _patch_rhombus_pencils(patch, lambda paths: paths[1:])
+        with pytest.raises(ConstructionError, match=r"^vertex 0 of the forward rhombi leaves core 0 at \(2, 2\)$"):
+            build_key(Leaper(2, 5))
+    _patch_rhombus_pencils(monkeypatch, lambda paths: paths[1:] if paths[0][0] == 4 * 14 + 4 else paths)
+    with pytest.raises(ConstructionError, match=r"^vertex 0 of the backward rhombi leaves core 0 at \(4, 4\)$"):
         build_key(Leaper(2, 5))
 
 

@@ -12,6 +12,7 @@ come from a check other than the final symmetry test of a tour.
 Run with: python -m pytest -m slow tests/test_mutants.py
 """
 
+import ast
 import os
 import shutil
 import subprocess
@@ -39,13 +40,11 @@ class Mutant(NamedTuple):
 KEY = "tests/test_keygraph.py::test_key_equals_the_cell_oracle[2-5]"
 SYMMETRIC = "tests/test_splice.py::test_symmetric_splice[2-5]"
 GOLDEN_SYMMETRIC = "tests/test_golden.py::test_output_is_byte_identical[symmetric-2-5-tour]"
-GUARD = "tests/test_complexity.py::test_build_key_makes_no_per_edge_loop"
 VERIFY_ORACLE = "tests/test_verify.py::test_verify_tour_agrees_with_the_oracle_on_any_cell_list"
 SYMMETRY_ORACLE = "tests/test_verify.py::test_central_symmetry_agrees_with_the_oracle_on_any_cell_list"
 PLAIN = "tests/test_splice.py::test_splice_2_5_random_halvings"
 STORED_FAMILIES = "tests/test_keygraph.py::test_families_are_the_stored_edges_and_pairwise_disjoint"
 FLIP_COUNTS = "tests/test_splice.py::test_splices_flip_each_rhombus_once_per_merge"
-MIRROR_GUARD = "tests/test_complexity.py::test_build_key_mirrors_no_id_on_its_valid_path"
 CONNECTIVITY = "tests/test_keygraph.py::test_connectivity_answers_are_the_networkx_ones"
 FOLD_DISCONNECTED = "tests/test_cli.py::test_sweep_failure_is_the_located_fail_row[fold-disconnected]"
 TILED = (
@@ -54,13 +53,16 @@ TILED = (
 )
 
 MUTANTS = [
-    # geom.reflect's three formulas: build_key's outer pencil checks
+    # geom.reflect, the vertical mirror of each outer pencil: build_key's
+    # degree and families proofs
     Mutant("reflect-vertical", "geom.py", "return [top - i + 2 * (i % side) for i in ids]",
            "return [top + i - 2 * (i % side) for i in ids]", (KEY, SYMMETRIC), blind=True),
-    Mutant("reflect-center", "geom.py", "return [top + side - 1 - i for i in ids]",
-           "return [top + side - 2 - i for i in ids]", (KEY, SYMMETRIC), blind=True),
-    Mutant("reflect-horizontal", "geom.py", "return [i + side - 1 - 2 * (i % side) for i in ids]",
-           "return [i + side - 2 * (i % side) for i in ids]", (KEY, SYMMETRIC), blind=True),
+    # build_outer's mirror copies, id i to last - i of the identity and
+    # vertical copies
+    Mutant("centre-copy-off-by-one", "keygraph.py", "[last - i for i in identity]", "[last - 1 - i for i in identity]",
+           (KEY, SYMMETRIC), blind=True),
+    Mutant("horizontal-copy-is-the-vertical", "keygraph.py", "[last - i for i in vertical])", "vertical)",
+           (KEY, SYMMETRIC), blind=True),
     # expand_pencil's path order: rotated, no rhombus sits at its mirror's
     # index; column-major keeps the mirrors but reorders the rhombi
     Mutant("pencil-order-rotated", "geom.py", "[i + sx * side + sy for i in starts]",
@@ -70,35 +72,37 @@ MUTANTS = [
     Mutant("pencil-order-column-major", "geom.py",
            "for x in range(rect.x1, rect.x2) for y in range(rect.y1, rect.y2)]",
            "for y in range(rect.y1, rect.y2) for x in range(rect.x1, rect.x2)]", (KEY, GOLDEN_SYMMETRIC), blind=True),
-    # build_key's degree proof: a dropped or shortened run only sends a
-    # valid key down the edge-by-edge path, which the line-event guard sees;
-    # a run that drops a row of each core changes the memberships
-    Mutant("outer-run-dropped", "keygraph.py", "                degrees[s + d] += 1\n", "", (GUARD,), blind=True),
+    # build_key's degree proof: a dropped or shortened run of outer degrees,
+    # or a core column one short, fails the proof on every key; a run that
+    # drops a row of each core changes the memberships
+    Mutant("outer-run-dropped", "keygraph.py", "                degrees[s + d] += 1\n", "", (KEY,), blind=True),
     Mutant("outer-run-shortened", "keygraph.py", "                degrees[s + height] -= 1\n",
-           "                degrees[s + height - 1] -= 1\n", (GUARD,), blind=True),
+           "                degrees[s + height - 1] -= 1\n", (KEY,), blind=True),
     Mutant("core-columns-shortened", "keygraph.py", "map(range, starts, range(starts[0] + height, size, side))",
-           "map(range, starts, range(starts[0] + height - 1, size, side))", (GUARD,), blind=True),
+           "map(range, starts, range(starts[0] + height - 1, size, side))", (KEY,), blind=True),
     Mutant("core-run-dropped", "keygraph.py", "range(core.x1 * side + core.y1, core.x2 * side + core.y1, side)",
            "range(core.x1 * side + core.y1, (core.x2 - 1) * side + core.y1, side)", (KEY, SYMMETRIC), blind=True),
-    Mutant("degree-proof-skipped", "keygraph.py", "if not proved or outer_degrees != wanted or", "if not proved or",
+    Mutant("degree-proof-skipped", "keygraph.py", "    if outer_degrees != wanted:", "    if False:",
            ("tests/test_keygraph.py::test_dropped_pencil_is_named_by_the_degree_check",), blind=True),
-    Mutant("core-columns-unchecked", "keygraph.py", "proved = columns == core_ids and not", "proved = not",
+    Mutant("degree-outer-count-unlocated", "keygraph.py", "outer {2 - e + outer_degrees[i] - wanted[i]}",
+           "outer {2 - e}", ("tests/test_keygraph.py::test_repeated_pencil_is_named_by_the_degree_check",)),
+    Mutant("core-columns-unchecked", "keygraph.py", "            if column != ids:", "            if False:",
            ("tests/test_keygraph.py::test_missing_rhombus_is_named_by_the_degree_check",), blind=True),
+    Mutant("column-pencils-named-swapped", "keygraph.py", 'zip(("forward", "backward"), pencils',
+           'zip(("backward", "forward"), pencils',
+           ("tests/test_keygraph.py::test_missing_rhombus_is_named_by_the_degree_check",)),
+    Mutant("column-names-no-vertex-past-the-core", "keygraph.py", "divmod(at if want is None else want, side)",
+           "divmod(want, side)", ("tests/test_keygraph.py::test_repeated_rhombus_names_the_shared_edge",)),
     Mutant("outer-edges-shortened", "keygraph.py", "edges += zip(range(s, s + height), range(s + d, s + d + height))",
            "edges += zip(range(s, s + height - 1), range(s + d, s + d + height - 1))", (KEY,), blind=True),
-    # the central-symmetry checks this key invariant replaced in the splice
-    Mutant("outer-mirror-check-dropped", "keygraph.py", "if [last - a, last - b, last - c] != image:", "if False:",
-           ("tests/test_splice.py::test_outer_edge_without_a_mirror_is_named",), blind=True),
-    Mutant("rhombus-mirror-check-dropped", "keygraph.py",
-           "if tuple(map(sub, repeat(last), c)) != a[::-1] or", "if False and",
-           ("tests/test_splice.py::test_rotated_rhombus_is_named_without_a_mirror",), blind=True),
-    # its proof on the cores: a mirror rectangle moved by one, or core 3
-    # compared with core 0, sends every valid key down the per-id check
+    # the rhombi's central symmetry, proved on the cores: a skipped check, a
+    # mirror rectangle moved by one, or core 3 compared with core 0
+    Mutant("core-mirror-accepted", "keygraph.py", "if _mirror(c, side) != a or _mirror(d, side) != b:", "if False:",
+           ("tests/test_splice.py::test_cores_off_their_mirrors_name_rhombus_0[2-5]",), blind=True),
     Mutant("mirror-rectangle-moved", "keygraph.py", "side - rect.y2, side - rect.y1)",
            "side - rect.y2 + 1, side - rect.y1 + 1)",
-           (MIRROR_GUARD, "tests/test_keygraph.py::test_mirror_rectangle_is_the_reversed_mirror_of_its_ids")),
-    Mutant("core-3-off-its-mirror", "keygraph.py", "_mirror(d, side) != b for", "_mirror(d, side) != a for",
-           (MIRROR_GUARD,)),
+           (KEY, "tests/test_keygraph.py::test_mirror_rectangle_is_the_reversed_mirror_of_its_ids")),
+    Mutant("core-3-off-its-mirror", "keygraph.py", "_mirror(d, side) != b:", "_mirror(d, side) != a:", (KEY,)),
     Mutant("partner-range-shifted", "splice.py", "*range(2 * n - 1, n - 1, -1)", "*range(2 * n - 2, n - 2, -1)",
            ("tests/test_splice.py::test_partners_are_the_index_ranges_of_the_mirror_search[2-5]", GOLDEN_SYMMETRIC),
            blind=True),
@@ -123,21 +127,23 @@ MUTANTS = [
            ("tests/test_keygraph.py::test_non_leaper_move_names_the_edge",)),
     Mutant("open-pencil-accepted", "keygraph.py", "if paths[0][4] != paths[0][0]:", "if False:",
            ("tests/test_keygraph.py::test_open_rhombus_pencil_names_its_first_cell",)),
-    Mutant("shared-rhombus-edge-accepted", "keygraph.py",
-           "if not proved and (shared :=", "if False and (shared :=",
-           ("tests/test_keygraph.py::test_repeated_rhombus_names_the_shared_edge",)),
-    Mutant("inner-outer-overlap-accepted", "keygraph.py", "if both := inner.intersection(outer):",
-           "if False:", ("tests/test_keygraph.py::test_pencil_repeating_a_rhombus_edge_overlaps",)),
-    Mutant("outer-repeat-accepted", "keygraph.py", "if repeated := _first_repeat(outer):", "if False:",
-           ("tests/test_keygraph.py::test_repeat_with_balanced_degrees_names_the_edge",)),
-    # build_key's distinctness proof on families: a meet test that never
-    # fires, a core moved onto another so that two families meet, and the
+    # build_key's distinctness proof on families: each of its three raises
+    # skipped, a meet test that never fires, the shared edge it names taken
+    # from one rectangle's first cell, not the meet's, a core moved onto
+    # another, which its rhombi's vertices no longer follow, and the
     # families' own description of the edges they stand for
-    Mutant("families-never-meet", "keygraph.py", "    return any(x1 < u2",
-           "    return False and any(x1 < u2",
+    Mutant("shared-rhombus-step-accepted", "keygraph.py", "    if shared := _first_shared(families, side):",
+           "    if False:", ("tests/test_keygraph.py::test_repeated_rhombus_names_the_shared_edge",)),
+    Mutant("inner-outer-meet-accepted", "keygraph.py", "if shared and shared[1] < len(families):", "if False:",
+           ("tests/test_keygraph.py::test_pencil_repeating_a_rhombus_edge_overlaps",)),
+    Mutant("balanced-repeat-accepted", "keygraph.py", "    if shared:  # a repeat", "    if False:  # a repeat",
+           ("tests/test_keygraph.py::test_repeat_with_balanced_degrees_names_the_edge",)),
+    Mutant("families-never-meet", "keygraph.py", "if x1 < u2 and", "if False and x1 < u2 and",
            ("tests/test_keygraph.py::test_repeat_with_balanced_degrees_names_the_edge",
             "tests/test_keygraph.py::test_families_meet_iff_they_share_an_edge")),
     Mutant("families-meet-when-touching", "keygraph.py", "x1 < u2 and u1 < x2", "x1 <= u2 and u1 <= x2",
+           ("tests/test_keygraph.py::test_families_meet_iff_they_share_an_edge",)),
+    Mutant("shared-edge-off-the-meet", "keygraph.py", "max(x1, u1) * side + max(y1, v1)", "x1 * side + y1",
            ("tests/test_keygraph.py::test_families_meet_iff_they_share_an_edge",)),
     Mutant("core-moved-onto-core-0", "keygraph.py", "Subboard(2 * p, p + q, p + q, 2 * q),",
            "Subboard(2 * p, p + q, p, q),", (KEY,)),
@@ -174,9 +180,7 @@ MUTANTS = [
            ("tests/test_fold.py::test_outer_paths_raises_on_a_cycle",)),
     Mutant("fold-projection-count-accepted", "fold.py", "if len(table[a]) != 1 or len(table[b]) != 1:", "if False:",
            ("tests/test_cli.py::test_construction_error_is_one_error_line[fold]",)),
-    Mutant("halve-degree-accepted", "keygraph.py", "if arrays is None:", "if False:",
-           ("tests/test_splice.py::test_degree_error_names_a_cell",)),
-    Mutant("splice-degree-accepted", "splice.py", "if halving is None:", "if False:",
+    Mutant("halving-degree-accepted", "keygraph.py", "if arrays is None:", "if False:",
            ("tests/test_splice.py::test_degree_error_names_a_cell",)),
     Mutant("cli-invalid-tour-accepted", "cli.py", "if not report.valid:", "if False:",
            ("tests/test_cli.py::test_construction_error_is_one_error_line[self-verification]",)),
@@ -268,6 +272,39 @@ def test_mutant_is_killed(tmp_path, mutant):
     edits = [(mutant.file, mutant.old, mutant.new)] + ([BLIND] if mutant.blind else [])
     result = _run(tmp_path, edits, mutant.killers)
     assert result.returncode == 1, f"exit {result.returncode}\n{result.stdout[-3000:]}\n{result.stderr[-3000:]}"
+
+
+def _name(node):
+    """The last name of a dotted expression: ConstructionError for keygraph.ConstructionError."""
+    return ast.unparse(node).split(".")[-1]
+
+
+def test_every_construction_raise_has_a_mutant_row():
+    # each raise of ConstructionError, of a class derived from it, or of
+    # degree_error is covered by a row whose old text starts on the raise's
+    # lines or on the header of the nearest if around it
+    trees = {path.name: ast.parse(path.read_text()) for path in (ROOT / "src" / "leapertour").glob("*.py")}
+    classes = [node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    family = {"ConstructionError", "degree_error"}
+    while derived := {c.name for c in classes if any(_name(b) in family for b in c.bases)} - family:
+        family |= derived
+    raises = 0
+    for name, tree in sorted(trees.items()):
+        text = (ROOT / "src" / "leapertour" / name).read_text()
+        starts = {text[:text.find(m.old)].count("\n") + 1 for m in MUTANTS if m.file == name and m.old in text}
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and _name(node.exc.func) in family):
+                continue
+            raises += 1
+            lines = set(range(node.lineno, node.end_lineno + 1))
+            guard = node
+            while guard in parents and not isinstance(guard, ast.If):
+                guard = parents[guard]
+            if isinstance(guard, ast.If):
+                lines |= set(range(guard.lineno, guard.test.end_lineno + 1))
+            assert starts & lines, f"{name}:{node.lineno}: no mutant row skips this raise"
+    assert raises >= 20, raises
 
 
 @pytest.mark.slow

@@ -14,6 +14,7 @@ from leapertour.cli import free_leapers
 from leapertour.geom import Leaper, PencilSpec, Subboard, edge
 from leapertour.keygraph import (
     ConstructionError,
+    Cores,
     build_key,
     halve,
     halving_ids,
@@ -364,7 +365,7 @@ def test_symmetric_splice_partitions_the_board_once(monkeypatch, p, q):
 
     monkeypatch.setattr(splice_module, "cycle_partition", counting_cycles)
     monkeypatch.setattr(splice_module, "one_cycle", counting_tour)
-    monkeypatch.setattr(splice_module, "degree_error", lambda *a: lists.append(a))
+    monkeypatch.setattr(keygraph, "degree_error", lambda *a: lists.append(a))
     symmetric_splice(key)
     assert labels == final == [key.leaper.side ** 2]
     assert lists == []
@@ -505,11 +506,12 @@ def test_degree_error_names_a_cell(key25):
     assert messages[0] == messages[1]
 
 
-# A key that build_key returns is centrally symmetric: it proves the mirror
-# of each rhombus and outer pencil where they are emitted, and the symmetric
+# A key that build_key returns is centrally symmetric: it proves the
+# rhombi's mirrors on their cores, builds each outer pencil's centre and
+# horizontal copies as the mirrors of the other two, and the symmetric
 # splice reads the partners off the indices.  So the defects below are made
-# through build_key, with a patched forward rhombus pencil, outer pencil or
-# reflection, and each check names a cell.
+# through build_key, with a patched forward rhombus pencil, cores, outer
+# pencil or reflection, and each check names a cell.
 
 
 def _patch_forward_pencil(monkeypatch, change):
@@ -524,33 +526,31 @@ def _patch_forward_pencil(monkeypatch, change):
     monkeypatch.setattr(keygraph, "expand_pencil", patched)
 
 
-def _degree_message(key, i):
-    """build_key's message for rhombus i dropped: its smallest cell, first
-    in id order, has inner degree 2 too few."""
-    first = min(key.rhombus_ids[i])
-    e = key.membership[first]
-    return f"degree mismatch at {key.cells[first]}: membership {e}, inner {2 * e - 2}, outer {2 - e}"
+def _column_message(key, i):
+    """build_key's message for forward rhombus i dropped or moved: vertex 0
+    leaves core 0 at the rhombus's first cell, the smallest in id order."""
+    return f"vertex 0 of the forward rhombi leaves core 0 at {key.cells[key.rhombus_ids[i][0]]}"
 
 
 def test_rhombus_without_a_mirror_is_named(monkeypatch, key25):
     # dropping a rhombus would leave its partner without a mirror image, but
-    # no rhombus goes without lowering four degrees, so the degree check
-    # names the dropped rhombus's first cell before the mirror check runs:
-    # the corner rhombus 0, rhombus 1, and rhombus 8, the partner of 0
+    # the column proof, which gives each cell its inner degree, names the
+    # dropped rhombus's first cell before the mirror check runs: the corner
+    # rhombus 0, rhombus 1, and rhombus 8, the partner of 0
     for i in (0, 1, 8):
         with monkeypatch.context() as patch:
             _patch_forward_pencil(patch, lambda paths: paths[:i] + paths[i + 1:])
-            with pytest.raises(ConstructionError, match=f"^{re.escape(_degree_message(key25, i))}$"):
+            with pytest.raises(ConstructionError, match=f"^{re.escape(_column_message(key25, i))}$"):
                 build_key(Leaper(2, 5))
 
 
 def test_key_without_a_centre_rhombus_is_refused(monkeypatch, key25):
     # the centre rhombus, (w**2 - 1) / 2 = 4 for w = 3, dropped from the
-    # pencil is named by the degree check
+    # pencil is named by the column proof
     i1 = _find_center_rhombus(key25)
     assert i1 == 4
     _patch_forward_pencil(monkeypatch, lambda paths: paths[:i1] + paths[i1 + 1:])
-    with pytest.raises(ConstructionError, match=f"^{re.escape(_degree_message(key25, i1))}$"):
+    with pytest.raises(ConstructionError, match=f"^{re.escape(_column_message(key25, i1))}$"):
         build_key(Leaper(2, 5))
     # a key edited without it holds rhombus 5 at the centre index, which the
     # symmetric splice names as not its own mirror
@@ -564,13 +564,11 @@ def test_key_without_a_centre_rhombus_is_refused(monkeypatch, key25):
 def test_more_fixed_forward_rhombi_are_named(monkeypatch, key25):
     # a rhombus is its own mirror only if it is centred on the board, so two
     # more fixed forward rhombi are copies of the centre rhombus: put in for
-    # rhombus 0 and its partner 8, they share its edges, and build_key
-    # names the first
+    # rhombus 0 and its partner 8, their vertex 0 leaves core 0, and the
+    # column proof names the first cell left, rhombus 0's
     i1 = _find_center_rhombus(key25)
     _patch_forward_pencil(monkeypatch, lambda paths: [paths[i1] if i in (0, 8) else p for i, p in enumerate(paths)])
-    a, b = key25.rhombus_ids[i1][:2]
-    message = f"two rhombi share the edge {(key25.cells[a], key25.cells[b])}"
-    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ConstructionError, match=f"^{re.escape(_column_message(key25, 0))}$"):
         build_key(Leaper(2, 5))
 
 def test_extra_mirrored_outer_edges_fail_the_degree_check(key25):
@@ -611,39 +609,56 @@ def test_self_mirrored_edge_error_names_its_cells(monkeypatch):
 @pytest.mark.parametrize("p,q", [(1, 4), (2, 5), (3, 8)])
 def test_rotated_rhombus_is_named_without_a_mirror(monkeypatch, p, q):
     # a rhombus stored as b, c, d, a is the same 4-cycle, but its matching 0
-    # is the other one, so the reflection no longer maps matchings by bit:
-    # build_key names it, rhombus 1, before its partner w**2 - 2
+    # is the other one, so the reflection would no longer map matchings by
+    # bit: its vertex 0 leaves core 0, and the column proof names the cell a
+    # it left, rhombus 1's, before its partner w**2 - 2
     key = build_key(Leaper(p, q))
     def rotate_rhombus_1(paths):
         return [path[1:] + path[1:2] if i == 1 else path for i, path in enumerate(paths)]
 
     _patch_forward_pencil(monkeypatch, rotate_rhombus_1)
-    a, b, c, d = _rhombus_cells(key, 1)
-    with pytest.raises(ConstructionError, match=rf"^rhombus {re.escape(str((b, c, d, a)))} has no central mirror$"):
+    with pytest.raises(ConstructionError, match=f"^{re.escape(_column_message(key, 1))}$"):
         build_key(Leaper(p, q))
 
 
-def test_outer_edge_without_a_mirror_is_named(monkeypatch, key25):
-    # a copy of an outer pencil moved down by one cell drops the edges that
-    # mirror its twin copy's, and build_outer names the twin's first edge:
-    # that of pencil 0, from its rectangle's first cell (0, 0) by the move
-    # (q, p) = (5, 2)
-    side = key25.leaper.side
+@pytest.mark.parametrize("p,q", [(1, 4), (2, 5), (3, 8)])
+def test_cores_off_their_mirrors_name_rhombus_0(monkeypatch, p, q):
+    # every core moved one cell right: the rhombus pencils follow their
+    # cores, so the column proof holds, but core 2 no longer mirrors core 0,
+    # and the mirror check names rhombus 0 of the forward pencil, moved too
+    cells = tuple((x + 1, y) for x, y in _rhombus_cells(build_key(Leaper(p, q)), 0))
+    real = keygraph.build_cores
+
+    def moved(leaper):
+        cores = real(leaper)
+        return Cores(*(tuple(Subboard(c.x1 + 1, c.x2 + 1, c.y1, c.y2) for c in kind) for kind in (cores.forward, cores.backward)))
+
+    monkeypatch.setattr(keygraph, "build_cores", moved)
+    with pytest.raises(ConstructionError, match=f"^rhombus {re.escape(str(cells))} has no central mirror$"):
+        build_key(Leaper(p, q))
+
+
+def test_outer_copies_mirror_by_construction(monkeypatch, key25):
+    # build_outer makes the centre and horizontal copies of each pencil as
+    # the central mirrors of its identity and vertical copies, so a vertical
+    # copy moved up by one cell moves its mirror down with it: the outer
+    # graph stays centrally symmetric, and the degree check names the
+    # first cell the moved copies leave with the wrong degree
+    leaper, last = key25.leaper, key25.leaper.side ** 2 - 1
     real = keygraph.reflect
-    for which, twin in (("center", "identity"), ("horizontal", "vertical")):
-        calls = []
+    calls = []
 
-        def moved(ids, side, how):
-            calls.append(how)
-            out = real(ids, side, how)
-            return [i - 1 for i in out] if how == which and calls.count(how) == 1 else out
+    def moved(ids, side):
+        calls.append(ids)
+        return [i + 1 for i in real(ids, side)] if len(calls) == 1 else real(ids, side)
 
-        a, c = real((0, 5 * side + 2), side, twin)
-        named = (divmod(min(a, c), side), divmod(max(a, c), side))
-        with monkeypatch.context() as patch:
-            patch.setattr(keygraph, "reflect", moved)
-            with pytest.raises(ConstructionError, match=rf"^outer edge {re.escape(str(named))} has no central mirror$"):
-                build_key(Leaper(2, 5))
+    monkeypatch.setattr(keygraph, "reflect", moved)
+    outer, _, _ = keygraph.build_outer(leaper)
+    assert len(outer) == 16 * 2 * 5 and set(outer) != set(key25.outer_ids)
+    assert {(last - b, last - a) for a, b in outer} == set(outer)
+    calls.clear()
+    with pytest.raises(ConstructionError, match=r"^degree mismatch at \(0, 8\): membership 0, inner 0, outer 3$"):
+        build_key(leaper)
 
 
 def test_outer_edge_dropped_from_an_edited_key_is_named(key25):
