@@ -6,9 +6,15 @@ cell by cell, so it needs every cell to lie on the board (see its docstring).
 
 from __future__ import annotations
 
+import re
+from itertools import islice
 from typing import Sequence
 
 Cell = tuple[int, int]
+
+# the exact shape format_structured writes: a header line of four ints one
+# space apart, then `x y` lines of digits, each line ending in a newline
+_SHAPE = re.compile(r"-?[0-9]+ -?[0-9]+ -?[0-9]+ -?[0-9]+\n(?:[0-9]+ [0-9]+\n)*")
 
 
 def format_grid(cells: Sequence[Cell], width: int, height: int) -> str:
@@ -40,7 +46,27 @@ def format_structured(
     return f"{p} {q} {width} {height}\n" + "".join([xs[x] + ys[y] for x, y in cells])
 
 
+class _Ints(dict):
+    """Memo of int(s) per token string, filled as tokens are met."""
+
+    def __missing__(self, s: str) -> int:
+        self[s] = n = int(s)
+        return n
+
+
 def parse_structured(text: str) -> tuple[int, int, int, int, list[Cell]]:
+    """(p, q, width, height, cells) of a structured tour text.
+
+    Text in the exact shape format_structured writes is read in whole-text
+    passes: one linear fullmatch, one split, and one int() per distinct
+    token string.  Any other text, e.g. with tabs, CRLF, a leading `+` or no
+    final newline, goes through the per-line reader, which takes any
+    whitespace between tokens and names the first bad line.
+    """
+    if _SHAPE.fullmatch(text):
+        tokens = map(_Ints().__getitem__, text.split())
+        p, q, width, height = islice(tokens, 4)
+        return p, q, width, height, list(zip(tokens, tokens))
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty tour file")

@@ -119,6 +119,26 @@ def format_structured(cells, p, q, width, height):
     return "\n".join(lines) + "\n"
 
 
+def parse_structured(text):
+    """The tour-file reader that splits each line on any whitespace and
+    converts each token with int(); the package's whole-text passes must
+    give the same tuple, or raise ValueError with the same message."""
+    lines = text.splitlines()
+    if not lines:
+        raise ValueError("empty tour file")
+    header = lines[0].split()
+    if len(header) != 4:
+        raise ValueError(f"bad header line {lines[0]!r}")
+    p, q, width, height = map(int, header)
+    cells = []
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != 2:
+            raise ValueError(f"bad tour line {ln!r}")
+        cells.append((int(parts[0]), int(parts[1])))
+    return p, q, width, height, cells
+
+
 def format_svg(cells, width, height):
     """The SVG formatter that prints every polygon point as a float pair;
     the package's per-coordinate string tables must give the same bytes."""

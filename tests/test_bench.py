@@ -7,7 +7,9 @@ bench = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench)
 
 LEAPER_STAGES = {"build_key", "halve", "splice", "symmetric_splice", "check_fold"}
-TOUR_STAGES = {"verify_tour", "format_structured", "format_grid", "format_svg", "generate"}
+TOUR_STAGES = {
+    "verify_tour", "format_structured", "format_grid", "format_svg", "parse_structured", "verify_cli", "generate",
+}
 
 
 def test_one_small_rung_records_every_stage(capsys):

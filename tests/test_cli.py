@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import gc
 import re
+import time
 
 import pytest
 
@@ -213,6 +214,33 @@ def test_verify_truncated_file(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(path))
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (b"", "empty tour file"),
+        (b"1 2 6\n0 0\n", "bad header line '1 2 6'"),
+        (b"1 2 6 6\n0 0\n1 2 3\n", "bad tour line '1 2 3'"),
+    ],
+    ids=["empty tour file", "bad header line", "bad tour line"],
+)
+def test_unreadable_tour_file_is_one_usage_error_line(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(text)
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out, err) == (2, "", f"error: cannot read tour file: {message}\n")
+
+
+def test_verify_reads_no_table_sized_from_the_header(tmp_path, capsys):
+    # the header is untrusted: a board of 10**18 cells is one comparison
+    # with the one cell listed, not a table of the board's side
+    path = tmp_path / "huge.txt"
+    path.write_bytes(b"1 2 1000000000 1000000000\n0 0\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", str(path))
+    assert time.perf_counter() - start < 0.5
+    assert code == 1 and "cell_count_ok=False" in out.splitlines()
 
 
 @pytest.mark.parametrize(

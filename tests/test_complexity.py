@@ -16,6 +16,7 @@ from collections import Counter
 import leapertour.cli as cli
 import leapertour.fold as fold
 import leapertour.keygraph as keygraph
+import leapertour.render as render
 import leapertour.splice as splice
 import leapertour.tile as tile
 import leapertour.verify as verify
@@ -312,6 +313,22 @@ def test_verify_tour_checks_a_valid_tour_without_a_per_cell_loop():
         lines, calls = _line_events(verify, lambda: verify.verify_tour(cells, 1, q, leaper.side, leaper.side))
         assert lines["verify_tour"] <= 44, lines
         assert calls["<listcomp>"] == 2 and "<genexpr>" not in calls, calls
+
+
+def test_parse_structured_reads_a_generated_file_without_a_per_line_loop():
+    # text in format_structured's shape is read in whole-text passes: one
+    # fullmatch, one split, and one int() per distinct token, in the memo's
+    # __missing__, so parse_structured's own frame runs the same 4 lines on
+    # every rung, and the board's coordinates and the header's side are the
+    # only ints made; the per-line reader runs 4 lines per cell
+    for q in (20, 40, 80):
+        leaper = Leaper(1, q)
+        key = keygraph.build_key(leaper)
+        cells = splice.splice(key, [0] * len(key.rhombus_ids)).cells
+        text = render.format_structured(cells, 1, q, leaper.side, leaper.side)
+        lines, calls = _line_events(render, lambda: render.parse_structured(text))
+        assert lines["parse_structured"] == 4, lines
+        assert calls["__missing__"] == leaper.side + 1, calls  # 0 to side - 1, and the side
 
 
 def test_generate_starts_no_garbage_collection(tmp_path):

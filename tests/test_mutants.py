@@ -47,6 +47,7 @@ STORED_FAMILIES = "tests/test_keygraph.py::test_families_are_the_stored_edges_an
 FLIP_COUNTS = "tests/test_splice.py::test_splices_flip_each_rhombus_once_per_merge"
 CONNECTIVITY = "tests/test_keygraph.py::test_connectivity_answers_are_the_networkx_ones"
 FOLD_DISCONNECTED = "tests/test_cli.py::test_sweep_failure_is_the_located_fail_row[fold-disconnected]"
+PARSE_EDITS = "tests/test_render.py::test_parse_structured_matches_the_line_reader_on_each_edit_of_each_line"
 TILED = (
     "tests/test_acceptance.py::test_criterion_7_tiled_tours",
     "tests/test_golden.py::test_output_is_byte_identical[tile-2-5-seed3-3x4-grid]",
@@ -195,6 +196,18 @@ MUTANTS = [
            ("tests/test_cli.py::test_collector_state_comes_back_as_it_was[generate-enabled]",)),
     Mutant("cli-collector-always-enabled", "cli.py", "if enabled:", "if True:",
            ("tests/test_cli.py::test_collector_state_comes_back_as_it_was[generate-disabled]",)),
+    # parse_structured's shape check, which decides whether the whole-text
+    # passes may read the text: skipped, or loosened to text that the line
+    # reader refuses
+    Mutant("shape-check-skipped", "render.py", "if _SHAPE.fullmatch(text):", "if True:",
+           (PARSE_EDITS + "[three tokens]",)),
+    Mutant("header-shape-takes-three-fields", "render.py", r'-?[0-9]+ -?[0-9]+ -?[0-9]+ -?[0-9]+\n',
+           r'-?[0-9]+ -?[0-9]+ -?[0-9]+(?: -?[0-9]+)?\n',
+           ("tests/test_cli.py::test_unreadable_tour_file_is_one_usage_error_line[bad header line]",)),
+    Mutant("body-line-ends-in-any-space", "render.py", r'(?:[0-9]+ [0-9]+\n)*"', r'(?:[0-9]+ [0-9]+\s)*"',
+           (PARSE_EDITS + "[lines joined by a space]",)),
+    Mutant("body-line-end-optional", "render.py", r'(?:[0-9]+ [0-9]+\n)*"', r'(?:[0-9]+ [0-9]+\n?)*"',
+           (PARSE_EDITS + "[lines run together]",)),
     # the independent validator's checks, and is_free
     Mutant("cell-count-check-weakened", "verify.py", "cell_count_ok=(n == width * height),",
            "cell_count_ok=(n <= width * height),", ("tests/test_verify.py::test_truncated_tour_fails_count",)),
@@ -279,10 +292,18 @@ def _name(node):
     return ast.unparse(node).split(".")[-1]
 
 
+def _skips(mutant):
+    """Whether the row skips what its old text starts on: it makes an if
+    header `if False:`, or it takes a raise out."""
+    return mutant.new.strip().startswith("if False:") or mutant.old.count("raise") > mutant.new.count("raise")
+
+
 def test_every_construction_raise_has_a_mutant_row():
     # each raise of ConstructionError, of a class derived from it, or of
-    # degree_error is covered by a row whose old text starts on the raise's
-    # lines or on the header of the nearest if around it
+    # degree_error is covered by a row that skips it: one whose old text
+    # starts on the raise's lines and takes the raise out, or starts on the
+    # header of the nearest if whose body holds the raise and makes it
+    # `if False:`; a row that only changes the condition does not count
     trees = {path.name: ast.parse(path.read_text()) for path in (ROOT / "src" / "leapertour").glob("*.py")}
     classes = [node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
     family = {"ConstructionError", "degree_error"}
@@ -291,17 +312,21 @@ def test_every_construction_raise_has_a_mutant_row():
     raises = 0
     for name, tree in sorted(trees.items()):
         text = (ROOT / "src" / "leapertour" / name).read_text()
-        starts = {text[:text.find(m.old)].count("\n") + 1 for m in MUTANTS if m.file == name and m.old in text}
+        starts = {
+            text[:text.find(m.old)].count("\n") + 1
+            for m in MUTANTS
+            if m.file == name and m.old in text and _skips(m)
+        }
         parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
         for node in ast.walk(tree):
             if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and _name(node.exc.func) in family):
                 continue
             raises += 1
             lines = set(range(node.lineno, node.end_lineno + 1))
-            guard = node
-            while guard in parents and not isinstance(guard, ast.If):
-                guard = parents[guard]
-            if isinstance(guard, ast.If):
+            child, guard = node, parents.get(node)
+            while guard is not None and not (isinstance(guard, ast.If) and child in guard.body):
+                child, guard = guard, parents.get(guard)
+            if guard is not None:
                 lines |= set(range(guard.lineno, guard.test.end_lineno + 1))
             assert starts & lines, f"{name}:{node.lineno}: no mutant row skips this raise"
     assert raises >= 20, raises

@@ -8,8 +8,11 @@ own inputs, built beforehand:
     symmetric_splice and check_fold of the key;
   - on a tiling: tile;
   - on both, for the rung's tour (the seed-7 splice, or the tiling):
-    verify_tour, the three render formats, and cli.main generate end to
-    end into a temporary file.
+    verify_tour, the three render formats, parse_structured of the
+    structured text, cli.main generate end to end into a temporary file,
+    and cli.main verify end to end of the structured text in a temporary
+    file, its report printed into a buffer (after generate, so that
+    generate still pays for building the parser, as in older files).
 Each of the --repeat passes times every stage of every rung once, so the
 samples of each stage span the whole run, with its slow and fast phases on
 a shared machine.  Each rung of each pass runs in a fresh process, which
@@ -41,7 +44,9 @@ Usage: python tools/bench.py [--repeat N] [--dir DIR]
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
+import io
 import json
 import math
 import os
@@ -66,14 +71,26 @@ LEAPER_STAGES = ("build_key", "halve", "splice", "symmetric_splice", "check_fold
 LIKE_DENSITY = ["(1,40)", "(1,80)", "(2,101)"]  # the rungs the leaper stages are fitted over
 
 
+def verify_cli(path: str) -> int:
+    """cli.main verify of the file, its report printed into a buffer."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(["verify", path])
+
+
 def tour_stages(cells, p: int, q: int, width: int, height: int, argv: list[str], out: str):
-    """The stages every rung times on its tour: verify, render and generate."""
+    """The stages every rung times on its tour: verify, render, read back
+    and generate.  The tour's structured text goes to a file beside out."""
+    text = render.format_structured(cells, p, q, width, height)
+    tour_file = os.path.join(os.path.dirname(out), "read.txt")
+    Path(tour_file).write_text(text)
     return {
         "verify_tour": lambda: verify.verify_tour(cells, p, q, width, height),
         "format_structured": lambda: render.format_structured(cells, p, q, width, height),
         "format_grid": lambda: render.format_grid(cells, width, height),
         "format_svg": lambda: render.format_svg(cells, width, height),
+        "parse_structured": lambda: render.parse_structured(text),
         "generate": lambda: cli.main(["generate", *argv, "--output", out]),
+        "verify_cli": lambda: verify_cli(tour_file),
     }
 
 
