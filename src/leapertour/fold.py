@@ -13,8 +13,9 @@ ids: on the grid of half-width t, w = 2t + 1 = q - p, the vertex (x, y, f)
 has the id ((x + t) * w + y + t) * 2 + f - 1, so id order is lexicographic
 vertex order and vertices()[i] turns an id back into its vertex.  The
 (x, y, f) tuple edges, which fold --dump prints, are a view derived on
-first read.  One table over cell ids, filled one core column at a time,
-holds every cell's projections; each outer path is found by walking it
+first read.  One int table over cell ids, filled one core column at a
+time, holds each cell's fold id; the between-floor edges come one core
+intersection column at a time, each outer path is found by walking it
 from its smaller end, and a keygraph.CycleTracker decides connectivity.
 """
 
@@ -22,8 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from operator import add
+from itertools import product, repeat
 
 from .geom import Leaper, is_free
 from .keygraph import (
@@ -83,23 +83,6 @@ class FoldReport:
     outer_acyclic = True  # check_fold raises OuterCycleError instead
 
 
-def projections(key: KeyGraph) -> list[tuple[int, ...]]:
-    """The fold vertex ids of each cell id: floor 1 for a forward core,
-    floor 2 for a backward one, and none for a cell outside every core.  A
-    cell at position (x + t, y + t) within a core projects to (x, y), so a
-    core column's cells project to every second id from its first.
-    """
-    side = key.leaper.side
-    w = key.leaper.q - key.leaper.p
-    table: list[tuple[int, ...]] = [()] * side ** 2
-    for floor, group in ((0, key.cores.forward), (1, key.cores.backward)):
-        for core in group:
-            for i, x in enumerate(range(core.x1, core.x2)):
-                s, v = x * side + core.y1, 2 * w * i + floor
-                table[s:s + w] = map(add, table[s:s + w], zip(range(v, v + 2 * w, 2)))
-    return table
-
-
 class OuterCycleError(ConstructionError):
     """The outer graph is not a union of paths, so it does not fold."""
 
@@ -147,22 +130,41 @@ def build_folding(key: KeyGraph) -> TwoFloorGraph:
 
     Core-intersection cells count as zero-length paths and contribute the
     between-floor edges.  Coinciding contributions dedup to simple edges.
+
+    A table over the cell ids holds each cell's fold id, or -1 - k for a
+    cell of k != 1 projections.  The cell (x + t, y + t) of a forward or
+    backward core projects to (x, y) on floor 1 or 2, so a core column
+    fills its slice with every second id from its first.  Like-kind cores
+    are disjoint (build_key's steps put any two q - p apart), so the cells
+    of two projections are the forward-backward intersection rectangles.
+    Across one, both projections move with the cell, so its between-floor
+    edges take one id step, and each of its columns gives them in one zip.
     """
     side = key.leaper.side
-    t = (key.leaper.q - key.leaper.p - 1) // 2  # q - p = 2t + 1
-    table = projections(key)
-    ids = {pair if pair[0] < pair[1] else pair[::-1] for pair in table if len(pair) == 2}
+    w = key.leaper.q - key.leaper.p  # q - p = 2t + 1
+    table = [-1] * side ** 2
+    for floor, group in ((0, key.cores.forward), (1, key.cores.backward)):
+        for core in group:
+            for i, s in enumerate(range(core.x1 * side + core.y1, core.x2 * side + core.y1, side)):
+                table[s:s + w] = range(2 * w * i + floor, 2 * w * (i + 1) + floor, 2)
+    ids: set[IdEdge] = set()
+    for f, b in product(key.cores.forward, key.cores.backward):
+        y1, height = max(f.y1, b.y1), min(f.y2, b.y2) - max(f.y1, b.y1)
+        d = 2 * ((f.x1 - b.x1) * w + f.y1 - b.y1) + 1  # the backward id less the forward id
+        for x in range(max(f.x1, b.x1), min(f.x2, b.x2)) if height > 0 else ():
+            table[x * side + y1:x * side + y1 + height] = repeat(-3, height)
+            lo = 2 * ((x - f.x1) * w + y1 - f.y1)
+            src, dst = range(lo, lo + 2 * height, 2), range(lo + d, lo + d + 2 * height, 2)
+            ids.update(zip(src, dst) if d > 0 else zip(dst, src))
     for a, b in outer_paths(key):
-        if len(table[a]) != 1 or len(table[b]) != 1:
-            c = a if len(table[a]) != 1 else b
-            raise ConstructionError(
-                f"outer path end {divmod(c, side)} has {len(table[c])} core projections, not 1"
-            )
-        (pa,), (pb,) = table[a], table[b]
+        pa, pb = table[a], table[b]
+        if pa < 0 or pb < 0:
+            c = a if pa < 0 else b
+            raise ConstructionError(f"outer path end {divmod(c, side)} has {-1 - table[c]} core projections, not 1")
         if pa == pb:
             raise ConstructionError(f"outer path {divmod(a, side)}-{divmod(b, side)} folds to a self-loop")
         ids.add((pa, pb) if pa < pb else (pb, pa))
-    return TwoFloorGraph(t=t, ids=frozenset(ids))
+    return TwoFloorGraph(t=(w - 1) // 2, ids=frozenset(ids))
 
 
 def build_crisscross(m: int, n: int) -> TwoFloorGraph:

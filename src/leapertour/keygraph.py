@@ -9,13 +9,14 @@ of cells swept by one move (a rhombus pencil by four in turn), so both
 graphs are built pencil by pencil, and build_key decides each invariant
 once, on pencils, naming a cell or an edge where it fails: the moves on
 one edge per pencil step (build_inner, build_outer), the inner degrees by
-vertex k of each rhombus pencil running over core k, the rhombi's central
-symmetry on the cores, the distinctness of all edges on 32 families (a
-pencil step's rectangle of lower ends and id step), and the outer degrees
-on a difference array.  build_outer makes the outer graph centrally
-symmetric as it builds it.  The key graph is the union of the two, and
-halving every rhombus (keeping one of its two perfect matchings) turns it
-into a pseudotour: a spanning subgraph in which every cell has degree two.
+rhombus i being cell i of each like-kind core, each moved onto the next,
+the rhombi's central symmetry on the cores, the distinctness of all edges
+on 32 families (a pencil step's rectangle of lower ends and id step), and
+the outer degrees on a difference array.  build_outer makes the outer
+graph centrally symmetric as it builds it.  The key graph is the union of
+the two, and halving every rhombus (keeping one of its two perfect
+matchings) turns it into a pseudotour: a spanning subgraph in which every
+cell has degree two.
 
 build_key builds the key graph on cell ids, and a KeyGraph stores them:
 the cell (x, y) has the id x * side + y, so id order is lexicographic cell
@@ -39,7 +40,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, combinations, groupby, repeat, starmap, zip_longest
+from itertools import accumulate, chain, combinations, groupby, repeat, starmap
 from operator import itemgetter
 from typing import Hashable, Iterable, Iterator, Sequence, TypeVar
 
@@ -52,7 +53,7 @@ from .geom import (
     PencilSpec,
     Subboard,
     edge,
-    expand_pencil,
+    expand_pencil,  # perfbench/spans.py wraps keygraph.expand_pencil by name, so it stays bound here
     pencil_shifts,
     reflect,
 )
@@ -154,28 +155,44 @@ def _check_move(a: int, b: int, side: int, moves: frozenset[Direction]) -> None:
         raise ConstructionError(f"illegal move {min((x, y), (u, v))}-{max((x, y), (u, v))}")
 
 
+def _rhombus_moves(leaper: Leaper) -> tuple[tuple[Direction, ...], tuple[Direction, ...]]:
+    """The moves a to b, b to c, c to d and d to a of a forward and of a backward rhombus."""
+    p, q = leaper.p, leaper.q
+    return ((q, p), (p, q), (-q, -p), (-p, -q)), ((q, -p), (-p, q), (-q, p), (p, -q))
+
+
+def _ids(rect: Subboard, side: int) -> Iterator[int]:
+    """The ids of the rectangle's cells in row order, one range per column."""
+    starts = range(rect.x1 * side + rect.y1, rect.x2 * side + rect.y1, side)
+    height = rect.y2 - rect.y1
+    return chain.from_iterable(map(range, starts, range(starts.start + height, starts.stop + height, side)))
+
+
 def build_inner(leaper: Leaper) -> tuple[list[list[tuple[int, ...]]], list[tuple[int, ...]]]:
-    """The rhombi, as two pencils of closed 4-cycles of cell ids, forward
-    first, proved leaper moves, and the families of their eight steps (see
-    build_key).  Every path of a pencil is its base cell plus the same
-    shifts, so one path shows the pencil closed and one edge shows each
-    step legal."""
-    p, q, side = leaper.p, leaper.q, leaper.side
-    moves, cores = leaper.directions(), build_cores(leaper)
+    """The rhombi, as two pencils of 4-cycles of cell ids, forward first,
+    and the families of their eight steps (see build_key): rhombus i of a
+    pencil is cell i, in row order, of each of its four cores.  Raise,
+    naming a cell, unless each core lies on the board and each step's move
+    takes its core onto the next, and that move is a leaper move."""
+    side, moves, cores = leaper.side, leaper.directions(), build_cores(leaper)
     pencils: list[list[tuple[int, ...]]] = []
     families: list[tuple[int, ...]] = []
-    for kind, dirs in (
-        (cores.forward, ((q, p), (p, q), (-q, -p), (-p, -q))),
-        (cores.backward, ((q, -p), (-p, q), (-q, p), (p, -q))),
-    ):
-        paths = expand_pencil(PencilSpec(kind[0], dirs), side)
-        if paths[0][4] != paths[0][0]:
-            raise ConstructionError(f"rhombus pencil not closed at {divmod(paths[0][0], side)}")
-        pencils.append(list(map(itemgetter(slice(4)), paths)))
-        for k, (a, b) in enumerate(zip(paths[0], paths[0][1:])):
+    for name, kind, dirs in zip(("forward", "backward"), (cores.forward, cores.backward), _rhombus_moves(leaper)):
+        for k, core in enumerate(kind):
+            if core.x1 < 0 or core.y1 < 0 or core.x2 > side or core.y2 > side:
+                cell = next((x, y) for x, y in core.cells() if not (0 <= x < side and 0 <= y < side))
+                raise ConstructionError(f"{name} core {k} leaves the {side}x{side} board at {cell}")
+        for k, (core, (dx, dy)) in enumerate(zip(kind, dirs)):
+            j = (k + 1) % 4
+            moved, to = Subboard(core.x1 + dx, core.x2 + dx, core.y1 + dy, core.y2 + dy), kind[j]
+            if moved != to:
+                cell = min(set(moved.cells()) ^ set(to.cells()))
+                raise ConstructionError(f"step {k} of the {name} rhombi takes core {k} off core {j} at {cell}")
+            a, b = core.x1 * side + core.y1, to.x1 * side + to.y1
             _check_move(a, b, side, moves)
-            low = kind[k] if a < b else kind[(k + 1) % 4]
+            low = core if a < b else to
             families.append((abs(b - a), low.x1, low.x2, low.y1, low.y2))
+        pencils.append(list(zip(*(_ids(core, side) for core in kind))))
     return pencils, families
 
 
@@ -263,8 +280,11 @@ def build_key(leaper: Leaper) -> KeyGraph:
     the edges are shown distinct.  Each invariant is decided once, by a
     proof on pencils that names a cell or an edge when it fails, in this
     order:
-      1. The column proof: vertex k of each rhombus pencil runs over its
-         core k row by row, which gives each cell inner degree 2e.
+      1. The cores: each lies on the board, and each rhombus step's move
+         takes core k onto core k + 1 (build_inner).  Rhombus i is cell i,
+         in row order, of each of its pencil's cores, so step k is core k
+         swept by its move, which one corner pair shows legal, and vertex k
+         of the rhombi runs over core k once: each cell has inner degree 2e.
       2. The rhombus mirror: the mirror of rhombus i, a, b, c, d stored as
          c*, d*, a*, b*, is rhombus w**2 - 1 - i of its pencil, w = q - p,
          once core 2 mirrors core 0 and core 3 core 1 (_mirror); if not,
@@ -272,7 +292,7 @@ def build_key(leaper: Leaper) -> KeyGraph:
       3. Distinctness, on 32 families, not edge by edge.  A family is one
          pencil step: an id step d > 0 and the rectangle of its edges'
          lower ends, its edges (i, i + d) for each id i of the rectangle.
-         After the column proof, the edges between vertices k and k + 1 are
+         After the core checks, the edges between vertices k and k + 1 are
          core k swept by the move v_k: the cores are (q-p)-squares, so every
          rhombus takes the same id step, and the lower ends are core k, or
          core k + 1 if v_k lowers the id.  An outer copy is its rectangle
@@ -296,23 +316,16 @@ def build_key(leaper: Leaper) -> KeyGraph:
     side, size = leaper.side, leaper.side ** 2
     cores = build_cores(leaper)
     pencils, families = build_inner(leaper)
-    held, core_ids = [0] * (size + 1), []
+    held = [0] * (size + 1)
     wanted = [2] + [0] * (size - 1) + [-2]  # the difference array of outer degrees 2 - e
     for core in cores.all():
-        height, starts = core.y2 - core.y1, range(core.x1 * side + core.y1, core.x2 * side + core.y1, side)
-        core_ids.append(tuple(chain.from_iterable(map(range, starts, range(starts[0] + height, size, side)))))
-        for s in starts:
+        height = core.y2 - core.y1
+        for s in range(core.x1 * side + core.y1, core.x2 * side + core.y1, side):
             held[s] += 1
             held[s + height] -= 1
             wanted[s] -= 1
             wanted[s + height] += 1
     membership = list(accumulate(held[:size]))
-    for name, pencil, kind in zip(("forward", "backward"), pencils, (core_ids[:4], core_ids[4:])):
-        for k, (column, ids) in enumerate(zip(zip(*pencil), kind)):  # vertex k of the pencil's rhombi, and core k
-            if column != ids:  # name the first cell of the core it misses, or its first vertex past the core
-                at, want = next(pair for pair in zip_longest(column, ids) if pair[0] != pair[1])
-                cell = divmod(at if want is None else want, side)
-                raise ConstructionError(f"vertex {k} of the {name} rhombi leaves core {k} at {cell}")
     for (a, b, c, d), pencil in zip((cores.forward, cores.backward), pencils):
         if _mirror(c, side) != a or _mirror(d, side) != b:
             raise ConstructionError(f"rhombus {tuple(divmod(v, side) for v in pencil[0])} has no central mirror")

@@ -1,15 +1,17 @@
 """Reference implementations that the tests compare the package against."""
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import tee
-from operator import getitem
+from operator import add, getitem
 
 from leapertour.fold import OuterCycleError, fold_params
-from leapertour.geom import edge, is_free
+from leapertour.geom import PencilSpec, edge, expand_pencil, is_free, reflect
 from leapertour.keygraph import (
     ConstructionError,
     CycleTracker,
+    _outer_pencils,
+    build_cores,
     halving_ids,
 )
 from leapertour.splice import (
@@ -19,6 +21,31 @@ from leapertour.splice import (
 )
 from leapertour.tile import Switch, rotate_edges_ccw, switch_candidates, translate_edges
 from leapertour.verify import TourReport
+
+
+def key_ids(leaper):
+    """build_key's rhombus_ids, sorted outer_ids and membership, built as
+    build_key once built them, without its checks: each rhombus pencil
+    expanded from its core 0 by its four moves, each outer pencil expanded
+    and mirrored three ways, and each cell's count of cores holding it."""
+    p, q, side = leaper.p, leaper.q, leaper.side
+    last, cores = side * side - 1, build_cores(leaper)
+    rhombi = []
+    for base, dirs in (
+        (cores.forward[0], ((q, p), (p, q), (-q, -p), (-p, -q))),
+        (cores.backward[0], ((q, -p), (-p, q), (-q, p), (p, -q))),
+    ):
+        paths = expand_pencil(PencilSpec(base, dirs), side)
+        assert all(path[4] == path[0] for path in paths)
+        rhombi += [path[:4] for path in paths]
+    outer = []
+    for spec in _outer_pencils(leaper):
+        for path in expand_pencil(spec, side):
+            vertical = reflect(path, side)
+            for a, b in (path, vertical, [last - i for i in path], [last - i for i in vertical]):
+                outer.append((min(a, b), max(a, b)))
+    held = Counter(x * side + y for core in cores.all() for x, y in core.cells())
+    return tuple(rhombi), sorted(outer), [held[i] for i in range(side * side)]
 
 
 def rhombus_matching(r, bit):
@@ -465,6 +492,36 @@ def projections(key):
                 for y in range(core.y1, core.y2):
                     table[x * side + y] += ((x - core.x1 - t, y - core.y1 - t, floor),)
     return table
+
+
+def projection_ids(key):
+    """The fold vertex ids of each cell id, as the package's fold once
+    tabled them: floor 1 for a forward core, floor 2 for a backward one,
+    and none for a cell outside every core.  A cell at position (x + t,
+    y + t) within a core projects to (x, y), so a core column's cells
+    project to every second id from its first."""
+    side = key.leaper.side
+    w = key.leaper.q - key.leaper.p
+    table = [()] * side ** 2
+    for floor, group in ((0, key.cores.forward), (1, key.cores.backward)):
+        for core in group:
+            for i, x in enumerate(range(core.x1, core.x2)):
+                s, v = x * side + core.y1, 2 * w * i + floor
+                table[s:s + w] = map(add, table[s:s + w], zip(range(v, v + 2 * w, 2)))
+    return table
+
+
+def folding_ids(key, paths):
+    """The folding graph's ids, as the package's fold once found them from
+    projection_ids: each cell of two projections joins them, and each of
+    the outer paths, given by their end ids, joins its ends' one projection
+    each."""
+    table = projection_ids(key)
+    ids = {tuple(sorted(pair)) for pair in table if len(pair) == 2}
+    for a, b in paths:
+        (pa,), (pb,) = table[a], table[b]
+        ids.add((min(pa, pb), max(pa, pb)))
+    return frozenset(ids)
 
 
 def outer_paths(key):

@@ -1,10 +1,15 @@
 import argparse
+import contextlib
 import dataclasses
 import gc
+import io
 import re
 import time
+from functools import lru_cache
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import leapertour.cli as cli
 import leapertour.fold as fold
@@ -663,3 +668,72 @@ def test_determinism_same_seed_byte_identical(tmp_path, capsys):
     run(capsys, "generate", "--p", "2", "--q", "5", "--seed", "7", "--output", str(a))
     run(capsys, "generate", "--p", "2", "--q", "5", "--seed", "7", "--output", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+# --- a fuzz of the whole command line --------------------------------------
+
+# the pieces a tour file is made of: digits, signs, whitespace of each kind
+# that str.split or str.splitlines breaks on, CR and LF, and bytes that are
+# not UTF-8
+_TOUR_PIECES = [b"0", b"1", b"2", b"5", b"12", b"-", b"+", b" ", b"\t", b"\r", b"\n", b"\r\n", b"\x0c", b"\x0b",
+                b"\xc2\x85", b"\x00", b"x", b"\x80", b"\xff", b"\xe2\x80"]
+
+
+@lru_cache(maxsize=None)
+def _tour_file(p, q):
+    """The structured tour file of the (p,q)-leaper's seed-1 tour."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["generate", "--p", str(p), "--q", str(q), "--seed", "1"]) == 0
+    return out.getvalue().encode()
+
+
+def _edited_tour(data):
+    """A (1,2) or (1,4) tour file with a few pieces put in at random places."""
+    text = _tour_file(*data.draw(st.sampled_from([(1, 2), (1, 4)])))
+    for _ in range(data.draw(st.integers(0, 3))):
+        at = data.draw(st.integers(0, len(text)))
+        cut = data.draw(st.integers(0, 4))
+        text = text[:at] + data.draw(st.sampled_from(_TOUR_PIECES)) + text[at + cut:]
+    return text
+
+
+# free leapers, some too large for the board limit, and pairs that are not free
+_LEAPER = st.one_of(
+    st.sampled_from(free_leapers(9) + [(1, 500_000)]),
+    st.tuples(st.integers(-2, 6), st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 7, 9])),
+).map(lambda pq: ["--p", str(pq[0]), "--q", str(pq[1])])
+_OPTIONS = {
+    "generate": st.lists(st.sampled_from([["--symmetric"], ["--seed", "3"], ["--seed", "-1"], ["--tile-k", "2"],
+                                          ["--tile-l", "0"], ["--tile-l", "3"], ["--format", "grid"],
+                                          ["--format", "svg"]]), max_size=3),
+    "fold": st.lists(st.just(["--dump"]), max_size=1),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_any_command_line_exits_0_1_or_2_without_a_traceback(tmp_path_factory, data):
+    # tour files, random or edited from a real one, through verify, and
+    # leapers and options, valid or not, through generate, fold and sweep:
+    # every run returns 0, 1 or 2, a usage error is one "error:" line on
+    # stderr, and no exception leaves main
+    command = data.draw(st.sampled_from(["verify", "generate", "fold", "sweep"]))
+    if command == "verify":
+        path = tmp_path_factory.mktemp("fuzz") / "tour.txt"
+        if data.draw(st.booleans()):
+            path.write_bytes(_edited_tour(data))
+        else:
+            path.write_bytes(b"".join(data.draw(st.lists(st.sampled_from(_TOUR_PIECES), max_size=40))))
+        argv = ["verify", str(path)] + data.draw(st.sampled_from([[], ["--require-symmetry"]]))
+    elif command == "sweep":
+        argv = ["sweep", "--max-sum", str(data.draw(st.integers(-1, 7)))]
+    else:
+        argv = [command] + data.draw(_LEAPER) + [a for option in data.draw(_OPTIONS[command]) for a in option]
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    event(f"{command} exit {code}")
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: "), argv
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().endswith("\n"), argv

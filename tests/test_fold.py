@@ -19,37 +19,58 @@ from leapertour.fold import (
     is_connected,
     locate_failure,
     outer_paths,
-    projections,
     TwoFloorGraph,
 )
 from leapertour.cli import free_leapers
 from leapertour.geom import Leaper, edge
 from leapertour.keygraph import ConstructionError, build_key, is_connected_edges
 from oracles import check_fold as oracle_check_fold
-from oracles import fold_ids
+from oracles import fold_ids, folding_ids, projection_ids
 from oracles import outer_paths as oracle_outer_paths
 
 # the (2,5)-leaper's 14 x 14 board, with core side 3 and t = 1
 KEY_2_5 = build_key(Leaper(2, 5))
 
 
+# The table of each cell's projections, which build_folding holds as one
+# fold id or a count, is kept as an oracle: projection_ids.
+
+
 def test_project_single_core():
-    assert projections(KEY_2_5)[2 * 14 + 2] == fold_ids(1, ((-1, -1, 1),))
+    assert projection_ids(KEY_2_5)[2 * 14 + 2] == fold_ids(1, ((-1, -1, 1),))
 
 
 def test_project_intersection_cell():
     # (4, 4) is position (2, 2) in C'1 = [2,5)^2 and (0, 0) in C''1 = [4,7)^2
-    assert projections(KEY_2_5)[4 * 14 + 4] == fold_ids(1, ((1, 1, 1), (-1, -1, 2)))
+    assert projection_ids(KEY_2_5)[4 * 14 + 4] == fold_ids(1, ((1, 1, 1), (-1, -1, 2)))
 
 
 def test_project_outside_all_cores():
-    assert projections(KEY_2_5)[0] == ()
+    assert projection_ids(KEY_2_5)[0] == ()
 
 
 def test_projections_agree_with_membership():
     for p, q in [(1, 2), (2, 5), (3, 4), (5, 8)]:
         key = build_key(Leaper(p, q))
-        assert list(map(len, projections(key))) == key.membership
+        assert list(map(len, projection_ids(key))) == key.membership
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(free_leapers(41)))
+def test_folding_ids_equal_the_projection_table_oracle(pq):
+    key = build_key(Leaper(*pq))
+    assert build_folding(key).ids == folding_ids(key, oracle_outer_paths(key))
+
+
+def test_outer_path_ending_on_a_core_intersection_names_the_cell():
+    # an outer edge from the intersection cell (4, 4), of outer degree 0, to
+    # a path end makes (4, 4) the end of the longer path: a cell of two
+    # projections, which build_folding marks as such
+    a = 4 * 14 + 4
+    end = next(c for c, e in enumerate(KEY_2_5.membership) if e == 1 and c > a)
+    key = dataclasses.replace(KEY_2_5, outer_ids=KEY_2_5.outer_ids + ((a, end),))
+    with pytest.raises(ConstructionError, match=r"^outer path end \(4, 4\) has 2 core projections, not 1$"):
+        build_folding(key)
 
 
 def test_outer_path_ending_outside_every_core_names_the_cell():
@@ -64,7 +85,7 @@ def test_outer_path_ending_outside_every_core_names_the_cell():
 
 def test_outer_path_with_both_ends_on_one_projection_is_named(monkeypatch):
     # two path ends of one core cell, joined as one path, fold to a loop
-    table = projections(KEY_2_5)
+    table = projection_ids(KEY_2_5)
     ends = [c for path in outer_paths(KEY_2_5) for c in path]
     single = [c for c in ends if len(table[c]) == 1]
     a, b = next((a, b) for a in single for b in single if a < b and table[a] == table[b])

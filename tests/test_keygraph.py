@@ -12,6 +12,7 @@ from leapertour.cli import free_leapers, main
 from leapertour.geom import Leaper, PencilError, PencilSpec, Subboard, edge, reflect
 from leapertour.keygraph import (
     ConstructionError,
+    Cores,
     Rhombus,
     build_cores,
     build_inner,
@@ -26,6 +27,7 @@ from leapertour.keygraph import (
 )
 from leapertour.splice import random_bits, splice, symmetric_splice
 from oracles import cycle_partition as oracle_partition
+from oracles import key_ids as oracle_key_ids
 from oracles import matching_ids, rhombus_matching
 
 FREE_SMALL = [(1, 2), (2, 3), (1, 4), (3, 4), (2, 5), (4, 5), (1, 6), (5, 6), (2, 7), (4, 7)]
@@ -315,8 +317,8 @@ def test_mirror_rectangle_is_the_reversed_mirror_of_its_ids(side, data):
 
 
 # Guards for build_key's invariants.  Each patches the table of outer
-# pencils, or the rhombus pencils expand_pencil returns, so that exactly one
-# check fires, and asserts that check's message.
+# pencils, the cores, or the rhombus moves, so that exactly one check
+# fires, and asserts that check's message.
 
 
 def _patch_outer(monkeypatch, change):
@@ -330,14 +332,30 @@ def _patch_outer(monkeypatch, change):
     monkeypatch.setattr(keygraph, "_outer_pencils", patched)
 
 
-def _patch_rhombus_pencils(monkeypatch, change):
-    real = keygraph.expand_pencil
+def _patch_cores(monkeypatch, change):
+    """Make keygraph.build_cores return the eight cores, forward first, as
+    change(cores) edits their list."""
+    real = keygraph.build_cores
 
-    def patched(spec, side):
-        paths = real(spec, side)
-        return change(paths) if len(spec.dirs) == 4 else paths
+    def patched(leaper):
+        cores = list(real(leaper).all())
+        change(cores)
+        return Cores(tuple(cores[:4]), tuple(cores[4:]))
 
-    monkeypatch.setattr(keygraph, "expand_pencil", patched)
+    monkeypatch.setattr(keygraph, "build_cores", patched)
+
+
+def _patch_forward_moves(monkeypatch, change):
+    """Make keygraph._rhombus_moves return the forward rhombus's moves as change(moves) edits their list."""
+    real = keygraph._rhombus_moves
+
+    def patched(leaper):
+        forward, backward = real(leaper)
+        forward = list(forward)
+        change(forward)
+        return tuple(forward), backward
+
+    monkeypatch.setattr(keygraph, "_rhombus_moves", patched)
 
 
 def test_pencil_off_the_board_names_the_cell(monkeypatch):
@@ -437,8 +455,58 @@ def test_shifted_pencil_fails_the_degree_check(monkeypatch):
 
 
 def test_open_rhombus_pencil_names_its_first_cell(monkeypatch):
-    _patch_rhombus_pencils(monkeypatch, lambda paths: [path[:4] + path[3:4] for path in paths])
-    with pytest.raises(ConstructionError, match=r"^rhombus pencil not closed at \(2, 2\)$"):
+    # the closing move (-p, -q) bent to (-p, 1 - q): step 3 takes forward
+    # core 3, [4, 7) x [7, 10), to [2, 5) x [3, 6), which leaves the row
+    # y = 2 of core 0 = [2, 5) x [2, 5), from (2, 2)
+    _patch_forward_moves(monkeypatch, lambda moves: moves.__setitem__(3, (-2, -4)))
+    with pytest.raises(ConstructionError, match=r"^step 3 of the forward rhombi takes core 3 off core 0 at \(2, 2\)$"):
+        build_key(Leaper(2, 5))
+
+
+@pytest.mark.parametrize(
+    "k,core,message",
+    [
+        (1, Subboard(7, 10, 5, 8), "step 0 of the forward rhombi takes core 0 off core 1 at (7, 4)"),
+        (6, Subboard(7, 10, 7, 9), "step 1 of the backward rhombi takes core 1 off core 2 at (7, 9)"),
+        (7, Subboard(2, 5, 9, 13), "step 2 of the backward rhombi takes core 2 off core 3 at (2, 12)"),
+    ],
+    ids=["moved", "shrunk", "grown"],
+)
+def test_core_off_its_step_names_the_first_cell_it_misses(monkeypatch, k, core, message):
+    # forward core 1, [7, 10) x [4, 7), moved up one cell, backward core 2,
+    # [7, 10) x [7, 10), one row short, and backward core 3, [2, 5) x
+    # [9, 12), one row long: the step into each names the first cell, in
+    # row order, of the core before it moved by the step's move or of the
+    # core, that is not in the other
+    _patch_cores(monkeypatch, lambda cores: cores.__setitem__(k, core))
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+        build_key(Leaper(2, 5))
+
+
+@pytest.mark.parametrize(
+    "k,core,message",
+    [
+        (2, Subboard(12, 15, 9, 12), "forward core 2 leaves the 14x14 board at (14, 9)"),
+        (5, Subboard(9, 12, -1, 2), "backward core 1 leaves the 14x14 board at (9, -1)"),
+    ],
+    ids=["right", "below"],
+)
+def test_core_off_the_board_names_its_first_cell_off_it(monkeypatch, k, core, message):
+    # forward core 2, [9, 12) x [9, 12), and backward core 1, [9, 12) x
+    # [2, 5), pushed off the board: the cores are checked before any step
+    _patch_cores(monkeypatch, lambda cores: cores.__setitem__(k, core))
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+        build_key(Leaper(2, 5))
+
+
+def test_bent_rhombus_move_followed_by_its_core_names_the_edge(monkeypatch):
+    # forward steps 0 and 1 bent to (5, 3) and (2, 4), which still sum to
+    # (7, 7), with core 1, [7, 10) x [4, 7), moved up one cell to follow:
+    # every step takes its core onto the next, and the corner pair of step
+    # 0 is named as no leaper move
+    _patch_forward_moves(monkeypatch, lambda moves: moves.__setitem__(slice(0, 2), [(5, 3), (2, 4)]))
+    _patch_cores(monkeypatch, lambda cores: cores.__setitem__(1, Subboard(7, 10, 5, 8)))
+    with pytest.raises(ConstructionError, match=r"^illegal move \(2, 2\)-\(7, 5\)$"):
         build_key(Leaper(2, 5))
 
 
@@ -455,13 +523,8 @@ def _repeat_rhombus_step(monkeypatch):
 
 
 def test_repeated_rhombus_names_the_shared_edge(monkeypatch):
-    # a rhombus listed twice takes vertex 0 past its core, and the column
-    # proof names that vertex; a rhombus step listed twice shares every edge
-    # with itself, and the families test names the first
-    with monkeypatch.context() as patch:
-        _patch_rhombus_pencils(patch, lambda paths: paths + paths[:1])
-        with pytest.raises(ConstructionError, match=r"^vertex 0 of the forward rhombi leaves core 0 at \(2, 2\)$"):
-            build_key(Leaper(2, 5))
+    # a rhombus step listed twice shares every edge with itself, and the
+    # families test names the first
     _repeat_rhombus_step(monkeypatch)
     with pytest.raises(
         ConstructionError, match=r"^two rhombi share the edge \(\(2, 2\), \(7, 4\)\)$"
@@ -481,17 +544,31 @@ def test_shared_rhombus_edge_is_named_before_the_outer_pencils_fail(monkeypatch)
 
 
 def test_missing_rhombus_is_named_by_the_degree_check(monkeypatch):
-    # 16 rhombi instead of 2(q-p)**2 = 18: the degree check implies the
-    # count.  Its inner half is the column proof, which names the first
-    # cell of core 0 that vertex 0 of the forward rhombi no longer covers;
-    # with the forward pencil whole, the backward pencil's core 0, from (4, 4)
-    with monkeypatch.context() as patch:
-        _patch_rhombus_pencils(patch, lambda paths: paths[1:])
-        with pytest.raises(ConstructionError, match=r"^vertex 0 of the forward rhombi leaves core 0 at \(2, 2\)$"):
-            build_key(Leaper(2, 5))
-    _patch_rhombus_pencils(monkeypatch, lambda paths: paths[1:] if paths[0][0] == 4 * 14 + 4 else paths)
-    with pytest.raises(ConstructionError, match=r"^vertex 0 of the backward rhombi leaves core 0 at \(4, 4\)$"):
-        build_key(Leaper(2, 5))
+    # 10 rhombi instead of 2(q-p)**2 = 18: one pencil's cores shrunk to their
+    # centre cells still follow their steps and mirror each other, so only
+    # the degree check sees the 8 missing rhombi: it names the first cell
+    # that no core holds now, forward core 0's first, or backward core 3's
+    for first, cell in ((0, (2, 2)), (4, (2, 9))):
+        def shrink(cores):
+            for k in range(first, first + 4):
+                c = cores[k]
+                cores[k] = Subboard(c.x1 + 1, c.x2 - 1, c.y1 + 1, c.y2 - 1)
+
+        with monkeypatch.context() as patch:
+            _patch_cores(patch, shrink)
+            message = f"degree mismatch at {cell}: membership 0, inner 0, outer 1"
+            with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+                build_key(Leaper(2, 5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(free_leapers(41)))
+def test_key_ids_equal_the_pencil_expansion_oracle(pq):
+    key = build_key(Leaper(*pq))
+    rhombi, outer, membership = oracle_key_ids(key.leaper)
+    assert key.rhombus_ids == rhombi
+    assert sorted(key.outer_ids) == outer
+    assert key.membership == membership
 
 
 def _oracle_key(leaper):

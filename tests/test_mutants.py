@@ -48,6 +48,12 @@ FLIP_COUNTS = "tests/test_splice.py::test_splices_flip_each_rhombus_once_per_mer
 CONNECTIVITY = "tests/test_keygraph.py::test_connectivity_answers_are_the_networkx_ones"
 FOLD_DISCONNECTED = "tests/test_cli.py::test_sweep_failure_is_the_located_fail_row[fold-disconnected]"
 PARSE_EDITS = "tests/test_render.py::test_parse_structured_matches_the_line_reader_on_each_edit_of_each_line"
+PENCIL_WALK = "tests/test_geom.py::test_pencil_ids_match_a_cell_walk"
+PENCIL_CYCLES = "tests/test_geom.py::test_forward_rhombus_pencil_yields_closed_cycles"
+CORE_OFF_BOARD = "tests/test_keygraph.py::test_core_off_the_board_names_its_first_cell_off_it"
+CORE_OFF_STEP = "tests/test_keygraph.py::test_core_off_its_step_names_the_first_cell_it_misses"
+FOLD_ORACLE = "tests/test_fold.py::test_check_fold_matches_the_tuple_oracle[2-5]"
+BENT_MOVE = "tests/test_keygraph.py::test_bent_rhombus_move_followed_by_its_core_names_the_edge"
 TILED = (
     "tests/test_acceptance.py::test_criterion_7_tiled_tours",
     "tests/test_golden.py::test_output_is_byte_identical[tile-2-5-seed3-3x4-grid]",
@@ -64,36 +70,50 @@ MUTANTS = [
            (KEY, SYMMETRIC), blind=True),
     Mutant("horizontal-copy-is-the-vertical", "keygraph.py", "[last - i for i in vertical])", "vertical)",
            (KEY, SYMMETRIC), blind=True),
-    # expand_pencil's path order: rotated, no rhombus sits at its mirror's
-    # index; column-major keeps the mirrors but reorders the rhombi
+    # expand_pencil's path order, rotated or column-major, which the key
+    # oracle's rhombi follow but build_key's, the cores' cells, do not
     Mutant("pencil-order-rotated", "geom.py", "[i + sx * side + sy for i in starts]",
-           "[i + sx * side + sy for i in starts[1:] + starts[:1]]",
-           ("tests/test_splice.py::test_partners_are_the_index_ranges_of_the_mirror_search[2-5]", SYMMETRIC),
-           blind=True),
+           "[i + sx * side + sy for i in starts[1:] + starts[:1]]", (PENCIL_WALK, PENCIL_CYCLES)),
     Mutant("pencil-order-column-major", "geom.py",
            "for x in range(rect.x1, rect.x2) for y in range(rect.y1, rect.y2)]",
-           "for y in range(rect.y1, rect.y2) for x in range(rect.x1, rect.x2)]", (KEY, GOLDEN_SYMMETRIC), blind=True),
+           "for y in range(rect.y1, rect.y2) for x in range(rect.x1, rect.x2)]", (PENCIL_WALK,)),
+    # the rhombi as the cores' id columns: each core's columns in reverse,
+    # or the four cores' columns zipped from core 1, which rotates every
+    # rhombus, so no rhombus sits at its mirror's index or keeps its matchings
+    Mutant("core-id-columns-reversed", "keygraph.py", "map(range, starts, range(starts.start + height, starts.stop",
+           "map(range, reversed(starts), reversed(range(starts.start + height, starts.stop)",
+           (KEY, "tests/test_keygraph.py::test_key_ids_equal_the_pencil_expansion_oracle"), blind=True),
+    Mutant("core-id-columns-rotated", "keygraph.py", "for core in kind))))", "for core in kind[1:] + kind[:1]))))",
+           (KEY, GOLDEN_SYMMETRIC), blind=True),
     # build_key's degree proof: a dropped or shortened run of outer degrees,
     # or a core column one short, fails the proof on every key; a run that
     # drops a row of each core changes the memberships
     Mutant("outer-run-dropped", "keygraph.py", "                degrees[s + d] += 1\n", "", (KEY,), blind=True),
     Mutant("outer-run-shortened", "keygraph.py", "                degrees[s + height] -= 1\n",
            "                degrees[s + height - 1] -= 1\n", (KEY,), blind=True),
-    Mutant("core-columns-shortened", "keygraph.py", "map(range, starts, range(starts[0] + height, size, side))",
-           "map(range, starts, range(starts[0] + height - 1, size, side))", (KEY,), blind=True),
+    Mutant("core-columns-shortened", "keygraph.py", "range(starts.start + height, starts.stop + height, side)",
+           "range(starts.start + height - 1, starts.stop + height - 1, side)", (KEY,), blind=True),
     Mutant("core-run-dropped", "keygraph.py", "range(core.x1 * side + core.y1, core.x2 * side + core.y1, side)",
            "range(core.x1 * side + core.y1, (core.x2 - 1) * side + core.y1, side)", (KEY, SYMMETRIC), blind=True),
     Mutant("degree-proof-skipped", "keygraph.py", "    if outer_degrees != wanted:", "    if False:",
            ("tests/test_keygraph.py::test_dropped_pencil_is_named_by_the_degree_check",), blind=True),
     Mutant("degree-outer-count-unlocated", "keygraph.py", "outer {2 - e + outer_degrees[i] - wanted[i]}",
            "outer {2 - e}", ("tests/test_keygraph.py::test_repeated_pencil_is_named_by_the_degree_check",)),
-    Mutant("core-columns-unchecked", "keygraph.py", "            if column != ids:", "            if False:",
-           ("tests/test_keygraph.py::test_missing_rhombus_is_named_by_the_degree_check",), blind=True),
-    Mutant("column-pencils-named-swapped", "keygraph.py", 'zip(("forward", "backward"), pencils',
-           'zip(("backward", "forward"), pencils',
-           ("tests/test_keygraph.py::test_missing_rhombus_is_named_by_the_degree_check",)),
-    Mutant("column-names-no-vertex-past-the-core", "keygraph.py", "divmod(at if want is None else want, side)",
-           "divmod(want, side)", ("tests/test_keygraph.py::test_repeated_rhombus_names_the_shared_edge",)),
+    # build_inner's core checks: a core off the board, or a step that does
+    # not take its core onto the next, accepted, the bottom edge of the
+    # board unchecked, the pencils named swapped, and a step naming the
+    # next core's first cell, not the first cell of one not in the other
+    Mutant("core-off-board-accepted", "keygraph.py",
+           "            if core.x1 < 0 or core.y1 < 0 or core.x2 > side or core.y2 > side:",
+           "            if False:", (CORE_OFF_BOARD,), blind=True),
+    Mutant("core-board-bottom-unchecked", "keygraph.py", "if core.x1 < 0 or core.y1 < 0 or", "if core.x1 < 0 or",
+           (CORE_OFF_BOARD + "[below]",)),
+    Mutant("rhombus-step-accepted", "keygraph.py", "            if moved != to:", "            if False:",
+           (CORE_OFF_STEP, "tests/test_keygraph.py::test_open_rhombus_pencil_names_its_first_cell"), blind=True),
+    Mutant("core-pencils-named-swapped", "keygraph.py", 'zip(("forward", "backward"), (cores.forward',
+           'zip(("backward", "forward"), (cores.forward', (CORE_OFF_STEP,)),
+    Mutant("step-names-the-next-corner", "keygraph.py", "cell = min(set(moved.cells()) ^ set(to.cells()))",
+           "cell = min(to.cells())", (CORE_OFF_STEP + "[moved]",)),
     Mutant("outer-edges-shortened", "keygraph.py", "edges += zip(range(s, s + height), range(s + d, s + d + height))",
            "edges += zip(range(s, s + height - 1), range(s + d, s + d + height - 1))", (KEY,), blind=True),
     # the rhombi's central symmetry, proved on the cores: a skipped check, a
@@ -126,12 +146,12 @@ MUTANTS = [
     # ConstructionError sites: each raise skipped
     Mutant("move-check-dropped", "keygraph.py", "if (u - x, v - y) not in moves:", "if False:",
            ("tests/test_keygraph.py::test_non_leaper_move_names_the_edge",)),
-    Mutant("open-pencil-accepted", "keygraph.py", "if paths[0][4] != paths[0][0]:", "if False:",
-           ("tests/test_keygraph.py::test_open_rhombus_pencil_names_its_first_cell",)),
+    Mutant("bent-rhombus-move-accepted", "keygraph.py", "            _check_move(a, b, side, moves)\n",
+           "            pass\n", (BENT_MOVE,)),
     # build_key's distinctness proof on families: each of its three raises
     # skipped, a meet test that never fires, the shared edge it names taken
     # from one rectangle's first cell, not the meet's, a core moved onto
-    # another, which its rhombi's vertices no longer follow, and the
+    # another, which the step into it no longer reaches, and the
     # families' own description of the edges they stand for
     Mutant("shared-rhombus-step-accepted", "keygraph.py", "    if shared := _first_shared(families, side):",
            "    if False:", ("tests/test_keygraph.py::test_repeated_rhombus_names_the_shared_edge",)),
@@ -148,7 +168,7 @@ MUTANTS = [
            ("tests/test_keygraph.py::test_families_meet_iff_they_share_an_edge",)),
     Mutant("core-moved-onto-core-0", "keygraph.py", "Subboard(2 * p, p + q, p + q, 2 * q),",
            "Subboard(2 * p, p + q, p, q),", (KEY,)),
-    Mutant("rhombus-family-of-upper-ends", "keygraph.py", "kind[k] if a < b else kind[(k + 1) % 4]", "kind[k]",
+    Mutant("rhombus-family-of-upper-ends", "keygraph.py", "low = core if a < b else to", "low = core",
            (STORED_FAMILIES,)),
     Mutant("outer-family-transposed", "keygraph.py",
            "lo // side, lo // side + width, lo % side, lo % side + height",
@@ -179,8 +199,17 @@ MUTANTS = [
            ("tests/test_fold.py::test_outer_paths_raises_on_a_branching_cell",)),
     Mutant("fold-cycle-accepted", "fold.py", "if walked.count(1) - len(paths) < len(key.outer_ids):", "if False:",
            ("tests/test_fold.py::test_outer_paths_raises_on_a_cycle",)),
-    Mutant("fold-projection-count-accepted", "fold.py", "if len(table[a]) != 1 or len(table[b]) != 1:", "if False:",
+    Mutant("fold-projection-count-accepted", "fold.py", "if pa < 0 or pb < 0:", "if False:",
            ("tests/test_cli.py::test_construction_error_is_one_error_line[fold]",)),
+    # build_folding's core intersections: the id step of their between-floor
+    # edges off by one vertex, a row too many, and their cells left unmarked
+    Mutant("fold-intersection-step-off", "fold.py", "f.y1 - b.y1) + 1  # the", "f.y1 - b.y1) + 3  # the",
+           (FOLD_ORACLE, "tests/test_fold.py::test_folding_ids_equal_the_projection_table_oracle")),
+    Mutant("fold-intersection-row-long", "fold.py", "min(f.y2, b.y2) - max(f.y1, b.y1)",
+           "min(f.y2, b.y2) + 1 - max(f.y1, b.y1)", (FOLD_ORACLE,)),
+    Mutant("fold-intersection-cells-unmarked", "fold.py",
+           "            table[x * side + y1:x * side + y1 + height] = repeat(-3, height)\n", "",
+           ("tests/test_fold.py::test_outer_path_ending_on_a_core_intersection_names_the_cell",)),
     Mutant("halving-degree-accepted", "keygraph.py", "if arrays is None:", "if False:",
            ("tests/test_splice.py::test_degree_error_names_a_cell",)),
     Mutant("cli-invalid-tour-accepted", "cli.py", "if not report.valid:", "if False:",

@@ -510,47 +510,51 @@ def test_degree_error_names_a_cell(key25):
 # rhombi's mirrors on their cores, builds each outer pencil's centre and
 # horizontal copies as the mirrors of the other two, and the symmetric
 # splice reads the partners off the indices.  So the defects below are made
-# through build_key, with a patched forward rhombus pencil, cores, outer
-# pencil or reflection, and each check names a cell.
+# through build_key, with patched cores, outer pencil or reflection, and
+# each check names a cell.
 
 
-def _patch_forward_pencil(monkeypatch, change):
-    """Make keygraph.expand_pencil return change(paths) for the forward
-    rhombus pencil, whose first move is (q, p)."""
-    real = keygraph.expand_pencil
+def _patch_forward_cores(monkeypatch, change):
+    """Make keygraph.build_cores return the forward cores as change(cores.forward)."""
+    real = keygraph.build_cores
 
-    def patched(spec, side):
-        paths = real(spec, side)
-        return change(paths) if len(spec.dirs) == 4 and spec.dirs[0][1] > 0 else paths
+    def patched(leaper):
+        cores = real(leaper)
+        return Cores(tuple(change(cores.forward)), cores.backward)
 
-    monkeypatch.setattr(keygraph, "expand_pencil", patched)
+    monkeypatch.setattr(keygraph, "build_cores", patched)
 
 
-def _column_message(key, i):
-    """build_key's message for forward rhombus i dropped or moved: vertex 0
-    leaves core 0 at the rhombus's first cell, the smallest in id order."""
-    return f"vertex 0 of the forward rhombi leaves core 0 at {key.cells[key.rhombus_ids[i][0]]}"
+def _right(core):
+    """The core moved one cell right."""
+    return Subboard(core.x1 + 1, core.x2 + 1, core.y1, core.y2)
 
 
 def test_rhombus_without_a_mirror_is_named(monkeypatch, key25):
-    # dropping a rhombus would leave its partner without a mirror image, but
-    # the column proof, which gives each cell its inner degree, names the
-    # dropped rhombus's first cell before the mirror check runs: the corner
-    # rhombus 0, rhombus 1, and rhombus 8, the partner of 0
-    for i in (0, 1, 8):
+    # rhombus i is cell i of each core, so a rhombus loses its mirror only
+    # with a core that does: forward core k moved one cell right is named by
+    # the step into it, at the first cell it left, before the mirror check
+    # runs, for each core after core 0
+    cores = key25.cores.forward
+    for k in (1, 2, 3):
         with monkeypatch.context() as patch:
-            _patch_forward_pencil(patch, lambda paths: paths[:i] + paths[i + 1:])
-            with pytest.raises(ConstructionError, match=f"^{re.escape(_column_message(key25, i))}$"):
+            _patch_forward_cores(patch, lambda kind: [_right(c) if i == k else c for i, c in enumerate(kind)])
+            cell = (cores[k].x1, cores[k].y1)
+            message = f"step {k - 1} of the forward rhombi takes core {k - 1} off core {k} at {cell}"
+            with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
                 build_key(Leaper(2, 5))
 
 
 def test_key_without_a_centre_rhombus_is_refused(monkeypatch, key25):
-    # the centre rhombus, (w**2 - 1) / 2 = 4 for w = 3, dropped from the
-    # pencil is named by the column proof
+    # only an odd core width gives a centre rhombus, (w**2 - 1) / 2 = 4 for
+    # w = 3; the forward cores narrowed to w - 1 columns still follow their
+    # steps, but core 2 no longer mirrors core 0, and the mirror check names
+    # rhombus 0, which keeps its cells
     i1 = _find_center_rhombus(key25)
     assert i1 == 4
-    _patch_forward_pencil(monkeypatch, lambda paths: paths[:i1] + paths[i1 + 1:])
-    with pytest.raises(ConstructionError, match=f"^{re.escape(_column_message(key25, i1))}$"):
+    _patch_forward_cores(monkeypatch, lambda kind: [Subboard(c.x1, c.x2 - 1, c.y1, c.y2) for c in kind])
+    message = f"rhombus {_rhombus_cells(key25, 0)} has no central mirror"
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
         build_key(Leaper(2, 5))
     # a key edited without it holds rhombus 5 at the centre index, which the
     # symmetric splice names as not its own mirror
@@ -560,16 +564,6 @@ def test_key_without_a_centre_rhombus_is_refused(monkeypatch, key25):
     with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
         _find_center_rhombus(key)
 
-
-def test_more_fixed_forward_rhombi_are_named(monkeypatch, key25):
-    # a rhombus is its own mirror only if it is centred on the board, so two
-    # more fixed forward rhombi are copies of the centre rhombus: put in for
-    # rhombus 0 and its partner 8, their vertex 0 leaves core 0, and the
-    # column proof names the first cell left, rhombus 0's
-    i1 = _find_center_rhombus(key25)
-    _patch_forward_pencil(monkeypatch, lambda paths: [paths[i1] if i in (0, 8) else p for i, p in enumerate(paths)])
-    with pytest.raises(ConstructionError, match=f"^{re.escape(_column_message(key25, 0))}$"):
-        build_key(Leaper(2, 5))
 
 def test_extra_mirrored_outer_edges_fail_the_degree_check(key25):
     # each leaper move outside the key graph, added with its mirror image,
@@ -610,22 +604,23 @@ def test_self_mirrored_edge_error_names_its_cells(monkeypatch):
 def test_rotated_rhombus_is_named_without_a_mirror(monkeypatch, p, q):
     # a rhombus stored as b, c, d, a is the same 4-cycle, but its matching 0
     # is the other one, so the reflection would no longer map matchings by
-    # bit: its vertex 0 leaves core 0, and the column proof names the cell a
-    # it left, rhombus 1's, before its partner w**2 - 2
-    key = build_key(Leaper(p, q))
-    def rotate_rhombus_1(paths):
-        return [path[1:] + path[1:2] if i == 1 else path for i, path in enumerate(paths)]
-
-    _patch_forward_pencil(monkeypatch, rotate_rhombus_1)
-    with pytest.raises(ConstructionError, match=f"^{re.escape(_column_message(key, 1))}$"):
+    # bit.  Through build_key every forward rhombus rotates with its cores,
+    # and step 0 then takes the new core 0 (old core 1) by (q, p) off the
+    # new core 1 (old core 2) by (q, p) - (p, q): they miss each other, and
+    # the smaller corner of the two is named
+    _, c1, c2, _ = build_key(Leaper(p, q)).cores.forward
+    _patch_forward_cores(monkeypatch, lambda kind: kind[1:] + kind[:1])
+    cell = min((c1.x1 + q, c1.y1 + p), (c2.x1, c2.y1))
+    message = f"step 0 of the forward rhombi takes core 0 off core 1 at {cell}"
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
         build_key(Leaper(p, q))
 
 
 @pytest.mark.parametrize("p,q", [(1, 4), (2, 5), (3, 8)])
 def test_cores_off_their_mirrors_name_rhombus_0(monkeypatch, p, q):
-    # every core moved one cell right: the rhombus pencils follow their
-    # cores, so the column proof holds, but core 2 no longer mirrors core 0,
-    # and the mirror check names rhombus 0 of the forward pencil, moved too
+    # every core moved one cell right: each rhombus step still takes its
+    # core onto the next, but core 2 no longer mirrors core 0, and the
+    # mirror check names rhombus 0 of the forward pencil, moved too
     cells = tuple((x + 1, y) for x, y in _rhombus_cells(build_key(Leaper(p, q)), 0))
     real = keygraph.build_cores
 

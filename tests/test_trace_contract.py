@@ -19,7 +19,7 @@ SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 OPS = {
     "generate": (
         ["generate", "--p", "2", "--q", "5", "--seed", "3"],
-        {"cli.main", "keygraph.build_key", "geom.expand_pencil", "geom.reflect",
+        {"cli.main", "keygraph.build_key", "geom.reflect",
          "keygraph.cycle_partition", "splice.splice", "verify.verify_tour", "render.format_structured"},
     ),
     "symmetric": (
