@@ -12,7 +12,7 @@ one edge per pencil step (build_inner, build_outer), the inner degrees by
 rhombus i being cell i of each like-kind core, each moved onto the next,
 the rhombi's central symmetry on the cores, the distinctness of all edges
 on 32 families (a pencil step's rectangle of lower ends and id step), and
-the outer degrees on a difference array.  build_outer makes the outer
+the outer degrees on the families' rectangles.  build_outer makes the outer
 graph centrally symmetric as it builds it.  The key graph is the union of
 the two, and halving every rhombus (keeping one of its two perfect
 matchings) turns it into a pseudotour: a spanning subgraph in which every
@@ -23,15 +23,16 @@ the cell (x, y) has the id x * side + y, so id order is lexicographic cell
 order, the central reflection of id i is side**2 - 1 - i, and
 divmod(i, side) turns an id back into its cell.  The splice engine and the
 fold read the ids.  The fields that hold cells as (x, y) tuples (rhombi,
-inner_edges, outer_edges, edges and core_membership) are views, derived
-from the ids on first read; error messages name cells too.  A two-factor
-is two neighbour arrays, first and second, indexed by id: neighbour_arrays
-fills them with a degree proof, halving_arrays refuses a halving that fails
-it, naming a cell, and cycle_partition walks every cycle, as halve does.
-The splice engine and tile flip their arrays in place, and one_cycle, one
-walk from id 0, proves a single tour.  CycleTracker's
-disjoint sets answer every connectivity question: the splices' merges,
-is_connected_edges, fold's check, and the cell a failure names.
+inner_edges, outer_edges, edges and core_membership), and membership, the
+cores holding each id, are views, derived on first read; error messages
+name cells too.  A two-factor is two neighbour arrays, first and second,
+indexed by id: neighbour_arrays fills them with a degree proof,
+halving_arrays refuses a halving that fails it, naming a cell, and
+cycle_partition walks every cycle, as halve does.  The splice engine and
+tile flip their arrays in place, and one_cycle, one walk from id 0, proves
+a single tour.  CycleTracker's disjoint sets answer every connectivity
+question: the splices' merges, is_connected_edges, fold's check, and the
+cell a failure names.
 ConstructionError lives in geom and is re-exported here under its name.
 """
 
@@ -40,7 +41,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, combinations, groupby, repeat, starmap
+from itertools import chain, combinations, groupby, repeat, starmap
 from operator import itemgetter
 from typing import Hashable, Iterable, Iterator, Sequence, TypeVar
 
@@ -90,7 +91,6 @@ class KeyGraph:
     # each rhombus's cells in cyclic order, the forward pencil first
     rhombus_ids: tuple[tuple[int, int, int, int], ...]
     outer_ids: tuple[IdEdge, ...]  # smaller id first
-    membership: list[int]  # per id: how many cores hold the cell, 0, 1 or 2
 
     # The derived views.  cached_property stores its value on the instance,
     # so a dataclasses.replace copy derives its own from its own fields.
@@ -115,6 +115,12 @@ class KeyGraph:
     @cached_property
     def edges(self) -> frozenset[Edge]:
         return self.inner_edges | self.outer_edges
+
+    @cached_property
+    def membership(self) -> list[int]:
+        """Per id: how many cores hold the cell, 0, 1 or 2."""
+        counts = Counter(chain.from_iterable(_ids(core, self.leaper.side) for core in self.cores.all()))
+        return [counts[i] for i in range(self.leaper.side ** 2)]
 
     @cached_property
     def core_membership(self) -> dict[Cell, int]:
@@ -229,20 +235,18 @@ def _outer_pencils(leaper: Leaper) -> list[PencilSpec]:
     ]
 
 
-def build_outer(leaper: Leaper) -> tuple[list[IdEdge], list[int], list[tuple[int, ...]]]:
-    """The edges of the six boundary pencils and all their reflections, as
-    id edges, smaller id first, proved leaper moves, their degrees as a
-    difference array over the ids, and the family of each of the 24 copies.
+def build_outer(leaper: Leaper) -> tuple[list[IdEdge], list[tuple[int, ...]]]:
+    """The id edges, smaller id first, proved leaper moves, of the six
+    boundary pencils and their reflections, and the 24 copies' families.
 
     A pencil's reflection is the reflected move swept over the reflected
     rectangle, so each copy is two corners and one move's end: reflect
     gives the vertical copy's, and id i to side**2 - 1 - i takes the
     identity and vertical copies to the centre and horizontal ones.  So the
-    outer graph is centrally symmetric as built.  Each column of the
-    rectangle of the edges' lower ends gives its edges in one zip."""
+    outer graph is centrally symmetric as built.  Each column of a family's
+    rectangle of lower ends gives its edges in one zip."""
     side, last, moves = leaper.side, leaper.side ** 2 - 1, leaper.directions()
     edges: list[IdEdge] = []
-    degrees = [0] * (side * side + 1)
     families: list[tuple[int, ...]] = []
     for spec in _outer_pencils(leaper):
         _, (dx, dy) = pencil_shifts(spec, side)  # the rectangle and its shift lie on the board
@@ -256,13 +260,10 @@ def build_outer(leaper: Leaper) -> tuple[list[IdEdge], list[int], list[tuple[int
             xs, ys = zip(divmod(a, side), divmod(b, side))
             lo, d = min(xs) * side + min(ys) + min(c - a, 0), abs(c - a)
             families.append((d, lo // side, lo // side + width, lo % side, lo % side + height))
-            for s in range(lo, lo + width * side, side):
-                edges += zip(range(s, s + height), range(s + d, s + d + height))
-                degrees[s] += 1
-                degrees[s + height] -= 1
-                degrees[s + d] += 1
-                degrees[s + d + height] -= 1
-    return edges, degrees, families
+    for d, x1, x2, y1, y2 in families:
+        for s in range(x1 * side + y1, x2 * side + y1, side):
+            edges += zip(range(s, s + y2 - y1), range(s + d, s + d + y2 - y1))
+    return edges, families
 
 
 def build_key(leaper: Leaper) -> KeyGraph:
@@ -277,9 +278,8 @@ def build_key(leaper: Leaper) -> KeyGraph:
     memberships e of the eight (q-p)-square cores sum to 8(q-p)**2, so inner
     degree 2e gives 8(q-p)**2 inner edges, that is 2(q-p)**2 rhombi, and
     outer degree 2 - e gives side**2 - 4(q-p)**2 = 16pq outer edges, once
-    the edges are shown distinct.  Each invariant is decided once, by a
-    proof on pencils that names a cell or an edge when it fails, in this
-    order:
+    the edges are shown distinct.  Each invariant is decided once, on
+    pencils, naming a cell or an edge where it fails, in this order:
       1. The cores: each lies on the board, and each rhombus step's move
          takes core k onto core k + 1 (build_inner).  Rhombus i is cell i,
          in row order, of each of its pencil's cores, so step k is core k
@@ -306,8 +306,13 @@ def build_key(leaper: Leaper) -> KeyGraph:
          move equals a backward move or its opposite, as p >= 1.
          _first_shared names the smallest shared edge: of two rhombi before
          the outer pencils are built, then of both graphs.
-      4. The outer degrees: their difference array must be that of 2 - e,
-         and the first index where the two differ is the cell named.
+      4. The outer degrees, on 56 rectangles: outer degree 2 - e for every
+         cell means that the 8 cores and the 24 families' rectangles of
+         lower ends, and of upper ends shifted by the step d, cover every
+         cell twice.  balance, the difference array of the cover minus 2,
+         has prefix sums 0 before its first nonzero entry i, so cell i is
+         the first covered 2 + balance[i] times, its outer degree
+         2 - e + balance[i], and i < side**2, as the entries sum to 0.
       5. An outer edge repeated with every degree balanced, the smallest
          edge two outer families share, is named last.
     The outer graph is centrally symmetric as build_outer builds it, and no
@@ -316,35 +321,30 @@ def build_key(leaper: Leaper) -> KeyGraph:
     side, size = leaper.side, leaper.side ** 2
     cores = build_cores(leaper)
     pencils, families = build_inner(leaper)
-    held = [0] * (size + 1)
-    wanted = [2] + [0] * (size - 1) + [-2]  # the difference array of outer degrees 2 - e
-    for core in cores.all():
-        height = core.y2 - core.y1
-        for s in range(core.x1 * side + core.y1, core.x2 * side + core.y1, side):
-            held[s] += 1
-            held[s + height] -= 1
-            wanted[s] -= 1
-            wanted[s + height] += 1
-    membership = list(accumulate(held[:size]))
     for (a, b, c, d), pencil in zip((cores.forward, cores.backward), pencils):
         if _mirror(c, side) != a or _mirror(d, side) != b:
             raise ConstructionError(f"rhombus {tuple(divmod(v, side) for v in pencil[0])} has no central mirror")
     if shared := _first_shared(families, side):
         raise ConstructionError(f"two rhombi share the edge {shared[0]}")
 
-    outer, outer_degrees, outer_families = build_outer(leaper)
+    outer, outer_families = build_outer(leaper)
     shared = _first_shared(families + outer_families, side)
     if shared and shared[1] < len(families):
         raise ConstructionError(f"inner and outer graphs share the edge {shared[0]}")
-    if outer_degrees != wanted:  # the prefix sums agree before the first index where the arrays differ
-        i = next(i for i, (a, b) in enumerate(zip(outer_degrees, wanted)) if a != b)
-        e = membership[i]
-        at = f"{divmod(i, side)}: membership {e}, inner {2 * e}, outer {2 - e + outer_degrees[i] - wanted[i]}"
-        raise ConstructionError(f"degree mismatch at {at}")
+    balance = [-2] + [0] * (size - 1) + [2]  # the difference array of each cell's cover minus 2
+    rects = [(0, c.x1, c.x2, c.y1, c.y2) for c in cores.all()] + [(k, *r) for d, *r in outer_families for k in (0, d)]
+    for shift, x1, x2, y1, y2 in rects:
+        for s in range(x1 * side + y1 + shift, x2 * side + y1 + shift, side):
+            balance[s] += 1
+            balance[s + y2 - y1] -= 1
+    if any(balance):  # every prefix sum before the first nonzero entry is 0
+        x, y = divmod(i := next(filter(balance.__getitem__, range(size))), side)
+        e = sum(c.x1 <= x < c.x2 and c.y1 <= y < c.y2 for c in cores.all())
+        raise ConstructionError(f"degree mismatch at {(x, y)}: membership {e}, inner {2 * e}, outer {2 - e + balance[i]}")
     if shared:  # a repeat the degrees do not show: other edges at its ends are missing
         raise ConstructionError(f"outer graph repeats the edge {shared[0]}")
 
-    return KeyGraph(leaper, cores, tuple(chain(*pencils)), tuple(outer), membership)
+    return KeyGraph(leaper, cores, tuple(chain(*pencils)), tuple(outer))
 
 
 def neighbour_arrays(edges: Iterable[IdEdge], n: int) -> Arrays | None:

@@ -286,12 +286,13 @@ def _line_events(module, run):
 
 
 def test_build_key_makes_no_per_edge_loop():
-    # the degrees are proved on difference arrays, filled per row of a core,
-    # a rhombus pencil's rectangle or an outer pencil's column, and compared
-    # by any(): 72, 68 and 66 line events per unit of side when its bound was set at
-    # twice the largest, against 3,208, 12,808 and 51,208 edges; a loop over
-    # the edges, comprehensions included, adds one or more events per edge,
-    # 76 to 316 per unit of side
+    # the degrees are proved on one difference array, filled per column of a
+    # core and of each outer family's lower and upper ends, and checked by
+    # any(): 72, 68 and 66 line events per unit of side when its bound was set at
+    # twice the largest, and 71, 58 and 51 since the array is the cover's,
+    # against 3,208, 12,808 and 51,208 edges; a loop over the edges,
+    # comprehensions included, adds one or more events per edge, 76 to 316
+    # per unit of side
     per_side = []
     for q in (20, 40, 80):
         leaper = Leaper(1, q)
@@ -364,7 +365,9 @@ def test_build_key_builds_no_edge_container_on_its_valid_path(monkeypatch):
     # a while, beyond the key it returns, stays flat per cell: 108, 121 and
     # 127 bytes at (1,20), (1,40) and (1,80) when this guard was set, where
     # listing and hashing every rhombus edge and uniting them with the outer
-    # edges took 186, 266 and 301
+    # edges took 186, 266 and 301; 16 at each since the degrees are proved
+    # on one side**2-long difference array, where one more side**2-long list
+    # of counts, as the per-cell degree and membership arrays were, took 29
     made = []
     for name in ("set", "frozenset", "Counter"):
         real = getattr(keygraph, name, None) or getattr(builtins, name)
@@ -385,4 +388,4 @@ def test_build_key_builds_no_edge_container_on_its_valid_path(monkeypatch):
         per_cell.append((peak - kept) / leaper.side ** 2)
         del key
     assert made == []
-    assert all(n <= 160 for n in per_cell), per_cell
+    assert all(n <= 24 for n in per_cell), per_cell

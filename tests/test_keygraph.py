@@ -4,7 +4,7 @@ from collections import Counter, defaultdict
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import leapertour.keygraph as keygraph
@@ -84,7 +84,7 @@ def test_forward_rhombus_at_pp():
 def test_outer_size_and_reflection_invariance(p, q):
     leaper = Leaper(p, q)
     side, last = leaper.side, leaper.side ** 2 - 1
-    outer, _, families = build_outer(leaper)  # a list: the 24 reflected pencils are disjoint
+    outer, families = build_outer(leaper)  # a list: the 24 reflected pencils are disjoint
     assert len(outer) == len(set(outer)) == 16 * p * q
     assert len(families) == 24 and keygraph._first_shared(families, side) is None
     assert all(a < b for a, b in outer)
@@ -190,6 +190,7 @@ def test_id_partition_equals_the_tuple_oracle_on_halvings(pq, seed):
         )
     )
 )
+@example(graph_spec=(3, [(0, 2)]))  # two components, one merge short of connected, in every run
 def test_connectivity_answers_are_the_networkx_ones(nx, graph_spec):
     # the tracker's answers: is_connected_edges, with the empty graph
     # connected; the merge count; and first_apart, which the failure messages
@@ -272,7 +273,7 @@ def test_families_are_the_stored_edges_and_pairwise_disjoint(pq):
     # the premise of build_key's distinctness proof, on the edges it stores
     leaper = Leaper(*pq)
     key, side = build_key(leaper), leaper.side
-    inner, outer = build_inner(leaper)[1], build_outer(leaper)[2]
+    inner, outer = build_inner(leaper)[1], build_outer(leaper)[1]
     rhombus_edges = [tuple(sorted(e)) for r in key.rhombus_ids for e in zip(r, r[1:] + r[:1])]
     assert sorted(e for f in inner for e in _family_edges(f, side)) == sorted(rhombus_edges)
     assert sorted(e for f in outer for e in _family_edges(f, side)) == sorted(key.outer_ids)
@@ -419,21 +420,37 @@ def test_repeated_pencil_is_named_by_the_degree_check(monkeypatch):
         build_key(Leaper(2, 5))
 
 
+def _without(family, edge, side):
+    """The family split into at most four rectangles that hold all its edges but the given one."""
+    d, x1, x2, y1, y2 = family
+    if edge[1] - edge[0] != d or not (x1 <= edge[0] // side < x2 and y1 <= edge[0] % side < y2):
+        return [family]
+    u, v = divmod(edge[0], side)
+    parts = [(d, x1, u, y1, y2), (d, u, u + 1, y1, v), (d, u, u + 1, v + 1, y2), (d, u + 1, x2, y1, y2)]
+    return [part for part in parts if part[1] < part[2] and part[3] < part[4]]
+
+
 def test_repeat_with_balanced_degrees_names_the_edge(monkeypatch):
     # the outer edges (a, x) and (b, y) become (a, b) again and (x, y): every
-    # degree stays, and the new edges join the families as one-cell steps,
-    # so only the families' rectangle test sees the repeat
+    # degree stays, the families that held the old edges are split round
+    # them, and the new edges join as one-cell families, so the families
+    # describe exactly the edges, and only their rectangle test sees the repeat
     real = keygraph.build_outer
 
     def rewired(leaper):
-        outer, degrees, families = real(leaper)
+        outer, families = real(leaper)
+        side = leaper.side
         a, b = outer[0]
         (x,) = (v for e in outer if a in e and b not in e for v in e if v != a)
         (y,) = (v for e in outer if b in e and a not in e for v in e if v != b)
+        dropped = [(min(a, x), max(a, x)), (min(b, y), max(b, y))]
+        for gone in dropped:
+            families = [part for f in families for part in _without(f, gone, side)]
         added = [(a, b), (min(x, y), max(x, y))]
-        cells = [divmod(i, leaper.side) for i, _ in added]
-        steps = [(j - i, u, u + 1, v, v + 1) for (i, j), (u, v) in zip(added, cells)]
-        return [e for e in outer if {a, x} != set(e) != {b, y}] + added, degrees, families + steps
+        steps = [(j - i, i // side, i // side + 1, i % side, i % side + 1) for i, j in added]
+        edges, families = [e for e in outer if e not in dropped] + added, families + steps
+        assert sorted(e for f in families for e in _family_edges(f, side)) == sorted(edges)
+        return edges, families
 
     monkeypatch.setattr(keygraph, "build_outer", rewired)
     with pytest.raises(
@@ -452,6 +469,58 @@ def test_shifted_pencil_fails_the_degree_check(monkeypatch):
         match=r"^degree mismatch at \(0, 0\): membership 0, inner 0, outer 1$",
     ):
         build_key(Leaper(2, 5))
+
+
+# one outer pencil's rectangle moved a cell, or cut a row or a column short
+EDITS = {
+    "right": lambda r: Subboard(r.x1 + 1, r.x2 + 1, r.y1, r.y2),
+    "left": lambda r: Subboard(r.x1 - 1, r.x2 - 1, r.y1, r.y2),
+    "down": lambda r: Subboard(r.x1, r.x2, r.y1 + 1, r.y2 + 1),
+    "up": lambda r: Subboard(r.x1, r.x2, r.y1 - 1, r.y2 - 1),
+    "row-short": lambda r: Subboard(r.x1, r.x2, r.y1, r.y2 - 1),
+    "column-short": lambda r: Subboard(r.x1, r.x2 - 1, r.y1, r.y2),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(free_leapers(41)), st.integers(0, 5), st.sampled_from(sorted(EDITS)))
+def test_degree_mismatch_is_the_per_cell_oracle(pq, k, how):
+    # build_key proves the degrees on rectangles; the oracle counts each
+    # cell's degree in the outer edges build_outer emits, and names the
+    # first cell whose degree is not 2 - e
+    leaper = Leaper(*pq)
+    side, base = leaper.side, keygraph._outer_pencils(leaper)[k].base
+    assume(how != "row-short" or base.y2 - base.y1 > 1)  # a Subboard is never empty
+    assume(how != "column-short" or base.x2 - base.x1 > 1)
+
+    def edit(specs, p, q, side):
+        specs[k] = PencilSpec(EDITS[how](specs[k].base), specs[k].dirs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        _patch_outer(patch, edit)
+        try:
+            outer, _ = build_outer(leaper)
+        except ConstructionError as error:  # the edited pencil leaves the board
+            with pytest.raises(ConstructionError, match=f"^{re.escape(str(error))}$"):
+                build_key(leaper)
+            return
+        try:
+            build_key(leaper)
+            raised = None
+        except ConstructionError as error:
+            raised = str(error)
+    rhombi, _, membership = oracle_key_ids(leaper)
+    degree = Counter(i for e in outer for i in e)
+    bad = next((i for i in range(side * side) if degree[i] != 2 - membership[i]), None)
+    if raised and raised.startswith("inner and outer graphs share the edge"):  # the earlier check
+        x, y, u, v = map(int, re.findall(r"\d+", raised))
+        rhombus_edges = {tuple(sorted(e)) for r in rhombi for e in zip(r, r[1:] + r[:1])}
+        assert (x * side + y, u * side + v) in rhombus_edges & set(outer)
+    elif bad is None:
+        assert not (raised or "").startswith("degree mismatch"), raised
+    else:
+        e = membership[bad]
+        assert raised == f"degree mismatch at {divmod(bad, side)}: membership {e}, inner {2 * e}, outer {degree[bad]}"
 
 
 def test_open_rhombus_pencil_names_its_first_cell(monkeypatch):
@@ -638,7 +707,7 @@ def test_key_equals_the_cell_oracle(p, q):
         assert tuple(map(cells, pair[1])) == rhombus_matching(r, 1)
 
 
-VIEWS = {"rhombi", "inner_edges", "outer_edges", "edges", "core_membership"}
+VIEWS = {"rhombi", "inner_edges", "outer_edges", "edges", "membership", "core_membership"}
 
 
 def test_splices_derive_no_tuple_view():

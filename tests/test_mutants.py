@@ -85,20 +85,31 @@ MUTANTS = [
            (KEY, "tests/test_keygraph.py::test_key_ids_equal_the_pencil_expansion_oracle"), blind=True),
     Mutant("core-id-columns-rotated", "keygraph.py", "for core in kind))))", "for core in kind[1:] + kind[:1]))))",
            (KEY, GOLDEN_SYMMETRIC), blind=True),
-    # build_key's degree proof: a dropped or shortened run of outer degrees,
-    # or a core column one short, fails the proof on every key; a run that
-    # drops a row of each core changes the memberships
-    Mutant("outer-run-dropped", "keygraph.py", "                degrees[s + d] += 1\n", "", (KEY,), blind=True),
-    Mutant("outer-run-shortened", "keygraph.py", "                degrees[s + height] -= 1\n",
-           "                degrees[s + height - 1] -= 1\n", (KEY,), blind=True),
+    # build_key's degree proof, the cover of the cores and the outer
+    # families' lower and upper ends: the lower or upper ends dropped, every
+    # run shortened, a core column one short, a core counted twice, or the
+    # balance's ends swapped fails the proof on every key; a run that drops
+    # a row of each core changes the memberships; a cell's membership that
+    # ignores the cores' rows misnames the counts
+    Mutant("outer-run-dropped", "keygraph.py", "for k in (0, d)]", "for k in (d,)]", (KEY,), blind=True),
+    Mutant("upper-end-shift-dropped", "keygraph.py", "for k in (0, d)]", "for k in (0,)]", (KEY,), blind=True),
+    Mutant("outer-run-shortened", "keygraph.py", "            balance[s + y2 - y1] -= 1\n",
+           "            balance[s + y2 - y1 - 1] -= 1\n", (KEY,), blind=True),
     Mutant("core-columns-shortened", "keygraph.py", "range(starts.start + height, starts.stop + height, side)",
            "range(starts.start + height - 1, starts.stop + height - 1, side)", (KEY,), blind=True),
-    Mutant("core-run-dropped", "keygraph.py", "range(core.x1 * side + core.y1, core.x2 * side + core.y1, side)",
-           "range(core.x1 * side + core.y1, (core.x2 - 1) * side + core.y1, side)", (KEY, SYMMETRIC), blind=True),
-    Mutant("degree-proof-skipped", "keygraph.py", "    if outer_degrees != wanted:", "    if False:",
+    Mutant("core-run-dropped", "keygraph.py", "(0, c.x1, c.x2, c.y1, c.y2)",
+           "(0, c.x1, c.x2 - 1, c.y1, c.y2)", (KEY, SYMMETRIC), blind=True),
+    Mutant("core-counted-twice", "keygraph.py", "c.y2) for c in cores.all()]",
+           "c.y2) for c in cores.all() + cores.forward[:1]]", (KEY,), blind=True),
+    Mutant("balance-ends-swapped", "keygraph.py", "balance = [-2] + [0] * (size - 1) + [2]",
+           "balance = [2] + [0] * (size - 1) + [-2]", (KEY,), blind=True),
+    Mutant("degree-proof-skipped", "keygraph.py", "    if any(balance):", "    if False:",
            ("tests/test_keygraph.py::test_dropped_pencil_is_named_by_the_degree_check",), blind=True),
-    Mutant("degree-outer-count-unlocated", "keygraph.py", "outer {2 - e + outer_degrees[i] - wanted[i]}",
+    Mutant("degree-outer-count-unlocated", "keygraph.py", "outer {2 - e + balance[i]}",
            "outer {2 - e}", ("tests/test_keygraph.py::test_repeated_pencil_is_named_by_the_degree_check",)),
+    Mutant("degree-membership-ignores-rows", "keygraph.py", "c.x1 <= x < c.x2 and c.y1 <= y < c.y2 for c",
+           "c.x1 <= x < c.x2 for c", ("tests/test_keygraph.py::test_missing_rhombus_is_named_by_the_degree_check",
+                                     "tests/test_keygraph.py::test_degree_mismatch_is_the_per_cell_oracle")),
     # build_inner's core checks: a core off the board, or a step that does
     # not take its core onto the next, accepted, the bottom edge of the
     # board unchecked, the pencils named swapped, and a step naming the
@@ -114,8 +125,9 @@ MUTANTS = [
            'zip(("backward", "forward"), (cores.forward', (CORE_OFF_STEP,)),
     Mutant("step-names-the-next-corner", "keygraph.py", "cell = min(set(moved.cells()) ^ set(to.cells()))",
            "cell = min(to.cells())", (CORE_OFF_STEP + "[moved]",)),
-    Mutant("outer-edges-shortened", "keygraph.py", "edges += zip(range(s, s + height), range(s + d, s + d + height))",
-           "edges += zip(range(s, s + height - 1), range(s + d, s + d + height - 1))", (KEY,), blind=True),
+    Mutant("outer-edges-shortened", "keygraph.py",
+           "edges += zip(range(s, s + y2 - y1), range(s + d, s + d + y2 - y1))",
+           "edges += zip(range(s, s + y2 - y1 - 1), range(s + d, s + d + y2 - y1 - 1))", (KEY,), blind=True),
     # the rhombi's central symmetry, proved on the cores: a skipped check, a
     # mirror rectangle moved by one, or core 3 compared with core 0
     Mutant("core-mirror-accepted", "keygraph.py", "if _mirror(c, side) != a or _mirror(d, side) != b:", "if False:",
@@ -261,7 +273,8 @@ MUTANTS = [
            ("tests/test_splice.py::test_cycle_tracker_finds_the_networkx_components", CONNECTIVITY, PLAIN)),
     Mutant("connected-one-merge-short", "keygraph.py", "tracker.join(edges) >= len(tracker.parent) - 1",
            "tracker.join(edges) >= len(tracker.parent) - 2",
-           (CONNECTIVITY, "tests/test_splice.py::test_disconnected_key_graph_fails_loudly")),
+           (CONNECTIVITY, "tests/test_splice.py::test_disconnected_key_graph_fails_loudly",
+            "tests/test_splice.py::test_a_key_of_two_mirror_halves_fails_the_symmetric_check")),
     Mutant("fold-component-count-off-by-one", "fold.py", "len(tracker.parent) - tracker.join(graph.ids)",
            "len(tracker.parent) + 1 - tracker.join(graph.ids)",
            (FOLD_DISCONNECTED, "tests/test_fold.py::test_fold_connectivity_and_its_located_failure_are_the_networkx_ones")),

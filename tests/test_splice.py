@@ -648,7 +648,7 @@ def test_outer_copies_mirror_by_construction(monkeypatch, key25):
         return [i + 1 for i in real(ids, side)] if len(calls) == 1 else real(ids, side)
 
     monkeypatch.setattr(keygraph, "reflect", moved)
-    outer, _, _ = keygraph.build_outer(leaper)
+    outer, _ = keygraph.build_outer(leaper)
     assert len(outer) == 16 * 2 * 5 and set(outer) != set(key25.outer_ids)
     assert {(last - b, last - a) for a, b in outer} == set(outer)
     calls.clear()
