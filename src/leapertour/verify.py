@@ -114,7 +114,20 @@ def verify_central_symmetry(cells: Sequence[Cell], width: int, height: int) -> b
     """True iff the tour's edge set maps to itself under the point reflection
     (x, y) -> (width-1-x, height-1-y).
 
-    Exact for any cell list, on the board or not.  Each cell becomes the
+    Exact for any cell list, on the board or not.  First, a list of even
+    length n whose second half is the reflection of its first half, cell by
+    cell, is symmetric: the reflected cyclic sequence is then the sequence
+    turned by n/2, so it walks the same steps.  Every tour the generator
+    writes takes this exit, however it is turned, restarted or reversed.
+    The reflection maps its cycle onto itself, so it acts as a turn or a
+    flip of the cycle; a flip fixes a cell or a step, and no turn is its own
+    inverse but the identity, which fixes every cell, and the turn by n/2.
+    An even board has no centre cell, and no step joins a cell to its
+    mirror image: that step, (width-1-2x, height-1-2y), is odd in both
+    coordinates, and a free leaper's move is even in one.  So the reflection
+    is the turn by n/2.
+
+    Otherwise each cell becomes the
     int key x*S + y, where S exceeds the spread of the y values of the
     cells and of their reflections; then no two of those cells share a
     key.  The reflection of key k is c - k with c = (width-1)*S + (height-1),
@@ -129,12 +142,16 @@ def verify_central_symmetry(cells: Sequence[Cell], width: int, height: int) -> b
     """
     if not cells:
         return True
+    n, half = len(cells), len(cells) // 2
+    right, top = width - 1, height - 1
+    if n % 2 == 0 and cells[half] == (right - cells[0][0], top - cells[0][1]):
+        if [(right - x, top - y) for x, y in cells[:half]] == list(cells[half:]):
+            return True
     ys = [y for _, y in cells]
     lo, hi = min(ys), max(ys)
-    s = max(hi, height - 1 - lo) - min(lo, height - 1 - hi) + 1
+    s = max(hi, top - lo) - min(lo, top - hi) + 1
     keys = [x * s + y for x, y in cells]
-    c = (width - 1) * s + (height - 1)
-    n = len(keys)
+    c = right * s + top
     first, second = c - keys[0], c - keys[1 % n]
     if first in keys:
         # the reflection walks the sequence forward or backward from first;

@@ -316,6 +316,33 @@ def test_verify_tour_checks_a_valid_tour_without_a_per_cell_loop():
         assert calls["<listcomp>"] == 2 and "<genexpr>" not in calls, calls
 
 
+def test_central_symmetry_of_a_generated_tour_reflects_half_of_it_and_builds_no_key():
+    # a symmetric tour, turned, restarted or reversed as perfbench's check
+    # workload hands it to verify, has its mirror image half a turn on, so
+    # the function's own frame runs the same 6 lines on every rung when its
+    # bound was set at twice that, and its one comprehension reflects the
+    # first half; a plain tour takes the key path, whose y and key
+    # comprehensions run, and here a third that reflects the keys, as the
+    # mirror image of each plain tour's first step is a step of it
+    counts = []
+    for q in (20, 40, 80):
+        leaper = Leaper(1, q)
+        side = leaper.side
+        key = keygraph.build_key(leaper)
+        cells = list(splice.symmetric_splice(key).cells)
+        turned = [(side - 1 - y, x) for x, y in cells]
+        restarted = cells[q:] + cells[:q]
+        copies = (cells, turned, restarted, cells[::-1], (turned[q:] + turned[:q])[::-1])
+        for tour in copies:
+            lines, calls = _line_events(verify, lambda: verify.verify_central_symmetry(tour, side, side))
+            assert calls["<listcomp>"] == 1, (q, calls)
+            counts.append(lines["verify_central_symmetry"])
+        plain = splice.splice(key, splice.random_bits(len(key.rhombus_ids), 7)).cells
+        lines, calls = _line_events(verify, lambda: verify.verify_central_symmetry(plain, side, side))
+        assert lines["verify_central_symmetry"] > 12 and calls["<listcomp>"] == 3, (q, lines, calls)
+    assert len(set(counts)) == 1 and counts[0] <= 12, counts
+
+
 def test_parse_structured_reads_a_generated_file_without_a_per_line_loop():
     # text in format_structured's shape is read in whole-text passes: one
     # fullmatch, one split, and one int() per distinct token, in the memo's

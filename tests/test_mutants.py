@@ -24,8 +24,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# verify_central_symmetry's first lines; a blind row makes it return True
-BLIND = ("verify.py", "    if not cells:\n        return True\n    ys = [y for _, y in cells]", "    return True")
+# verify_central_symmetry's first test; a blind row makes it return True
+# before its early exit and its key path
+BLIND = ("verify.py", "    if not cells:\n        return True\n", "    return True\n")
 
 
 class Mutant(NamedTuple):
@@ -249,7 +250,9 @@ MUTANTS = [
            (PARSE_EDITS + "[lines joined by a space]",)),
     Mutant("body-line-end-optional", "render.py", r'(?:[0-9]+ [0-9]+\n)*"', r'(?:[0-9]+ [0-9]+\n?)*"',
            (PARSE_EDITS + "[lines run together]",)),
-    # the independent validator's checks, and is_free
+    # the independent validator's checks, and is_free; an @example of the
+    # oracle property kills each row whose killer is that property, on
+    # every run, whatever examples hypothesis draws
     Mutant("cell-count-check-weakened", "verify.py", "cell_count_ok=(n == width * height),",
            "cell_count_ok=(n <= width * height),", ("tests/test_verify.py::test_truncated_tour_fails_count",)),
     Mutant("first-step-unchecked", "verify.py", "if not set(map(sub, keys[1:], keys)) <= moves:",
@@ -264,6 +267,17 @@ MUTANTS = [
            "if keys[(i + 1) % n] == second:", (SYMMETRY_ORACLE,)),
     Mutant("symmetry-fallback-accepts", "verify.py", "return all((c - b, c - a) in edges for a, b in edges)",
            "return True", (SYMMETRY_ORACLE,)),
+    # verify_central_symmetry's early exit for a list whose second half is
+    # its reflected first half: taken without the compare, on the halves' first
+    # cells only, or never, which sends every generated tour down the key path
+    Mutant("half-turn-exit-uncompared", "verify.py",
+           "        if [(right - x, top - y) for x, y in cells[:half]] == list(cells[half:]):\n",
+           "        if True:\n", (SYMMETRY_ORACLE,)),
+    Mutant("half-turn-exit-first-cells", "verify.py", "for x, y in cells[:half]] == list(cells[half:]):",
+           "for x, y in cells[:1]] == list(cells[half:half + 1]):", (SYMMETRY_ORACLE,)),
+    Mutant("half-turn-exit-disabled", "verify.py",
+           "if n % 2 == 0 and cells[half] == (right - cells[0][0], top - cells[0][1]):", "if False:",
+           ("tests/test_complexity.py::test_central_symmetry_of_a_generated_tour_reflects_half_of_it_and_builds_no_key",)),
     Mutant("is-free-by-parity", "geom.py", "return math.gcd(b - a, b + a) == 1", "return (b - a) % 2 == 1",
            ("tests/test_verify.py::test_is_free",)),
     # the one disjoint-set engine: a union that links y, not its root; a

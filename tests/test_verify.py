@@ -322,6 +322,9 @@ def _leapers_with_cell_lists(draw):
 # every y is at least S = 3, so a cell's x is (key - min y) // S, not key // S
 @example((1, 2, 1, 4, [(0, 3)]))
 @example((1, 2, 1, 4, [(-1, 3)]))
+# the y spread is 0; with a key spacing of spread + 1 = 1 the step (1, 0)
+# would have the key difference 1 of the move (-1, 2)
+@example((1, 2, 2, 1, [(0, 0), (1, 0)]))
 def test_verify_tour_agrees_with_the_oracle_on_any_cell_list(leaper_board):
     p, q, width, height, cells = leaper_board
     assert verify_tour(cells, p, q, width, height) == oracle_verify_tour(cells, p, q, width, height)
@@ -336,7 +339,8 @@ def _rotated_and_reversed(cells, k):
 # off the board, (1, -1) and its mirror image (-1, 1) share a key if S is
 # taken from the board height alone
 @example((1, 1, [(1, -1)]))
-# the reflected sequence is a rotation of this one, which list compares prove
+# a generated tour, restarted and reversed: its second half is its reflected
+# first half, which the early exit compares
 @example((6, 6, _rotated_and_reversed(_valid_tours(1, 2)[0], 5)))
 # the edge set is symmetric, but the reflected sequence 2,1,2,1,0,1 is no
 # rotation of 0,1,0,1,2,1 or of its reverse: only the edge sets show it
@@ -344,6 +348,32 @@ def _rotated_and_reversed(cells, k):
 # the centre is its own mirror, so the reflection walks forward from index
 # 0, and only comparing the reflected keys, not the keys, shows (0, 0)
 @example((3, 3, [(1, 1), (1, 1), (0, 0)]))
+# cell n/2 is the mirror image of cell 0, but cell 3 is not that of cell 1,
+# so the second half is not the reflected first half
+@example((3, 3, [(0, 0), (1, 0), (2, 2), (0, 1)]))
 def test_central_symmetry_agrees_with_the_oracle_on_any_cell_list(board):
     width, height, cells = board
     assert verify_central_symmetry(cells, width, height) == _oracle_symmetric(cells, width, height)
+
+
+_SMALL_FREE_LEAPERS = [(p, q) for q in range(2, 21) for p in range(1, q) if p + q <= 21 and is_free(p, q)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_SMALL_FREE_LEAPERS), st.integers(0, 3), st.booleans(), st.data())
+def test_generated_symmetric_tour_is_its_mirror_image_half_a_turn_on(pq, turns, reverse, data):
+    # the symmetric tour turned, restarted and maybe reversed, as perfbench's
+    # check workload writes it: the reflection turns its cycle by n/2, so the
+    # second half is the reflected first half, the early exit's test
+    p, q = pq
+    side = 2 * (p + q)
+    cells = list(_valid_tours(p, q)[0])
+    for _ in range(turns):
+        cells = [(side - 1 - y, x) for x, y in cells]
+    start = data.draw(st.integers(0, len(cells) - 1))
+    cells = cells[start:] + cells[:start]
+    if reverse:
+        cells.reverse()
+    half = len(cells) // 2
+    assert cells[half:] == [(side - 1 - x, side - 1 - y) for x, y in cells[:half]]
+    assert verify_central_symmetry(cells, side, side)

@@ -5,7 +5,9 @@ Rungs: the leapers (12,25), (10,21), (1,40), (1,80) and (2,101), and the
 (2,5) tour of seed 3 tiled 3x4, 10x10 and 40x40.  Stages, each timed on its
 own inputs, built beforehand:
   - on a leaper: build_key, halve and splice of the seed-7 bits,
-    symmetric_splice and check_fold of the key;
+    symmetric_splice and check_fold of the key, and
+    verify_central_symmetry of the symmetric tour, which works per cell,
+    so it is fitted as a tour stage;
   - on a tiling: tile;
   - on both, for the rung's tour (the seed-7 splice, or the tiling):
     verify_tour, the three render formats, parse_structured of the
@@ -100,12 +102,14 @@ def leaper_stages(p: int, q: int, out: str):
     key = keygraph.build_key(leaper)
     bits = splice.random_bits(len(key.rhombus_ids), 7)
     tour = splice.splice(key, bits)
+    symmetric = splice.symmetric_splice(key).cells
     stages = {
         "build_key": lambda: keygraph.build_key(leaper),
         "halve": lambda: keygraph.halve(key, bits),
         "splice": lambda: splice.splice(key, bits),
         "symmetric_splice": lambda: splice.symmetric_splice(key),
         "check_fold": lambda: fold.check_fold(key),
+        "verify_central_symmetry": lambda: verify.verify_central_symmetry(symmetric, leaper.side, leaper.side),
     }
     argv = ["--p", str(p), "--q", str(q), "--seed", "7"]
     counts = {"rhombi": len(key.rhombus_ids)}
